@@ -22,7 +22,9 @@ produces identical files.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 import struct
 
 import numpy as np
@@ -73,14 +75,7 @@ def config_text(variant: Variant, config: GraphConfig) -> str:
 
 def parse_config_text(text: str):
     """Inverse of config_text; returns (variant, GraphConfig)."""
-    pairs = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise CheckpointError(f"malformed config line {line!r}")
-        k, _, v = line.partition("=")
-        pairs[k] = v
+    pairs = parse_kv_text(text)
     required = {
         "variant", "input_size", "input_channels", "channel_sequence",
         "dilation_rates", "dropout_schedule", "loss", "bn_momentum",
@@ -118,12 +113,13 @@ def parse_config_text(text: str):
 
 
 def parse_kv_text(text: str) -> dict:
+    """Inverse of render_kv_text; values stay strings."""
     pairs = {}
     for line in text.splitlines():
         if not line.strip():
             continue
         if "=" not in line:
-            raise CheckpointError(f"malformed metadata line {line!r}")
+            raise CheckpointError(f"malformed checkpoint text line {line!r}")
         k, _, v = line.partition("=")
         pairs[k] = v
     return pairs
@@ -236,24 +232,37 @@ def _graph_from(variant, config, tensors: dict) -> ModelGraph:
     return graph
 
 
-def _open(path, mode):
+def _open(path):
     try:
-        return open(path, mode)
+        return open(path, "rb")
     except OSError as exc:
-        verb = "write" if "w" in mode else "read"
-        raise CheckpointError(f"cannot {verb} checkpoint {path}: {exc}") from exc
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+
+
+def _write(path, data: bytes) -> None:
+    """Write through a fsynced temp file in the same directory and an atomic
+    rename, so a crash leaves either the previous file or the new one."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
 def save_checkpoint(graph: ModelGraph, path) -> None:
     """Write a deployment checkpoint (parameters and running statistics)."""
-    data = _serialize(DEPLOY_MAGIC, graph, None, None)
-    with _open(path, "wb") as fh:
-        fh.write(data)
+    _write(path, _serialize(DEPLOY_MAGIC, graph, None, None))
 
 
 def load_checkpoint(path) -> ModelGraph:
     """Read a deployment checkpoint back into a freshly built graph."""
-    with _open(path, "rb") as fh:
+    with _open(path) as fh:
         magic = _read_header(fh, path)
         if magic != DEPLOY_MAGIC:
             raise CheckpointError(
@@ -278,14 +287,12 @@ def save_training_checkpoint(graph: ModelGraph, adam: AdamState, meta: dict, pat
         extra[f"adam.m.{name}"] = m
     for name, v in adam.v.items():
         extra[f"adam.v.{name}"] = v
-    data = _serialize(TRAIN_MAGIC, graph, render_kv_text(meta), extra)
-    with _open(path, "wb") as fh:
-        fh.write(data)
+    _write(path, _serialize(TRAIN_MAGIC, graph, render_kv_text(meta), extra))
 
 
 def load_training_checkpoint(path):
     """Read a training checkpoint; returns (graph, AdamState, meta dict)."""
-    with _open(path, "rb") as fh:
+    with _open(path) as fh:
         magic = _read_header(fh, path)
         if magic != TRAIN_MAGIC:
             raise CheckpointError(
@@ -316,7 +323,7 @@ def load_training_checkpoint(path):
 
 def load_any(path) -> ModelGraph:
     """Load either checkpoint kind, returning just the graph."""
-    with _open(path, "rb") as fh:
+    with _open(path) as fh:
         magic = _read_header(fh, path)
     if magic == DEPLOY_MAGIC:
         return load_checkpoint(path)

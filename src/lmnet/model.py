@@ -20,6 +20,13 @@ Batch normalization exists in layers 1-4 only. Dropout defaults to rates
 0.1 / 0.5 / 0.3 after activations 4 / 5 / 6. Residual and Proposed carry
 the three skip concatenations; Dilation and Proposed carry the parallel
 dilated first layer. Activations therefore run 192-96-48-24-48-96-192.
+
+layer_plan states this once, as nine stages (one per activation). forward
+walks the stages in order and keeps one StageRecord per stage: the input
+its kernels read; per kernel the batchnorm cache and the relu/sigmoid
+output; the pool argmax and pre-pool shape; the channel split point of a
+skip concatenation; the dropout mask; and the activation after dropout.
+backward walks the same records in reverse.
 """
 
 from __future__ import annotations
@@ -129,52 +136,89 @@ class ConvSpec:
 
 
 @dataclass(frozen=True)
+class Stage:
+    """One activation of the network, in forward order.
+
+    pre says what feeds the stage's kernels: "" (the previous activation, or
+    the input batch for the first stage), "pool" (a 2x2 max-pool of it) or
+    "upsample" (a nearest 2x upsample, followed by the activation numbered
+    `skip` concatenated on the channel axis when skip is set). All kernels
+    read that one input; each output passes through `act` (an ops function
+    name) and the outputs are concatenated into the stage's activation.
+    """
+
+    index: int
+    convs: tuple
+    pre: str = ""
+    skip: int | None = None
+    act: str = "relu"
+
+
+@dataclass(frozen=True)
 class LayerPlan:
-    branches: tuple          # layer 1 (one entry, or three for the pyramid)
-    encoder: tuple           # layers 2..4 (preceded by maxpool)
-    decoder: tuple           # layers 5..7 (preceded by upsample [+ concat])
-    tail: tuple              # layers 8..9 (1x1 kernels)
-    skips: tuple             # (decoder_layer, source_activation) pairs
-    act1_channels: int
+    stages: tuple  # one Stage per activation index, 1..9
 
     @property
     def all_convs(self) -> tuple:
-        return self.branches + self.encoder + self.decoder + self.tail
-
-
-# decoder layer -> the encoder activation concatenated into it (skip variants)
-SKIP_WIRING = ((5, 3), (6, 2), (7, 1))
+        return tuple(spec for stage in self.stages for spec in stage.convs)
 
 
 def layer_plan(variant: Variant, config: GraphConfig) -> LayerPlan:
+    """The network topology; the only code that knows it."""
     c1, c2, c3, c4 = (int(c) for c in config.channel_sequence)
     cin = config.input_channels
     if variant.has_pyramid:
-        branches = tuple(
+        first = tuple(
             ConvSpec(f"l1b{i}", 1, cin, c1, 3, int(d), True)
             for i, d in enumerate(config.dilation_rates)
         )
-        a1 = c1 * len(branches)
     else:
-        branches = (ConvSpec("l1", 1, cin, c1, 3, 1, True),)
-        a1 = c1
-    encoder = (
-        ConvSpec("l2", 2, a1, c2, 3, 1, True),
-        ConvSpec("l3", 3, c2, c3, 3, 1, True),
-        ConvSpec("l4", 4, c3, c4, 3, 1, True),
-    )
-    skip_extra = {5: c3, 6: c2, 7: a1} if variant.has_skips else {5: 0, 6: 0, 7: 0}
-    decoder = (
-        ConvSpec("l5", 5, c4 + skip_extra[5], c3, 3, 1, False),
-        ConvSpec("l6", 6, c3 + skip_extra[6], c2, 3, 1, False),
-        ConvSpec("l7", 7, c2 + skip_extra[7], c1, 3, 1, False),
-    )
-    tail = (
-        ConvSpec("l8", 8, c1, c1, 1, 1, False),
-        ConvSpec("l9", 9, c1, 1, 1, 1, False),
-    )
-    skips = SKIP_WIRING if variant.has_skips else ()
-    return LayerPlan(branches, encoder, decoder, tail, skips, a1)
+        first = (ConvSpec("l1", 1, cin, c1, 3, 1, True),)
+    a1 = c1 * len(first)
+    # decoder layer -> the encoder activation concatenated into it
+    skips = {5: 3, 6: 2, 7: 1} if variant.has_skips else {}
+    width = {1: a1, 2: c2, 3: c3}
+
+    def conv(layer, c_in, c_out, kernel=3, bn=False):
+        return (ConvSpec(f"l{layer}", layer, c_in, c_out, kernel, 1, bn),)
+
+    def up(layer, c_in, c_out):
+        src = skips.get(layer)
+        c_skip = width[src] if src else 0
+        return Stage(layer, conv(layer, c_in + c_skip, c_out), "upsample", src)
+
+    return LayerPlan((
+        Stage(1, first),
+        Stage(2, conv(2, a1, c2, bn=True), "pool"),
+        Stage(3, conv(3, c2, c3, bn=True), "pool"),
+        Stage(4, conv(4, c3, c4, bn=True), "pool"),
+        up(5, c4, c3),
+        up(6, c3, c2),
+        up(7, c2, c1),
+        Stage(8, conv(8, c1, c1, kernel=1)),
+        Stage(9, conv(9, c1, 1, kernel=1), act="sigmoid"),
+    ))
+
+
+@dataclass
+class StageRecord:
+    """What one stage's forward pass keeps for the backward pass."""
+
+    conv_in: np.ndarray = None  # the input all of the stage's kernels read
+    kernels: list = field(default_factory=list)  # per kernel: (bn cache or None, output)
+    pool: tuple = None          # (argmax, pre-pool shape) for a pooling stage
+    split: int = None           # upsampled channels ahead of the concatenated skip
+    mask: np.ndarray = None     # dropout mask, when the stage drops
+    act: np.ndarray = None      # the stage's activation after dropout
+
+
+@dataclass
+class ForwardCache:
+    """What forward returns beside the prediction: its mode and one
+    StageRecord per plan stage."""
+
+    mode: str
+    stages: list
 
 
 class ModelGraph:
@@ -203,24 +247,7 @@ class ModelGraph:
                 self.stats[f"{spec.name}.running_mean"] = np.zeros(spec.out_channels, dtype=self.dtype)
                 self.stats[f"{spec.name}.running_var"] = np.ones(spec.out_channels, dtype=self.dtype)
 
-    # -- introspection ----------------------------------------------------
-
-    def conv_layer_count(self) -> int:
-        """Number of convolution layers (the parallel first layer counts once)."""
-        layers = {spec.layer for spec in self.plan.all_convs}
-        return len(layers)
-
-    def parallel_kernels(self) -> int:
-        return len(self.plan.branches)
-
-    def skip_edges(self) -> tuple:
-        return self.plan.skips
-
-    def bn_layers(self) -> tuple:
-        return tuple(sorted({s.layer for s in self.plan.all_convs if s.has_bn}))
-
-    def dropout_placement(self) -> tuple:
-        return tuple((int(i), float(r)) for i, r in self.config.dropout_schedule)
+    # -- parameter counts -----------------------------------------------
 
     def param_count(self) -> int:
         """Graph-walk count over conv weights, biases, gamma and beta."""
@@ -264,18 +291,11 @@ class ModelGraph:
 
     # -- forward / backward ----------------------------------------------
 
-    def _dropout_rates(self) -> dict:
-        return {int(i): float(r) for i, r in self.config.dropout_schedule}
-
-    def forward(self, batch: np.ndarray, mode: str, rng: np.random.Generator | None = None,
-                freeze_bn: bool = False):
+    def forward(self, batch: np.ndarray, mode: str, rng: np.random.Generator | None = None):
         """Run the network; returns (prediction, cache).
 
         mode is "train" (batch statistics, dropout active, cache usable for
         backward) or "eval" (running statistics, dropout off, deterministic).
-        freeze_bn makes a train-mode pass normalize with the stored running
-        statistics without updating them, which keeps the output independent
-        of micro-batch boundaries.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"forward mode must be 'train' or 'eval', got {mode!r}")
@@ -289,143 +309,94 @@ class ModelGraph:
             )
         if mode == "train" and n < 2:
             raise ShapeError("train-mode forward needs a batch of at least 2 samples")
-        drop = self._dropout_rates() if mode == "train" else {}
-        if mode == "train" and any(r > 0 for r in drop.values()) and rng is None:
+        drop = {}
+        if mode == "train":
+            drop = {int(i): float(r) for i, r in self.config.dropout_schedule}
+        if any(r > 0 for r in drop.values()) and rng is None:
             raise ValueError("train-mode forward needs an rng for dropout")
-        x = batch.astype(self.dtype, copy=False)
-        bn_mode = "eval" if (mode == "eval" or freeze_bn) else "train"
 
-        cache = {
-            "mode": mode, "bn_mode": bn_mode, "input": x,
-            "bn": {}, "relu_out": {}, "conv_in": {},
-            "act": {}, "drop_mask": {}, "pool": {}, "concat_first": {},
-        }
-
-        def conv_bn_relu(inp, spec):
-            cache["conv_in"][spec.name] = inp
-            z = ops.conv2d(inp, self._conv_params(spec))
-            if spec.has_bn:
-                state = self._bn_state(spec)
-                z, bncache = ops.batchnorm(z, state, bn_mode)
-                if bn_mode == "train":
-                    self.stats[f"{spec.name}.running_mean"] = state.running_mean
-                    self.stats[f"{spec.name}.running_var"] = state.running_var
-                cache["bn"][spec.name] = bncache
-            a = ops.relu(z)
-            cache["relu_out"][spec.name] = a
-            return a
-
-        def apply_dropout(a, act_idx):
-            rate = drop.get(act_idx, 0.0)
+        cur = batch.astype(self.dtype, copy=False)
+        records = []
+        for stage in self.plan.stages:
+            rec = StageRecord()
+            if stage.pre == "pool":
+                pooled, argmax = ops.maxpool2(cur)
+                rec.pool = (argmax, cur.shape)
+                cur = pooled
+            elif stage.pre == "upsample":
+                cur = ops.upsample_nearest2(cur)
+                if stage.skip:
+                    rec.split = cur.shape[1]
+                    cur = ops.concat_channels(cur, records[stage.skip - 1].act)
+            rec.conv_in = cur
+            rec.kernels = [self._kernel_forward(s, stage.act, cur, mode) for s in stage.convs]
+            outs = [out for _, out in rec.kernels]
+            a = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+            rate = drop.get(stage.index, 0.0)
             if rate > 0.0:
-                a, mask = ops.dropout(a, rate, rng, "train")
-                cache["drop_mask"][act_idx] = mask
-            cache["act"][act_idx] = a
-            return a
+                a, rec.mask = ops.dropout(a, rate, rng, "train")
+            rec.act = cur = a
+            records.append(rec)
+        return cur, ForwardCache(mode, records)
 
-        # layer 1 (optionally three parallel dilated kernels)
-        branch_outs = [conv_bn_relu(x, spec) for spec in self.plan.branches]
-        a = branch_outs[0] if len(branch_outs) == 1 else np.concatenate(branch_outs, axis=1)
-        cur = apply_dropout(a, 1)
+    def _kernel_forward(self, spec: ConvSpec, act: str, x: np.ndarray, mode: str):
+        """conv, batchnorm when the spec has it, then `act`; returns (bn cache, output)."""
+        z = ops.conv2d(x, self._conv_params(spec))
+        bncache = None
+        if spec.has_bn:
+            state = self._bn_state(spec)
+            z, bncache = ops.batchnorm(z, state, mode)
+            # train mode leaves updated running statistics on `state`
+            self.stats[f"{spec.name}.running_mean"] = state.running_mean
+            self.stats[f"{spec.name}.running_var"] = state.running_var
+        return bncache, getattr(ops, act)(z)
 
-        # encoder: pool then conv-bn-relu
-        for spec in self.plan.encoder:
-            pooled, argmax = ops.maxpool2(cur)
-            cache["pool"][spec.layer] = (argmax, cur.shape)
-            a = conv_bn_relu(pooled, spec)
-            cur = apply_dropout(a, spec.layer)
-
-        # decoder: upsample, optional skip concat, conv-relu
-        skip_src = dict(self.plan.skips)
-        for spec in self.plan.decoder:
-            up = ops.upsample_nearest2(cur)
-            if spec.layer in skip_src:
-                cache["concat_first"][spec.layer] = up.shape[1]
-                up = ops.concat_channels(up, cache["act"][skip_src[spec.layer]])
-            a = conv_bn_relu(up, spec)
-            cur = apply_dropout(a, spec.layer)
-
-        # tail: 1x1 convs
-        l8, l9 = self.plan.tail
-        a8 = conv_bn_relu(cur, l8)
-        cache["act"][8] = a8
-        cache["conv_in"][l9.name] = a8
-        z9 = ops.conv2d(a8, self._conv_params(l9))
-        pred = ops.sigmoid(z9)
-        cache["pred"] = pred
-        return pred, cache
-
-    def backward(self, cache: dict, grad_pred: np.ndarray) -> dict:
+    def backward(self, cache: ForwardCache, grad_pred: np.ndarray) -> dict:
         """Gradients of the scalar whose d(pred) is `grad_pred`, for every parameter."""
-        if not isinstance(cache, dict) or "pred" not in cache:
+        if not isinstance(cache, ForwardCache):
             raise ValueError("backward needs the cache returned by a forward call")
-        if cache["mode"] != "train":
+        if cache.mode != "train":
             raise ValueError("backward needs a cache from a train-mode forward")
-        pred = cache["pred"]
+        pred = cache.stages[-1].act
         if grad_pred.shape != pred.shape:
             raise ShapeError(
                 f"grad_pred shape {grad_pred.shape} does not match prediction {pred.shape}"
             )
         grads = {}
-        skip_src = dict(self.plan.skips)
-        acc = {}  # activation index -> accumulated skip cotangent
-
-        def conv_bn_relu_backward(spec, g):
-            g = ops.relu_backward(g, cache["relu_out"][spec.name])
-            if spec.has_bn:
-                g, dgamma, dbeta = ops.batchnorm_backward(cache["bn"][spec.name], g)
-                grads[f"{spec.name}.gamma"] = dgamma
-                grads[f"{spec.name}.beta"] = dbeta
-            gin, gw, gb = ops.conv2d_backward(
-                cache["conv_in"][spec.name], self._conv_params(spec), g
-            )
-            grads[f"{spec.name}.w"] = gw
-            grads[f"{spec.name}.b"] = gb
-            return gin
-
-        def dropout_backward(g, act_idx):
-            mask = cache["drop_mask"].get(act_idx)
-            return g if mask is None else ops.dropout_backward(g, mask)
-
-        # tail
-        l8, l9 = self.plan.tail
-        g = ops.sigmoid_backward(grad_pred, pred)
-        g, gw9, gb9 = ops.conv2d_backward(cache["conv_in"][l9.name], self._conv_params(l9), g)
-        grads[f"{l9.name}.w"], grads[f"{l9.name}.b"] = gw9, gb9
-        g = conv_bn_relu_backward(l8, g)
-
-        # decoder reversed: entering layer i, g is d(post-dropout activation i)
-        for spec in reversed(self.plan.decoder):
-            g = dropout_backward(g, spec.layer)
-            g = conv_bn_relu_backward(spec, g)
-            if spec.layer in skip_src:
-                first = cache["concat_first"][spec.layer]
-                g, g_skip = ops.split_channels(g, first)
-                src = skip_src[spec.layer]
-                acc[src] = g_skip if src not in acc else acc[src] + g_skip
-            g = ops.upsample_nearest2_backward(g)
-
-        # encoder reversed: entering layer i, g is d(post-dropout activation i)
-        for spec in reversed(self.plan.encoder):
-            g = dropout_backward(g, spec.layer)
-            g = conv_bn_relu_backward(spec, g)
-            argmax, prepool_shape = cache["pool"][spec.layer]
-            g = ops.maxpool2_backward(g, argmax, prepool_shape)
-            below = spec.layer - 1
-            if below in acc:
-                g = g + acc[below]
-
-        # layer 1
-        g = dropout_backward(g, 1)
-        if len(self.plan.branches) == 1:
-            conv_bn_relu_backward(self.plan.branches[0], g)
-        else:
-            c1 = self.plan.branches[0].out_channels
-            start = 0
-            for spec in self.plan.branches:
-                conv_bn_relu_backward(spec, g[:, start : start + c1])
-                start += c1
+        skip_grads = {}  # activation index -> cotangent returned by its concat
+        g = grad_pred
+        for stage, rec in zip(reversed(self.plan.stages), reversed(cache.stages)):
+            # here g is d(activation `stage.index` after dropout)
+            if stage.index in skip_grads:
+                g = g + skip_grads.pop(stage.index)
+            if rec.mask is not None:
+                g = ops.dropout_backward(g, rec.mask)
+            g = self._kernels_backward(stage, rec, g, grads)
+            if stage.skip:
+                g, skip_grads[stage.skip] = ops.split_channels(g, rec.split)
+            if stage.pre == "upsample":
+                g = ops.upsample_nearest2_backward(g)
+            elif stage.pre == "pool":
+                g = ops.maxpool2_backward(g, *rec.pool)
         return grads
+
+    def _kernels_backward(self, stage: Stage, rec: StageRecord, g: np.ndarray, grads: dict):
+        """d(stage activation) -> d(conv input), filling `grads` for the stage's kernels."""
+        act_backward = getattr(ops, f"{stage.act}_backward")
+        g_in = None
+        start = 0
+        for spec, (bncache, out) in zip(stage.convs, rec.kernels):
+            gk = act_backward(g[:, start : start + spec.out_channels], out)
+            start += spec.out_channels
+            if bncache is not None:
+                gk, grads[f"{spec.name}.gamma"], grads[f"{spec.name}.beta"] = (
+                    ops.batchnorm_backward(bncache, gk)
+                )
+            gx, grads[f"{spec.name}.w"], grads[f"{spec.name}.b"] = ops.conv2d_backward(
+                rec.conv_in, self._conv_params(spec), gk
+            )
+            g_in = gx if g_in is None else g_in + gx
+        return g_in
 
 
 def build_model(variant, config: GraphConfig | None = None, dtype=np.float32) -> ModelGraph:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lmnet import ops
 from lmnet.data import write_synthetic_dataset
 from lmnet.model import GraphConfig
 
@@ -54,6 +55,15 @@ def overfit_dataset(tmp_path_factory):
     """64x64 synthetic prepared layout for the overfit experiment."""
     root = tmp_path_factory.mktemp("overfit-data")
     return write_synthetic_dataset(root, {"train": 16, "val": 4}, size=64, seed=11)
+
+
+@pytest.fixture
+def frozen_bn(monkeypatch):
+    """Batch norm normalizes with the stored running statistics and leaves
+    them untouched, in train mode too, so every sample's forward is
+    independent of the rest of its batch."""
+    batchnorm = ops.batchnorm
+    monkeypatch.setattr(ops, "batchnorm", lambda x, state, mode: batchnorm(x, state, "eval"))
 
 
 @pytest.fixture

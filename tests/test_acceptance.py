@@ -225,23 +225,27 @@ def test_structural_facts_hold_for_every_variant():
     for variant in Variant:
         config = GraphConfig()
         graph = build_model(variant, config)
-        assert graph.conv_layer_count() == 9
+        stages = graph.plan.stages
+        convs = graph.plan.all_convs
+        assert len(stages) == 9
         assert config.channel_sequence == (5, 13, 89, 233)
         assert config.input_size == (192, 192)
-        assert all(s.out_channels == 5 for s in graph.plan.branches)
-        assert tuple(s.out_channels for s in graph.plan.encoder) == (13, 89, 233)
-        assert graph.bn_layers() == (1, 2, 3, 4)
-        assert graph.dropout_placement() == ((4, 0.1), (5, 0.5), (6, 0.3))
-        assert tuple(s.kernel for s in graph.plan.tail) == (1, 1)
+        assert all(s.out_channels == 5 for s in stages[0].convs)
+        pooled = tuple(s.convs[0].out_channels for s in stages if s.pre == "pool")
+        assert pooled == (13, 89, 233)
+        assert tuple(sorted({s.layer for s in convs if s.has_bn})) == (1, 2, 3, 4)
+        assert graph.config.dropout_schedule == ((4, 0.1), (5, 0.5), (6, 0.3))
+        assert tuple(s.kernel for s in convs[-2:]) == (1, 1)
         if variant.has_pyramid:
-            assert graph.parallel_kernels() == 3
-            assert tuple(s.dilation for s in graph.plan.branches) == (2, 3, 5)
+            assert len(stages[0].convs) == 3
+            assert tuple(s.dilation for s in stages[0].convs) == (2, 3, 5)
         else:
-            assert graph.parallel_kernels() == 1
+            assert len(stages[0].convs) == 1
+        skips = tuple((s.index, s.skip) for s in stages if s.skip)
         if variant.has_skips:
-            assert len(graph.skip_edges()) == 3
+            assert len(skips) == 3
         else:
-            assert graph.skip_edges() == ()
+            assert skips == ()
 
 
 @pytest.mark.acceptance(4, "synthetic overfit")

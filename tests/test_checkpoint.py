@@ -1,6 +1,8 @@
 """Binary checkpoint round trips, byte reproducibility, and corruption
 diagnostics."""
 
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -114,6 +116,29 @@ def test_missing_file_is_a_checkpoint_error(tmp_path):
         load_checkpoint(tmp_path / "nope.ckpt")
     with pytest.raises(CheckpointError, match="cannot read"):
         load_any(tmp_path / "nope.ckpt")
+
+
+@pytest.mark.parametrize("kind", ["deploy", "training"])
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch, kind):
+    path = tmp_path / "last.ckpt"
+
+    def save(graph):
+        if kind == "deploy":
+            save_checkpoint(graph, path)
+        else:
+            save_training_checkpoint(graph, adam_init(graph.params), {"step": 1}, path)
+
+    save(tiny_graph(seed=0))
+    before = path.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(CheckpointError, match="cannot write"):
+        save(tiny_graph(seed=1))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["last.ckpt"]
 
 
 def test_bad_magic_and_version(tmp_path):

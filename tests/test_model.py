@@ -8,7 +8,6 @@ import pytest
 from lmnet.errors import ConfigError, ShapeError
 from lmnet.model import (
     GraphConfig,
-    SKIP_WIRING,
     Variant,
     build_model,
     closed_form_param_count,
@@ -18,6 +17,8 @@ from lmnet.model import (
 )
 
 from conftest import TINY_GRAPH
+
+SKIP_WIRING = ((5, 3), (6, 2), (7, 1))  # (decoder layer, encoder activation) pairs
 
 # authoritative totals for the default configuration
 PARAM_TOTALS = {
@@ -40,7 +41,10 @@ def built(variant, config=SMALL, seed=0):
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_every_variant_has_nine_conv_layers(variant):
-    assert built(variant).conv_layer_count() == 9
+    plan = built(variant).plan
+    assert len(plan.stages) == 9
+    assert [s.index for s in plan.stages] == list(range(1, 10))
+    assert all(spec.layer == s.index for s in plan.stages for spec in s.convs)
 
 
 @pytest.mark.parametrize("variant,kernels", [
@@ -48,9 +52,9 @@ def test_every_variant_has_nine_conv_layers(variant):
     (Variant.RESIDUAL, 1), (Variant.PROPOSED, 3),
 ])
 def test_parallel_first_layer_kernels(variant, kernels):
-    graph = built(variant)
-    assert graph.parallel_kernels() == kernels
-    dilations = [s.dilation for s in graph.plan.branches]
+    first = built(variant).plan.stages[0]
+    assert len(first.convs) == kernels
+    dilations = [s.dilation for s in first.convs]
     assert dilations == ([2, 3, 5] if kernels == 3 else [1])
 
 
@@ -59,30 +63,36 @@ def test_parallel_first_layer_kernels(variant, kernels):
     (Variant.RESIDUAL, SKIP_WIRING), (Variant.PROPOSED, SKIP_WIRING),
 ])
 def test_skip_wiring(variant, skips):
-    assert built(variant).skip_edges() == skips
+    plan = built(variant).plan
+    assert tuple((s.index, s.skip) for s in plan.stages if s.skip) == skips
+    assert [s.pre for s in plan.stages] == [""] + ["pool"] * 3 + ["upsample"] * 3 + [""] * 2
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_common_structure(variant):
     graph = built(variant)
-    assert graph.bn_layers() == (1, 2, 3, 4)
-    assert graph.dropout_placement() == ((4, 0.1), (5, 0.5), (6, 0.3))
-    l8, l9 = graph.plan.tail
+    convs = graph.plan.all_convs
+    assert tuple(sorted({s.layer for s in convs if s.has_bn})) == (1, 2, 3, 4)
+    assert graph.config.dropout_schedule == ((4, 0.1), (5, 0.5), (6, 0.3))
+    assert [s.act for s in graph.plan.stages] == ["relu"] * 8 + ["sigmoid"]
+    l8, l9 = convs[-2:]
     assert (l8.kernel, l8.in_channels, l8.out_channels) == (1, 5, 5)
     assert (l9.kernel, l9.in_channels, l9.out_channels) == (1, 5, 1)
-    widths = [s.out_channels for s in graph.plan.branches + graph.plan.encoder]
+    widths = [s.out_channels for s in convs if s.has_bn]
     assert widths[-3:] == [13, 89, 233]
     assert all(w == 5 for w in widths[:-3])
     assert GraphConfig().input_size == (192, 192)
 
 
+def decoder_inputs(variant):
+    stages = built(variant).plan.stages
+    return [s.convs[0].in_channels for s in stages if s.pre == "upsample"]
+
+
 def test_skip_variants_widen_decoder_inputs():
-    narrow = built(Variant.DILATION)
-    wide = built(Variant.PROPOSED)
-    assert [s.in_channels for s in narrow.plan.decoder] == [233, 89, 13]
-    assert [s.in_channels for s in wide.plan.decoder] == [233 + 89, 89 + 13, 13 + 15]
-    residual = built(Variant.RESIDUAL)
-    assert [s.in_channels for s in residual.plan.decoder] == [233 + 89, 89 + 13, 13 + 5]
+    assert decoder_inputs(Variant.DILATION) == [233, 89, 13]
+    assert decoder_inputs(Variant.PROPOSED) == [233 + 89, 89 + 13, 13 + 15]
+    assert decoder_inputs(Variant.RESIDUAL) == [233 + 89, 89 + 13, 13 + 5]
 
 
 # -- parameter counts -------------------------------------------------------
@@ -153,16 +163,17 @@ def test_activation_shape_chain_narrows_to_the_bottleneck():
     graph = build_model(Variant.PROPOSED, TINY_GRAPH, dtype=np.float64)
     init_parameters(graph, 0)
     x = np.random.default_rng(0).random((2, 3, 8, 8))
-    _, cache = graph.forward(x, "train", rng=np.random.default_rng(1))
-    acts = cache["act"]
-    assert acts[1].shape == (2, 6, 8, 8)   # three branches of 2 channels
-    assert acts[2].shape == (2, 2, 4, 4)
-    assert acts[3].shape == (2, 3, 2, 2)
-    assert acts[4].shape == (2, 3, 1, 1)   # 8x8 input, three halvings
-    assert acts[5].shape == (2, 3, 2, 2)
-    assert acts[6].shape == (2, 2, 4, 4)
+    pred, cache = graph.forward(x, "train", rng=np.random.default_rng(1))
+    acts = [rec.act for rec in cache.stages]
+    assert acts[0].shape == (2, 6, 8, 8)   # three branches of 2 channels
+    assert acts[1].shape == (2, 2, 4, 4)
+    assert acts[2].shape == (2, 3, 2, 2)
+    assert acts[3].shape == (2, 3, 1, 1)   # 8x8 input, three halvings
+    assert acts[4].shape == (2, 3, 2, 2)
+    assert acts[5].shape == (2, 2, 4, 4)
+    assert acts[6].shape == (2, 2, 8, 8)
     assert acts[7].shape == (2, 2, 8, 8)
-    assert acts[8].shape == (2, 2, 8, 8)
+    assert acts[8] is pred
 
 
 def test_variants_compute_different_functions():
@@ -185,25 +196,19 @@ def test_eval_forward_is_deterministic_and_pure():
         npt.assert_array_equal(graph.stats[k], before[k])
 
 
-def test_train_forward_updates_running_stats_unless_frozen():
+def test_train_forward_updates_running_stats():
     x = np.random.default_rng(4).random((2, 3, 16, 16)).astype(np.float32)
     graph = built(Variant.PLAIN)
     before = {k: v.copy() for k, v in graph.stats.items()}
     graph.forward(x, "train", rng=np.random.default_rng(0))
     assert not np.array_equal(graph.stats["l1.running_mean"], before["l1.running_mean"])
 
-    frozen = built(Variant.PLAIN)
-    before = {k: v.copy() for k, v in frozen.stats.items()}
-    frozen.forward(x, "train", rng=np.random.default_rng(0), freeze_bn=True)
-    for k in before:
-        npt.assert_array_equal(frozen.stats[k], before[k])
 
-
-def test_frozen_train_without_dropout_equals_eval():
+def test_frozen_train_without_dropout_equals_eval(frozen_bn):
     cfg = GraphConfig(input_size=(16, 16), dropout_schedule=())
     graph = init_parameters(build_model(Variant.PROPOSED, cfg), 0)
     x = np.random.default_rng(5).random((2, 3, 16, 16)).astype(np.float32)
-    train_pred, _ = graph.forward(x, "train", freeze_bn=True)
+    train_pred, _ = graph.forward(x, "train")
     eval_pred, _ = graph.forward(x, "eval")
     npt.assert_array_equal(train_pred, eval_pred)
 
@@ -219,6 +224,21 @@ def test_forward_validation():
         graph.forward(x, "predict")
     with pytest.raises(ValueError, match="rng"):
         graph.forward(np.zeros((2, 3, 16, 16), np.float32), "train")
+
+
+def test_backward_validation():
+    graph = built(Variant.PLAIN)
+    x = np.random.default_rng(6).random((2, 3, 16, 16)).astype(np.float32)
+    grad = np.ones((2, 1, 16, 16), np.float32)
+    for not_a_cache in (None, {}, [grad]):
+        with pytest.raises(ValueError, match="cache returned by a forward call"):
+            graph.backward(not_a_cache, grad)
+    _, eval_cache = graph.forward(x, "eval")
+    with pytest.raises(ValueError, match="train-mode forward"):
+        graph.backward(eval_cache, grad)
+    _, cache = graph.forward(x, "train", rng=np.random.default_rng(0))
+    with pytest.raises(ShapeError, match="does not match prediction"):
+        graph.backward(cache, np.ones((2, 1, 8, 8), np.float32))
 
 
 def test_single_unit_channel_sequence_still_runs():

@@ -12,7 +12,6 @@ from lmnet.data import write_synthetic_dataset
 from lmnet.errors import ConfigError, TrainAbortedError
 from lmnet.model import (
     GraphConfig,
-    ModelGraph,
     Variant,
     build_model,
     init_parameters,
@@ -65,23 +64,12 @@ def test_micro_slices(n, micro, want):
 
 # -- gradient accumulation --------------------------------------------------
 
-def _frozen_bn(graph: ModelGraph) -> ModelGraph:
-    """Pin batch norm to the stored running statistics for every forward."""
-    original = ModelGraph.forward
-
-    def forward(batch, mode, rng=None, freeze_bn=False):
-        return original(graph, batch, mode, rng=rng, freeze_bn=True)
-
-    graph.forward = forward
-    return graph
-
-
 def _nodrop_graph():
     cfg = replace(TRAIN_GRAPH, dropout_schedule=())
     return init_parameters(build_model(Variant.PROPOSED, cfg, dtype=np.float64), 0)
 
 
-def test_accumulated_micro_batches_equal_one_full_batch():
+def test_accumulated_micro_batches_equal_one_full_batch(frozen_bn):
     """With per-sample-independent forwards (frozen statistics, no dropout)
     the weighted micro-batch sum must reproduce the full-batch gradient."""
     rng = np.random.default_rng(8)
@@ -89,14 +77,14 @@ def test_accumulated_micro_batches_equal_one_full_batch():
     masks = (rng.random((8, 1, 16, 16)) > 0.5).astype(np.float64)
     lossf = loss_fn("bce")
 
-    graph = _frozen_bn(_nodrop_graph())
+    graph = _nodrop_graph()
     cfg = TrainConfig(
         variant=Variant.PROPOSED, graph=graph.config, index_path="unused",
         out_dir="unused", micro_batch=3,
     )
     grads, loss = _accumulate_batch(graph, images, masks, lossf, cfg, 0, 0)
 
-    whole = _frozen_bn(_nodrop_graph())
+    whole = _nodrop_graph()
     pred, cache = whole.forward(images, "train")
     ref_loss, grad_pred = lossf(pred, masks)
     ref = whole.backward(cache, grad_pred)
