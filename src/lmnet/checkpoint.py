@@ -255,6 +255,44 @@ def _write(path, data: bytes) -> None:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
+_KIND_MISMATCH = {
+    DEPLOY_MAGIC: "{path} is a training checkpoint; use load_training_checkpoint",
+    TRAIN_MAGIC: "{path} is a deployment checkpoint and carries no optimizer state",
+}
+
+
+def _load(path, want):
+    """Read a checkpoint of kind `want` (a magic, or None for either) into
+    (graph, AdamState, meta); the last two are None for the deployment kind."""
+    with _open(path) as fh:
+        magic = _read_header(fh, path)
+        if want is not None and magic != want:
+            raise CheckpointError(_KIND_MISMATCH[want].format(path=path))
+        variant, config = parse_config_text(_read_text_block(fh, "config"))
+        if magic == TRAIN_MAGIC:
+            meta = parse_kv_text(_read_text_block(fh, "metadata"))
+        tensors = _read_tensors(fh)
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after tensor table")
+    if magic == DEPLOY_MAGIC:
+        return _graph_from(variant, config, tensors), None, None
+    graph = _graph_from(
+        variant, config, {k: v for k, v in tensors.items() if not k.startswith("adam.")}
+    )
+    adam = AdamState(
+        lr=float(meta.pop("lr")), beta1=float(meta.pop("beta1")),
+        beta2=float(meta.pop("beta2")), eps=float(meta.pop("adam_eps")),
+        t=int(meta.pop("adam_t")),
+    )
+    for name in graph.params:
+        for store, prefix in ((adam.m, "adam.m."), (adam.v, "adam.v.")):
+            key = prefix + name
+            if key not in tensors:
+                raise CheckpointError(f"training checkpoint is missing tensor {key}")
+            store[name] = tensors[key]
+    return graph, adam, meta
+
+
 def save_checkpoint(graph: ModelGraph, path) -> None:
     """Write a deployment checkpoint (parameters and running statistics)."""
     _write(path, _serialize(DEPLOY_MAGIC, graph, None, None))
@@ -262,17 +300,7 @@ def save_checkpoint(graph: ModelGraph, path) -> None:
 
 def load_checkpoint(path) -> ModelGraph:
     """Read a deployment checkpoint back into a freshly built graph."""
-    with _open(path) as fh:
-        magic = _read_header(fh, path)
-        if magic != DEPLOY_MAGIC:
-            raise CheckpointError(
-                f"{path} is a training checkpoint; use load_training_checkpoint"
-            )
-        variant, config = parse_config_text(_read_text_block(fh, "config"))
-        tensors = _read_tensors(fh)
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after tensor table")
-    return _graph_from(variant, config, tensors)
+    return _load(path, DEPLOY_MAGIC)[0]
 
 
 def save_training_checkpoint(graph: ModelGraph, adam: AdamState, meta: dict, path) -> None:
@@ -292,39 +320,9 @@ def save_training_checkpoint(graph: ModelGraph, adam: AdamState, meta: dict, pat
 
 def load_training_checkpoint(path):
     """Read a training checkpoint; returns (graph, AdamState, meta dict)."""
-    with _open(path) as fh:
-        magic = _read_header(fh, path)
-        if magic != TRAIN_MAGIC:
-            raise CheckpointError(
-                f"{path} is a deployment checkpoint and carries no optimizer state"
-            )
-        variant, config = parse_config_text(_read_text_block(fh, "config"))
-        meta = parse_kv_text(_read_text_block(fh, "metadata"))
-        tensors = _read_tensors(fh)
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after tensor table")
-    moments = {k: v for k, v in tensors.items() if k.startswith("adam.")}
-    graph = _graph_from(
-        variant, config, {k: v for k, v in tensors.items() if not k.startswith("adam.")}
-    )
-    adam = AdamState(
-        lr=float(meta.pop("lr")), beta1=float(meta.pop("beta1")),
-        beta2=float(meta.pop("beta2")), eps=float(meta.pop("adam_eps")),
-        t=int(meta.pop("adam_t")),
-    )
-    for name in graph.params:
-        for store, prefix in ((adam.m, "adam.m."), (adam.v, "adam.v.")):
-            key = prefix + name
-            if key not in moments:
-                raise CheckpointError(f"training checkpoint is missing tensor {key}")
-            store[name] = moments[key]
-    return graph, adam, meta
+    return _load(path, TRAIN_MAGIC)
 
 
 def load_any(path) -> ModelGraph:
     """Load either checkpoint kind, returning just the graph."""
-    with _open(path) as fh:
-        magic = _read_header(fh, path)
-    if magic == DEPLOY_MAGIC:
-        return load_checkpoint(path)
-    return load_training_checkpoint(path)[0]
+    return _load(path, None)[0]

@@ -5,8 +5,8 @@ eval, predict, params (parameter census), gradcheck (finite-difference
 verification). Every run echoes its fully resolved configuration before
 doing work, so a run is reproducible from its log alone.
 
-Flags may come from a `--config` file of key=value lines (same canonical
-format that checkpoints embed); explicit flags win over the file.
+Flags may come from a `--config` file of key=value lines; explicit flags win
+over the file. The echoed block is itself a valid `--config` file.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config, bad
 data), 2 runtime failure (aborted training, broken checkpoint, failed
@@ -25,70 +25,50 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, DataError, LmnetError
 
-_UNSET = object()
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; this tool reserves 2 for runtime
-    # failures, so usage problems are remapped to 1.
+    # failures, so usage problems are a ConfigError (exit 1).
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 @dataclass
 class Opt:
     name: str            # underscore form; the flag is --with-dashes
-    kind: str            # str | int | float | size | ints | flag
+    type: object = str   # argparse converter, also applied to config-file values
     default: object = None
     required: bool = False
     help: str = ""
 
 
-def _parse_size(text: str):
-    parts = [p for p in str(text).split(",") if p]
+def _size(text: str):
     try:
-        dims = [int(p) for p in parts]
+        dims = tuple(int(p) for p in text.split(",") if p)
     except ValueError:
-        raise ConfigError(f"size must be an integer or 'h,w', got {text!r}") from None
+        dims = ()
     if len(dims) == 1:
-        return (dims[0], dims[0])
+        return dims * 2
     if len(dims) == 2:
-        return tuple(dims)
-    raise ConfigError(f"size must be an integer or 'h,w', got {text!r}")
+        return dims
+    raise argparse.ArgumentTypeError(f"size must be an integer or 'h,w', got {text!r}")
 
 
-def _parse_ints(text: str):
+def _ints(text: str):
     try:
-        return tuple(int(p) for p in str(text).split(",") if p)
+        return tuple(int(p) for p in text.split(",") if p)
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
-def _coerce(opt: Opt, raw):
-    if raw is _UNSET or raw is None:
-        return raw
-    if isinstance(raw, str):
-        try:
-            if opt.kind == "int":
-                return int(raw)
-            if opt.kind == "float":
-                return float(raw)
-        except ValueError:
-            raise ConfigError(f"{opt.name} must be a {opt.kind}, got {raw!r}") from None
-        if opt.kind == "flag":
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes"):
-                return True
-            if lowered in ("0", "false", "no"):
-                return False
-            raise ConfigError(f"{opt.name} must be a boolean, got {raw!r}")
-        if opt.kind == "size":
-            return _parse_size(raw)
-        if opt.kind == "ints":
-            return _parse_ints(raw)
-    return raw
+def _flag(text: str):
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes"):
+        return True
+    if lowered in ("0", "false", "no"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
 def _read_config_file(path) -> dict:
@@ -107,35 +87,41 @@ def _read_config_file(path) -> dict:
     return pairs
 
 
-def _resolve(opts: list, args: argparse.Namespace) -> dict:
-    """Merge precedence: explicit flag > config file > built-in default."""
-    filed = {}
-    if getattr(args, "config", None):
+def _resolve(argv) -> tuple:
+    """Parse argv into (command, resolved options).
+
+    Precedence: explicit flag > config file > built-in default. Config-file
+    values become the subcommand's defaults, so argparse converts them with
+    the option's own type, as it does a flag.
+    """
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    opts = _COMMANDS[args.command][0]
+    if args.config:
         filed = _read_config_file(args.config)
-        known = {o.name for o in opts}
-        stray = set(filed) - known
+        stray = set(filed) - {o.name for o in opts}
         if stray:
             raise ConfigError(
                 f"config file keys not valid here: {', '.join(sorted(stray))}"
             )
-    resolved = {}
+        commands[args.command].set_defaults(**filed)
+        try:
+            args = parser.parse_args(argv)
+        except ConfigError as exc:  # the flags parsed once, so a file value is bad
+            raise ConfigError(f"{args.config}: {exc}") from None
+    resolved = {o.name: getattr(args, o.name) for o in opts}
     for opt in opts:
-        value = getattr(args, opt.name)
-        if value is _UNSET:
-            value = filed.get(opt.name, _UNSET)
-        if value is _UNSET:
-            value = opt.default
-        value = _coerce(opt, value)
-        if opt.required and value is None:
+        if opt.required and resolved[opt.name] is None:
             raise ConfigError(f"--{opt.name.replace('_', '-')} is required")
-        resolved[opt.name] = value
-    return resolved
+    return args.command, resolved
 
 
 def _echo(command: str, resolved: dict) -> None:
-    print(f"resolved config ({command}):")
+    print(f"# resolved config ({command}):")
     for key in sorted(resolved):
         value = resolved[key]
+        if value is None:
+            continue
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         elif isinstance(value, bool):
@@ -161,16 +147,11 @@ def _cmd_prepare(o):
     print(f"index written to {os.path.join(o['output_dir'], 'index.tsv')}")
 
 
-def _graph_config(o, input_size):
+def _graph_config(o, **fixed):
     from .model import GraphConfig
 
-    kwargs = dict(
-        input_size=input_size,
-        channel_sequence=o["channels"],
-        loss=o["loss"],
-        seed=o["seed"],
-    )
-    if o.get("dilations"):
+    kwargs = dict(channel_sequence=o["channels"], **fixed)
+    if o["dilations"]:
         kwargs["dilation_rates"] = o["dilations"]
     return GraphConfig(**kwargs)
 
@@ -185,14 +166,12 @@ def _cmd_train(o):
     train_recs = index.split_records("train")
     if not train_recs:
         raise ConfigError(f"train split is empty in {index.root}")
-    input_size = o["input_size"]
-    if input_size is None:
-        input_size = load_pair(index, train_recs[0]).size
-        print(f"input size {input_size[0]}x{input_size[1]} detected from "
-              f"{train_recs[0].image}")
+    input_size = load_pair(index, train_recs[0]).size
+    print(f"input size {input_size[0]}x{input_size[1]} detected from "
+          f"{train_recs[0].image}")
     cfg = TrainConfig(
         variant=variant,
-        graph=_graph_config(o, input_size),
+        graph=_graph_config(o, input_size=input_size, loss=o["loss"], seed=o["seed"]),
         index_path=o["index"],
         out_dir=o["out"],
         epochs=o["epochs"],
@@ -274,7 +253,7 @@ def _cmd_params(o):
     from .model import build_model, closed_form_param_count, parse_variant
 
     variant = parse_variant(o["variant"])
-    config = _graph_config({**o, "loss": "bce", "seed": 0}, o["input_size"])
+    config = _graph_config(o)
     graph = build_model(variant, config)
     rows = graph.layer_param_counts()
     name_w = max(5, *(len(spec.name) for spec, _ in rows))
@@ -316,77 +295,73 @@ _CHANNELS_DEFAULT = (5, 13, 89, 233)
 
 _COMMANDS = {
     "prepare": ([
-        Opt("input_dir", "str", required=True, help="raw scene layout root"),
-        Opt("output_dir", "str", required=True, help="prepared dataset root"),
-        Opt("tile_size", "int", 500, help="square tile side"),
-        Opt("target_size", "size", (192, 192), help="training size, int or h,w"),
-        Opt("min_fg", "float", 0.01, help="lowest kept mask foreground fraction"),
-        Opt("max_fg", "float", 0.90, help="highest kept mask foreground fraction"),
-        Opt("overwrite", "flag", False, help="replace existing output"),
+        Opt("input_dir", required=True, help="raw scene layout root"),
+        Opt("output_dir", required=True, help="prepared dataset root"),
+        Opt("tile_size", int, 500, help="square tile side"),
+        Opt("target_size", _size, (192, 192), help="training size, int or h,w"),
+        Opt("min_fg", float, 0.01, help="lowest kept mask foreground fraction"),
+        Opt("max_fg", float, 0.90, help="highest kept mask foreground fraction"),
+        Opt("overwrite", _flag, False, help="replace existing output"),
     ], _cmd_prepare, "tile, filter, resize and index raw scenes"),
     "train": ([
-        Opt("index", "str", required=True, help="path to index.tsv"),
-        Opt("out", "str", required=True, help="run directory for checkpoints"),
-        Opt("variant", "str", required=True, help="plain|dilation|residual|proposed"),
-        Opt("epochs", "int", 10),
-        Opt("batch", "int", 200, help="samples per optimizer step"),
-        Opt("micro_batch", "int", 10, help="samples per forward/backward pass"),
-        Opt("lr", "float", 0.005),
-        Opt("beta1", "float", 0.9),
-        Opt("beta2", "float", 0.999),
-        Opt("adam_eps", "float", 1e-8,
+        Opt("index", required=True, help="path to index.tsv"),
+        Opt("out", required=True, help="run directory for checkpoints"),
+        Opt("variant", required=True, help="plain|dilation|residual|proposed"),
+        Opt("epochs", int, 10),
+        Opt("batch", int, 200, help="samples per optimizer step"),
+        Opt("micro_batch", int, 10, help="samples per forward/backward pass"),
+        Opt("lr", float, 0.005),
+        Opt("beta1", float, 0.9),
+        Opt("beta2", float, 0.999),
+        Opt("adam_eps", float, 1e-8,
             help="Adam epsilon; ~1e-2 tames the scale-free first steps"),
-        Opt("seed", "int", 0),
-        Opt("threshold", "float", 0.5, help="validation metrics threshold"),
-        Opt("channels", "ints", _CHANNELS_DEFAULT, help="encoder channel widths"),
-        Opt("dilations", "ints", None, help="pyramid dilation rates"),
-        Opt("input_size", "size", None, help="detected from data when omitted"),
-        Opt("loss", "str", "bce", help="bce|mse"),
-        Opt("log_every", "int", 1),
-        Opt("resume", "flag", False, help="continue from last.ckpt in --out"),
-        Opt("quiet", "flag", False),
+        Opt("seed", int, 0),
+        Opt("threshold", float, 0.5, help="validation metrics threshold"),
+        Opt("channels", _ints, _CHANNELS_DEFAULT, help="encoder channel widths"),
+        Opt("dilations", _ints, None, help="pyramid dilation rates"),
+        Opt("loss", str, "bce", help="bce|mse"),
+        Opt("log_every", int, 1),
+        Opt("resume", _flag, False, help="continue from last.ckpt in --out"),
+        Opt("quiet", _flag, False),
     ], _cmd_train, "run the training regime"),
     "eval": ([
-        Opt("ckpt", "str", required=True),
-        Opt("index", "str", required=True),
-        Opt("split", "str", "test", help="train|val|test"),
-        Opt("threshold", "float", 0.5),
-        Opt("micro_batch", "int", 10),
+        Opt("ckpt", required=True),
+        Opt("index", required=True),
+        Opt("split", str, "test", help="train|val|test"),
+        Opt("threshold", float, 0.5),
+        Opt("micro_batch", int, 10),
     ], _cmd_eval, "score a checkpoint on one split"),
     "predict": ([
-        Opt("ckpt", "str", required=True),
-        Opt("image", "str", required=True),
-        Opt("out", "str", required=True, help="output path prefix"),
-        Opt("threshold", "float", 0.5),
+        Opt("ckpt", required=True),
+        Opt("image", required=True),
+        Opt("out", required=True, help="output path prefix"),
+        Opt("threshold", float, 0.5),
     ], _cmd_predict, "write probability map and mask for one image"),
     "params": ([
-        Opt("variant", "str", required=True),
-        Opt("channels", "ints", _CHANNELS_DEFAULT),
-        Opt("input_size", "size", (192, 192)),
-        Opt("dilations", "ints", None),
+        Opt("variant", required=True),
+        Opt("channels", _ints, _CHANNELS_DEFAULT),
+        Opt("dilations", _ints, None),
     ], _cmd_params, "per-layer parameter census"),
     "gradcheck": ([
-        Opt("variant", "str", required=True),
-        Opt("eps", "float", 1e-5, help="finite-difference step"),
+        Opt("variant", required=True),
+        Opt("eps", float, 1e-5, help="finite-difference step"),
     ], _cmd_gradcheck, "verify analytic gradients by finite differences"),
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="lmnet", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (opts, _, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb, description=blurb)
-        p.add_argument("--config", default=None,
-                       help="key=value file supplying flag defaults")
+        p.add_argument("--config", help="key=value file supplying flag defaults")
         for opt in opts:
             flag = "--" + opt.name.replace("_", "-")
-            if opt.kind == "flag":
-                p.add_argument(flag, dest=opt.name, nargs="?", const="true",
-                               default=_UNSET, metavar="BOOL")
-            else:
-                p.add_argument(flag, dest=opt.name, default=_UNSET)
-    return parser
+            extra = dict(nargs="?", const=True, metavar="BOOL") if opt.type is _flag else {}
+            p.add_argument(flag, dest=opt.name, type=opt.type, default=opt.default,
+                           help=opt.help, **extra)
+    return parser, sub.choices
 
 
 def _apply_thread_cap() -> None:
@@ -406,11 +381,9 @@ def _apply_thread_cap() -> None:
 def main(argv=None) -> int:
     try:
         _apply_thread_cap()
-        args = _build_parser().parse_args(argv)
-        opts, handler, _ = _COMMANDS[args.command]
-        resolved = _resolve(opts, args)
-        _echo(args.command, resolved)
-        return int(handler(resolved) or 0)
+        command, resolved = _resolve(argv)
+        _echo(command, resolved)
+        return int(_COMMANDS[command][1](resolved) or 0)
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

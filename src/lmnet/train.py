@@ -32,6 +32,7 @@ import numpy as np
 from .checkpoint import (
     config_text,
     load_training_checkpoint,
+    render_value,
     save_checkpoint,
     save_training_checkpoint,
 )
@@ -157,13 +158,37 @@ def _train_meta(cfg: TrainConfig, epochs_done: int, step: int, best: float) -> d
     }
 
 
-def _open_csv(path: Path, header: str, append: bool):
-    exists = path.is_file()
-    fh = open(path, "a" if append and exists else "w", encoding="utf-8", newline="")
-    if not (append and exists):
+def _check_resume_settings(cfg: TrainConfig, adam, meta: dict, path: Path) -> None:
+    """Refuse to resume with settings that would break the bit-exact replay."""
+    for key, requested, recorded in (
+        ("train_seed", cfg.seed, meta["train_seed"]),
+        ("batch_size", cfg.batch_size, meta["batch_size"]),
+        ("micro_batch", cfg.micro_batch, meta["micro_batch"]),
+        ("beta1", float(cfg.beta1), render_value(adam.beta1)),
+        ("beta2", float(cfg.beta2), render_value(adam.beta2)),
+        ("adam_eps", float(cfg.adam_eps), render_value(adam.eps)),
+    ):
+        if render_value(requested) != recorded:
+            raise ConfigError(
+                f"{path} was trained with {key}={recorded}, not "
+                f"{render_value(requested)}; change the flags or start a fresh run directory"
+            )
+
+
+def _open_csv(path: Path, header: str, keep_rows):
+    """Open a history CSV for appending. With `keep_rows=None` the file starts
+    afresh; otherwise rows past the first `keep_rows` (written after the
+    resume point, by an epoch that did not finish) are cut off first."""
+    if keep_rows is None or not path.is_file():
+        fh = open(path, "w", encoding="utf-8", newline="")
         fh.write(header + "\n")
         fh.flush()
-    return fh
+        return fh
+    with open(path, "rb+") as fh:
+        for _ in range(keep_rows + 1):  # the header, then the rows
+            fh.readline()
+        fh.truncate(fh.tell())
+    return open(path, "a", encoding="utf-8", newline="")
 
 
 def train(cfg: TrainConfig):
@@ -192,6 +217,7 @@ def train(cfg: TrainConfig):
                 f"{last_path} was trained with a different graph configuration; "
                 "change the flags or start a fresh run directory"
             )
+        _check_resume_settings(cfg, adam, meta, last_path)
         start_epoch = int(meta["epochs_done"])
         step = int(meta["step"])
         best = float(meta["best_val_loss"])
@@ -210,9 +236,10 @@ def train(cfg: TrainConfig):
         return graph, history
 
     lossf = loss_fn(cfg.graph.loss)
-    train_fh = _open_csv(out / TRAIN_CSV, "step,epoch,loss", append=resuming)
+    train_fh = _open_csv(out / TRAIN_CSV, "step,epoch,loss",
+                         step if resuming else None)
     val_fh = _open_csv(out / VAL_CSV, "epoch,loss,accuracy,iou,precision,recall",
-                       append=resuming)
+                       start_epoch if resuming else None)
     try:
         for epoch in range(start_epoch, cfg.epochs):
             batches = batch_iter(index, "train", cfg.batch_size,

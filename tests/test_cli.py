@@ -5,6 +5,7 @@ the packaging entry point and the process exit code.
 """
 
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from lmnet import imgio
-from lmnet.cli import main
+from lmnet.cli import _resolve, main
 
 TINY_CHANNELS = "2,2,3,3"
 REPO = Path(__file__).resolve().parents[1]
@@ -65,7 +66,6 @@ def test_params_unknown_variant_exits_1_listing_choices(capsys):
 def test_params_accepts_custom_channels(capsys):
     code, out, _ = run_cli(
         capsys, "params", "--variant", "plain", "--channels", TINY_CHANNELS,
-        "--input-size", "16",
     )
     assert code == 0
     assert "channels=2,2,3,3" in out
@@ -256,10 +256,11 @@ def test_gradcheck_passes_for_the_plain_variant(capsys):
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\nvariant=plain\ninput_size=16\n")
+    cfg.write_text(f"# comment\nvariant=plain\nchannels={TINY_CHANNELS}\n")
     code, out, _ = run_cli(capsys, "params", "--config", str(cfg))
     assert code == 0
     assert "variant=plain" in out
+    assert "channels=2,2,3,3" in out
 
     code, out, _ = run_cli(capsys, "params", "--config", str(cfg),
                            "--variant", "residual")
@@ -294,12 +295,94 @@ def test_thread_cap_env_var(monkeypatch, capsys):
 
 
 def test_usage_errors_exit_1_not_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["params", "--variant", "plain", "--bogus"])
-    assert err.value.code == 1
-    with pytest.raises(SystemExit) as err:
-        main([])
-    assert err.value.code == 1
+    code, _, err = run_cli(capsys, "params", "--variant", "plain", "--bogus")
+    assert code == 1
+    assert "usage:" in err and "--bogus" in err
+    code, _, err = run_cli(capsys)
+    assert code == 1
+    assert "usage:" in err
+    proc = console_script("params", "--bogus")
+    assert proc.returncode == 1
+    assert "usage:" in proc.stderr and "--bogus" in proc.stderr
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["params", "--variant", "plain", "--bogus"], "--bogus"),
+    (["train", "--index", "i", "--out", "o", "--variant", "plain",
+      "--epochs", "three"], "--epochs"),
+    (["params", "--variant", "plain", "--channels", "2,x"], "--channels"),
+    (["params", "--config", "{bad_cfg}"], "--channels"),
+    (["prepare", "--input-dir", "raw"], "--output-dir is required"),
+    ([], "command"),
+], ids=["unknown-flag", "bad-int", "bad-ints", "bad-config-value",
+        "missing-required", "missing-command"])
+def test_bad_input_is_one_error_line(argv, needle, tmp_path, capsys):
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text("variant=plain\nchannels=2,x\n")
+    argv = [a.format(bad_cfg=bad_cfg) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    proc = console_script(*argv)
+    for code, err in ((code, err), (proc.returncode, proc.stderr)):
+        assert code == 1
+        assert needle in err
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
+    assert "resolved config" not in out
+
+
+def echoed_config(out):
+    """The resolved-config block a command prints, exactly as printed."""
+    lines = out.splitlines()
+    start = next(i for i, l in enumerate(lines) if l.startswith("# resolved config"))
+    end = start + 1
+    while end < len(lines) and lines[end].startswith("  "):
+        end += 1
+    return "\n".join(lines[start:end]) + "\n"
+
+
+def test_echoed_config_is_a_valid_config_file(tiny_dataset, tmp_path, capsys):
+    index = str(tiny_dataset.root / "index.tsv")
+    run = tmp_path / "run"
+    image = str(tiny_dataset.image_path(tiny_dataset.records[0]))
+    commands = [
+        ["prepare", "--input-dir", str(_raw_scene(tmp_path)),
+         "--output-dir", str(tmp_path / "prepared"), "--tile-size", "8",
+         "--target-size", "8,8", "--overwrite"],
+        ["train", "--index", index, "--out", str(run), "--variant", "proposed",
+         "--epochs", "1", "--batch", "4", "--micro-batch", "2",
+         "--channels", TINY_CHANNELS, "--dilations", "1,2,3",
+         "--adam-eps", "1e-2", "--quiet"],
+        ["eval", "--ckpt", str(run / "model.ckpt"), "--index", index,
+         "--split", "val"],
+        ["predict", "--ckpt", str(run / "model.ckpt"), "--image", image,
+         "--out", str(tmp_path / "pred"), "--threshold", "0.25"],
+        ["params", "--variant", "plain", "--channels", TINY_CHANNELS],
+        ["gradcheck", "--variant", "plain", "--eps", "1e-6"],
+    ]
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        block = echoed_config(out)
+        assert "None" not in block
+        cfg = tmp_path / f"{argv[0]}.cfg"
+        cfg.write_text(block)
+        assert _resolve([argv[0], "--config", str(cfg)]) == _resolve(argv)
+
+
+def readme_commands():
+    """Every `lmnet ...` command line in README.md's code blocks."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = text.split("```")[1::2]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(l)[1:] for l in lines if l.startswith("lmnet ")]
+
+
+def test_readme_commands_resolve():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} >= {"prepare", "train", "eval", "predict"}
+    for argv in commands:
+        command, resolved = _resolve(argv)
+        assert command == argv[0]
 
 
 # -- installed entry point --------------------------------------------------

@@ -182,6 +182,34 @@ def test_resumed_run_matches_uninterrupted_run(tiny_dataset, tmp_path):
             (tmp_path / "split" / f).read_bytes(), f
 
 
+@pytest.mark.parametrize("crash_in", ["evaluate", "save_training_checkpoint"])
+def test_resume_after_a_crash_matches_uninterrupted_run(
+        tiny_dataset, tmp_path, monkeypatch, crash_in):
+    import lmnet.train as train_mod
+
+    artifacts = (TRAIN_CSV, VAL_CSV, LAST_CKPT, BEST_CKPT, FINAL_CKPT)
+    train(make_cfg(tiny_dataset, tmp_path / "whole", epochs=2))
+
+    original = getattr(train_mod, crash_in)
+    calls = []
+
+    def crash_in_epoch_2(*args, **kw):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("simulated crash")
+        return original(*args, **kw)
+
+    monkeypatch.setattr(train_mod, crash_in, crash_in_epoch_2)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        train(make_cfg(tiny_dataset, tmp_path / "split", epochs=2))
+    monkeypatch.setattr(train_mod, crash_in, original)
+
+    train(make_cfg(tiny_dataset, tmp_path / "split", epochs=2, resume=True))
+    for f in artifacts:
+        assert (tmp_path / "whole" / f).read_bytes() == \
+            (tmp_path / "split" / f).read_bytes(), f
+
+
 def test_resume_with_different_graph_is_refused(tiny_dataset, tmp_path):
     train(make_cfg(tiny_dataset, tmp_path / "run", epochs=1))
     other = make_cfg(
@@ -190,6 +218,25 @@ def test_resume_with_different_graph_is_refused(tiny_dataset, tmp_path):
     )
     with pytest.raises(ConfigError, match="different graph configuration"):
         train(other)
+
+
+@pytest.mark.parametrize("field,value,key", [
+    ("seed", 1, "train_seed"),
+    ("batch_size", 2, "batch_size"),
+    ("micro_batch", 1, "micro_batch"),
+    ("beta1", 0.8, "beta1"),
+    ("beta2", 0.99, "beta2"),
+    ("adam_eps", 1e-2, "adam_eps"),
+])
+def test_resume_with_different_run_settings_is_refused(
+        tiny_dataset, tmp_path, field, value, key):
+    run = tmp_path / "run"
+    train(make_cfg(tiny_dataset, run, epochs=1))
+    before = {f.name: f.read_bytes() for f in run.iterdir()}
+    other = make_cfg(tiny_dataset, run, epochs=2, resume=True, **{field: value})
+    with pytest.raises(ConfigError, match=f"trained with {key}="):
+        train(other)
+    assert {f.name: f.read_bytes() for f in run.iterdir()} == before
 
 
 def test_fully_trained_run_resumes_to_a_no_op(tiny_dataset, tmp_path, capsys):
