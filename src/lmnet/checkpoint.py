@@ -261,6 +261,18 @@ _KIND_MISMATCH = {
 }
 
 
+def _pop_meta(meta: dict, key: str, kind, path):
+    """Remove `key` from a training checkpoint's metadata, parsed by `kind`."""
+    if key not in meta:
+        raise CheckpointError(f"{path}: training metadata is missing {key}")
+    text = meta.pop(key)
+    try:
+        return kind(text)
+    except ValueError:
+        raise CheckpointError(
+            f"{path}: training metadata has unparseable {key}={text}") from None
+
+
 def _load(path, want):
     """Read a checkpoint of kind `want` (a magic, or None for either) into
     (graph, AdamState, meta); the last two are None for the deployment kind."""
@@ -280,9 +292,11 @@ def _load(path, want):
         variant, config, {k: v for k, v in tensors.items() if not k.startswith("adam.")}
     )
     adam = AdamState(
-        lr=float(meta.pop("lr")), beta1=float(meta.pop("beta1")),
-        beta2=float(meta.pop("beta2")), eps=float(meta.pop("adam_eps")),
-        t=int(meta.pop("adam_t")),
+        lr=_pop_meta(meta, "lr", float, path),
+        beta1=_pop_meta(meta, "beta1", float, path),
+        beta2=_pop_meta(meta, "beta2", float, path),
+        eps=_pop_meta(meta, "adam_eps", float, path),
+        t=_pop_meta(meta, "adam_t", int, path),
     )
     for name in graph.params:
         for store, prefix in ((adam.m, "adam.m."), (adam.v, "adam.v.")):

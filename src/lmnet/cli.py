@@ -9,8 +9,8 @@ Flags may come from a `--config` file of key=value lines; explicit flags win
 over the file. The echoed block is itself a valid `--config` file.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config, bad
-data), 2 runtime failure (aborted training, broken checkpoint, failed
-gradient check).
+data, a path that cannot be read or written), 2 runtime failure (aborted
+training, broken checkpoint, failed gradient check).
 
 Heavy imports happen inside the subcommand handlers: `LMNET_THREADS` must
 be exported to the BLAS layer before numpy loads.
@@ -390,6 +390,9 @@ def main(argv=None) -> int:
     except LmnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a user-named path that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         return 130
 

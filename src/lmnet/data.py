@@ -1,14 +1,17 @@
 """Dataset preparation and batching.
 
 The preparation pipeline turns large annotated scenes into fixed-size
-training pairs: tile each scene losslessly, drop tiles whose mask foreground
-fraction falls outside a band, resize what remains, and write a tab-separated
-index of (image, mask, split) records. Tiles inherit the split of their
+training pairs in one pass over each scene's tiles: cut the scene losslessly,
+log a tile whose mask foreground fraction falls outside a band to
+`rejects.tsv`, resize and write any other, and index the written pairs as
+tab-separated (image, mask, split) records. Tiles inherit the split of their
 parent scene, so no scene leaks across splits.
 
-Masks are binary the moment they enter this module and stay binary through
-every operation. A synthetic rectangle generator provides deterministic
-fixtures for tests and smoke runs.
+A prepared layout holds `<split>/images/<name>` with a mask of the same name
+under `<split>/masks/`; `_record` is the one place that forms those paths and
+`_write_pair` the one writer. Masks are binary the moment they enter this
+module and stay binary through every operation. A synthetic rectangle
+generator writes deterministic layouts for tests and smoke runs.
 """
 
 from __future__ import annotations
@@ -52,14 +55,24 @@ class ImagePair:
         return self.image.shape[2:]
 
 
-def binarize_mask(raw, threshold: float = MASK_THRESHOLD) -> np.ndarray:
-    """Map [0, 1] grayscale to {0, 1}: value >= threshold becomes 1.
+def binarize_mask(raw) -> np.ndarray:
+    """Map [0, 1] grayscale to {0, 1}: value >= MASK_THRESHOLD becomes 1.
 
     The comparison runs in the array's own dtype so 8-bit level 128 lands
     exactly on the threshold and is kept.
     """
     raw = np.asarray(raw)
-    return (raw >= raw.dtype.type(threshold)).astype(raw.dtype)
+    return (raw >= raw.dtype.type(MASK_THRESHOLD)).astype(raw.dtype)
+
+
+def _check_pool_grid(what: str, dims) -> None:
+    """Network inputs pass three 2x poolings, so each side is a positive
+    multiple of 8 (as GraphConfig requires)."""
+    if any(d < 8 or d % 8 for d in dims):
+        raise ConfigError(
+            f"{what} {'x'.join(str(d) for d in dims)} must be at least 8 and "
+            "divisible by 8 (three 2x poolings)"
+        )
 
 
 def tile_image(pair: ImagePair, tile: int = 500) -> list[ImagePair]:
@@ -84,44 +97,8 @@ def tile_image(pair: ImagePair, tile: int = 500) -> list[ImagePair]:
     return out
 
 
-def reassemble_tiles(tiles, rows: int, cols: int) -> ImagePair:
-    """Inverse of tile_image for a row-major rows×cols tiling."""
-    if len(tiles) != rows * cols:
-        raise DataError(f"need {rows * cols} tiles, got {len(tiles)}")
-    bands_img = []
-    bands_mask = []
-    for r in range(rows):
-        row = tiles[r * cols:(r + 1) * cols]
-        bands_img.append(np.concatenate([t.image for t in row], axis=3))
-        bands_mask.append(np.concatenate([t.mask for t in row], axis=3))
-    return ImagePair(
-        image=np.concatenate(bands_img, axis=2),
-        mask=np.concatenate(bands_mask, axis=2),
-    )
-
-
 def foreground_fraction(mask: np.ndarray) -> float:
     return float(np.count_nonzero(mask)) / mask.size
-
-
-def filter_tiles(tiles, min_fg: float = 0.01, max_fg: float = 0.90):
-    """Keep tiles whose mask foreground fraction lies in [min_fg, max_fg].
-
-    Returns (kept tiles, rejections) where each rejection is
-    (position in the input list, fraction). Both interval ends are inclusive.
-    """
-    if not (0.0 <= min_fg < max_fg <= 1.0):
-        raise ConfigError(
-            f"foreground band must satisfy 0 <= min < max <= 1, got [{min_fg}, {max_fg}]"
-        )
-    kept, rejected = [], []
-    for i, t in enumerate(tiles):
-        frac = foreground_fraction(t.mask)
-        if min_fg <= frac <= max_fg:
-            kept.append(t)
-        else:
-            rejected.append((i, frac))
-    return kept, rejected
 
 
 def _bilinear_axis(in_len: int, out_len: int):
@@ -198,17 +175,25 @@ class DatasetIndex:
     def split_records(self, split: str) -> list:
         return [r for r in self.records if r.split == split]
 
-    def counts(self) -> dict:
-        out = {s: 0 for s in SPLITS}
-        for r in self.records:
-            out[r.split] = out.get(r.split, 0) + 1
-        return out
-
     def image_path(self, rec: IndexRecord) -> Path:
         return self.root / rec.image
 
     def mask_path(self, rec: IndexRecord) -> Path:
         return self.root / rec.mask
+
+
+def _record(split: str, name: str) -> IndexRecord:
+    """The record of pair `name` in `split` of a prepared layout."""
+    return IndexRecord(image=f"{split}/images/{name}", mask=f"{split}/masks/{name}",
+                       split=split)
+
+
+def _write_pair(root: Path, rec: IndexRecord, pair: ImagePair) -> None:
+    """Write `pair` where `rec` points under `root`, creating directories."""
+    for rel in (rec.image, rec.mask):
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+    imgio.write_rgb(root / rec.image, pair.image[0])
+    imgio.write_gray(root / rec.mask, pair.mask[0, 0])
 
 
 def save_index(index: DatasetIndex, path) -> None:
@@ -257,21 +242,16 @@ def build_index(prepared_dir) -> DatasetIndex:
     orphans = []
     for split in SPLITS:
         img_dir = prepared / split / "images"
-        mask_dir = prepared / split / "masks"
         if not img_dir.is_dir():
             continue
         for img in sorted(img_dir.iterdir()):
             if not img.is_file():
                 continue
-            mask = mask_dir / img.name
-            if not mask.is_file():
-                orphans.append(str(img.relative_to(prepared)))
+            rec = _record(split, img.name)
+            if not (prepared / rec.mask).is_file():
+                orphans.append(rec.image)
                 continue
-            records.append(IndexRecord(
-                image=str(img.relative_to(prepared)),
-                mask=str(mask.relative_to(prepared)),
-                split=split,
-            ))
+            records.append(rec)
     if orphans:
         raise DataError(
             "images with no matching mask: " + ", ".join(orphans[:10])
@@ -315,25 +295,17 @@ def batch_iter(index: DatasetIndex, split: str, batch_size: int,
 # ---------------------------------------------------------------------------
 # Synthetic fixtures
 
-@dataclass
-class SynthRect:
-    top: int
-    left: int
-    height: int
-    width: int
-
-
-def synth_pair(size: int, rng) -> tuple:
+def synth_pair(size: int, rng) -> ImagePair:
     """One synthetic sample: bright axis-aligned rectangles on dark noise.
 
-    Returns (ImagePair, rectangle records). Rectangle sides are 10% to 30%
-    of the image side, so even five rectangles cover under half the area.
-    The mask is exactly the union of the rectangles.
+    Rectangle sides are 10% to 30% of the image side, so even five rectangles
+    cover under half the area. Rectangle pixels are at least 0.65 in every
+    channel and background pixels stay below 0.45, so the mask is exactly
+    the set of pixels whose darkest channel is at least 0.65.
     """
     noise = rng.random((3, size, size))
     image = (0.05 + 0.40 * noise).astype(np.float32)
     mask = np.zeros((size, size), dtype=np.float32)
-    rects = []
     for _ in range(int(rng.integers(1, 6))):
         rh = max(1, int(rng.uniform(0.1, 0.3) * size))
         rw = max(1, int(rng.uniform(0.1, 0.3) * size))
@@ -343,39 +315,25 @@ def synth_pair(size: int, rng) -> tuple:
         fill = base + 0.1 * rng.random((3, rh, rw))
         image[:, top:top + rh, left:left + rw] = fill.astype(np.float32)
         mask[top:top + rh, left:left + rw] = 1.0
-        rects.append(SynthRect(top=top, left=left, height=rh, width=rw))
-    pair = ImagePair(image=image[None], mask=mask[None, None])
-    return pair, rects
-
-
-def synth_generate(n: int, size: int, seed: int) -> list:
-    """n deterministic synthetic pairs; sample i depends only on (seed, i)."""
-    if size % 8:
-        raise ConfigError(f"synthetic image size must be divisible by 8, got {size}")
-    return [synth_pair(size, derive_rng(seed, 2, i))[0] for i in range(n)]
+    return ImagePair(image=image[None], mask=mask[None, None])
 
 
 def write_synthetic_dataset(out_dir, counts: dict, size: int, seed: int) -> DatasetIndex:
-    """Write a synthetic prepared layout + index; counts maps split -> n."""
+    """Write a synthetic prepared layout + index; counts maps split -> n.
+
+    Sample i (numbered across splits in SPLITS order) depends only on
+    (seed, i).
+    """
+    _check_pool_grid("synthetic image size", (size, size))
     out = Path(out_dir)
-    offset = 0
+    out.mkdir(parents=True, exist_ok=True)
     records = []
     for split in SPLITS:
-        n = counts.get(split, 0)
-        if n == 0:
-            continue
-        (out / split / "images").mkdir(parents=True, exist_ok=True)
-        (out / split / "masks").mkdir(parents=True, exist_ok=True)
-        for i in range(n):
-            pair = synth_pair(size, derive_rng(seed, 2, offset + i))[0]
-            name = f"synth_{offset + i:05d}.png"
-            imgio.write_rgb(out / split / "images" / name, pair.image[0])
-            imgio.write_gray(out / split / "masks" / name, pair.mask[0, 0])
-            records.append(IndexRecord(
-                image=f"{split}/images/{name}", mask=f"{split}/masks/{name}",
-                split=split,
-            ))
-        offset += n
+        for _ in range(counts.get(split, 0)):
+            i = len(records)
+            rec = _record(split, f"synth_{i:05d}.png")
+            _write_pair(out, rec, synth_pair(size, derive_rng(seed, 2, i)))
+            records.append(rec)
     index = DatasetIndex(root=out, records=records)
     save_index(index, out / "index.tsv")
     return index
@@ -390,9 +348,12 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
     """Run the full pipeline over a raw scene layout.
 
     Raw layout mirrors the prepared one: `<input>/<split>/images/*` with
-    like-named masks under `<input>/<split>/masks/`. Scenes are tiled,
-    filtered by mask foreground fraction, resized to `target`, and written
-    as 8-bit PNGs with `index.tsv` and `rejects.tsv` at the output root.
+    like-named masks under `<input>/<split>/masks/`. Each scene is tiled;
+    a tile whose mask foreground fraction lies in [min_fg, max_fg] (both
+    ends inclusive) is resized to `target` and written as an 8-bit PNG pair
+    named `<scene stem>_r<row>c<col>.png`, any other is logged with its
+    fraction to `rejects.tsv`. `index.tsv` and `rejects.tsv` are written at
+    the output root even when every tile is rejected.
 
     Returns per-split counts: {split: {"kept": k, "rejected": r}}.
     """
@@ -400,6 +361,9 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
         raise ConfigError(
             f"foreground band must satisfy 0 <= min < max <= 1, got [{min_fg}, {max_fg}]"
         )
+    if tile < 1:
+        raise ConfigError(f"tile size must be >= 1, got {tile}")
+    _check_pool_grid("target size", target)
     inp = Path(input_dir)
     out = Path(output_dir)
     if not inp.is_dir():
@@ -407,44 +371,43 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
     raw = build_index(inp)
     if not raw.records:
         raise DataError(f"{inp}: no image/mask pairs found under <split>/images")
+    scenes = {}  # (split, stem) -> raw record; tiles are named after the stem
+    for rec in raw.records:
+        stem = os.path.splitext(os.path.basename(rec.image))[0]
+        first = scenes.setdefault((rec.split, stem), rec)
+        if first is not rec:
+            raise DataError(
+                f"{first.image} and {rec.image} share the name {stem!r}, so their "
+                "tiles would overwrite each other; rename one"
+            )
     if out.exists() and any(out.iterdir()) and not overwrite:
         raise ConfigError(f"{out} already has content; pass overwrite to replace it")
 
+    out.mkdir(parents=True, exist_ok=True)
     records = []
     reject_rows = []
     summary = {s: {"kept": 0, "rejected": 0} for s in SPLITS}
-    for rec in raw.records:
+    for (split, stem), rec in scenes.items():
         scene = load_pair(raw, rec)
-        stem = os.path.splitext(os.path.basename(rec.image))[0]
         try:
             tiles = tile_image(scene, tile)
         except DataError as exc:
             raise DataError(f"{rec.image}: {exc}") from exc
         cols = scene.size[1] // tile
-        kept, rejected = filter_tiles(tiles, min_fg, max_fg)
-        fractions = {i: f for i, f in rejected}
-        img_dir = out / rec.split / "images"
-        mask_dir = out / rec.split / "masks"
-        img_dir.mkdir(parents=True, exist_ok=True)
-        mask_dir.mkdir(parents=True, exist_ok=True)
         for i, t in enumerate(tiles):
-            name = f"{stem}_r{i // cols}c{i % cols}.png"
-            rel_img = f"{rec.split}/images/{name}"
-            rel_mask = f"{rec.split}/masks/{name}"
-            if i in fractions:
-                summary[rec.split]["rejected"] += 1
+            tile_rec = _record(split, f"{stem}_r{i // cols}c{i % cols}.png")
+            frac = foreground_fraction(t.mask)
+            if min_fg <= frac <= max_fg:
+                _write_pair(out, tile_rec, resize_pair(t, target))
+                records.append(tile_rec)
+                summary[split]["kept"] += 1
+            else:
                 reject_rows.append(
-                    f"{rel_img}\t{rel_mask}\t{rec.split}\t{fractions[i]!r}\n"
+                    f"{tile_rec.image}\t{tile_rec.mask}\t{split}\t{frac!r}\n"
                 )
-                continue
-            small = resize_pair(t, target)
-            imgio.write_rgb(img_dir / name, small.image[0])
-            imgio.write_gray(mask_dir / name, small.mask[0, 0])
-            records.append(IndexRecord(image=rel_img, mask=rel_mask, split=rec.split))
-            summary[rec.split]["kept"] += 1
+                summary[split]["rejected"] += 1
 
-    index = DatasetIndex(root=out, records=records)
-    save_index(index, out / "index.tsv")
+    save_index(DatasetIndex(root=out, records=records), out / "index.tsv")
     with open(out / "rejects.tsv", "w", encoding="utf-8", newline="") as fh:
         fh.writelines(reject_rows)
     return summary

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import GraphConfig, ModelGraph, Variant, build_model, init_parameters, loss_fn, parse_variant
 from .seeding import derive_rng
 
@@ -80,6 +81,8 @@ def check_graph_gradients(variant, step: float = 1e-5,
                           config: GraphConfig | None = None,
                           data_seed: int | None = None) -> dict:
     """Max relative error per parameter tensor, analytic vs central FD."""
+    if not step > 0:
+        raise ConfigError(f"eps (the finite-difference step) must be > 0, got {step}")
     variant = parse_variant(variant)
     if data_seed is None:
         data_seed = DATA_SEEDS[variant]

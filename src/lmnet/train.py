@@ -37,7 +37,7 @@ from .checkpoint import (
     save_training_checkpoint,
 )
 from .data import DatasetIndex, batch_iter, load_index
-from .errors import ConfigError, NonFiniteGradientError, TrainAbortedError
+from .errors import CheckpointError, ConfigError, NonFiniteGradientError, TrainAbortedError
 from .metrics import ConfusionCounts, MetricsReport, confusion, report
 from .model import GraphConfig, ModelGraph, Variant, build_model, init_parameters, loss_fn
 from .optim import adam_init, adam_step
@@ -210,6 +210,10 @@ def train(cfg: TrainConfig):
     resuming = cfg.resume and last_path.is_file()
     if resuming:
         graph, adam, meta = load_training_checkpoint(last_path)
+        missing = sorted(_train_meta(cfg, 0, 0, 0.0).keys() - meta.keys())
+        if missing:
+            raise CheckpointError(
+                f"{last_path}: training metadata is missing {', '.join(missing)}")
         want = config_text(cfg.variant, cfg.graph)
         have = config_text(graph.variant, graph.config)
         if want != have:

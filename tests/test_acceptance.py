@@ -19,8 +19,16 @@ import numpy as np
 import pytest
 
 import lmnet.ops as ops
+from lmnet import imgio
 from lmnet.checkpoint import load_checkpoint, save_checkpoint
-from lmnet.data import ImagePair, reassemble_tiles, tile_image, write_synthetic_dataset
+from lmnet.data import (
+    ImagePair,
+    load_index,
+    load_pair,
+    prepare_dataset,
+    tile_image,
+    write_synthetic_dataset,
+)
 from lmnet.gradcheck import check_graph_gradients
 from lmnet.metrics import confusion, render_table
 from lmnet.model import (
@@ -329,15 +337,29 @@ def test_identical_runs_and_resume_are_bit_exact(tiny_dataset, tmp_path):
 
 @pytest.mark.acceptance(7, "round trips")
 def test_tiling_and_checkpoint_round_trips(tmp_path):
+    # A scene through `prepare` and back: nine 512x512 tiles (tile sides on
+    # the pooling grid, target = tile, so nothing is resampled) read back by
+    # their r/c names and joined must equal the scene's 8-bit levels exactly.
     rng = np.random.default_rng(77)
-    image = rng.random((1, 3, 1500, 1500)).astype(np.float32)
-    mask = (rng.random((1, 1, 1500, 1500)) > 0.5).astype(np.float32)
-    tiles = tile_image(ImagePair(image, mask), 500)
-    assert len(tiles) == 9
-    back = reassemble_tiles(tiles, 3, 3)
-    assert back.image.dtype == image.dtype
-    assert np.array_equal(back.image, image)
-    assert np.array_equal(back.mask, mask)
+    image = rng.integers(0, 256, (3, 1536, 1536)).astype(np.float32) / np.float32(255)
+    mask = (rng.random((1536, 1536)) > 0.5).astype(np.float32)
+    raw = tmp_path / "raw"
+    for sub in ("images", "masks"):
+        (raw / "train" / sub).mkdir(parents=True)
+    imgio.write_rgb(raw / "train/images/scene.ppm", image)
+    imgio.write_gray(raw / "train/masks/scene.ppm", mask)
+    prepare_dataset(raw, tmp_path / "prepared", tile=512, target=(512, 512),
+                    min_fg=0.0, max_fg=1.0)
+    index = load_index(tmp_path / "prepared" / "index.tsv")
+    assert len(index.records) == 9
+    tiles = {r.image: load_pair(index, r) for r in index.records}
+    grid = [[tiles[f"train/images/scene_r{r}c{c}.png"] for c in range(3)]
+            for r in range(3)]
+    back_image = np.block([[t.image for t in row] for row in grid])[0]
+    back_mask = np.block([[t.mask for t in row] for row in grid])[0, 0]
+    assert back_image.dtype == image.dtype
+    assert np.array_equal(back_image, image)
+    assert np.array_equal(back_mask, mask)
 
     graph = build_model(Variant.PROPOSED, SMALL_GRAPH)
     init_parameters(graph)

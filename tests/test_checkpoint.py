@@ -8,6 +8,8 @@ import numpy.testing as npt
 import pytest
 
 from lmnet.checkpoint import (
+    TRAIN_MAGIC,
+    _serialize,
     config_text,
     load_any,
     load_checkpoint,
@@ -168,6 +170,18 @@ def test_truncation_and_trailing_bytes(tmp_path):
     path.write_bytes(blob + b"junk")
     with pytest.raises(CheckpointError, match="trailing bytes"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("meta,needle", [
+    ("epochs_done=1\n", "missing lr"),
+    ("adam_eps=1e-08\nadam_t=x\nbeta1=0.9\nbeta2=0.999\nlr=0.01\n", "adam_t=x"),
+], ids=["missing", "unparseable"])
+def test_bad_optimizer_metadata_is_a_checkpoint_error(tmp_path, meta, needle):
+    path = tmp_path / "t.ckpt"
+    path.write_bytes(_serialize(TRAIN_MAGIC, tiny_graph(), meta, None))
+    for load in (load_training_checkpoint, load_any):
+        with pytest.raises(CheckpointError, match=needle):
+            load(path)
 
 
 def test_missing_tensor_is_reported_by_name(tmp_path):

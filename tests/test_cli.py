@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from lmnet import imgio
+from lmnet.checkpoint import TRAIN_MAGIC, _serialize, save_checkpoint, save_training_checkpoint
 from lmnet.cli import _resolve, main
+from lmnet.model import GraphConfig, Variant, build_model, init_parameters
+from lmnet.optim import adam_init
+
+from conftest import TINY_GRAPH
 
 TINY_CHANNELS = "2,2,3,3"
 REPO = Path(__file__).resolve().parents[1]
@@ -306,20 +311,28 @@ def test_usage_errors_exit_1_not_2(capsys):
     assert "usage:" in proc.stderr and "--bogus" in proc.stderr
 
 
-@pytest.mark.parametrize("argv,needle", [
-    (["params", "--variant", "plain", "--bogus"], "--bogus"),
+@pytest.mark.parametrize("argv,needle,echoed", [
+    (["params", "--variant", "plain", "--bogus"], "--bogus", False),
     (["train", "--index", "i", "--out", "o", "--variant", "plain",
-      "--epochs", "three"], "--epochs"),
-    (["params", "--variant", "plain", "--channels", "2,x"], "--channels"),
-    (["params", "--config", "{bad_cfg}"], "--channels"),
-    (["prepare", "--input-dir", "raw"], "--output-dir is required"),
-    ([], "command"),
+      "--epochs", "three"], "--epochs", False),
+    (["params", "--variant", "plain", "--channels", "2,x"], "--channels", False),
+    (["params", "--config", "{bad_cfg}"], "--channels", False),
+    (["prepare", "--input-dir", "raw"], "--output-dir is required", False),
+    ([], "command", False),
+    # found by the handler, after the resolved config is echoed
+    (["gradcheck", "--variant", "plain", "--eps", "0"],
+     "eps (the finite-difference step) must be > 0", True),
+    (["predict", "--ckpt", "{tmp}/m.ckpt", "--image", "{tmp}/x.png",
+      "--out", "{tmp}/nodir/x"], "nodir", True),
 ], ids=["unknown-flag", "bad-int", "bad-ints", "bad-config-value",
-        "missing-required", "missing-command"])
-def test_bad_input_is_one_error_line(argv, needle, tmp_path, capsys):
+        "missing-required", "missing-command", "zero-eps", "unwritable-out"])
+def test_bad_input_is_one_error_line(argv, needle, echoed, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("variant=plain\nchannels=2,x\n")
-    argv = [a.format(bad_cfg=bad_cfg) for a in argv]
+    save_checkpoint(init_parameters(build_model(Variant.PLAIN, TINY_GRAPH)),
+                    tmp_path / "m.ckpt")
+    imgio.write_rgb(tmp_path / "x.png", np.zeros((3, 8, 8), np.float32))
+    argv = [a.format(bad_cfg=bad_cfg, tmp=tmp_path) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     proc = console_script(*argv)
     for code, err in ((code, err), (proc.returncode, proc.stderr)):
@@ -327,7 +340,29 @@ def test_bad_input_is_one_error_line(argv, needle, tmp_path, capsys):
         assert needle in err
         assert err.count("error:") == 1
         assert "Traceback" not in err
-    assert "resolved config" not in out
+    assert ("resolved config" in out) == echoed
+
+
+@pytest.mark.parametrize("missing", ["lr", "train_seed"])
+def test_resume_from_incomplete_checkpoint_metadata_exits_2(
+        missing, tiny_dataset, tmp_path, capsys):
+    graph = init_parameters(build_model(Variant.PROPOSED, GraphConfig(
+        input_size=(16, 16), channel_sequence=(2, 2, 3, 3))))
+    last = tmp_path / "run" / "last.ckpt"
+    last.parent.mkdir()
+    if missing == "lr":  # no optimizer settings in the metadata at all
+        last.write_bytes(_serialize(TRAIN_MAGIC, graph, "epochs_done=1\n", None))
+    else:
+        save_training_checkpoint(graph, adam_init(graph.params), {"epochs_done": 1}, last)
+    code, _, err = run_cli(
+        capsys, "train", "--index", str(tiny_dataset.root / "index.tsv"),
+        "--out", str(last.parent), "--variant", "proposed",
+        "--channels", TINY_CHANNELS, "--resume", "--quiet",
+    )
+    assert code == 2
+    assert err.count("error:") == 1
+    assert str(last) in err and "is missing" in err and missing in err
+    assert [p.name for p in last.parent.iterdir()] == ["last.ckpt"]  # no CSVs
 
 
 def echoed_config(out):

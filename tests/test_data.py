@@ -1,6 +1,8 @@
 """Dataset pipeline: tiling, filtering, resizing, indexes, batching,
 synthetic fixtures, and the end-to-end preparation run."""
 
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,15 +16,12 @@ from lmnet.data import (
     batch_iter,
     binarize_mask,
     build_index,
-    filter_tiles,
     foreground_fraction,
     load_index,
     load_pair,
     prepare_dataset,
-    reassemble_tiles,
     resize_pair,
     save_index,
-    synth_generate,
     synth_pair,
     tile_image,
     write_synthetic_dataset,
@@ -44,16 +43,34 @@ def random_pair(rng, h, w):
     return ImagePair(image=image, mask=mask)
 
 
+def write_layout_pair(root, split, name, image, mask):
+    """Write an image (3, h, w) and its mask (h, w) as `name` in the
+    `<split>/images|masks` layout under `root`."""
+    for sub in ("images", "masks"):
+        (root / split / sub).mkdir(parents=True, exist_ok=True)
+    imgio.write_rgb(root / split / "images" / name, image)
+    imgio.write_gray(root / split / "masks" / name, mask)
+
+
 # -- tiling -----------------------------------------------------------------
 
-def test_full_scene_tiles_and_reassembles_bit_exact(rng):
-    pair = random_pair(rng, 1500, 1500)
-    tiles = tile_image(pair, 500)
-    assert len(tiles) == 9
-    assert all(t.size == (500, 500) for t in tiles)
-    back = reassemble_tiles(tiles, 3, 3)
-    npt.assert_array_equal(back.image, pair.image)
-    npt.assert_array_equal(back.mask, pair.mask)
+def test_full_scene_tiles_and_reassembles_bit_exact(tmp_path, rng):
+    # 1536 = 3 x 512 keeps the tiles on the pooling grid, so the target can
+    # equal the tile and no pixel is resampled; 8-bit levels survive PNG.
+    image = rng.integers(0, 256, (3, 1536, 1536)).astype(np.float32) / np.float32(255)
+    mask = (rng.random((1536, 1536)) > 0.5).astype(np.float32)
+    write_layout_pair(tmp_path / "raw", "train", "scene.ppm", image, mask)
+    out = tmp_path / "out"
+    summary = prepare_dataset(tmp_path / "raw", out, tile=512, target=(512, 512),
+                              min_fg=0.0, max_fg=1.0)
+    assert summary["train"] == {"kept": 9, "rejected": 0}
+    index = load_index(out / "index.tsv")
+    by_name = {r.image: load_pair(index, r) for r in index.records}
+    grid = [[by_name[f"train/images/scene_r{r}c{c}.png"] for c in range(3)]
+            for r in range(3)]
+    assert all(t.size == (512, 512) for row in grid for t in row)
+    npt.assert_array_equal(np.block([[t.image for t in row] for row in grid])[0], image)
+    npt.assert_array_equal(np.block([[t.mask for t in row] for row in grid])[0, 0], mask)
 
 
 def test_tile_contents_match_plain_slicing(rng):
@@ -73,46 +90,61 @@ def test_tile_refuses_non_divisible_dims_naming_the_axis(rng):
         tile_image(random_pair(rng, 12, 10), 4)
 
 
-def test_reassemble_checks_tile_count(rng):
-    tiles = tile_image(random_pair(rng, 8, 8), 4)
-    with pytest.raises(DataError):
-        reassemble_tiles(tiles, 3, 3)
-
-
 # -- foreground filtering ---------------------------------------------------
 
-def _pair_with_fraction(ones: int, side: int = 8) -> ImagePair:
-    mask = np.zeros((1, 1, side, side), dtype=np.float32)
+def _prepare_row(tmp_path, tile_masks, min_fg, max_fg):
+    """Prepare one scene made of square `tile_masks` side by side.
+
+    Returns (kept image paths from index.tsv, {rejected image path: fraction}
+    from rejects.tsv); tile i of the row is `train/images/s_r0c{i}.png`.
+    """
+    mask = np.concatenate(tile_masks, axis=1)
+    write_layout_pair(tmp_path / "raw", "train", "s.png",
+                      np.zeros((3, *mask.shape), np.float32), mask)
+    out = tmp_path / "out"
+    prepare_dataset(tmp_path / "raw", out, tile=mask.shape[0], target=(8, 8),
+                    min_fg=min_fg, max_fg=max_fg)
+    kept = [r.image for r in load_index(out / "index.tsv").records]
+    rejected = {}
+    for line in (out / "rejects.tsv").read_text().splitlines():
+        image, _, _, frac = line.split("\t")
+        rejected[image] = float(frac)
+    return kept, rejected
+
+
+def _mask_with_fraction(ones: int, side: int = 8) -> np.ndarray:
+    mask = np.zeros((side, side), dtype=np.float32)
     mask.reshape(-1)[:ones] = 1.0
-    image = np.zeros((1, 3, side, side), dtype=np.float32)
-    return ImagePair(image=image, mask=mask)
+    return mask
 
 
-def test_filter_band_ends_are_inclusive():
+def test_filter_band_ends_are_inclusive(tmp_path):
     # 8x8 tiles: fractions k/64 land exactly on the band edges
-    tiles = [_pair_with_fraction(k) for k in (0, 1, 16, 57, 58)]
-    kept, rejected = filter_tiles(tiles, min_fg=1 / 64, max_fg=57 / 64)
-    assert len(kept) == 3  # fractions 1/64, 16/64, 57/64
-    assert [i for i, _ in rejected] == [0, 4]
-    assert rejected[0][1] == 0.0
-    assert rejected[1][1] == pytest.approx(58 / 64)
+    masks = [_mask_with_fraction(k) for k in (0, 1, 16, 57, 58)]
+    kept, rejected = _prepare_row(tmp_path, masks, min_fg=1 / 64, max_fg=57 / 64)
+    name = "train/images/s_r0c{}.png".format
+    assert kept == [name(1), name(2), name(3)]  # fractions 1/64, 16/64, 57/64
+    assert rejected == {name(0): 0.0, name(4): 58 / 64}
 
 
-def test_filter_matches_brute_force(rng):
-    tiles = [random_pair(rng, 6, 6) for _ in range(40)]
-    kept, rejected = filter_tiles(tiles, 0.3, 0.7)
-    for i, t in enumerate(tiles):
-        frac = fg_fraction_naive(t.mask)
+def test_filter_matches_brute_force(tmp_path, rng):
+    # random 6x6 masks with every pixel doubled: 12x12 tiles, same fractions
+    masks = [np.kron(random_pair(rng, 6, 6).mask[0, 0], np.ones((2, 2), np.float32))
+             for _ in range(40)]
+    kept, rejected = _prepare_row(tmp_path, masks, 0.3, 0.7)
+    for i, mask in enumerate(masks):
+        frac = fg_fraction_naive(mask)
+        name = f"train/images/s_r0c{i}.png"
         in_band = 0.3 <= frac <= 0.7
-        assert any(k is t for k in kept) == in_band, f"tile {i} frac {frac}"
+        assert (name in kept) == in_band, f"tile {i} frac {frac}"
+        assert rejected.get(name) == (None if in_band else frac), f"tile {i}"
     assert len(kept) + len(rejected) == 40
 
 
-def test_filter_rejects_bad_band():
-    with pytest.raises(ConfigError):
-        filter_tiles([], min_fg=0.5, max_fg=0.5)
-    with pytest.raises(ConfigError):
-        filter_tiles([], min_fg=-0.1, max_fg=0.5)
+def test_prepare_with_every_tile_rejected_still_writes_both_files(tmp_path):
+    kept, rejected = _prepare_row(tmp_path, [_mask_with_fraction(0)] * 2, 0.5, 1.0)
+    assert kept == []
+    assert rejected == {"train/images/s_r0c0.png": 0.0, "train/images/s_r0c1.png": 0.0}
 
 
 def test_foreground_fraction_counts_nonzero(rng):
@@ -185,18 +217,15 @@ def _layout(tmp_path, entries):
     """entries: (split, name, size) triples; writes image+mask PNGs."""
     rng = np.random.default_rng(0)
     for split, name, size in entries:
-        (tmp_path / split / "images").mkdir(parents=True, exist_ok=True)
-        (tmp_path / split / "masks").mkdir(parents=True, exist_ok=True)
         pair = random_pair(rng, size, size)
-        imgio.write_rgb(tmp_path / split / "images" / name, pair.image[0])
-        imgio.write_gray(tmp_path / split / "masks" / name, pair.mask[0, 0])
+        write_layout_pair(tmp_path, split, name, pair.image[0], pair.mask[0, 0])
 
 
 def test_build_save_load_round_trip(tmp_path):
     _layout(tmp_path, [("train", "a.png", 16), ("train", "b.png", 16),
                        ("val", "c.png", 16)])
     index = build_index(tmp_path)
-    assert index.counts() == {"train": 2, "val": 1, "test": 0}
+    assert Counter(r.split for r in index.records) == {"train": 2, "val": 1}
     save_index(index, tmp_path / "index.tsv")
     again = load_index(tmp_path / "index.tsv")
     assert again.records == index.records
@@ -302,44 +331,40 @@ def test_batch_iter_rejects_mixed_sizes(tmp_path):
 # -- synthetic samples ------------------------------------------------------
 
 def test_synth_is_a_pure_function_of_seed():
-    a = synth_generate(3, 32, seed=7)
-    b = synth_generate(3, 32, seed=7)
+    a = [synth_pair(32, derive_rng(7, 2, i)) for i in range(3)]
+    b = [synth_pair(32, derive_rng(7, 2, i)) for i in range(3)]
     for x, y in zip(a, b):
         npt.assert_array_equal(x.image, y.image)
         npt.assert_array_equal(x.mask, y.mask)
-    c = synth_generate(1, 32, seed=8)
-    assert not np.array_equal(a[0].image, c[0].image)
+    c = synth_pair(32, derive_rng(8, 2, 0))
+    assert not np.array_equal(a[0].image, c.image)
 
 
 def test_synth_foreground_stays_in_the_useful_band():
     for i in range(100):
-        pair, _ = synth_pair(32, derive_rng(123, 2, i))
+        pair = synth_pair(32, derive_rng(123, 2, i))
         frac = foreground_fraction(pair.mask)
         assert 0.0 < frac <= 0.5, f"sample {i}: {frac}"
 
 
 def test_synth_rectangles_are_brighter_than_background():
-    pair, rects = synth_pair(64, derive_rng(5, 2, 0))
-    inside_min = min(
-        float(pair.image[0, :, r.top:r.top + r.height, r.left:r.left + r.width].min())
-        for r in rects
-    )
+    pair = synth_pair(64, derive_rng(5, 2, 0))
+    # the mask is exactly the union of the rectangles, all channels >= 0.65
+    assert pair.mask.any()
+    npt.assert_array_equal(pair.mask[0, 0], pair.image[0].min(axis=0) >= 0.65)
     outside = pair.image[0][:, pair.mask[0, 0] == 0]
-    assert inside_min >= 0.65
     assert float(outside.max()) < 0.46
-    npt.assert_array_equal(
-        pair.mask[0, 0, rects[0].top, rects[0].left], 1.0
-    )
 
 
-def test_synth_rejects_sizes_off_the_pool_grid():
+def test_synth_rejects_sizes_off_the_pool_grid(tmp_path):
     with pytest.raises(ConfigError, match="divisible by 8"):
-        synth_generate(1, 30, seed=0)
+        write_synthetic_dataset(tmp_path / "d", {"train": 1}, 30, seed=0)
+    assert not (tmp_path / "d").exists()
 
 
 def test_write_synthetic_dataset_round_trips(tmp_path):
     index = write_synthetic_dataset(tmp_path, {"train": 3, "val": 2}, 16, seed=9)
-    assert index.counts() == {"train": 3, "val": 2, "test": 0}
+    assert Counter(r.split for r in index.records) == {"train": 3, "val": 2}
     names = [r.image for r in index.records]
     assert len(set(names)) == 5  # numbering continues across splits
     assert names[0] == "train/images/synth_00000.png"
@@ -347,7 +372,7 @@ def test_write_synthetic_dataset_round_trips(tmp_path):
     reloaded = load_index(tmp_path / "index.tsv")
     assert reloaded.records == index.records
     pair = load_pair(index, index.records[0])
-    direct = synth_generate(1, 16, seed=9)[0]
+    direct = synth_pair(16, derive_rng(9, 2, 0))
     # PNG quantization moves values by at most half a level
     npt.assert_allclose(pair.image, direct.image, atol=0.5 / 255 + 1e-6)
     npt.assert_array_equal(pair.mask, direct.mask)
@@ -357,9 +382,6 @@ def test_write_synthetic_dataset_round_trips(tmp_path):
 
 def _scene_layout(tmp_path):
     """One 24x24 train scene whose 8x8 tiles have controlled fractions."""
-    raw = tmp_path / "raw"
-    (raw / "train" / "images").mkdir(parents=True)
-    (raw / "train" / "masks").mkdir(parents=True)
     rng = np.random.default_rng(3)
     image = rng.random((3, 24, 24)).astype(np.float32)
     mask = np.zeros((24, 24), dtype=np.float32)
@@ -370,9 +392,8 @@ def _scene_layout(tmp_path):
     mask[16:, :2] = 1.0         # row 2 tiles: 0.25 each -> kept
     mask[16:, 8:10] = 1.0
     mask[16:, 16:18] = 1.0
-    imgio.write_rgb(raw / "train/images/scene.png", image)
-    imgio.write_gray(raw / "train/masks/scene.png", mask)
-    return raw
+    write_layout_pair(tmp_path / "raw", "train", "scene.png", image, mask)
+    return tmp_path / "raw"
 
 
 def test_prepare_filters_tiles_and_writes_index(tmp_path):
@@ -418,8 +439,31 @@ def test_prepare_input_validation(tmp_path):
     with pytest.raises(DataError, match="no image/mask pairs"):
         prepare_dataset(empty, tmp_path / "out", tile=8)
     raw = _scene_layout(tmp_path)
-    with pytest.raises(ConfigError, match="band"):
-        prepare_dataset(raw, tmp_path / "out", tile=8, min_fg=0.9, max_fg=0.1)
+    for kwargs, match in (
+        (dict(min_fg=0.9, max_fg=0.1), "band"),
+        (dict(min_fg=0.5, max_fg=0.5), "band"),
+        (dict(min_fg=-0.1, max_fg=0.5), "band"),
+        (dict(tile=0), "tile size must be >= 1, got 0"),
+        (dict(tile=-8), "tile size must be >= 1, got -8"),
+        (dict(target=(0, 0)), "target size 0x0 must be at least 8"),
+        (dict(target=(12, 12)), "target size 12x12 .*divisible by 8"),
+        (dict(target=(16, 4)), "target size 16x4"),
+    ):
+        kwargs = dict(tile=8, target=(8, 8)) | kwargs
+        with pytest.raises(ConfigError, match=match):
+            prepare_dataset(raw, tmp_path / "out", **kwargs)
+        assert not (tmp_path / "out").exists(), kwargs
+
+
+def test_prepare_refuses_scenes_that_share_a_stem(tmp_path):
+    raw = _scene_layout(tmp_path)
+    write_layout_pair(raw, "train", "scene.ppm",
+                      imgio.read_rgb(raw / "train/images/scene.png"),
+                      imgio.read_gray(raw / "train/masks/scene.png"))
+    with pytest.raises(DataError, match=r"train/images/scene\.png and "
+                                        r"train/images/scene\.ppm share the name"):
+        prepare_dataset(raw, tmp_path / "out", tile=8, target=(8, 8))
+    assert not (tmp_path / "out").exists()
 
 
 def test_prepare_names_scene_in_tiling_errors(tmp_path):
