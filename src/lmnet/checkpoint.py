@@ -261,7 +261,7 @@ _KIND_MISMATCH = {
 }
 
 
-def _pop_meta(meta: dict, key: str, kind, path):
+def pop_meta(meta: dict, key: str, kind, path):
     """Remove `key` from a training checkpoint's metadata, parsed by `kind`."""
     if key not in meta:
         raise CheckpointError(f"{path}: training metadata is missing {key}")
@@ -292,11 +292,11 @@ def _load(path, want):
         variant, config, {k: v for k, v in tensors.items() if not k.startswith("adam.")}
     )
     adam = AdamState(
-        lr=_pop_meta(meta, "lr", float, path),
-        beta1=_pop_meta(meta, "beta1", float, path),
-        beta2=_pop_meta(meta, "beta2", float, path),
-        eps=_pop_meta(meta, "adam_eps", float, path),
-        t=_pop_meta(meta, "adam_t", int, path),
+        lr=pop_meta(meta, "lr", float, path),
+        beta1=pop_meta(meta, "beta1", float, path),
+        beta2=pop_meta(meta, "beta2", float, path),
+        eps=pop_meta(meta, "adam_eps", float, path),
+        t=pop_meta(meta, "adam_t", int, path),
     )
     for name in graph.params:
         for store, prefix in ((adam.m, "adam.m."), (adam.v, "adam.v.")):

@@ -17,6 +17,7 @@ generator writes deterministic layouts for tests and smoke runs.
 from __future__ import annotations
 
 import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -353,7 +354,9 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
     ends inclusive) is resized to `target` and written as an 8-bit PNG pair
     named `<scene stem>_r<row>c<col>.png`, any other is logged with its
     fraction to `rejects.tsv`. `index.tsv` and `rejects.tsv` are written at
-    the output root even when every tile is rejected.
+    the output root even when every tile is rejected. With `overwrite`, the
+    `<split>/images` and `<split>/masks` trees and the two TSVs of an earlier
+    run are removed first; other files in the output directory stay.
 
     Returns per-split counts: {split: {"kept": k, "rejected": r}}.
     """
@@ -380,8 +383,18 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
                 f"{first.image} and {rec.image} share the name {stem!r}, so their "
                 "tiles would overwrite each other; rename one"
             )
-    if out.exists() and any(out.iterdir()) and not overwrite:
-        raise ConfigError(f"{out} already has content; pass overwrite to replace it")
+    if out.exists() and any(out.iterdir()):
+        if not overwrite:
+            raise ConfigError(f"{out} already has content; pass overwrite to replace it")
+        if out.resolve() == inp.resolve():
+            raise ConfigError(f"{out} is the input directory; write the tiles elsewhere")
+        # a previous run's tiles that this run does not produce must not stay listed on disk
+        for split in SPLITS:
+            for sub in ("images", "masks"):
+                if (out / split / sub).exists():
+                    shutil.rmtree(out / split / sub)
+        for name in ("index.tsv", "rejects.tsv"):
+            (out / name).unlink(missing_ok=True)
 
     out.mkdir(parents=True, exist_ok=True)
     records = []

@@ -381,8 +381,13 @@ class ModelGraph:
         return grads
 
     def _kernels_backward(self, stage: Stage, rec: StageRecord, g: np.ndarray, grads: dict):
-        """d(stage activation) -> d(conv input), filling `grads` for the stage's kernels."""
+        """d(stage activation) -> d(conv input), filling `grads` for the stage's kernels.
+
+        The first stage reads the input batch, which has no gradient, so it
+        returns None there.
+        """
         act_backward = getattr(ops, f"{stage.act}_backward")
+        need_input = stage is not self.plan.stages[0]
         g_in = None
         start = 0
         for spec, (bncache, out) in zip(stage.convs, rec.kernels):
@@ -392,10 +397,13 @@ class ModelGraph:
                 gk, grads[f"{spec.name}.gamma"], grads[f"{spec.name}.beta"] = (
                     ops.batchnorm_backward(bncache, gk)
                 )
+            # need_input goes positionally: perfbench's tracer wraps conv2d_backward
+            # as call(x, params, *rest), which takes no keywords
             gx, grads[f"{spec.name}.w"], grads[f"{spec.name}.b"] = ops.conv2d_backward(
-                rec.conv_in, self._conv_params(spec), gk
+                rec.conv_in, self._conv_params(spec), gk, need_input
             )
-            g_in = gx if g_in is None else g_in + gx
+            if need_input:
+                g_in = gx if g_in is None else g_in + gx
         return g_in
 
 

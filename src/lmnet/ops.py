@@ -100,23 +100,31 @@ def _im2col(x: np.ndarray, k: int, d: int):
     return col, xp.shape
 
 
+def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
+    """Same-padded dilated convolution of x with `weights`, without bias."""
+    n, c, h, w = x.shape
+    c_out, _, k, _ = weights.shape
+    col, _ = _im2col(x, k, d)
+    out = np.matmul(weights.reshape(c_out, c * k * k), col)  # (n, c_out, h*w)
+    return out.reshape(n, c_out, h, w)
+
+
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """Dilated same-padding convolution; output spatial size equals input's."""
     _conv_check(x, params)
-    n, c, h, w = x.shape
-    k, d = params.kernel_size, params.dilation
-    col, _ = _im2col(x, k, d)
-    wmat = params.weights.reshape(params.out_channels, c * k * k)
-    out = np.matmul(wmat, col)  # (n, c_out, h*w)
-    out = out.reshape(n, params.out_channels, h, w)
+    out = _conv(x, params.weights, params.dilation)
     out += params.bias.reshape(1, -1, 1, 1)
     return out
 
 
-def conv2d_backward(x: Tensor, params: ConvParams, grad_out: Tensor):
+def conv2d_backward(x: Tensor, params: ConvParams, grad_out: Tensor, need_input: bool = True):
     """Adjoints of conv2d: (grad_input, grad_weights, grad_bias).
 
     Exact partial derivatives of sum(grad_out * conv2d(x, params)).
+    grad_input is None when need_input is false (a layer that reads the
+    network input). A narrowing conv (c_out < c_in) forms grad_input as the
+    same-padded conv of grad_out with the flipped, channel-transposed kernel
+    at the same dilation; an expanding one scatters its columns back.
     """
     _conv_check(x, params)
     n, c, h, w = x.shape
@@ -127,7 +135,6 @@ def conv2d_backward(x: Tensor, params: ConvParams, grad_out: Tensor):
             f"grad_out shape {grad_out.shape} does not match conv output {(n, c_out, h, w)}"
         )
     ckk = c * k * k
-    wmat = params.weights.reshape(c_out, ckk)
     go = grad_out.reshape(n, c_out, h * w)
 
     grad_bias = grad_out.sum(axis=(0, 2, 3))
@@ -138,9 +145,16 @@ def conv2d_backward(x: Tensor, params: ConvParams, grad_out: Tensor):
     for b in range(n):
         gw += go[b] @ col[b].T
     grad_weights = gw.reshape(params.weights.shape)
+    del col  # never alive together with the input gradient's transients
 
-    # input gradient: scatter the columns back through the padded array
-    gcol = np.matmul(wmat.T, go).reshape(n, c, k, k, h, w)
+    if not need_input:
+        return None, grad_weights, grad_bias
+    if c_out < c:
+        flipped = params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return _conv(grad_out, flipped, d), grad_weights, grad_bias
+
+    # scatter the columns back through the padded array
+    gcol = np.matmul(params.weights.reshape(c_out, ckk).T, go).reshape(n, c, k, k, h, w)
     gxp = np.zeros(padded_shape, dtype=x.dtype)
     for u in range(k):
         for v in range(k):
@@ -155,20 +169,25 @@ def maxpool2(x: Tensor):
 
     argmax holds, for every pooled element, the flat row-major index (y*w + x)
     of the winning input position within its (n, c) plane. Ties go to the
-    first occurrence in row-major window order.
+    first occurrence in row-major window order. A window holding a NaN
+    pools to NaN, and its argmax is the first NaN in that order (as
+    np.argmax picks it).
     """
     _require_4d("maxpool2 input", x)
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got h={h}, w={w}")
-    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(n, c, h // 2, w // 2, 4)
-    local = win.argmax(axis=-1)  # first max in row-major window order
-    out = np.take_along_axis(win, local[..., None], axis=-1)[..., 0]
-    ys = 2 * np.arange(h // 2).reshape(1, 1, -1, 1) + local // 2
-    xs = 2 * np.arange(w // 2).reshape(1, 1, 1, -1) + local % 2
-    argmax = ys * w + xs
-    return out, argmax
+    tl, tr = x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]
+    bl, br = x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
+    out = np.maximum(np.maximum(tl, tr), np.maximum(bl, br))  # NaN wins
+    hit_tl, hit_tr, hit_bl = tl == out, tr == out, bl == out
+    if np.isnan(out).any():
+        hit_tl |= np.isnan(tl)
+        hit_tr |= np.isnan(tr)
+        hit_bl |= np.isnan(bl)
+    corner = 2 * w * np.arange(h // 2).reshape(-1, 1) + 2 * np.arange(w // 2)
+    offset = np.where(hit_tl, 0, np.where(hit_tr, 1, np.where(hit_bl, w, w + 1)))
+    return out, corner + offset
 
 
 def maxpool2_backward(grad_out: Tensor, argmax: np.ndarray, input_shape) -> Tensor:
@@ -193,11 +212,13 @@ def upsample_nearest2(x: Tensor) -> Tensor:
 
 
 def upsample_nearest2_backward(grad_out: Tensor) -> Tensor:
-    """Adjoint of upsample_nearest2: sum each 2x2 block."""
-    n, c, h2, w2 = grad_out.shape
+    """Adjoint of upsample_nearest2: sum each 2x2 block, as (top-left +
+    top-right) + (bottom-left + bottom-right)."""
+    _, _, h2, w2 = grad_out.shape
     if h2 % 2 or w2 % 2:
         raise ShapeError(f"upsample adjoint needs even dims, got {grad_out.shape}")
-    return grad_out.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
+    g = grad_out
+    return (g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2]) + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2])
 
 
 @dataclass

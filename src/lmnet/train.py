@@ -32,6 +32,7 @@ import numpy as np
 from .checkpoint import (
     config_text,
     load_training_checkpoint,
+    pop_meta,
     render_value,
     save_checkpoint,
     save_training_checkpoint,
@@ -222,9 +223,9 @@ def train(cfg: TrainConfig):
                 "change the flags or start a fresh run directory"
             )
         _check_resume_settings(cfg, adam, meta, last_path)
-        start_epoch = int(meta["epochs_done"])
-        step = int(meta["step"])
-        best = float(meta["best_val_loss"])
+        start_epoch = pop_meta(meta, "epochs_done", int, last_path)
+        step = pop_meta(meta, "step", int, last_path)
+        best = pop_meta(meta, "best_val_loss", float, last_path)
         adam.lr = cfg.lr
     else:
         graph = build_model(cfg.variant, cfg.graph, dtype=np.float32)

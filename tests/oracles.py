@@ -8,6 +8,8 @@ inputs make convolution sums order-independent).
 
 import numpy as np
 
+from lmnet.ops import _im2col
+
 
 def conv2d_naive(x, weights, bias, dilation=1):
     """Same-padding dilated convolution by direct summation."""
@@ -54,6 +56,52 @@ def maxpool2_naive(x):
                     out[b, cc, i, j] = best
                     arg[b, cc, i, j] = best_idx
     return out, arg
+
+
+def conv2d_backward_scatter(x, params, grad_out, need_input=True):
+    """conv2d's adjoints with the input gradient scattered back column by
+    column through the padded array, for every conv shape. need_input is
+    accepted so this can stand in for ops.conv2d_backward; the input
+    gradient is always formed."""
+    n, c, h, w = x.shape
+    k, d = params.kernel_size, params.dilation
+    c_out = params.out_channels
+    ckk = c * k * k
+    wmat = params.weights.reshape(c_out, ckk)
+    go = grad_out.reshape(n, c_out, h * w)
+    grad_bias = grad_out.sum(axis=(0, 2, 3))
+    col, padded_shape = _im2col(x, k, d)
+    gw = np.zeros((c_out, ckk), dtype=x.dtype)
+    for b in range(n):
+        gw += go[b] @ col[b].T
+    gcol = np.matmul(wmat.T, go).reshape(n, c, k, k, h, w)
+    gxp = np.zeros(padded_shape, dtype=x.dtype)
+    for u in range(k):
+        for v in range(k):
+            gxp[:, :, u * d : u * d + h, v * d : v * d + w] += gcol[:, :, u, v]
+    p = d * (k - 1) // 2
+    grad_input = gxp[:, :, p : p + h, p : p + w].copy()
+    return grad_input, gw.reshape(params.weights.shape), grad_bias
+
+
+def maxpool2_argmax(x):
+    """maxpool2 by one window axis and np.argmax: the first maximum (or the
+    first NaN) in row-major window order, as a flat index into the plane."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    win = win.reshape(n, c, h // 2, w // 2, 4)
+    local = win.argmax(axis=-1)
+    out = np.take_along_axis(win, local[..., None], axis=-1)[..., 0]
+    ys = 2 * np.arange(h // 2).reshape(1, 1, -1, 1) + local // 2
+    xs = 2 * np.arange(w // 2).reshape(1, 1, 1, -1) + local % 2
+    return out, ys * w + xs
+
+
+def upsample2_backward_blocks(grad_out):
+    """Adjoint of the nearest 2x upsample as one reshape and a sum over the
+    two block axes."""
+    n, c, h2, w2 = grad_out.shape
+    return grad_out.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
 
 
 def upsample2_naive(x):

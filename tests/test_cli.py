@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from lmnet import imgio
-from lmnet.checkpoint import TRAIN_MAGIC, _serialize, save_checkpoint, save_training_checkpoint
+from lmnet.checkpoint import (
+    TRAIN_MAGIC,
+    _serialize,
+    load_training_checkpoint,
+    save_checkpoint,
+    save_training_checkpoint,
+)
 from lmnet.cli import _resolve, main
 from lmnet.model import GraphConfig, Variant, build_model, init_parameters
 from lmnet.optim import adam_init
@@ -363,6 +369,28 @@ def test_resume_from_incomplete_checkpoint_metadata_exits_2(
     assert err.count("error:") == 1
     assert str(last) in err and "is missing" in err and missing in err
     assert [p.name for p in last.parent.iterdir()] == ["last.ckpt"]  # no CSVs
+
+
+@pytest.mark.parametrize("key", ["epochs_done", "step", "best_val_loss"])
+def test_resume_from_unparseable_checkpoint_metadata_exits_2(
+        key, trained_run, tiny_dataset, capsys):
+    run, _ = trained_run
+    last = run / "last.ckpt"
+    graph, adam, meta = load_training_checkpoint(last)
+    meta[key] = "x"
+    save_training_checkpoint(graph, adam, meta, last)
+    for name in ("history_train.csv", "history_val.csv"):
+        (run / name).unlink()
+    code, _, err = run_cli(
+        capsys, "train", "--index", str(tiny_dataset.root / "index.tsv"),
+        "--out", str(run), "--variant", "proposed", "--epochs", "2",
+        "--batch", "4", "--micro-batch", "2", "--channels", TINY_CHANNELS,
+        "--resume", "--quiet",
+    )
+    assert code == 2
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert str(last) in err and f"unparseable {key}=x" in err
+    assert not list(run.glob("*.csv"))
 
 
 def echoed_config(out):

@@ -131,6 +131,9 @@ def test_filter_matches_brute_force(tmp_path, rng):
     # random 6x6 masks with every pixel doubled: 12x12 tiles, same fractions
     masks = [np.kron(random_pair(rng, 6, 6).mask[0, 0], np.ones((2, 2), np.float32))
              for _ in range(40)]
+    # the random fractions all fall inside the band; these four fall outside:
+    # empty, full, and one pixel past each end (0.3 * 144 = 43.2, 0.7 * 144 = 100.8)
+    masks += [_mask_with_fraction(k, side=12) for k in (0, 144, 43, 101)]
     kept, rejected = _prepare_row(tmp_path, masks, 0.3, 0.7)
     for i, mask in enumerate(masks):
         frac = fg_fraction_naive(mask)
@@ -138,7 +141,8 @@ def test_filter_matches_brute_force(tmp_path, rng):
         in_band = 0.3 <= frac <= 0.7
         assert (name in kept) == in_band, f"tile {i} frac {frac}"
         assert rejected.get(name) == (None if in_band else frac), f"tile {i}"
-    assert len(kept) + len(rejected) == 40
+    assert len(kept) + len(rejected) == 44
+    assert len(rejected) >= 4
 
 
 def test_prepare_with_every_tile_rejected_still_writes_both_files(tmp_path):
@@ -429,6 +433,31 @@ def test_prepare_refuses_nonempty_output_without_overwrite(tmp_path):
         prepare_dataset(raw, out, tile=8, target=(8, 8))
     summary = prepare_dataset(raw, out, tile=8, target=(8, 8), overwrite=True)
     assert summary["train"]["kept"] == 7
+
+
+def test_overwrite_leaves_exactly_the_indexed_tiles(tmp_path):
+    raw = tmp_path / "raw"
+    mask = np.zeros((16, 16), np.float32)
+    mask[:, :8] = 1.0
+    write_layout_pair(raw, "train", "s.png", np.zeros((3, 16, 16), np.float32), mask)
+    out = tmp_path / "prepared"
+    prepare_dataset(raw, out, tile=8, target=(8, 8), min_fg=0.0, max_fg=1.0)
+    (out / "notes.txt").write_text("kept\n")
+    prepare_dataset(raw, out, tile=16, target=(8, 8), min_fg=0.0, max_fg=1.0,
+                    overwrite=True)
+    records = load_index(out / "index.tsv").records
+    assert [r.image for r in records] == ["train/images/s_r0c0.png"]
+    on_disk = sorted(p.relative_to(out).as_posix() for p in out.glob("*/*/*"))
+    assert on_disk == sorted(p for r in records for p in (r.image, r.mask))
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
+def test_prepare_refuses_to_overwrite_its_input(tmp_path):
+    raw = _scene_layout(tmp_path)
+    before = sorted(raw.rglob("*"))
+    with pytest.raises(ConfigError, match="input directory"):
+        prepare_dataset(raw, raw, tile=8, target=(8, 8), overwrite=True)
+    assert sorted(raw.rglob("*")) == before
 
 
 def test_prepare_input_validation(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from lmnet import ops
 from lmnet.errors import ConfigError, ShapeError
 from lmnet.model import (
     GraphConfig,
@@ -15,8 +16,10 @@ from lmnet.model import (
     parse_variant,
     replace_input_size,
 )
+from lmnet.seeding import derive_rng
 
 from conftest import TINY_GRAPH
+from oracles import conv2d_backward_scatter
 
 SKIP_WIRING = ((5, 3), (6, 2), (7, 1))  # (decoder layer, encoder activation) pairs
 
@@ -239,6 +242,25 @@ def test_backward_validation():
     _, cache = graph.forward(x, "train", rng=np.random.default_rng(0))
     with pytest.raises(ShapeError, match="does not match prediction"):
         graph.backward(cache, np.ones((2, 1, 8, 8), np.float32))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_backward_matches_the_scatter_oracle_adjoints(variant, monkeypatch):
+    graph = built(variant).astype(np.float64)
+    x = np.random.default_rng(3).random((2, 3, 16, 16))
+    pred, cache = graph.forward(x, "train", rng=derive_rng(7, 1))
+    grad_pred = np.random.default_rng(4).standard_normal(pred.shape)
+    got = graph.backward(cache, grad_pred)
+    monkeypatch.setattr(ops, "conv2d_backward", conv2d_backward_scatter)
+    want = graph.backward(cache, grad_pred)
+    assert got.keys() == want.keys() == graph.params.keys()
+    for name in got:
+        # a conv bias ahead of batchnorm has an exactly zero gradient, so its
+        # rounding noise is measured against the scale of its layer's weights
+        layer = name.rsplit(".", 1)[0]
+        ref = f"{layer}.w" if name.endswith(".b") and f"{layer}.gamma" in want else name
+        scale = np.max(np.abs(want[ref]))
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
 
 
 def test_single_unit_channel_sequence_still_runs():

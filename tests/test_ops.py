@@ -1,7 +1,11 @@
-"""Forward kernels against frozen examples and brute-force oracles.
+"""Kernels against frozen examples and brute-force oracles.
 
-Oracle comparisons use integer-valued float64 inputs so convolution sums
-are exact in either summation order and equality can be asserted bitwise.
+Forward oracle comparisons use integer-valued float64 inputs so convolution
+sums are exact in either summation order and equality can be asserted
+bitwise. The rewritten adjoints are compared with the formulas they
+replaced, kept in oracles.py: bit for bit where the arithmetic is the same,
+within 1e-12 relative in float64 where the conv input gradient sums in
+another order.
 """
 
 import numpy as np
@@ -10,8 +14,19 @@ import pytest
 
 from lmnet import ops
 from lmnet.errors import ShapeError
+from lmnet.model import GraphConfig, Variant, layer_plan
 
-from oracles import conv2d_naive, maxpool2_naive, upsample2_naive
+from oracles import (
+    conv2d_backward_scatter,
+    conv2d_naive,
+    maxpool2_argmax,
+    maxpool2_naive,
+    upsample2_backward_blocks,
+    upsample2_naive,
+)
+
+PLANS = [layer_plan(v, GraphConfig()) for v in Variant]
+
 
 def int_valued(rng, shape, lo=-4, hi=5):
     return rng.integers(lo, hi, size=shape).astype(np.float64)
@@ -100,7 +115,112 @@ def test_conv_validation():
         ops.ConvParams(np.zeros((3, 2, 3, 3)), np.zeros(3), 0)  # dilation
 
 
+def _narrowing_conv_shapes():
+    """(c_in, c_out, k, dilation) of every plan conv with c_out < c_in, plus
+    1x1 kernels and dilated narrowing kernels the plans do not have."""
+    shapes = {(s.in_channels, s.out_channels, s.kernel, s.dilation)
+              for plan in PLANS for s in plan.all_convs
+              if s.out_channels < s.in_channels}
+    assert {(322, 89, 3, 1), (102, 13, 3, 1), (28, 5, 3, 1), (15, 13, 3, 1),
+            (5, 1, 1, 1)} <= shapes
+    return sorted(shapes | {(7, 3, 1, 1), (4, 2, 3, 2), (6, 5, 3, 5), (3, 1, 5, 3)})
+
+
+@pytest.mark.parametrize("c_in,c_out,k,d", _narrowing_conv_shapes())
+def test_narrowing_conv_backward_matches_the_scatter_oracle(c_in, c_out, k, d):
+    rng = np.random.default_rng(c_in * 1000 + c_out * 10 + d)
+    for h, w in ((7, 11), (12, 5)):
+        x = rng.standard_normal((2, c_in, h, w))
+        params = ops.ConvParams(rng.standard_normal((c_out, c_in, k, k)),
+                                rng.standard_normal(c_out), d)
+        grad_out = rng.standard_normal((2, c_out, h, w))
+        gx, gw, gb = ops.conv2d_backward(x, params, grad_out)
+        want_gx, want_gw, want_gb = conv2d_backward_scatter(x, params, grad_out)
+        assert np.max(np.abs(gx - want_gx)) <= 1e-12 * np.max(np.abs(want_gx))
+        npt.assert_array_equal(gw, want_gw)
+        npt.assert_array_equal(gb, want_gb)
+
+
+def test_expanding_conv_backward_is_the_scatter_oracle():
+    rng = np.random.default_rng(12)
+    for c_in, c_out, k, d in ((3, 5, 3, 5), (89, 233, 3, 1), (5, 5, 1, 1)):
+        x = rng.standard_normal((2, c_in, 6, 9)).astype(np.float32)
+        params = ops.ConvParams(rng.standard_normal((c_out, c_in, k, k)).astype(np.float32),
+                                np.zeros(c_out, np.float32), d)
+        grad_out = rng.standard_normal((2, c_out, 6, 9)).astype(np.float32)
+        for got, want in zip(ops.conv2d_backward(x, params, grad_out),
+                             conv2d_backward_scatter(x, params, grad_out)):
+            npt.assert_array_equal(got, want)
+
+
+def test_conv_backward_without_input_gradient():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((2, 3, 5, 5))
+    params = ops.ConvParams(rng.standard_normal((5, 3, 3, 3)), np.zeros(5), 2)
+    grad_out = rng.standard_normal((2, 5, 5, 5))
+    gx, gw, gb = ops.conv2d_backward(x, params, grad_out, False)
+    assert gx is None
+    _, want_gw, want_gb = ops.conv2d_backward(x, params, grad_out)
+    npt.assert_array_equal(gw, want_gw)
+    npt.assert_array_equal(gb, want_gb)
+
+
 # -- pooling / upsampling ---------------------------------------------------
+
+def _plan_resampling_shapes(n, size):
+    """Input shapes of every plan pool and upsample adjoint, at (n, size)."""
+    pools, upsamples = set(), set()
+    for plan in PLANS:
+        side, width = size, None
+        for stage in plan.stages:
+            if stage.pre == "pool":
+                pools.add((n, width, side, side))
+                side //= 2
+            elif stage.pre == "upsample":
+                side *= 2
+                upsamples.add((n, width, side, side))
+            width = sum(s.out_channels for s in stage.convs)
+    return sorted(pools), sorted(upsamples)
+
+
+def _bits(a):
+    return a.view(np.uint32)
+
+
+@pytest.mark.parametrize("n,size", [(10, 192), (1, 768)])
+def test_pool_and_upsample_adjoint_are_bit_identical_to_their_oracles(n, size):
+    rng = np.random.default_rng(size)
+    pools, upsamples = _plan_resampling_shapes(n, size)
+    assert len(pools) == 4 and len(upsamples) == 3
+    for shape in pools:
+        # relu-like levels: many tied windows, most of them at zero
+        x = np.maximum(rng.integers(-6, 7, shape), 0).astype(np.float32)
+        x[:, :, 0::2] += rng.standard_normal(x[:, :, 0::2].shape).astype(np.float32)
+        out, arg = ops.maxpool2(x)
+        want_out, want_arg = maxpool2_argmax(x)
+        npt.assert_array_equal(_bits(out), _bits(want_out), err_msg=str(shape))
+        npt.assert_array_equal(arg, want_arg, err_msg=str(shape))
+    for shape in upsamples:
+        g = rng.standard_normal(shape).astype(np.float32)
+        npt.assert_array_equal(_bits(ops.upsample_nearest2_backward(g)),
+                               _bits(upsample2_backward_blocks(g)), err_msg=str(shape))
+
+
+@pytest.mark.parametrize("pos", range(4))
+def test_maxpool_nan_pools_to_nan_at_the_first_nan(pos):
+    x = np.array([[1.0, 2.0, 9.0, 0.0], [3.0, 4.0, 8.0, 7.0]]).reshape(1, 1, 2, 4)
+    window = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    y, xx = window[pos]
+    x[0, 0, y, xx] = np.nan
+    x[0, 0, 1, 3] = np.nan  # the second window's last entry
+    if pos < 3:
+        x[0, 0, 1, 1] = np.nan  # a later NaN in the same window loses
+    out, arg = ops.maxpool2(x)
+    assert np.isnan(out[0, 0, 0, 0]) and np.isnan(out[0, 0, 0, 1])
+    assert arg[0, 0, 0, 0] == y * 4 + xx
+    assert arg[0, 0, 0, 1] == 7
+    npt.assert_array_equal(arg, maxpool2_argmax(x)[1])
+
 
 def test_maxpool_frozen_example():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
