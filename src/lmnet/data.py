@@ -356,7 +356,8 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
     fraction to `rejects.tsv`. `index.tsv` and `rejects.tsv` are written at
     the output root even when every tile is rejected. With `overwrite`, the
     `<split>/images` and `<split>/masks` trees and the two TSVs of an earlier
-    run are removed first; other files in the output directory stay.
+    run are removed first; other files in the output directory stay, and an
+    input scene lying under one of those trees is refused.
 
     Returns per-split counts: {split: {"kept": k, "rejected": r}}.
     """
@@ -386,13 +387,19 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
     if out.exists() and any(out.iterdir()):
         if not overwrite:
             raise ConfigError(f"{out} already has content; pass overwrite to replace it")
-        if out.resolve() == inp.resolve():
-            raise ConfigError(f"{out} is the input directory; write the tiles elsewhere")
         # a previous run's tiles that this run does not produce must not stay listed on disk
-        for split in SPLITS:
-            for sub in ("images", "masks"):
-                if (out / split / sub).exists():
-                    shutil.rmtree(out / split / sub)
+        doomed = [out / split / sub for split in SPLITS for sub in ("images", "masks")]
+        for rec in raw.records:
+            for scene in (raw.image_path(rec), raw.mask_path(rec)):
+                for tree in doomed:
+                    if scene.resolve().is_relative_to(tree.resolve()):
+                        raise ConfigError(
+                            f"input {scene} lies under {tree}, which overwrite would "
+                            "remove; write the tiles elsewhere"
+                        )
+        for tree in doomed:
+            if tree.exists():
+                shutil.rmtree(tree)
         for name in ("index.tsv", "rejects.tsv"):
             (out / name).unlink(missing_ok=True)
 

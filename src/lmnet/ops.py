@@ -79,7 +79,7 @@ def _conv_check(x: np.ndarray, params: ConvParams) -> None:
 
 
 def _im2col(x: np.ndarray, k: int, d: int):
-    """Return (col, padded_shape): col has shape (n, c*k*k, h*w).
+    """Return the column matrix of x, of shape (n, c*k*k, h*w).
 
     col[b, (i*k + u)*k + v, y*w + x] = padded[b, i, y + d*u, x + d*v] where
     the padding margin is d*(k-1)//2 on each side, so a matmul against the
@@ -96,15 +96,14 @@ def _im2col(x: np.ndarray, k: int, d: int):
         writeable=False,
     )
     # reshape copies (the view is not contiguous), materialising the column matrix
-    col = windows.reshape(n, c * k * k, h * w)
-    return col, xp.shape
+    return windows.reshape(n, c * k * k, h * w)
 
 
 def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
     """Same-padded dilated convolution of x with `weights`, without bias."""
     n, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
-    col, _ = _im2col(x, k, d)
+    col = _im2col(x, k, d)
     out = np.matmul(weights.reshape(c_out, c * k * k), col)  # (n, c_out, h*w)
     return out.reshape(n, c_out, h, w)
 
@@ -121,10 +120,9 @@ def conv2d_backward(x: Tensor, params: ConvParams, grad_out: Tensor, need_input:
     """Adjoints of conv2d: (grad_input, grad_weights, grad_bias).
 
     Exact partial derivatives of sum(grad_out * conv2d(x, params)).
-    grad_input is None when need_input is false (a layer that reads the
-    network input). A narrowing conv (c_out < c_in) forms grad_input as the
-    same-padded conv of grad_out with the flipped, channel-transposed kernel
-    at the same dilation; an expanding one scatters its columns back.
+    grad_input is the same-padded conv of grad_out with the flipped,
+    channel-transposed kernel at the same dilation; it is None when
+    need_input is false (a layer that reads the network input).
     """
     _conv_check(x, params)
     n, c, h, w = x.shape
@@ -134,34 +132,22 @@ def conv2d_backward(x: Tensor, params: ConvParams, grad_out: Tensor, need_input:
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match conv output {(n, c_out, h, w)}"
         )
-    ckk = c * k * k
     go = grad_out.reshape(n, c_out, h * w)
 
     grad_bias = grad_out.sum(axis=(0, 2, 3))
 
     # weight gradient: accumulate per batch element to keep transients small
-    col, padded_shape = _im2col(x, k, d)
-    gw = np.zeros((c_out, ckk), dtype=x.dtype)
+    col = _im2col(x, k, d)
+    gw = np.zeros((c_out, c * k * k), dtype=x.dtype)
     for b in range(n):
         gw += go[b] @ col[b].T
     grad_weights = gw.reshape(params.weights.shape)
-    del col  # never alive together with the input gradient's transients
+    del col  # never alive together with the input gradient's columns
 
     if not need_input:
         return None, grad_weights, grad_bias
-    if c_out < c:
-        flipped = params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return _conv(grad_out, flipped, d), grad_weights, grad_bias
-
-    # scatter the columns back through the padded array
-    gcol = np.matmul(params.weights.reshape(c_out, ckk).T, go).reshape(n, c, k, k, h, w)
-    gxp = np.zeros(padded_shape, dtype=x.dtype)
-    for u in range(k):
-        for v in range(k):
-            gxp[:, :, u * d : u * d + h, v * d : v * d + w] += gcol[:, :, u, v]
-    p = d * (k - 1) // 2
-    grad_input = gxp[:, :, p : p + h, p : p + w].copy()
-    return grad_input, grad_weights, grad_bias
+    flipped = params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return _conv(grad_out, flipped, d), grad_weights, grad_bias
 
 
 def maxpool2(x: Tensor):

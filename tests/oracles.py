@@ -8,8 +8,6 @@ inputs make convolution sums order-independent).
 
 import numpy as np
 
-from lmnet.ops import _im2col
-
 
 def conv2d_naive(x, weights, bias, dilation=1):
     """Same-padding dilated convolution by direct summation."""
@@ -59,29 +57,24 @@ def maxpool2_naive(x):
 
 
 def conv2d_backward_scatter(x, params, grad_out, need_input=True):
-    """conv2d's adjoints with the input gradient scattered back column by
-    column through the padded array, for every conv shape. need_input is
-    accepted so this can stand in for ops.conv2d_backward; the input
-    gradient is always formed."""
+    """conv2d's adjoints tap by tap over the zero-padded input: each kernel
+    tap (u, v) sees the input window shifted by (u*d, v*d), so its weight
+    gradient pairs grad_out with that window and its share of the input
+    gradient is scattered back onto it. need_input is accepted so this can
+    stand in for ops.conv2d_backward; the input gradient is always formed."""
     n, c, h, w = x.shape
     k, d = params.kernel_size, params.dilation
-    c_out = params.out_channels
-    ckk = c * k * k
-    wmat = params.weights.reshape(c_out, ckk)
-    go = grad_out.reshape(n, c_out, h * w)
-    grad_bias = grad_out.sum(axis=(0, 2, 3))
-    col, padded_shape = _im2col(x, k, d)
-    gw = np.zeros((c_out, ckk), dtype=x.dtype)
-    for b in range(n):
-        gw += go[b] @ col[b].T
-    gcol = np.matmul(wmat.T, go).reshape(n, c, k, k, h, w)
-    gxp = np.zeros(padded_shape, dtype=x.dtype)
+    p = d * (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(params.weights)
     for u in range(k):
         for v in range(k):
-            gxp[:, :, u * d : u * d + h, v * d : v * d + w] += gcol[:, :, u, v]
-    p = d * (k - 1) // 2
+            window = (slice(None), slice(None), slice(u * d, u * d + h), slice(v * d, v * d + w))
+            gw[:, :, u, v] = np.einsum("noyx,ncyx->oc", grad_out, xp[window])
+            gxp[window] += np.einsum("oc,noyx->ncyx", params.weights[:, :, u, v], grad_out)
     grad_input = gxp[:, :, p : p + h, p : p + w].copy()
-    return grad_input, gw.reshape(params.weights.shape), grad_bias
+    return grad_input, gw, grad_out.sum(axis=(0, 2, 3))
 
 
 def maxpool2_argmax(x):

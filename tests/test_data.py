@@ -1,6 +1,7 @@
 """Dataset pipeline: tiling, filtering, resizing, indexes, batching,
 synthetic fixtures, and the end-to-end preparation run."""
 
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -455,9 +456,18 @@ def test_overwrite_leaves_exactly_the_indexed_tiles(tmp_path):
 def test_prepare_refuses_to_overwrite_its_input(tmp_path):
     raw = _scene_layout(tmp_path)
     before = sorted(raw.rglob("*"))
-    with pytest.raises(ConfigError, match="input directory"):
+    with pytest.raises(ConfigError, match="which overwrite would remove"):
         prepare_dataset(raw, raw, tile=8, target=(8, 8), overwrite=True)
     assert sorted(raw.rglob("*")) == before
+    # an input nested inside a tree that overwrite removes: out/train/images
+    # holds the raw layout, so its scenes sit under out/train/images/train/images
+    out = tmp_path / "out"
+    nested = out / "train" / "images"
+    shutil.copytree(raw, nested)
+    before = sorted(out.rglob("*"))
+    with pytest.raises(ConfigError, match="which overwrite would remove"):
+        prepare_dataset(nested, out, tile=8, target=(8, 8), overwrite=True)
+    assert sorted(out.rglob("*")) == before
 
 
 def test_prepare_input_validation(tmp_path):

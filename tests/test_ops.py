@@ -3,9 +3,8 @@
 Forward oracle comparisons use integer-valued float64 inputs so convolution
 sums are exact in either summation order and equality can be asserted
 bitwise. The rewritten adjoints are compared with the formulas they
-replaced, kept in oracles.py: bit for bit where the arithmetic is the same,
-within 1e-12 relative in float64 where the conv input gradient sums in
-another order.
+replaced, kept in oracles.py, bit for bit; the conv adjoints are compared
+with a tap-by-tap scatter oracle within 1e-12 relative in float64.
 """
 
 import numpy as np
@@ -115,42 +114,29 @@ def test_conv_validation():
         ops.ConvParams(np.zeros((3, 2, 3, 3)), np.zeros(3), 0)  # dilation
 
 
-def _narrowing_conv_shapes():
-    """(c_in, c_out, k, dilation) of every plan conv with c_out < c_in, plus
-    1x1 kernels and dilated narrowing kernels the plans do not have."""
+def _conv_shapes():
+    """(c_in, c_out, k, dilation) of every plan conv, plus 1x1 kernels and
+    dilated narrowing kernels the plans do not have."""
     shapes = {(s.in_channels, s.out_channels, s.kernel, s.dilation)
-              for plan in PLANS for s in plan.all_convs
-              if s.out_channels < s.in_channels}
+              for plan in PLANS for s in plan.all_convs}
     assert {(322, 89, 3, 1), (102, 13, 3, 1), (28, 5, 3, 1), (15, 13, 3, 1),
-            (5, 1, 1, 1)} <= shapes
-    return sorted(shapes | {(7, 3, 1, 1), (4, 2, 3, 2), (6, 5, 3, 5), (3, 1, 5, 3)})
+            (5, 1, 1, 1), (89, 233, 3, 1)} <= shapes
+    return sorted(shapes | {(7, 3, 1, 1), (5, 5, 1, 1), (4, 2, 3, 2), (6, 5, 3, 5),
+                            (3, 1, 5, 3)})
 
 
-@pytest.mark.parametrize("c_in,c_out,k,d", _narrowing_conv_shapes())
-def test_narrowing_conv_backward_matches_the_scatter_oracle(c_in, c_out, k, d):
+@pytest.mark.parametrize("c_in,c_out,k,d", _conv_shapes())
+def test_conv_backward_matches_the_scatter_oracle(c_in, c_out, k, d):
     rng = np.random.default_rng(c_in * 1000 + c_out * 10 + d)
     for h, w in ((7, 11), (12, 5)):
         x = rng.standard_normal((2, c_in, h, w))
         params = ops.ConvParams(rng.standard_normal((c_out, c_in, k, k)),
                                 rng.standard_normal(c_out), d)
         grad_out = rng.standard_normal((2, c_out, h, w))
-        gx, gw, gb = ops.conv2d_backward(x, params, grad_out)
-        want_gx, want_gw, want_gb = conv2d_backward_scatter(x, params, grad_out)
-        assert np.max(np.abs(gx - want_gx)) <= 1e-12 * np.max(np.abs(want_gx))
-        npt.assert_array_equal(gw, want_gw)
-        npt.assert_array_equal(gb, want_gb)
-
-
-def test_expanding_conv_backward_is_the_scatter_oracle():
-    rng = np.random.default_rng(12)
-    for c_in, c_out, k, d in ((3, 5, 3, 5), (89, 233, 3, 1), (5, 5, 1, 1)):
-        x = rng.standard_normal((2, c_in, 6, 9)).astype(np.float32)
-        params = ops.ConvParams(rng.standard_normal((c_out, c_in, k, k)).astype(np.float32),
-                                np.zeros(c_out, np.float32), d)
-        grad_out = rng.standard_normal((2, c_out, 6, 9)).astype(np.float32)
         for got, want in zip(ops.conv2d_backward(x, params, grad_out),
                              conv2d_backward_scatter(x, params, grad_out)):
-            npt.assert_array_equal(got, want)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_conv_backward_without_input_gradient():
