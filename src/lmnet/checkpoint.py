@@ -14,21 +14,23 @@ Layout (all integers little-endian):
                u16 name length + UTF-8 name, u8 dtype code (0=f32, 1=f64),
                u8 rank, u32 per dim, u64 payload bytes, raw little-endian data
 
-Text blocks are canonical: one key=value per line, keys sorted
-lexicographically, floats rendered with 9 significant digits. Tensors are
-written sorted by name. The result is byte-reproducible: save, load, save
-produces identical files.
+Text blocks are canonical `kvtext` blocks: one key=value per line, keys
+sorted lexicographically, floats rendered by `repr` so that they read back
+exactly. Tensors are written sorted by name. The result is byte-reproducible:
+save, load, save produces identical files.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import os
 import struct
 
 import numpy as np
 
+from . import kvtext
 from .errors import CheckpointError
 from .model import GraphConfig, ModelGraph, Variant, build_model, parse_variant
 from .optim import AdamState
@@ -39,48 +41,28 @@ VERSION = 1
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-
-
-def render_value(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return f"{v:.9g}"
-    return str(v)
-
-
-def render_kv_text(pairs: dict) -> str:
-    return "".join(f"{k}={render_value(pairs[k])}\n" for k in sorted(pairs))
+_FIELDS = dataclasses.fields(GraphConfig)
 
 
 def config_text(variant: Variant, config: GraphConfig) -> str:
     """Canonical textual form of a graph configuration plus its variant."""
-    h, w = config.input_size
-    pairs = {
-        "variant": variant.value,
-        "input_size": f"{int(h)},{int(w)}",
-        "input_channels": int(config.input_channels),
-        "channel_sequence": ",".join(str(int(c)) for c in config.channel_sequence),
-        "dilation_rates": ",".join(str(int(d)) for d in config.dilation_rates),
-        "dropout_schedule": ",".join(
-            f"{int(i)}:{render_value(float(r))}" for i, r in config.dropout_schedule
-        ),
-        "loss": config.loss,
-        "bn_momentum": float(config.bn_momentum),
-        "bn_epsilon": float(config.bn_epsilon),
-        "seed": int(config.seed),
-    }
-    return render_kv_text(pairs)
+    # each value as it reads back, so that parsing and rendering again gives
+    # the same text whatever the types held (an int rate, a numpy scalar)
+    pairs = {f.name: _decode(f, kvtext.render(getattr(config, f.name))) for f in _FIELDS}
+    return kvtext.write({"variant": variant.value, **pairs})
+
+
+def _decode(f, text: str):
+    if f.name == "dropout_schedule":
+        return tuple((int(i), float(r)) for i, _, r in
+                     (p.partition(":") for p in text.split(",") if p))
+    return kvtext.ints(text) if isinstance(f.default, tuple) else type(f.default)(text)
 
 
 def parse_config_text(text: str):
     """Inverse of config_text; returns (variant, GraphConfig)."""
     pairs = parse_kv_text(text)
-    required = {
-        "variant", "input_size", "input_channels", "channel_sequence",
-        "dilation_rates", "dropout_schedule", "loss", "bn_momentum",
-        "bn_epsilon", "seed",
-    }
+    required = {f.name for f in _FIELDS} | {"variant"}
     missing = required - set(pairs)
     if missing:
         raise CheckpointError(f"config text missing keys: {sorted(missing)}")
@@ -89,40 +71,18 @@ def parse_config_text(text: str):
         raise CheckpointError(f"config text has unknown keys: {sorted(unknown)}")
     try:
         variant = parse_variant(pairs["variant"])
-        size = tuple(int(s) for s in pairs["input_size"].split(","))
-        sched = tuple(
-            (int(p.split(":")[0]), float(p.split(":")[1]))
-            for p in pairs["dropout_schedule"].split(",") if p
-        )
-        config = GraphConfig(
-            input_size=size,
-            input_channels=int(pairs["input_channels"]),
-            channel_sequence=tuple(int(c) for c in pairs["channel_sequence"].split(",")),
-            dilation_rates=tuple(
-                int(d) for d in pairs["dilation_rates"].split(",") if d
-            ),
-            dropout_schedule=sched,
-            loss=pairs["loss"],
-            bn_momentum=float(pairs["bn_momentum"]),
-            bn_epsilon=float(pairs["bn_epsilon"]),
-            seed=int(pairs["seed"]),
-        )
-    except (ValueError, IndexError) as exc:
+        config = GraphConfig(**{f.name: _decode(f, pairs[f.name]) for f in _FIELDS})
+    except ValueError as exc:
         raise CheckpointError(f"unparseable config text: {exc}") from exc
     return variant, config
 
 
 def parse_kv_text(text: str) -> dict:
-    """Inverse of render_kv_text; values stay strings."""
-    pairs = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise CheckpointError(f"malformed checkpoint text line {line!r}")
-        k, _, v = line.partition("=")
-        pairs[k] = v
-    return pairs
+    """Checkpoint text block to a dict of strings."""
+    try:
+        return kvtext.read(text)
+    except ValueError as exc:
+        raise CheckpointError(f"malformed checkpoint text: {exc}") from None
 
 
 def _write_text_block(buf, text: str) -> None:
@@ -329,7 +289,7 @@ def save_training_checkpoint(graph: ModelGraph, adam: AdamState, meta: dict, pat
         extra[f"adam.m.{name}"] = m
     for name, v in adam.v.items():
         extra[f"adam.v.{name}"] = v
-    _write(path, _serialize(TRAIN_MAGIC, graph, render_kv_text(meta), extra))
+    _write(path, _serialize(TRAIN_MAGIC, graph, kvtext.write(meta), extra))
 
 
 def load_training_checkpoint(path):

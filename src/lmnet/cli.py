@@ -6,14 +6,16 @@ verification). Every run echoes its fully resolved configuration before
 doing work, so a run is reproducible from its log alone.
 
 Flags may come from a `--config` file of key=value lines; explicit flags win
-over the file. The echoed block is itself a valid `--config` file.
+over the file. The echoed block is itself a valid `--config` file: both are
+read and written by `kvtext`, the codec of the checkpoint text blocks too.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config, bad
 data, a path that cannot be read or written), 2 runtime failure (aborted
 training, broken checkpoint, failed gradient check).
 
-Heavy imports happen inside the subcommand handlers: `LMNET_THREADS` must
-be exported to the BLAS layer before numpy loads.
+Heavy imports happen inside the subcommand handlers, and the module-level
+ones (`errors`, `kvtext`) use only the standard library: `LMNET_THREADS`
+must be exported to the BLAS layer before numpy loads.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 import sys
 from dataclasses import dataclass
 
+from . import kvtext
 from .errors import ConfigError, DataError, LmnetError
 
 
@@ -44,7 +47,7 @@ class Opt:
 
 def _size(text: str):
     try:
-        dims = tuple(int(p) for p in text.split(",") if p)
+        dims = kvtext.ints(text)
     except ValueError:
         dims = ()
     if len(dims) == 1:
@@ -56,10 +59,19 @@ def _size(text: str):
 
 def _ints(text: str):
     try:
-        return tuple(int(p) for p in text.split(",") if p)
+        return kvtext.ints(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+
+
+def _fraction(text: str):
+    try:
+        if 0.0 <= float(text) <= 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
 
 
 def _flag(text: str):
@@ -74,17 +86,11 @@ def _flag(text: str):
 def _read_config_file(path) -> dict:
     if not os.path.isfile(path):
         raise ConfigError(f"config file {path} does not exist")
-    pairs = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key=value")
-            k, _, v = line.partition("=")
-            pairs[k.strip()] = v.strip()
-    return pairs
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return kvtext.read(fh.read())
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _resolve(argv) -> tuple:
@@ -117,17 +123,8 @@ def _resolve(argv) -> tuple:
 
 
 def _echo(command: str, resolved: dict) -> None:
-    print(f"# resolved config ({command}):")
-    for key in sorted(resolved):
-        value = resolved[key]
-        if value is None:
-            continue
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = int(value)
-        print(f"  {key}={value}")
-    sys.stdout.flush()
+    lines = kvtext.write(resolved).splitlines()
+    print(f"# resolved config ({command}):", *(f"  {ln}" for ln in lines), sep="\n", flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +313,7 @@ _COMMANDS = {
         Opt("adam_eps", float, 1e-8,
             help="Adam epsilon; ~1e-2 tames the scale-free first steps"),
         Opt("seed", int, 0),
-        Opt("threshold", float, 0.5, help="validation metrics threshold"),
+        Opt("threshold", _fraction, 0.5, help="validation metrics threshold"),
         Opt("channels", _ints, _CHANNELS_DEFAULT, help="encoder channel widths"),
         Opt("dilations", _ints, None, help="pyramid dilation rates"),
         Opt("loss", str, "bce", help="bce|mse"),
@@ -328,14 +325,14 @@ _COMMANDS = {
         Opt("ckpt", required=True),
         Opt("index", required=True),
         Opt("split", str, "test", help="train|val|test"),
-        Opt("threshold", float, 0.5),
+        Opt("threshold", _fraction, 0.5),
         Opt("micro_batch", int, 10),
     ], _cmd_eval, "score a checkpoint on one split"),
     "predict": ([
         Opt("ckpt", required=True),
         Opt("image", required=True),
         Opt("out", required=True, help="output path prefix"),
-        Opt("threshold", float, 0.5),
+        Opt("threshold", _fraction, 0.5),
     ], _cmd_predict, "write probability map and mask for one image"),
     "params": ([
         Opt("variant", required=True),

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kvtext
 from .errors import ShapeError
 
 DEFAULT_THRESHOLD = 0.5
@@ -133,16 +134,9 @@ def render_table(rows) -> str:
 
 
 def render_kv(rep: MetricsReport) -> str:
-    """Machine-readable block: one metric per line, `key=value`."""
-    lines = [
-        f"split={rep.split}",
-        f"samples={rep.samples}",
-        f"loss={rep.loss!r}",
-        f"accuracy={rep.accuracy!r}",
-        f"iou={rep.iou!r}",
-        f"precision={rep.precision!r}",
-        f"recall={rep.recall!r}",
-    ]
-    if rep.degenerate:
-        lines.append("degenerate=" + ",".join(rep.degenerate))
-    return "\n".join(lines) + "\n"
+    """Machine-readable block: one metric per line, `key=value`, keys sorted.
+    `degenerate` is left out when empty."""
+    return kvtext.write(dict(
+        split=rep.split, samples=rep.samples, loss=rep.loss, accuracy=rep.accuracy,
+        iou=rep.iou, precision=rep.precision, recall=rep.recall,
+        degenerate=rep.degenerate or None))

@@ -5,7 +5,8 @@ micro-batches whose gradients are summed and divided by the true sample
 count, so the update equals a single full-batch step except that batch-norm
 statistics are computed per micro-batch (a stated deviation, bounded memory
 being the point). A trailing micro-batch of exactly one sample is folded
-into its predecessor so batch statistics never come from a single image.
+into its predecessor, and a configuration that would leave a batch of one
+sample is refused: batch statistics never come from a single image.
 
 Everything random derives from the run seed through fixed namespaces:
 shuffle order from (seed, 0, epoch), dropout from (seed, 1, epoch, batch,
@@ -29,16 +30,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kvtext
 from .checkpoint import (
     config_text,
     load_training_checkpoint,
     pop_meta,
-    render_value,
     save_checkpoint,
     save_training_checkpoint,
 )
 from .data import DatasetIndex, batch_iter, load_index
-from .errors import CheckpointError, ConfigError, NonFiniteGradientError, TrainAbortedError
+from .errors import ConfigError, NonFiniteGradientError, TrainAbortedError
 from .metrics import ConfusionCounts, MetricsReport, confusion, report
 from .model import GraphConfig, ModelGraph, Variant, build_model, init_parameters, loss_fn
 from .optim import adam_init, adam_step
@@ -74,11 +75,11 @@ class TrainConfig:
         out = []
         if self.epochs < 1:
             out.append(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            out.append(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 1 <= self.micro_batch <= self.batch_size:
+        if self.batch_size < 2:
+            out.append(f"batch_size must be >= 2, got {self.batch_size}")
+        if not 2 <= self.micro_batch <= self.batch_size:
             out.append(
-                f"micro_batch must be in [1, batch_size], got {self.micro_batch}"
+                f"micro_batch must be in [2, batch_size], got {self.micro_batch}"
             )
         if not (self.lr > 0 and math.isfinite(self.lr)):
             out.append(f"lr must be positive and finite, got {self.lr}")
@@ -162,17 +163,17 @@ def _train_meta(cfg: TrainConfig, epochs_done: int, step: int, best: float) -> d
 def _check_resume_settings(cfg: TrainConfig, adam, meta: dict, path: Path) -> None:
     """Refuse to resume with settings that would break the bit-exact replay."""
     for key, requested, recorded in (
-        ("train_seed", cfg.seed, meta["train_seed"]),
-        ("batch_size", cfg.batch_size, meta["batch_size"]),
-        ("micro_batch", cfg.micro_batch, meta["micro_batch"]),
-        ("beta1", float(cfg.beta1), render_value(adam.beta1)),
-        ("beta2", float(cfg.beta2), render_value(adam.beta2)),
-        ("adam_eps", float(cfg.adam_eps), render_value(adam.eps)),
+        ("train_seed", cfg.seed, pop_meta(meta, "train_seed", int, path)),
+        ("batch_size", cfg.batch_size, pop_meta(meta, "batch_size", int, path)),
+        ("micro_batch", cfg.micro_batch, pop_meta(meta, "micro_batch", int, path)),
+        ("beta1", cfg.beta1, adam.beta1),
+        ("beta2", cfg.beta2, adam.beta2),
+        ("adam_eps", cfg.adam_eps, adam.eps),
     ):
-        if render_value(requested) != recorded:
+        if requested != recorded:
             raise ConfigError(
-                f"{path} was trained with {key}={recorded}, not "
-                f"{render_value(requested)}; change the flags or start a fresh run directory"
+                f"{path} was trained with {key}={kvtext.render(recorded)}, not "
+                f"{kvtext.render(requested)}; change the flags or start a fresh run directory"
             )
 
 
@@ -201,6 +202,10 @@ def train(cfg: TrainConfig):
     n_train = len(index.split_records("train"))
     if n_train == 0:
         raise ConfigError(f"train split is empty in {index.root}")
+    if n_train % cfg.batch_size == 1:
+        raise ConfigError(
+            f"a train split of {n_train} tiles in batches of {cfg.batch_size} leaves a last "
+            "batch of one sample; train-mode batch norm needs 2 (change either number)")
     if not index.split_records("val"):
         raise ConfigError(f"val split is empty in {index.root}")
 
@@ -211,10 +216,6 @@ def train(cfg: TrainConfig):
     resuming = cfg.resume and last_path.is_file()
     if resuming:
         graph, adam, meta = load_training_checkpoint(last_path)
-        missing = sorted(_train_meta(cfg, 0, 0, 0.0).keys() - meta.keys())
-        if missing:
-            raise CheckpointError(
-                f"{last_path}: training metadata is missing {', '.join(missing)}")
         want = config_text(cfg.variant, cfg.graph)
         have = config_text(graph.variant, graph.config)
         if want != have:

@@ -23,6 +23,7 @@ from lmnet.checkpoint import (
     save_training_checkpoint,
 )
 from lmnet.cli import _resolve, main
+from lmnet.data import write_synthetic_dataset
 from lmnet.model import GraphConfig, Variant, build_model, init_parameters
 from lmnet.optim import adam_init
 
@@ -330,15 +331,33 @@ def test_usage_errors_exit_1_not_2(capsys):
      "eps (the finite-difference step) must be > 0", True),
     (["predict", "--ckpt", "{tmp}/m.ckpt", "--image", "{tmp}/x.png",
       "--out", "{tmp}/nodir/x"], "nodir", True),
+    (["params", "--config", "{tmp}/lines.cfg"], "{tmp}/lines.cfg: line 3", False),
+    (["eval", "--ckpt", "{tmp}/m.ckpt", "--index", "i", "--threshold", "1.5"],
+     "--threshold", False),
+    (["predict", "--ckpt", "{tmp}/m.ckpt", "--image", "{tmp}/x.png",
+      "--out", "{tmp}/p", "--threshold", "-1"], "--threshold", False),
+    # train-mode batch norm needs every batch to hold at least 2 samples
+    (["train", "--index", "{tmp}/three/index.tsv", "--out", "{tmp}/run",
+      "--variant", "plain", "--channels", "2,2,3,3", "--batch", "2",
+      "--micro-batch", "2"], "train split of 3 tiles in batches of 2", True),
+    (["train", "--index", "{tmp}/three/index.tsv", "--out", "{tmp}/run",
+      "--variant", "plain", "--micro-batch", "1"], "micro_batch must be in [2,", True),
+    (["train", "--index", "{tmp}/three/index.tsv", "--out", "{tmp}/run",
+      "--variant", "plain", "--batch", "1"], "batch_size must be >= 2", True),
 ], ids=["unknown-flag", "bad-int", "bad-ints", "bad-config-value",
-        "missing-required", "missing-command", "zero-eps", "unwritable-out"])
+        "missing-required", "missing-command", "zero-eps", "unwritable-out",
+        "malformed-config-line", "eval-threshold", "predict-threshold",
+        "last-batch-of-one", "micro-batch-of-one", "batch-of-one"])
 def test_bad_input_is_one_error_line(argv, needle, echoed, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("variant=plain\nchannels=2,x\n")
+    (tmp_path / "lines.cfg").write_text("# census\nvariant=plain\nchannels 2,2,3,3\n")
     save_checkpoint(init_parameters(build_model(Variant.PLAIN, TINY_GRAPH)),
                     tmp_path / "m.ckpt")
     imgio.write_rgb(tmp_path / "x.png", np.zeros((3, 8, 8), np.float32))
+    write_synthetic_dataset(tmp_path / "three", {"train": 3, "val": 1}, 16, seed=0)
     argv = [a.format(bad_cfg=bad_cfg, tmp=tmp_path) for a in argv]
+    needle = needle.format(tmp=tmp_path)
     code, out, err = run_cli(capsys, *argv)
     proc = console_script(*argv)
     for code, err in ((code, err), (proc.returncode, proc.stderr)):
@@ -347,6 +366,18 @@ def test_bad_input_is_one_error_line(argv, needle, echoed, tmp_path, capsys):
         assert err.count("error:") == 1
         assert "Traceback" not in err
     assert ("resolved config" in out) == echoed
+    assert not (tmp_path / "run").exists()
+
+
+def test_importing_the_cli_loads_no_numpy():
+    """`LMNET_THREADS` reaches the BLAS layer only if numpy loads after the
+    CLI has exported it, so importing the CLI must not load numpy."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lmnet.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("missing", ["lr", "train_seed"])

@@ -182,13 +182,22 @@ def test_resumed_run_matches_uninterrupted_run(tiny_dataset, tmp_path):
             (tmp_path / "split" / f).read_bytes(), f
 
 
-@pytest.mark.parametrize("crash_in", ["evaluate", "save_training_checkpoint"])
+# Adam settings with more significant digits than a 9-digit rendering keeps.
+# On this data, cutting them to 9 digits changes no byte of a resume into a
+# 2-epoch run, but it does change a resume into a 3-epoch run.
+LONG_FLOATS = dict(epochs=3, beta2=0.99912345678, adam_eps=1.234567891e-2)
+
+
+@pytest.mark.parametrize("crash_in,settings", [
+    ("evaluate", {}), ("save_training_checkpoint", {}), ("evaluate", LONG_FLOATS),
+], ids=["evaluate", "save_training_checkpoint", "evaluate-long-floats"])
 def test_resume_after_a_crash_matches_uninterrupted_run(
-        tiny_dataset, tmp_path, monkeypatch, crash_in):
+        tiny_dataset, tmp_path, monkeypatch, crash_in, settings):
     import lmnet.train as train_mod
 
     artifacts = (TRAIN_CSV, VAL_CSV, LAST_CKPT, BEST_CKPT, FINAL_CKPT)
-    train(make_cfg(tiny_dataset, tmp_path / "whole", epochs=2))
+    settings = {"epochs": 2, **settings}
+    train(make_cfg(tiny_dataset, tmp_path / "whole", **settings))
 
     original = getattr(train_mod, crash_in)
     calls = []
@@ -201,10 +210,10 @@ def test_resume_after_a_crash_matches_uninterrupted_run(
 
     monkeypatch.setattr(train_mod, crash_in, crash_in_epoch_2)
     with pytest.raises(RuntimeError, match="simulated crash"):
-        train(make_cfg(tiny_dataset, tmp_path / "split", epochs=2))
+        train(make_cfg(tiny_dataset, tmp_path / "split", **settings))
     monkeypatch.setattr(train_mod, crash_in, original)
 
-    train(make_cfg(tiny_dataset, tmp_path / "split", epochs=2, resume=True))
+    train(make_cfg(tiny_dataset, tmp_path / "split", resume=True, **settings))
     for f in artifacts:
         assert (tmp_path / "whole" / f).read_bytes() == \
             (tmp_path / "split" / f).read_bytes(), f
@@ -223,9 +232,10 @@ def test_resume_with_different_graph_is_refused(tiny_dataset, tmp_path):
 @pytest.mark.parametrize("field,value,key", [
     ("seed", 1, "train_seed"),
     ("batch_size", 2, "batch_size"),
-    ("micro_batch", 1, "micro_batch"),
+    ("micro_batch", 3, "micro_batch"),
     ("beta1", 0.8, "beta1"),
     ("beta2", 0.99, "beta2"),
+    ("beta2", 0.999000000001, "beta2"),  # the same as 0.999 to 9 digits
     ("adam_eps", 1e-2, "adam_eps"),
 ])
 def test_resume_with_different_run_settings_is_refused(
