@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import math
 import os
 import struct
 
@@ -108,16 +109,27 @@ def _write_tensors(buf, tensors: dict) -> None:
         buf.write(payload)
 
 
-def _read_exact(buf, n: int, what: str) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated tensor table: unexpected end of file in {what}")
-    return data
+def _read_exact(buf, n: int, what: str, where: str = "tensor table") -> bytes:
+    """The next n bytes; a declared length past the end of the file is
+    refused before anything is read, so it never sizes an allocation."""
+    here = buf.tell()
+    if n > buf.seek(0, os.SEEK_END) - here:
+        raise CheckpointError(f"truncated {where}: unexpected end of file in {what}")
+    buf.seek(here)
+    return buf.read(n)
+
+
+def _utf8(data: bytes, what: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{what} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _read_text_block(buf, what: str) -> str:
-    (length,) = struct.unpack("<I", _read_exact(buf, 4, what))
-    return _read_exact(buf, length, what).decode("utf-8")
+    where = f"{what} text"
+    (length,) = struct.unpack("<I", _read_exact(buf, 4, "its length", where))
+    return _utf8(_read_exact(buf, length, "its payload", where), where)
 
 
 def _read_tensors(buf) -> dict:
@@ -125,7 +137,7 @@ def _read_tensors(buf) -> dict:
     tensors = {}
     for _ in range(count):
         (namelen,) = struct.unpack("<H", _read_exact(buf, 2, "tensor name"))
-        name = _read_exact(buf, namelen, "tensor name").decode("utf-8")
+        name = _utf8(_read_exact(buf, namelen, "tensor name"), "tensor name")
         code, ndim = struct.unpack("<BB", _read_exact(buf, 2, f"tensor {name} header"))
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"tensor {name} has unknown dtype code {code}")
@@ -134,7 +146,7 @@ def _read_tensors(buf) -> dict:
         )
         (nbytes,) = struct.unpack("<Q", _read_exact(buf, 8, f"tensor {name} size"))
         dtype = _CODE_DTYPES[code]
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        expected = math.prod(shape) * dtype.itemsize
         if nbytes != expected:
             raise CheckpointError(
                 f"truncated tensor table: tensor {name} declares {nbytes} bytes "
@@ -167,12 +179,23 @@ def _read_header(buf, path) -> bytes:
         raise CheckpointError(
             f"{path}: bad magic {magic!r}; not a checkpoint written by this package"
         )
-    (version,) = struct.unpack("<H", _read_exact(buf, 2, "version"))
+    (version,) = struct.unpack("<H", _read_exact(buf, 2, "version", "checkpoint header"))
     if version != VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version} (this build reads {VERSION})"
         )
     return magic
+
+
+def _take(tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    """tensors[name], which must exist and have `shape`."""
+    if name not in tensors:
+        raise CheckpointError(f"checkpoint is missing tensor {name}")
+    if tensors[name].shape != shape:
+        raise CheckpointError(
+            f"tensor {name} has shape {tensors[name].shape}, the graph expects {shape}"
+        )
+    return tensors[name]
 
 
 def _graph_from(variant, config, tensors: dict) -> ModelGraph:
@@ -181,14 +204,7 @@ def _graph_from(variant, config, tensors: dict) -> ModelGraph:
     graph = build_model(variant, config, dtype=dtype)
     for store in (graph.params, graph.stats):
         for name in store:
-            if name not in tensors:
-                raise CheckpointError(f"checkpoint is missing tensor {name}")
-            if tensors[name].shape != store[name].shape:
-                raise CheckpointError(
-                    f"tensor {name} has shape {tensors[name].shape}, "
-                    f"the graph expects {store[name].shape}"
-                )
-            store[name] = tensors[name]
+            store[name] = _take(tensors, name, store[name].shape)
     return graph
 
 
@@ -258,12 +274,9 @@ def _load(path, want):
         eps=pop_meta(meta, "adam_eps", float, path),
         t=pop_meta(meta, "adam_t", int, path),
     )
-    for name in graph.params:
+    for name, p in graph.params.items():
         for store, prefix in ((adam.m, "adam.m."), (adam.v, "adam.v.")):
-            key = prefix + name
-            if key not in tensors:
-                raise CheckpointError(f"training checkpoint is missing tensor {key}")
-            store[name] = tensors[key]
+            store[name] = _take(tensors, prefix + name, p.shape)
     return graph, adam, meta
 
 

@@ -210,24 +210,26 @@ def load_index(path) -> DatasetIndex:
     root = path.parent
     records = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{ln}: expected 3 tab-separated fields")
-            image, mask, split = parts
-            if split not in SPLITS:
-                raise DataError(f"{path}:{ln}: unknown split {split!r}")
-            if image in seen:
-                raise DataError(f"{path}:{ln}: duplicate image path {image}")
-            seen.add(image)
-            for rel in (image, mask):
-                if not (root / rel).is_file():
-                    raise DataError(f"{path}:{ln}: referenced file {rel} is missing")
-            records.append(IndexRecord(image=image, mask=mask, split=split))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: index is not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    for ln, line in enumerate(text.split("\n"), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{ln}: expected 3 tab-separated fields")
+        image, mask, split = parts
+        if split not in SPLITS:
+            raise DataError(f"{path}:{ln}: unknown split {split!r}")
+        if image in seen:
+            raise DataError(f"{path}:{ln}: duplicate image path {image}")
+        seen.add(image)
+        for rel in (image, mask):
+            if not (root / rel).is_file():
+                raise DataError(f"{path}:{ln}: referenced file {rel} is missing")
+        records.append(IndexRecord(image=image, mask=mask, split=split))
     return DatasetIndex(root=root, records=records)
 
 

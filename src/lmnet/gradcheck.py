@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .model import GraphConfig, ModelGraph, Variant, build_model, init_parameters, loss_fn, parse_variant
+from .model import GraphConfig, ModelGraph, Variant, build_model, init_parameters, loss_fn
 from .seeding import derive_rng
 
 TINY_CONFIG = GraphConfig(input_size=(8, 8), channel_sequence=(2, 2, 3, 3))
@@ -50,14 +50,11 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray,
     return num / den
 
 
-def fixture_graph(variant, config: GraphConfig | None = None,
-                  init_seed: int = INIT_SEED,
-                  point_seed: int = POINT_SEED) -> ModelGraph:
+def fixture_graph(variant) -> ModelGraph:
     """64-bit tiny graph at the generic parameter point."""
-    variant = parse_variant(variant)
-    graph = build_model(variant, config or TINY_CONFIG, dtype=np.float64)
-    init_parameters(graph, init_seed)
-    r = np.random.default_rng(point_seed)
+    graph = build_model(variant, TINY_CONFIG, dtype=np.float64)
+    init_parameters(graph, INIT_SEED)
+    r = np.random.default_rng(POINT_SEED)
     for name in graph.params:
         if name.endswith(".b") or name.endswith(".beta"):
             graph.params[name] = r.normal(0.0, 0.2, graph.params[name].shape)
@@ -77,17 +74,12 @@ def fixture_batch(graph: ModelGraph, data_seed: int):
     return x, targets.astype(np.float64)
 
 
-def check_graph_gradients(variant, step: float = 1e-5,
-                          config: GraphConfig | None = None,
-                          data_seed: int | None = None) -> dict:
+def check_graph_gradients(variant, step: float = 1e-5) -> dict:
     """Max relative error per parameter tensor, analytic vs central FD."""
     if not step > 0:
         raise ConfigError(f"eps (the finite-difference step) must be > 0, got {step}")
-    variant = parse_variant(variant)
-    if data_seed is None:
-        data_seed = DATA_SEEDS[variant]
-    graph = fixture_graph(variant, config)
-    x, targets = fixture_batch(graph, data_seed)
+    graph = fixture_graph(variant)
+    x, targets = fixture_batch(graph, DATA_SEEDS[graph.variant])
     lossf = loss_fn(graph.config.loss)
 
     def value() -> float:

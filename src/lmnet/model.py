@@ -22,11 +22,11 @@ the three skip concatenations; Dilation and Proposed carry the parallel
 dilated first layer. Activations therefore run 192-96-48-24-48-96-192.
 
 layer_plan states this once, as nine stages (one per activation). forward
-walks the stages in order and keeps one StageRecord per stage: the input
-its kernels read; per kernel the batchnorm cache and the relu/sigmoid
-output; the pool argmax and pre-pool shape; the channel split point of a
-skip concatenation; the dropout mask; and the activation after dropout.
-backward walks the same records in reverse.
+walks the stages in order and keeps one StageRecord per stage, holding
+only what backward reads: the input the stage's kernels read, their
+batchnorm caches, the pool argmax, the channel split point of a skip
+concatenation, the dropout mask and the activation after dropout. backward
+walks the same records in reverse.
 """
 
 from __future__ import annotations
@@ -143,8 +143,8 @@ class Stage:
     the input batch for the first stage), "pool" (a 2x2 max-pool of it) or
     "upsample" (a nearest 2x upsample, followed by the activation numbered
     `skip` concatenated on the channel axis when skip is set). All kernels
-    read that one input; each output passes through `act` (an ops function
-    name) and the outputs are concatenated into the stage's activation.
+    read that one input; their outputs are concatenated and pass through
+    `act` (an ops function name) into the stage's activation.
     """
 
     index: int
@@ -202,11 +202,11 @@ def layer_plan(variant: Variant, config: GraphConfig) -> LayerPlan:
 
 @dataclass
 class StageRecord:
-    """What one stage's forward pass keeps for the backward pass."""
+    """What one stage's forward pass keeps for the backward pass: only what backward reads."""
 
     conv_in: np.ndarray = None  # the input all of the stage's kernels read
-    kernels: list = field(default_factory=list)  # per kernel: (bn cache or None, output)
-    pool: tuple = None          # (argmax, pre-pool shape) for a pooling stage
+    bn: list = field(default_factory=list)  # batchnorm caches, in kernel order
+    argmax: np.ndarray = None   # pool argmax, for a pooling stage
     split: int = None           # upsampled channels ahead of the concatenated skip
     mask: np.ndarray = None     # dropout mask, when the stage drops
     act: np.ndarray = None      # the stage's activation after dropout
@@ -255,13 +255,10 @@ class ModelGraph:
 
     def layer_param_counts(self) -> list:
         """Per conv-spec parameter tallies for reporting."""
-        rows = []
-        for spec in self.plan.all_convs:
-            n = self.params[f"{spec.name}.w"].size + self.params[f"{spec.name}.b"].size
-            if spec.has_bn:
-                n += self.params[f"{spec.name}.gamma"].size + self.params[f"{spec.name}.beta"].size
-            rows.append((spec, int(n)))
-        return rows
+        return [
+            (spec, sum(int(p.size) for k, p in self.params.items() if k.split(".")[0] == spec.name))
+            for spec in self.plan.all_convs
+        ]
 
     # -- helpers ----------------------------------------------------------
 
@@ -283,10 +280,8 @@ class ModelGraph:
     def astype(self, dtype) -> "ModelGraph":
         """Copy of this graph with all tensors cast to `dtype`."""
         other = ModelGraph(self.variant, self.config, dtype=dtype)
-        for k, v in self.params.items():
-            other.params[k] = v.astype(dtype)
-        for k, v in self.stats.items():
-            other.stats[k] = v.astype(dtype)
+        other.params = {k: v.astype(dtype) for k, v in self.params.items()}
+        other.stats = {k: v.astype(dtype) for k, v in self.stats.items()}
         return other
 
     # -- forward / backward ----------------------------------------------
@@ -320,18 +315,15 @@ class ModelGraph:
         for stage in self.plan.stages:
             rec = StageRecord()
             if stage.pre == "pool":
-                pooled, argmax = ops.maxpool2(cur)
-                rec.pool = (argmax, cur.shape)
-                cur = pooled
+                cur, rec.argmax = ops.maxpool2(cur)
             elif stage.pre == "upsample":
                 cur = ops.upsample_nearest2(cur)
                 if stage.skip:
                     rec.split = cur.shape[1]
                     cur = ops.concat_channels(cur, records[stage.skip - 1].act)
             rec.conv_in = cur
-            rec.kernels = [self._kernel_forward(s, stage.act, cur, mode) for s in stage.convs]
-            outs = [out for _, out in rec.kernels]
-            a = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+            zs = [self._kernel_forward(s, cur, mode, rec.bn) for s in stage.convs]
+            a = getattr(ops, stage.act)(zs[0] if len(zs) == 1 else np.concatenate(zs, axis=1))
             rate = drop.get(stage.index, 0.0)
             if rate > 0.0:
                 a, rec.mask = ops.dropout(a, rate, rng, "train")
@@ -339,17 +331,17 @@ class ModelGraph:
             records.append(rec)
         return cur, ForwardCache(mode, records)
 
-    def _kernel_forward(self, spec: ConvSpec, act: str, x: np.ndarray, mode: str):
-        """conv, batchnorm when the spec has it, then `act`; returns (bn cache, output)."""
+    def _kernel_forward(self, spec: ConvSpec, x: np.ndarray, mode: str, bn: list):
+        """conv, then batchnorm when the spec has it, appending its cache to `bn`."""
         z = ops.conv2d(x, self._conv_params(spec))
-        bncache = None
         if spec.has_bn:
             state = self._bn_state(spec)
             z, bncache = ops.batchnorm(z, state, mode)
+            bn.append(bncache)
             # train mode leaves updated running statistics on `state`
             self.stats[f"{spec.name}.running_mean"] = state.running_mean
             self.stats[f"{spec.name}.running_var"] = state.running_var
-        return bncache, getattr(ops, act)(z)
+        return z
 
     def backward(self, cache: ForwardCache, grad_pred: np.ndarray) -> dict:
         """Gradients of the scalar whose d(pred) is `grad_pred`, for every parameter."""
@@ -371,31 +363,36 @@ class ModelGraph:
                 g = g + skip_grads.pop(stage.index)
             if rec.mask is not None:
                 g = ops.dropout_backward(g, rec.mask)
+            # relu gated on the activation after dropout gives the bits of gating before it:
+            # where the mask is 0 the cotangent is already +-0, where it is positive the two
+            # share a sign. Stage 9 (sigmoid) never drops: dropout is allowed on 1-7 only.
+            g = getattr(ops, f"{stage.act}_backward")(g, rec.act)
             g = self._kernels_backward(stage, rec, g, grads)
             if stage.skip:
                 g, skip_grads[stage.skip] = ops.split_channels(g, rec.split)
             if stage.pre == "upsample":
                 g = ops.upsample_nearest2_backward(g)
             elif stage.pre == "pool":
-                g = ops.maxpool2_backward(g, *rec.pool)
+                n, c, h, w = g.shape
+                g = ops.maxpool2_backward(g, rec.argmax, (n, c, 2 * h, 2 * w))
         return grads
 
     def _kernels_backward(self, stage: Stage, rec: StageRecord, g: np.ndarray, grads: dict):
-        """d(stage activation) -> d(conv input), filling `grads` for the stage's kernels.
+        """d(stage pre-activation) -> d(conv input), filling `grads` for the stage's kernels.
 
         The first stage reads the input batch, which has no gradient, so it
         returns None there.
         """
-        act_backward = getattr(ops, f"{stage.act}_backward")
         need_input = stage is not self.plan.stages[0]
+        bn = iter(rec.bn)
         g_in = None
         start = 0
-        for spec, (bncache, out) in zip(stage.convs, rec.kernels):
-            gk = act_backward(g[:, start : start + spec.out_channels], out)
+        for spec in stage.convs:
+            gk = g[:, start : start + spec.out_channels]
             start += spec.out_channels
-            if bncache is not None:
+            if spec.has_bn:
                 gk, grads[f"{spec.name}.gamma"], grads[f"{spec.name}.beta"] = (
-                    ops.batchnorm_backward(bncache, gk)
+                    ops.batchnorm_backward(next(bn), gk)
                 )
             # need_input goes positionally: perfbench's tracer wraps conv2d_backward
             # as call(x, params, *rest), which takes no keywords
@@ -420,8 +417,8 @@ def build_model(variant, config: GraphConfig | None = None, dtype=np.float32) ->
 
 
 def init_parameters(graph: ModelGraph, seed: int | None = None) -> ModelGraph:
-    """Kaiming-normal weights (std sqrt(2 / (c_in * k^2))), zero biases,
-    unit gamma, zero beta, zero running mean, unit running variance.
+    """Kaiming-normal weights (std sqrt(2 / (c_in * k^2))); every other
+    tensor gets the default ModelGraph gives it.
 
     Fully determined by the seed (config.seed when not given); draws happen
     in a fixed layer order in float64 before casting, so float32 and float64
@@ -430,17 +427,12 @@ def init_parameters(graph: ModelGraph, seed: int | None = None) -> ModelGraph:
     if seed is None:
         seed = graph.config.seed
     rng = derive_rng(seed, 0)
-    for spec in graph.plan.all_convs:
-        fan_in = spec.in_channels * spec.kernel * spec.kernel
-        std = np.sqrt(2.0 / fan_in)
-        w = rng.normal(0.0, std, size=graph.params[f"{spec.name}.w"].shape)
-        graph.params[f"{spec.name}.w"] = w.astype(graph.dtype)
-        graph.params[f"{spec.name}.b"] = np.zeros(spec.out_channels, dtype=graph.dtype)
-        if spec.has_bn:
-            graph.params[f"{spec.name}.gamma"] = np.ones(spec.out_channels, dtype=graph.dtype)
-            graph.params[f"{spec.name}.beta"] = np.zeros(spec.out_channels, dtype=graph.dtype)
-            graph.stats[f"{spec.name}.running_mean"] = np.zeros(spec.out_channels, dtype=graph.dtype)
-            graph.stats[f"{spec.name}.running_var"] = np.ones(spec.out_channels, dtype=graph.dtype)
+    fresh = ModelGraph(graph.variant, graph.config, dtype=graph.dtype)
+    for name in (f"{spec.name}.w" for spec in graph.plan.all_convs):
+        w = fresh.params[name]  # (c_out, c_in, k, k), so w[0].size is the fan-in
+        fresh.params[name] = rng.normal(0.0, np.sqrt(2.0 / w[0].size), w.shape).astype(graph.dtype)
+    graph.params.update(fresh.params)
+    graph.stats.update(fresh.stats)
     return graph
 
 

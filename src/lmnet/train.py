@@ -130,6 +130,8 @@ def _accumulate_batch(graph: ModelGraph, images, masks, lossf, cfg: TrainConfig,
 def evaluate(graph: ModelGraph, index: DatasetIndex, split: str,
              threshold: float = 0.5, micro_batch: int = 10) -> MetricsReport:
     """Eval-mode forward over a whole split: mean loss + pooled confusion."""
+    if micro_batch < 1:
+        raise ConfigError(f"micro_batch must be >= 1, got {micro_batch}")
     records = index.split_records(split)
     if not records:
         raise ConfigError(f"split {split!r} is empty in {index.root}")

@@ -1,7 +1,11 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
 from lmnet import ops
+from lmnet.checkpoint import TRAIN_MAGIC
 from lmnet.data import write_synthetic_dataset
 from lmnet.model import GraphConfig
 
@@ -38,6 +42,28 @@ def pytest_terminal_summary(terminalreporter):
 
 
 TINY_GRAPH = GraphConfig(input_size=(8, 8), channel_sequence=(2, 2, 3, 3))
+
+
+def checkpoint_offsets(blob: bytes) -> dict:
+    """Offsets in a checkpoint file of each text block's u32 length and of
+    the first tensor's u16 name length."""
+    offsets = {"config": 6}
+    pos = 10 + int.from_bytes(blob[6:10], "little")
+    if blob[:4] == TRAIN_MAGIC:
+        offsets["metadata"] = pos
+        pos += 4 + int.from_bytes(blob[pos:pos + 4], "little")
+    offsets["tensor name"] = pos + 4  # after the u32 tensor count
+    return offsets
+
+
+def declare_first_tensor(blob: bytes, shape: tuple) -> bytes:
+    """The checkpoint with its first tensor's header declaring a float32
+    `shape` and the payload size that shape needs; the payload is unchanged."""
+    name = checkpoint_offsets(blob)["tensor name"]
+    head = name + 2 + int.from_bytes(blob[name:name + 2], "little")
+    end = head + 2 + 4 * blob[head + 1] + 8
+    header = struct.pack(f"<BB{len(shape)}IQ", 0, len(shape), *shape, 4 * math.prod(shape))
+    return blob[:head] + header + blob[end:]
 
 
 @pytest.fixture(scope="session")

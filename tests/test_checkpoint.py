@@ -22,7 +22,7 @@ from lmnet.errors import CheckpointError
 from lmnet.model import GraphConfig, Variant, build_model, init_parameters
 from lmnet.optim import adam_init, adam_step
 
-from conftest import TINY_GRAPH
+from conftest import TINY_GRAPH, checkpoint_offsets, declare_first_tensor
 
 
 def tiny_graph(variant=Variant.PROPOSED, seed=0, dtype=np.float32):
@@ -170,6 +170,59 @@ def test_truncation_and_trailing_bytes(tmp_path):
     path.write_bytes(blob + b"junk")
     with pytest.raises(CheckpointError, match="trailing bytes"):
         load_checkpoint(path)
+
+
+def training_file(tmp_path):
+    graph = tiny_graph()
+    path = tmp_path / "t.ckpt"
+    save_training_checkpoint(graph, trained_state(graph), {"epochs_done": 1}, path)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("cut,where", [
+    ("version", "checkpoint header"),
+    ("config length", "config text"),
+    ("config payload", "config text"),
+    ("metadata payload", "metadata text"),
+])
+def test_truncation_before_the_tensor_table_names_where_it_is(tmp_path, cut, where):
+    path, blob = training_file(tmp_path)
+    at = {"version": 5, "config length": 8, "config payload": 20,
+          "metadata payload": checkpoint_offsets(blob)["metadata"] + 6}[cut]
+    path.write_bytes(blob[:at])
+    with pytest.raises(CheckpointError, match=f"truncated {where}") as info:
+        load_any(path)
+    assert "tensor table" not in str(info.value)
+
+
+@pytest.mark.parametrize("block", ["config", "metadata", "tensor name"])
+def test_text_that_is_not_utf8_is_a_checkpoint_error(tmp_path, block):
+    path, blob = training_file(tmp_path)
+    at = checkpoint_offsets(blob)[block] + (2 if block == "tensor name" else 4)
+    path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    for load in (load_training_checkpoint, load_any):
+        with pytest.raises(CheckpointError, match=f"{block}( text)? is not UTF-8"):
+            load(path)
+
+
+@pytest.mark.parametrize("shape", [(2**21, 2**20), (3, 2**30, 2**30)],
+                         ids=["2^43-bytes", "over-2^63-bytes"])
+def test_a_payload_past_the_end_of_the_file_is_never_read(tmp_path, shape):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(tiny_graph(), path)
+    path.write_bytes(declare_first_tensor(path.read_bytes(), shape))
+    with pytest.raises(CheckpointError, match="truncated tensor table"):
+        load_checkpoint(path)
+
+
+def test_an_adam_moment_must_have_its_parameters_shape(tmp_path):
+    graph = tiny_graph()
+    adam = trained_state(graph)
+    adam.m["l2.b"] = np.zeros(1, np.float32)
+    save_training_checkpoint(graph, adam, {"epochs_done": 1}, tmp_path / "t.ckpt")
+    for load in (load_training_checkpoint, load_any):
+        with pytest.raises(CheckpointError, match=r"adam\.m\.l2\.b has shape \(1,\)"):
+            load(tmp_path / "t.ckpt")
 
 
 @pytest.mark.parametrize("meta,needle", [

@@ -27,7 +27,7 @@ from lmnet.data import write_synthetic_dataset
 from lmnet.model import GraphConfig, Variant, build_model, init_parameters
 from lmnet.optim import adam_init
 
-from conftest import TINY_GRAPH
+from conftest import TINY_GRAPH, checkpoint_offsets, declare_first_tensor
 
 TINY_CHANNELS = "2,2,3,3"
 REPO = Path(__file__).resolve().parents[1]
@@ -142,6 +142,25 @@ def test_eval_missing_checkpoint_exits_2(tiny_dataset, tmp_path, capsys):
     assert code == 2
     assert "cannot read checkpoint" in err
     assert "Method" not in out  # no partial table was printed
+
+
+@pytest.mark.parametrize("damage", ["not-utf8", "huge-payload"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_a_malformed_checkpoint_exits_2_with_one_line(command, damage, tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(init_parameters(build_model(Variant.PLAIN, TINY_GRAPH)), ckpt)
+    blob = ckpt.read_bytes()
+    if damage == "not-utf8":
+        at = checkpoint_offsets(blob)["config"] + 4
+        ckpt.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    else:
+        ckpt.write_bytes(declare_first_tensor(blob, (2**21, 2**20)))
+    imgio.write_rgb(tmp_path / "x.png", np.zeros((3, 8, 8), np.float32))
+    rest = {"eval": ["--index", str(tmp_path / "index.tsv")],
+            "predict": ["--image", str(tmp_path / "x.png"), "--out", str(tmp_path / "p")]}
+    code, _, err = run_cli(capsys, command, "--ckpt", str(ckpt), *rest[command])
+    assert code == 2
+    assert err.count("error:") == 1 and "Traceback" not in err
 
 
 def test_eval_size_mismatch_is_explained(trained_run, tmp_path, capsys):
@@ -344,16 +363,24 @@ def test_usage_errors_exit_1_not_2(capsys):
       "--variant", "plain", "--micro-batch", "1"], "micro_batch must be in [2,", True),
     (["train", "--index", "{tmp}/three/index.tsv", "--out", "{tmp}/run",
       "--variant", "plain", "--batch", "1"], "batch_size must be >= 2", True),
+    (["eval", "--ckpt", "{tmp}/m.ckpt", "--index", "{tmp}/binary.tsv"],
+     "{tmp}/binary.tsv: index is not UTF-8", True),
+    (["eval", "--ckpt", "{tmp}/m16.ckpt", "--index", "{tmp}/three/index.tsv",
+      "--split", "train", "--micro-batch", "0"], "micro_batch must be >= 1", True),
 ], ids=["unknown-flag", "bad-int", "bad-ints", "bad-config-value",
         "missing-required", "missing-command", "zero-eps", "unwritable-out",
         "malformed-config-line", "eval-threshold", "predict-threshold",
-        "last-batch-of-one", "micro-batch-of-one", "batch-of-one"])
+        "last-batch-of-one", "micro-batch-of-one", "batch-of-one",
+        "non-utf8-index", "eval-micro-batch-0"])
 def test_bad_input_is_one_error_line(argv, needle, echoed, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("variant=plain\nchannels=2,x\n")
     (tmp_path / "lines.cfg").write_text("# census\nvariant=plain\nchannels 2,2,3,3\n")
+    (tmp_path / "binary.tsv").write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\ttest\n")
     save_checkpoint(init_parameters(build_model(Variant.PLAIN, TINY_GRAPH)),
                     tmp_path / "m.ckpt")
+    save_checkpoint(init_parameters(build_model(Variant.PLAIN, GraphConfig(
+        input_size=(16, 16), channel_sequence=(2, 2, 3, 3)))), tmp_path / "m16.ckpt")
     imgio.write_rgb(tmp_path / "x.png", np.zeros((3, 8, 8), np.float32))
     write_synthetic_dataset(tmp_path / "three", {"train": 3, "val": 1}, 16, seed=0)
     argv = [a.format(bad_cfg=bad_cfg, tmp=tmp_path) for a in argv]
