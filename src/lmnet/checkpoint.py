@@ -173,16 +173,16 @@ def _serialize(magic: bytes, graph: ModelGraph, meta_text: str | None,
     return buf.getvalue()
 
 
-def _read_header(buf, path) -> bytes:
+def _read_header(buf) -> bytes:
     magic = buf.read(4)
     if magic not in (DEPLOY_MAGIC, TRAIN_MAGIC):
         raise CheckpointError(
-            f"{path}: bad magic {magic!r}; not a checkpoint written by this package"
+            f"bad magic {magic!r}; not a checkpoint written by this package"
         )
     (version,) = struct.unpack("<H", _read_exact(buf, 2, "version", "checkpoint header"))
     if version != VERSION:
         raise CheckpointError(
-            f"{path}: unsupported checkpoint version {version} (this build reads {VERSION})"
+            f"unsupported checkpoint version {version} (this build reads {VERSION})"
         )
     return magic
 
@@ -232,8 +232,8 @@ def _write(path, data: bytes) -> None:
 
 
 _KIND_MISMATCH = {
-    DEPLOY_MAGIC: "{path} is a training checkpoint; use load_training_checkpoint",
-    TRAIN_MAGIC: "{path} is a deployment checkpoint and carries no optimizer state",
+    DEPLOY_MAGIC: "this is a training checkpoint; use load_training_checkpoint",
+    TRAIN_MAGIC: "this is a deployment checkpoint and carries no optimizer state",
 }
 
 
@@ -249,24 +249,35 @@ def pop_meta(meta: dict, key: str, kind, path):
             f"{path}: training metadata has unparseable {key}={text}") from None
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix `path` to a CheckpointError raised in the block."""
+    try:
+        yield
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
 def _load(path, want):
     """Read a checkpoint of kind `want` (a magic, or None for either) into
-    (graph, AdamState, meta); the last two are None for the deployment kind."""
-    with _open(path) as fh:
-        magic = _read_header(fh, path)
+    (graph, AdamState, meta); the last two are None for the deployment kind.
+    An error in reading the file or in matching it to the graph names the
+    path once, as its prefix."""
+    with _open(path) as fh, _naming(path):
+        magic = _read_header(fh)
         if want is not None and magic != want:
-            raise CheckpointError(_KIND_MISMATCH[want].format(path=path))
+            raise CheckpointError(_KIND_MISMATCH[want])
         variant, config = parse_config_text(_read_text_block(fh, "config"))
         if magic == TRAIN_MAGIC:
             meta = parse_kv_text(_read_text_block(fh, "metadata"))
         tensors = _read_tensors(fh)
         if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after tensor table")
-    if magic == DEPLOY_MAGIC:
-        return _graph_from(variant, config, tensors), None, None
-    graph = _graph_from(
-        variant, config, {k: v for k, v in tensors.items() if not k.startswith("adam.")}
-    )
+            raise CheckpointError("trailing bytes after tensor table")
+        if magic == DEPLOY_MAGIC:
+            return _graph_from(variant, config, tensors), None, None
+        graph = _graph_from(
+            variant, config, {k: v for k, v in tensors.items() if not k.startswith("adam.")}
+        )
     adam = AdamState(
         lr=pop_meta(meta, "lr", float, path),
         beta1=pop_meta(meta, "beta1", float, path),
@@ -274,9 +285,10 @@ def _load(path, want):
         eps=pop_meta(meta, "adam_eps", float, path),
         t=pop_meta(meta, "adam_t", int, path),
     )
-    for name, p in graph.params.items():
-        for store, prefix in ((adam.m, "adam.m."), (adam.v, "adam.v.")):
-            store[name] = _take(tensors, prefix + name, p.shape)
+    with _naming(path):
+        for name, p in graph.params.items():
+            for store, prefix in ((adam.m, "adam.m."), (adam.v, "adam.v.")):
+                store[name] = _take(tensors, prefix + name, p.shape)
     return graph, adam, meta
 
 

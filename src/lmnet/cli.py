@@ -191,23 +191,12 @@ def _cmd_train(o):
 
 def _cmd_eval(o):
     from .checkpoint import load_any
-    from .data import load_index, load_pair
+    from .data import load_index
     from .metrics import render_kv, render_table
     from .train import evaluate
 
     graph = load_any(o["ckpt"])
     index = load_index(o["index"])
-    records = index.split_records(o["split"])
-    if not records:
-        raise ConfigError(f"split {o['split']!r} is empty in {index.root}")
-    data_size = load_pair(index, records[0]).size
-    if data_size != graph.config.input_size:
-        raise DataError(
-            f"checkpoint expects {graph.config.input_size[0]}x"
-            f"{graph.config.input_size[1]} input but {records[0].image} is "
-            f"{data_size[0]}x{data_size[1]}; re-prepare the data or pick a "
-            "matching checkpoint"
-        )
     rep = evaluate(graph, index, o["split"], o["threshold"], o["micro_batch"])
     label = graph.variant.value.capitalize()
     print(render_table([(label, rep)]), end="")

@@ -269,26 +269,33 @@ def load_pair(index: DatasetIndex, rec: IndexRecord) -> ImagePair:
     return ImagePair(image=image, mask=mask)
 
 
-def batch_iter(index: DatasetIndex, split: str, batch_size: int,
+def batch_iter(index: DatasetIndex, split: str, batch_size: int, size,
                seed: int = 0, epoch: int = 0, shuffle: bool = True):
     """Yield (images (b,3,h,w), masks (b,1,h,w)) batches over one split.
 
-    Order is a pure function of (seed, epoch); the final short batch is
-    yielded as-is. With shuffle=False records come in index order and seed
-    and epoch are ignored.
+    Every tile must have the graph's input size `size` (h, w); this is the
+    one check of that and of the split's name and emptiness. Order is a pure
+    function of (seed, epoch); the final short batch is yielded as-is. With
+    shuffle=False records come in index order and seed and epoch are ignored.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if split not in SPLITS:
+        raise ConfigError(f"unknown split {split!r}; expected one of {', '.join(SPLITS)}")
     records = index.split_records(split)
+    if not records:
+        raise ConfigError(f"split {split!r} is empty in {index.root}")
     order = np.arange(len(records))
     if shuffle:
         order = derive_rng(seed, 0, epoch).permutation(len(records))
     for start in range(0, len(records), batch_size):
         chunk = [records[i] for i in order[start:start + batch_size]]
         pairs = [load_pair(index, r) for r in chunk]
-        sizes = {p.size for p in pairs}
-        if len(sizes) > 1:
-            raise DataError(f"split {split!r} mixes image sizes {sorted(sizes)}")
+        for rec, pair in zip(chunk, pairs):
+            if pair.size != tuple(size):
+                (h, w), (eh, ew) = pair.size, size
+                raise DataError(f"{index.image_path(rec)} is {h}x{w}, but the graph expects "
+                                f"{eh}x{ew}; re-prepare the data or pick a matching checkpoint")
         yield (
             np.concatenate([p.image for p in pairs], axis=0),
             np.concatenate([p.mask for p in pairs], axis=0),

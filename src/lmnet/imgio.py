@@ -10,7 +10,9 @@ ones. Arrays cross this boundary as floats scaled by 1/255: RGB as
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import struct
 import sys
 import zlib
@@ -19,62 +21,54 @@ import numpy as np
 
 from .errors import DataError
 
+# A header that claims more pixels than this (8192x8192) is refused before
+# anything is inflated or sliced, so a small file cannot exhaust memory.
+MAX_PIXELS = 2**26
+
+# Magic, width, height and maxval, each ended by whitespace and separated by
+# any further whitespace and '#' comments to the end of a line; exactly one
+# whitespace byte ends the header. Leading zeros aside, a field has at most
+# 18 digits, which keeps int() cheap and lies far past the pixel budget.
+_NETPBM_HEADER = re.compile(rb"(P\d)\s" + rb"(?:\s|#[^\n]*\n)*0*(\d{1,18})\s" * 3)
+
+
+def _check_pixel_budget(path, h, w) -> None:
+    if h * w > MAX_PIXELS:
+        raise DataError(
+            f"{path}: a {h}x{w} image has {h * w} pixels, over the decoding "
+            f"budget of {MAX_PIXELS} (MAX_PIXELS, 8192x8192)"
+        )
+
+
 def _read_netpbm(path):
     with open(path, "rb") as fh:
         blob = fh.read()
-    tokens = []
-    i = 0
-    # Header: magic, width, height, maxval, separated by whitespace with
-    # '#' comments, then exactly one whitespace byte before the raster.
-    while len(tokens) < 4:
-        if i >= len(blob):
-            raise DataError(f"{path}: truncated netpbm header")
-        c = blob[i:i + 1]
-        if c == b"#":
-            i = blob.find(b"\n", i)
-            if i < 0:
-                raise DataError(f"{path}: unterminated comment in header")
-            i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(blob) and not blob[j:j + 1].isspace():
-                j += 1
-            tokens.append(blob[i:j])
-            i = j
-    i += 1  # the single whitespace byte after maxval
-    magic = tokens[0]
+    header = _NETPBM_HEADER.match(blob)
+    if header is None:
+        raise DataError(f"{path}: malformed netpbm header")
+    magic = header[1]
+    w, h, maxval = (int(field) for field in header.groups()[1:])
     if magic not in (b"P5", b"P6"):
         raise DataError(f"{path}: unsupported netpbm magic {magic!r} (P5/P6 only)")
-    try:
-        w, h, maxval = (int(t) for t in tokens[1:4])
-    except ValueError:
-        raise DataError(f"{path}: non-numeric netpbm header fields") from None
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 is supported, found {maxval}")
-    channels = 3 if magic == b"P6" else 1
-    need = w * h * channels
-    raster = blob[i:i + need]
+    _check_pixel_budget(path, h, w)
+    shape = (h, w, 3) if magic == b"P6" else (h, w)
+    need = math.prod(shape)
+    raster = blob[header.end():header.end() + need]
     if len(raster) != need:
         raise DataError(
             f"{path}: raster holds {len(raster)} bytes, header promises {need}"
         )
-    arr = np.frombuffer(raster, dtype=np.uint8)
-    if channels == 3:
-        return arr.reshape(h, w, 3)
-    return arr.reshape(h, w)
+    return np.frombuffer(raster, dtype=np.uint8).reshape(shape)
 
 
 def _write_netpbm(path, arr: np.ndarray) -> None:
-    if arr.ndim == 3:
-        magic, payload = b"P6", arr
-    else:
-        magic, payload = b"P5", arr
     h, w = arr.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n255\n" % (w, h))
-        fh.write(np.ascontiguousarray(payload).tobytes())
+        fh.write(b"P6" if arr.ndim == 3 else b"P5")
+        fh.write(b"\n%d %d\n255\n" % (w, h))
+        fh.write(np.ascontiguousarray(arr).tobytes())
 
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
@@ -139,6 +133,7 @@ def _read_png(path) -> np.ndarray:
         )
     if not (0 < w < 2**31 and 0 < h < 2**31) or compression or filtering or interlace:
         raise corrupt("invalid IHDR fields")
+    _check_pixel_budget(path, h, w)
     bpp = _PNG_CHANNELS[colour]
     expected = h * (1 + w * bpp)
     # Inflate at most one byte past what the header promises, so a bad
@@ -260,10 +255,6 @@ def _read_raw(path) -> np.ndarray:
     return _codec(path, "read")[0](path)
 
 
-def _write_raw(path, arr: np.ndarray) -> None:
-    _codec(path, "write")[1](path, arr)
-
-
 def _to_u8(arr) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     return np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
@@ -291,7 +282,7 @@ def write_rgb(path, arr) -> None:
     arr = np.asarray(arr)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise DataError(f"expected a (3, h, w) array, got shape {arr.shape}")
-    _write_raw(path, _to_u8(arr.transpose(1, 2, 0)))
+    _codec(path, "write")[1](path, _to_u8(arr.transpose(1, 2, 0)))
 
 
 def write_gray(path, arr) -> None:
@@ -299,4 +290,4 @@ def write_gray(path, arr) -> None:
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise DataError(f"expected an (h, w) array, got shape {arr.shape}")
-    _write_raw(path, _to_u8(arr))
+    _codec(path, "write")[1](path, _to_u8(arr))

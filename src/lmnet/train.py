@@ -83,6 +83,12 @@ class TrainConfig:
             )
         if not (self.lr > 0 and math.isfinite(self.lr)):
             out.append(f"lr must be positive and finite, got {self.lr}")
+        if not 0.0 <= self.beta1 < 1.0:
+            out.append(f"beta1 must be in [0, 1), got {self.beta1}")
+        if not 0.0 <= self.beta2 < 1.0:
+            out.append(f"beta2 must be in [0, 1), got {self.beta2}")
+        if not (self.adam_eps > 0 and math.isfinite(self.adam_eps)):
+            out.append(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if not 0.0 <= self.threshold <= 1.0:
             out.append(f"threshold must be in [0, 1], got {self.threshold}")
         if self.log_every < 1:
@@ -132,14 +138,12 @@ def evaluate(graph: ModelGraph, index: DatasetIndex, split: str,
     """Eval-mode forward over a whole split: mean loss + pooled confusion."""
     if micro_batch < 1:
         raise ConfigError(f"micro_batch must be >= 1, got {micro_batch}")
-    records = index.split_records(split)
-    if not records:
-        raise ConfigError(f"split {split!r} is empty in {index.root}")
     lossf = loss_fn(graph.config.loss)
     counts = ConfusionCounts()
     loss_sum = 0.0
     n = 0
-    for images, masks in batch_iter(index, split, micro_batch, shuffle=False):
+    batches = batch_iter(index, split, micro_batch, graph.config.input_size, shuffle=False)
+    for images, masks in batches:
         pred, _ = graph.forward(images.astype(graph.dtype, copy=False), "eval")
         loss, _ = lossf(pred, masks.astype(pred.dtype, copy=False))
         k = images.shape[0]
@@ -201,15 +205,14 @@ def train(cfg: TrainConfig):
     if problems:
         raise ConfigError("; ".join(problems))
     index = load_index(cfg.index_path)
+    # an empty split, or a first tile of another size, fails before anything is written
+    for split in ("train", "val"):
+        next(batch_iter(index, split, 1, cfg.graph.input_size, shuffle=False))
     n_train = len(index.split_records("train"))
-    if n_train == 0:
-        raise ConfigError(f"train split is empty in {index.root}")
     if n_train % cfg.batch_size == 1:
         raise ConfigError(
             f"a train split of {n_train} tiles in batches of {cfg.batch_size} leaves a last "
             "batch of one sample; train-mode batch norm needs 2 (change either number)")
-    if not index.split_records("val"):
-        raise ConfigError(f"val split is empty in {index.root}")
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -250,7 +253,7 @@ def train(cfg: TrainConfig):
                        start_epoch if resuming else None)
     try:
         for epoch in range(start_epoch, cfg.epochs):
-            batches = batch_iter(index, "train", cfg.batch_size,
+            batches = batch_iter(index, "train", cfg.batch_size, cfg.graph.input_size,
                                  seed=cfg.seed, epoch=epoch)
             for batch_idx, (images, masks) in enumerate(batches):
                 images = images.astype(graph.dtype, copy=False)

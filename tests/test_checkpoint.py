@@ -195,6 +195,29 @@ def test_truncation_before_the_tensor_table_names_where_it_is(tmp_path, cut, whe
     assert "tensor table" not in str(info.value)
 
 
+@pytest.mark.parametrize("kind", ["deploy", "training"])
+def test_every_cut_names_the_file_exactly_once(tmp_path, kind):
+    graph = tiny_graph(Variant.PLAIN)
+    path = tmp_path / "cut.ckpt"
+    if kind == "deploy":
+        save_checkpoint(graph, path)
+        load = load_checkpoint
+    else:
+        save_training_checkpoint(graph, trained_state(graph), {"epochs_done": 1}, path)
+        load = load_training_checkpoint
+    blob = path.read_bytes()
+    name = checkpoint_offsets(blob)["tensor name"]
+    head = name + 2 + int.from_bytes(blob[name:name + 2], "little")
+    payload = head + 2 + 4 * blob[head + 1] + 8
+    # every byte of the header, text blocks and first tensor header, then a
+    # stride through the tensor table
+    for at in [*range(payload + 1), *range(payload + 1, len(blob), 61)]:
+        path.write_bytes(blob[:at])
+        with pytest.raises(CheckpointError) as info:
+            load(path)
+        assert str(info.value).count(str(path)) == 1, (at, str(info.value))
+
+
 @pytest.mark.parametrize("block", ["config", "metadata", "tensor name"])
 def test_text_that_is_not_utf8_is_a_checkpoint_error(tmp_path, block):
     path, blob = training_file(tmp_path)

@@ -23,7 +23,7 @@ from lmnet.checkpoint import (
     save_training_checkpoint,
 )
 from lmnet.cli import _resolve, main
-from lmnet.data import write_synthetic_dataset
+from lmnet.data import DatasetIndex, IndexRecord, save_index, write_synthetic_dataset
 from lmnet.model import GraphConfig, Variant, build_model, init_parameters
 from lmnet.optim import adam_init
 
@@ -164,7 +164,7 @@ def test_a_malformed_checkpoint_exits_2_with_one_line(command, damage, tmp_path,
 
 
 def test_eval_size_mismatch_is_explained(trained_run, tmp_path, capsys):
-    from lmnet.data import write_synthetic_dataset
+    from lmnet.data import DatasetIndex, IndexRecord, save_index, write_synthetic_dataset
 
     run_dir, _ = trained_run
     other = write_synthetic_dataset(tmp_path / "big", {"val": 2}, 24, seed=1)
@@ -174,6 +174,27 @@ def test_eval_size_mismatch_is_explained(trained_run, tmp_path, capsys):
     )
     assert code == 1
     assert "expects 16x16" in err and "24x24" in err
+
+
+def test_train_refuses_val_tiles_of_another_size_before_any_step(tmp_path, capsys):
+    # 16x16 train tiles set the graph size; the val tiles are 24x24
+    root = tmp_path / "mix"
+    records = []
+    for sub, counts, size in (("a", {"train": 4}, 16), ("b", {"val": 2}, 24)):
+        part = write_synthetic_dataset(root / sub, counts, size, seed=0)
+        records += [IndexRecord(f"{sub}/{r.image}", f"{sub}/{r.mask}", r.split)
+                    for r in part.records]
+    save_index(DatasetIndex(root=root, records=records), root / "index.tsv")
+    code, out, err = run_cli(
+        capsys, "train", "--index", str(root / "index.tsv"), "--out", str(tmp_path / "run"),
+        "--variant", "plain", "--channels", TINY_CHANNELS, "--batch", "4",
+        "--micro-batch", "2", "--epochs", "1",
+    )
+    assert code == 1
+    assert err == (f"error: {root / 'b/val/images/synth_00000.png'} is 24x24, but the "
+                   "graph expects 16x16; re-prepare the data or pick a matching checkpoint\n")
+    assert "step " not in out
+    assert not (tmp_path / "run").exists()
 
 
 # -- prediction -------------------------------------------------------------
@@ -367,11 +388,23 @@ def test_usage_errors_exit_1_not_2(capsys):
      "{tmp}/binary.tsv: index is not UTF-8", True),
     (["eval", "--ckpt", "{tmp}/m16.ckpt", "--index", "{tmp}/three/index.tsv",
       "--split", "train", "--micro-batch", "0"], "micro_batch must be >= 1", True),
+    (["eval", "--ckpt", "{tmp}/m16.ckpt", "--index", "{tmp}/three/index.tsv",
+      "--split", "foo"], "unknown split 'foo'; expected one of train, val, test", True),
+    # Adam settings that would break the first update
+    (["train", "--index", "{tmp}/three/index.tsv", "--out", "{tmp}/run",
+      "--variant", "plain", "--beta1", "1"], "beta1 must be in [0, 1), got 1.0", True),
+    (["train", "--index", "{tmp}/three/index.tsv", "--out", "{tmp}/run",
+      "--variant", "plain", "--beta2", "-1"], "beta2 must be in [0, 1), got -1.0", True),
+    (["train", "--index", "{tmp}/three/index.tsv", "--out", "{tmp}/run",
+      "--variant", "plain", "--adam-eps", "0"], "adam_eps must be positive and finite", True),
+    (["train", "--index", "{tmp}/three/index.tsv", "--out", "{tmp}/run",
+      "--variant", "plain", "--adam-eps", "-1"], "adam_eps must be positive and finite", True),
 ], ids=["unknown-flag", "bad-int", "bad-ints", "bad-config-value",
         "missing-required", "missing-command", "zero-eps", "unwritable-out",
         "malformed-config-line", "eval-threshold", "predict-threshold",
         "last-batch-of-one", "micro-batch-of-one", "batch-of-one",
-        "non-utf8-index", "eval-micro-batch-0"])
+        "non-utf8-index", "eval-micro-batch-0", "eval-unknown-split",
+        "beta1-of-one", "negative-beta2", "zero-adam-eps", "negative-adam-eps"])
 def test_bad_input_is_one_error_line(argv, needle, echoed, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("variant=plain\nchannels=2,x\n")

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from lmnet import imgio
 from lmnet.errors import DataError
 from lmnet.imgio import read_gray, read_rgb, write_gray, write_rgb
 
@@ -69,6 +70,26 @@ def test_netpbm_header_comments_are_skipped(tmp_path):
     path.write_bytes(b"P5\n# a comment\n3 2\n# another\n255\n" + payload)
     back = read_gray(path)
     npt.assert_array_equal(back, np.frombuffer(payload, np.uint8).reshape(2, 3) / np.float32(255.0))
+
+
+def test_netpbm_header_separators_may_be_any_whitespace_and_comments(tmp_path):
+    path = tmp_path / "s.ppm"
+    payload = bytes(range(18))
+    path.write_bytes(b"P6\t3\r\n#a\n#b\r\n\x0b 2\x0c\n255\r" + payload)
+    npt.assert_array_equal(read_rgb(path) * np.float32(255.0),
+                           np.frombuffer(payload, np.uint8).reshape(2, 3, 3).transpose(2, 0, 1))
+
+
+@pytest.mark.parametrize("header", [
+    b"P5\n3 2", b"P5\n# no line end", b"P5\n3 x\n255\n", b"P5 3 2 255",
+    b"P5 +3 2 255\n", b"# lead\nP5 3 2 255\n",
+], ids=["truncated", "unterminated-comment", "non-numeric", "no-raster-separator",
+        "signed-field", "comment-before-magic"])
+def test_malformed_netpbm_header_is_one_data_error(tmp_path, header):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(header + bytes(6))
+    with pytest.raises(DataError, match="m.pgm: malformed netpbm header"):
+        read_gray(path)
 
 
 def test_netpbm_truncated_raster_is_a_data_error(tmp_path):
@@ -219,3 +240,29 @@ def test_unreadable_images_are_data_errors(tmp_path, name, blob, match):
     path.write_bytes(blob())
     with pytest.raises(DataError, match=match):
         read_rgb(path)
+
+
+def _claims_50000_square(name):
+    if name.endswith(".png"):
+        return (PNG_SIGNATURE + png_ihdr(50_000, 50_000, 2)
+                + png_chunk(b"IDAT", zlib.compress(bytes(64))) + png_chunk(b"IEND", b""))
+    return b"P5\n50000 50000\n255\n" + bytes(64)
+
+
+@pytest.mark.parametrize("name", ["big.png", "big.pgm"])
+def test_an_image_over_the_pixel_budget_is_refused_before_decoding(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(_claims_50000_square(name))
+    with pytest.raises(DataError, match=f"{name}: a 50000x50000 image has 2500000000 pixels, "
+                                        "over the decoding budget of 67108864"):
+        read_gray(path)
+
+
+@pytest.mark.parametrize("ext", ["png", "pgm"])
+def test_the_pixel_budget_is_inclusive(tmp_path, monkeypatch, ext):
+    monkeypatch.setattr(imgio, "MAX_PIXELS", 12)
+    write_gray(tmp_path / f"fits.{ext}", eight_bit_grid((3, 4)))
+    write_gray(tmp_path / f"over.{ext}", eight_bit_grid((3, 5)))
+    assert read_gray(tmp_path / f"fits.{ext}").shape == (3, 4)
+    with pytest.raises(DataError, match="a 3x5 image has 15 pixels"):
+        read_gray(tmp_path / f"over.{ext}")

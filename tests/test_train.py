@@ -277,12 +277,15 @@ def test_non_finite_gradients_abort_with_step_number(tiny_dataset, tmp_path,
 
 def test_train_config_violations_are_collected(tiny_dataset, tmp_path):
     cfg = make_cfg(tiny_dataset, tmp_path / "run", epochs=0, batch_size=0,
-                   micro_batch=5, lr=-1.0, threshold=1.5, log_every=0)
+                   micro_batch=5, lr=-1.0, threshold=1.5, log_every=0,
+                   beta1=1.5, beta2=1.0, adam_eps=float("nan"))
     with pytest.raises(ConfigError) as err:
         train(cfg)
     text = str(err.value)
     for frag in ("epochs", "batch_size", "micro_batch", "lr", "threshold",
-                 "log_every"):
+                 "log_every", "beta1 must be in [0, 1), got 1.5",
+                 "beta2 must be in [0, 1), got 1.0",
+                 "adam_eps must be positive and finite, got nan"):
         assert frag in text
 
 
@@ -293,7 +296,7 @@ def test_train_requires_both_splits(tmp_path):
         index_path=index.root / "index.tsv", out_dir=tmp_path / "run",
         epochs=1, batch_size=2, micro_batch=2, quiet=True,
     )
-    with pytest.raises(ConfigError, match="val split is empty"):
+    with pytest.raises(ConfigError, match="split 'val' is empty"):
         train(cfg)
 
 
