@@ -212,7 +212,7 @@ def _open(path):
     try:
         return open(path, "rb")
     except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
 
 
 def _write(path, data: bytes) -> None:

@@ -154,18 +154,15 @@ def _graph_config(o, **fixed):
 
 
 def _cmd_train(o):
-    from .data import load_index, load_pair
+    from .data import load_index, split_size
     from .model import parse_variant
     from .train import TrainConfig, train
 
     variant = parse_variant(o["variant"])
     index = load_index(o["index"])
-    train_recs = index.split_records("train")
-    if not train_recs:
-        raise ConfigError(f"train split is empty in {index.root}")
-    input_size = load_pair(index, train_recs[0]).size
+    input_size = split_size(index, "train")
     print(f"input size {input_size[0]}x{input_size[1]} detected from "
-          f"{train_recs[0].image}")
+          f"{index.split_records('train')[0].image}")
     cfg = TrainConfig(
         variant=variant,
         graph=_graph_config(o, input_size=input_size, loss=o["loss"], seed=o["seed"]),

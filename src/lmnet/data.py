@@ -76,16 +76,19 @@ def _check_pool_grid(what: str, dims) -> None:
         )
 
 
+def _check_tiling(size, tile: int) -> None:
+    for axis, dim in zip(("height", "width"), size):
+        if dim % tile:
+            raise DataError(f"{axis} {dim} is not divisible by tile size {tile}")
+
+
 def tile_image(pair: ImagePair, tile: int = 500) -> list[ImagePair]:
     """Cut a pair into non-overlapping tile×tile pieces, row-major.
 
     Both source dims must divide evenly; no pixel is resampled or dropped.
     """
+    _check_tiling(pair.size, tile)
     h, w = pair.size
-    if h % tile:
-        raise DataError(f"height {h} is not divisible by tile size {tile}")
-    if w % tile:
-        raise DataError(f"width {w} is not divisible by tile size {tile}")
     out = []
     for r in range(h // tile):
         for c in range(w // tile):
@@ -269,33 +272,47 @@ def load_pair(index: DatasetIndex, rec: IndexRecord) -> ImagePair:
     return ImagePair(image=image, mask=mask)
 
 
-def batch_iter(index: DatasetIndex, split: str, batch_size: int, size,
-               seed: int = 0, epoch: int = 0, shuffle: bool = True):
-    """Yield (images (b,3,h,w), masks (b,1,h,w)) batches over one split.
+def split_size(index: DatasetIndex, split: str, size=None) -> tuple:
+    """The one (h, w) shared by every image and mask of a split.
 
-    Every tile must have the graph's input size `size` (h, w); this is the
-    one check of that and of the split's name and emptiness. Order is a pure
-    function of (seed, epoch); the final short batch is yielded as-is. With
-    shuffle=False records come in index order and seed and epoch are ignored.
+    This is the check that a split is named, non-empty and of one tile size:
+    `size`, or the first image's size when it is None. Only file headers are
+    read.
     """
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if split not in SPLITS:
         raise ConfigError(f"unknown split {split!r}; expected one of {', '.join(SPLITS)}")
     records = index.split_records(split)
     if not records:
         raise ConfigError(f"split {split!r} is empty in {index.root}")
+    for path in (p for r in records for p in (index.image_path(r), index.mask_path(r))):
+        got = imgio.image_size(path)
+        if size is None:
+            size = got
+        if got != tuple(size):
+            (h, w), (eh, ew) = got, size
+            raise DataError(f"{path} is {h}x{w}, but the graph expects {eh}x{ew}; "
+                            "re-prepare the data or pick a matching checkpoint")
+    return tuple(size)
+
+
+def batch_iter(index: DatasetIndex, split: str, batch_size: int, size,
+               seed: int = 0, epoch: int = 0, shuffle: bool = True):
+    """Yield (images (b,3,h,w), masks (b,1,h,w)) batches over one split.
+
+    Every tile must have the graph's input size `size` (h, w), as
+    `split_size` checks before the first batch. Order is a pure function of
+    (seed, epoch); the final short batch is yielded as-is. With
+    shuffle=False records come in index order and seed and epoch are ignored.
+    """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    split_size(index, split, size)
+    records = index.split_records(split)
     order = np.arange(len(records))
     if shuffle:
         order = derive_rng(seed, 0, epoch).permutation(len(records))
     for start in range(0, len(records), batch_size):
-        chunk = [records[i] for i in order[start:start + batch_size]]
-        pairs = [load_pair(index, r) for r in chunk]
-        for rec, pair in zip(chunk, pairs):
-            if pair.size != tuple(size):
-                (h, w), (eh, ew) = pair.size, size
-                raise DataError(f"{index.image_path(rec)} is {h}x{w}, but the graph expects "
-                                f"{eh}x{ew}; re-prepare the data or pick a matching checkpoint")
+        pairs = [load_pair(index, records[i]) for i in order[start:start + batch_size]]
         yield (
             np.concatenate([p.image for p in pairs], axis=0),
             np.concatenate([p.mask for p in pairs], axis=0),
@@ -358,7 +375,10 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
     """Run the full pipeline over a raw scene layout.
 
     Raw layout mirrors the prepared one: `<input>/<split>/images/*` with
-    like-named masks under `<input>/<split>/masks/`. Each scene is tiled;
+    like-named masks under `<input>/<split>/masks/`. Every scene's mask must
+    match its image and both sides must divide by `tile`; this is checked
+    from the headers of all scenes before anything is removed or written.
+    Each scene is tiled;
     a tile whose mask foreground fraction lies in [min_fg, max_fg] (both
     ends inclusive) is resized to `target` and written as an 8-bit PNG pair
     named `<scene stem>_r<row>c<col>.png`, any other is logged with its
@@ -393,6 +413,17 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
                 f"{first.image} and {rec.image} share the name {stem!r}, so their "
                 "tiles would overwrite each other; rename one"
             )
+    # every scene is checked from its headers before anything is removed or written
+    for rec in scenes.values():
+        size = imgio.image_size(raw.image_path(rec))
+        mask_size = imgio.image_size(raw.mask_path(rec))
+        try:
+            if mask_size != size:
+                raise DataError(f"its mask {rec.mask} is {mask_size[0]}x{mask_size[1]}, "
+                                f"the image {size[0]}x{size[1]}")
+            _check_tiling(size, tile)
+        except DataError as exc:
+            raise DataError(f"{rec.image}: {exc}") from None
     if out.exists() and any(out.iterdir()):
         if not overwrite:
             raise ConfigError(f"{out} already has content; pass overwrite to replace it")
@@ -418,12 +449,8 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
     summary = {s: {"kept": 0, "rejected": 0} for s in SPLITS}
     for (split, stem), rec in scenes.items():
         scene = load_pair(raw, rec)
-        try:
-            tiles = tile_image(scene, tile)
-        except DataError as exc:
-            raise DataError(f"{rec.image}: {exc}") from exc
         cols = scene.size[1] // tile
-        for i, t in enumerate(tiles):
+        for i, t in enumerate(tile_image(scene, tile)):
             tile_rec = _record(split, f"{stem}_r{i // cols}c{i % cols}.png")
             frac = foreground_fraction(t.mask)
             if min_fg <= frac <= max_fg:

@@ -40,9 +40,8 @@ def _check_pixel_budget(path, h, w) -> None:
         )
 
 
-def _read_netpbm(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _netpbm_header(path, blob):
+    """Check a netpbm header at the head of blob; returns (h, w, channels, end)."""
     header = _NETPBM_HEADER.match(blob)
     if header is None:
         raise DataError(f"{path}: malformed netpbm header")
@@ -53,9 +52,16 @@ def _read_netpbm(path):
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 is supported, found {maxval}")
     _check_pixel_budget(path, h, w)
-    shape = (h, w, 3) if magic == b"P6" else (h, w)
+    return h, w, 3 if magic == b"P6" else 1, header.end()
+
+
+def _read_netpbm(path):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    h, w, channels, end = _netpbm_header(path, blob)
+    shape = (h, w, 3) if channels == 3 else (h, w)
     need = math.prod(shape)
-    raster = blob[header.end():header.end() + need]
+    raster = blob[end:end + need]
     if len(raster) != need:
         raise DataError(
             f"{path}: raster holds {len(raster)} bytes, header promises {need}"
@@ -77,50 +83,39 @@ _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _PNG_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}
 
 
-def _read_png(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _png_corrupt(path, why) -> DataError:
+    return DataError(f"{path}: cannot decode PNG: {why}")
 
-    def corrupt(why):
-        return DataError(f"{path}: cannot decode PNG: {why}")
 
+def _png_chunk_at(path, blob, pos):
+    """The chunk starting at pos, CRC-checked: (kind, body, end)."""
+    if pos + 8 > len(blob):
+        raise _png_corrupt(path, "file ends before the IEND chunk")
+    length, kind = struct.unpack_from(">I4s", blob, pos)
+    end = pos + 12 + length
+    if end > len(blob):
+        raise _png_corrupt(path, f"truncated {kind.decode('latin-1')!r} chunk")
+    body = blob[pos + 8:end - 4]
+    if zlib.crc32(kind + body) != struct.unpack_from(">I", blob, end - 4)[0]:
+        raise _png_corrupt(path, f"CRC mismatch in {kind.decode('latin-1')!r} chunk")
+    return kind, body, end
+
+
+def _png_header(path, blob):
+    """Check the signature and IHDR at the head of blob; returns (h, w, bpp, end)."""
     if not blob.startswith(_PNG_SIGNATURE):
-        raise corrupt("missing PNG signature")
-    pos, header, idat = len(_PNG_SIGNATURE), None, []
-    while True:
-        if pos + 8 > len(blob):
-            raise corrupt("file ends before the IEND chunk")
-        length, kind = struct.unpack_from(">I4s", blob, pos)
-        end = pos + 12 + length
-        if end > len(blob):
-            raise corrupt(f"truncated {kind.decode('latin-1')!r} chunk")
-        body = blob[pos + 8:end - 4]
-        if zlib.crc32(kind + body) != struct.unpack_from(">I", blob, end - 4)[0]:
-            raise corrupt(f"CRC mismatch in {kind.decode('latin-1')!r} chunk")
-        pos = end
-        if header is None:
-            if kind != b"IHDR" or length != 13:
-                raise corrupt("the first chunk is not a 13-byte IHDR")
-            header = struct.unpack(">IIBBBBB", body)
-        elif kind == b"IDAT":
-            idat.append(body)
-        elif kind == b"IEND":
-            break
-        elif not kind[0] & 0x20 and kind != b"PLTE":
-            # An uppercase first letter marks a chunk a decoder must understand.
-            raise DataError(
-                f"{path}: PNG critical chunk {kind.decode('latin-1')!r} is not "
-                "supported; convert the image to 8-bit RGB or grayscale first"
-            )
-
-    w, h, depth, colour, compression, filtering, interlace = header
+        raise _png_corrupt(path, "missing PNG signature")
+    kind, body, end = _png_chunk_at(path, blob, len(_PNG_SIGNATURE))
+    if kind != b"IHDR" or len(body) != 13:
+        raise _png_corrupt(path, "the first chunk is not a 13-byte IHDR")
+    w, h, depth, colour, compression, filtering, interlace = struct.unpack(">IIBBBBB", body)
     if colour == 3:
         raise DataError(
             f"{path}: palette PNG (colour type 3) is not supported; "
             "convert it to 8-bit RGB or grayscale first"
         )
     if colour not in _PNG_CHANNELS:
-        raise corrupt(f"invalid colour type {colour}")
+        raise _png_corrupt(path, f"invalid colour type {colour}")
     if depth != 8:
         raise DataError(
             f"{path}: PNG bit depth {depth} is not supported (8 bits only); "
@@ -132,9 +127,29 @@ def _read_png(path) -> np.ndarray:
             "convert it to a non-interlaced image first"
         )
     if not (0 < w < 2**31 and 0 < h < 2**31) or compression or filtering or interlace:
-        raise corrupt("invalid IHDR fields")
+        raise _png_corrupt(path, "invalid IHDR fields")
     _check_pixel_budget(path, h, w)
-    bpp = _PNG_CHANNELS[colour]
+    return h, w, _PNG_CHANNELS[colour], end
+
+
+def _read_png(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    h, w, bpp, pos = _png_header(path, blob)
+    idat = []
+    while True:
+        kind, body, pos = _png_chunk_at(path, blob, pos)
+        if kind == b"IDAT":
+            idat.append(body)
+        elif kind == b"IEND":
+            break
+        elif not kind[0] & 0x20 and kind != b"PLTE":
+            # An uppercase first letter marks a chunk a decoder must understand.
+            raise DataError(
+                f"{path}: PNG critical chunk {kind.decode('latin-1')!r} is not "
+                "supported; convert the image to 8-bit RGB or grayscale first"
+            )
+
     expected = h * (1 + w * bpp)
     # Inflate at most one byte past what the header promises, so a bad
     # header or a compression bomb cannot exhaust memory.
@@ -142,13 +157,13 @@ def _read_png(path) -> np.ndarray:
     try:
         raw = inflater.decompress(b"".join(idat), min(expected + 1, sys.maxsize))
     except zlib.error as exc:
-        raise corrupt(f"image data: {exc}") from None
+        raise _png_corrupt(path, f"image data: {exc}") from None
     if len(raw) != expected or not inflater.eof:
-        raise corrupt(f"image data holds {len(raw)} bytes, the header implies {expected}")
+        raise _png_corrupt(path, f"image data holds {len(raw)} bytes, the header implies {expected}")
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(h, 1 + w * bpp)
     kinds = rows[:, 0]
     if kinds.max() > 4:
-        raise corrupt(f"unknown row filter type {kinds.max()}")
+        raise _png_corrupt(path, f"unknown row filter type {kinds.max()}")
     pixels = _unfilter(kinds, rows[:, 1:], bpp).reshape(h, w, bpp)
     if bpp < 3:
         return pixels[:, :, 0]
@@ -230,11 +245,14 @@ def _write_png(path, arr: np.ndarray) -> None:
                  + _png_chunk(b"IEND", b""))
 
 
-_CODECS = {
-    ".png": (_read_png, _write_png),
-    ".ppm": (_read_netpbm, _write_netpbm),
-    ".pgm": (_read_netpbm, _write_netpbm),
+_CODECS = {  # extension -> (reader, writer, header parser)
+    ".png": (_read_png, _write_png, _png_header),
+    ".ppm": (_read_netpbm, _write_netpbm, _netpbm_header),
+    ".pgm": (_read_netpbm, _write_netpbm, _netpbm_header),
 }
+# A header is parsed from this many leading bytes; only a netpbm header
+# padded past it with comments needs the rest of the file.
+_HEADER_BYTES = 4096
 
 
 def _codec(path, verb):
@@ -253,6 +271,23 @@ def _read_raw(path) -> np.ndarray:
     if not os.path.isfile(path):
         raise DataError(f"{path}: no such file")
     return _codec(path, "read")[0](path)
+
+
+def image_size(path) -> tuple:
+    """(h, w) of an image from its header alone.
+
+    The header gets the checks a read makes of it (format, depth, the pixel
+    budget), so a file that passes would decode to this size unless its
+    pixel data is damaged.
+    """
+    if not os.path.isfile(path):
+        raise DataError(f"{path}: no such file")
+    parse = _codec(path, "read")[2]
+    with open(path, "rb") as fh:
+        blob = fh.read(_HEADER_BYTES)
+        if parse is _netpbm_header and _NETPBM_HEADER.match(blob) is None:
+            blob += fh.read()  # comments may pad the header past the prefix
+    return parse(path, blob)[:2]
 
 
 def _to_u8(arr) -> np.ndarray:

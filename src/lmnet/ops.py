@@ -6,6 +6,9 @@ so the whole stack can be verified against central finite differences.
 Kernels are pure functions of their inputs (batchnorm's running-statistics
 update is the one documented exception) and bit-deterministic for fixed
 inputs, so repeated calls agree exactly.
+
+Every convolution product is formed on its narrower channel side; `_conv`
+states the rule.
 """
 
 from __future__ import annotations
@@ -99,10 +102,48 @@ def _im2col(x: np.ndarray, k: int, d: int):
     return windows.reshape(n, c * k * k, h * w)
 
 
+def _narrows(c_in: int, c_out: int, k: int) -> bool:
+    """True when a conv product is formed from its k*k*c_out tap side."""
+    return c_out < c_in and k > 1
+
+
+def _shift_add(taps: np.ndarray, d: int) -> np.ndarray:
+    """Sum tap planes (n, k, k, c_out, h, w) into a same-padded output.
+
+    Tap (u, v) reads the input at offset (d*u - p, d*v - p), so its plane
+    lands shifted back by that offset; a tap wholly outside the image adds
+    nothing and is skipped.
+    """
+    n, k, _, c_out, h, w = taps.shape
+    p = d * (k - 1) // 2
+    out = np.zeros((n, c_out, h, w), dtype=taps.dtype)
+    for u in range(k):
+        sy = d * u - p
+        for v in range(k):
+            sx = d * v - p
+            if abs(sy) >= h or abs(sx) >= w:
+                continue
+            dst = out[:, :, max(0, -sy):h - max(0, sy), max(0, -sx):w - max(0, sx)]
+            dst += taps[:, u, v, :, max(0, sy):h - max(0, -sy), max(0, sx):w - max(0, -sx)]
+    return out
+
+
 def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
-    """Same-padded dilated convolution of x with `weights`, without bias."""
+    """Same-padded dilated convolution of x with `weights`, without bias.
+
+    Side rule: when the kernel narrows (c_out < c_in) and k > 1, one matmul
+    of the stacked (k*k*c_out, c_in) taps with the input's (n, c_in, h*w)
+    view forms the k*k tap outputs, which `_shift_add` sums (kn2row). Any
+    other kernel meets the input's k*k*c_in im2col columns. The weight
+    gradient takes the same side (columns of grad_out when narrowing), and
+    the input gradient, itself a `_conv`, picks its own.
+    """
     n, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
+    if _narrows(c, c_out, k):
+        stacked = weights.transpose(2, 3, 0, 1).reshape(k * k * c_out, c)
+        taps = np.matmul(stacked, x.reshape(n, c, h * w))
+        return _shift_add(taps.reshape(n, k, k, c_out, h, w), d)
     col = _im2col(x, k, d)
     out = np.matmul(weights.reshape(c_out, c * k * k), col)  # (n, c_out, h*w)
     return out.reshape(n, c_out, h, w)
@@ -136,13 +177,20 @@ def conv2d_backward(x: Tensor, params: ConvParams, grad_out: Tensor, need_input:
 
     grad_bias = grad_out.sum(axis=(0, 2, 3))
 
-    # weight gradient: accumulate per batch element to keep transients small
-    col = _im2col(x, k, d)
-    gw = np.zeros((c_out, c * k * k), dtype=x.dtype)
+    # weight gradient, per batch element to keep transients small; on the
+    # narrow side the columns come from grad_out and the taps flip back
+    narrow = _narrows(c, c_out, k)
+    if narrow:
+        left, right = _im2col(grad_out, k, d), x.reshape(n, c, h * w)
+    else:
+        left, right = go, _im2col(x, k, d)
+    gw = np.zeros((left.shape[1], right.shape[1]), dtype=x.dtype)
     for b in range(n):
-        gw += go[b] @ col[b].T
-    grad_weights = gw.reshape(params.weights.shape)
-    del col  # never alive together with the input gradient's columns
+        gw += left[b] @ right[b].T
+    if narrow:
+        gw = gw.reshape(c_out, k, k, c).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
+    grad_weights = np.ascontiguousarray(gw).reshape(params.weights.shape)
+    del left, right  # never alive together with the input gradient's products
 
     if not need_input:
         return None, grad_weights, grad_bias

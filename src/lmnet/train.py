@@ -38,7 +38,7 @@ from .checkpoint import (
     save_checkpoint,
     save_training_checkpoint,
 )
-from .data import DatasetIndex, batch_iter, load_index
+from .data import DatasetIndex, batch_iter, load_index, split_size
 from .errors import ConfigError, NonFiniteGradientError, TrainAbortedError
 from .metrics import ConfusionCounts, MetricsReport, confusion, report
 from .model import GraphConfig, ModelGraph, Variant, build_model, init_parameters, loss_fn
@@ -205,9 +205,9 @@ def train(cfg: TrainConfig):
     if problems:
         raise ConfigError("; ".join(problems))
     index = load_index(cfg.index_path)
-    # an empty split, or a first tile of another size, fails before anything is written
+    # an empty split, or any tile of another size, fails before anything is written
     for split in ("train", "val"):
-        next(batch_iter(index, split, 1, cfg.graph.input_size, shuffle=False))
+        split_size(index, split, cfg.graph.input_size)
     n_train = len(index.split_records("train"))
     if n_train % cfg.batch_size == 1:
         raise ConfigError(

@@ -144,6 +144,17 @@ def test_eval_missing_checkpoint_exits_2(tiny_dataset, tmp_path, capsys):
     assert "Method" not in out  # no partial table was printed
 
 
+def test_a_missing_checkpoint_is_named_once(tiny_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "nope.ckpt"
+    code, _, err = run_cli(
+        capsys, "eval", "--ckpt", str(ckpt),
+        "--index", str(tiny_dataset.root / "index.tsv"),
+    )
+    assert code == 2
+    assert err.count("nope.ckpt") == 1, err
+    assert "No such file or directory" in err
+
+
 @pytest.mark.parametrize("damage", ["not-utf8", "huge-payload"])
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_a_malformed_checkpoint_exits_2_with_one_line(command, damage, tmp_path, capsys):
@@ -283,6 +294,37 @@ def test_prepare_refuses_to_clobber_without_overwrite(tmp_path, capsys):
     code, _, err = run_cli(capsys, *args)
     assert code == 1 and "overwrite" in err
     assert run_cli(capsys, *args, "--overwrite")[0] == 0
+
+
+def test_prepare_checks_every_scene_before_removing_or_writing(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    rng = np.random.default_rng(2)
+    for split in ("train", "val"):
+        (raw / split / "images").mkdir(parents=True)
+        (raw / split / "masks").mkdir(parents=True)
+
+    def scene(split, name, side):
+        imgio.write_rgb(raw / f"{split}/images/{name}.png",
+                        rng.random((3, side, side)).astype(np.float32))
+        imgio.write_gray(raw / f"{split}/masks/{name}.png",
+                         (rng.random((side, side)) < 0.5).astype(np.float32))
+
+    scene("train", "a", 64)
+    scene("val", "b", 64)
+    out = tmp_path / "prepared"
+    args = ("prepare", "--input-dir", str(raw), "--output-dir", str(out),
+            "--tile-size", "32", "--target-size", "32", "--min-fg", "0", "--max-fg", "1")
+    assert run_cli(capsys, *args)[0] == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert len(before) == 2 * 8 + 2  # 8 tile pairs, index.tsv and rejects.tsv
+    scene("train", "c", 60)
+    code, _, err = run_cli(capsys, *args, "--overwrite")
+    assert code == 1
+    assert "train/images/c.png: height 60 is not divisible by tile size 32" in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    fresh = tmp_path / "fresh"
+    assert run_cli(capsys, *args[:3], "--output-dir", str(fresh), *args[5:])[0] == 1
+    assert not fresh.exists()
 
 
 def test_prepare_missing_input_exits_1(tmp_path, capsys):

@@ -266,3 +266,38 @@ def test_the_pixel_budget_is_inclusive(tmp_path, monkeypatch, ext):
     assert read_gray(tmp_path / f"fits.{ext}").shape == (3, 4)
     with pytest.raises(DataError, match="a 3x5 image has 15 pixels"):
         read_gray(tmp_path / f"over.{ext}")
+
+
+# -- header-only size ---------------------------------------------------------
+
+@pytest.mark.parametrize("ext", ["png", "ppm", "pgm"])
+def test_image_size_agrees_with_a_full_read(tmp_path, ext):
+    path = tmp_path / f"img.{ext}"
+    if ext == "pgm":
+        write_gray(path, eight_bit_grid((70, 45)))
+    else:
+        write_rgb(path, eight_bit_grid((3, 70, 45)))
+    assert imgio.image_size(path) == read_gray(path).shape == (70, 45)
+
+
+def test_image_size_reads_a_netpbm_header_padded_past_its_prefix(tmp_path):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n" + b"# padding\n" * 1000 + b"3 2\n255\n" + bytes(6))
+    assert imgio.image_size(path) == read_gray(path).shape == (2, 3)
+
+
+@pytest.mark.parametrize("name, blob, match", [
+    ("big.png", lambda: _claims_50000_square("big.png"), "over the decoding budget"),
+    ("big.pgm", lambda: _claims_50000_square("big.pgm"), "over the decoding budget"),
+    ("palette.png", lambda: _header_only(colour=3), "palette"),
+    ("bad_crc.png", _bad_crc, "CRC"),
+    ("m.pgm", lambda: b"P5\n3 x\n255\n", "malformed netpbm header"),
+    ("scene.tif", _valid_png, "PNG, PPM and PGM"),
+])
+def test_image_size_makes_the_header_checks_of_a_read(tmp_path, name, blob, match):
+    path = tmp_path / name
+    path.write_bytes(blob())
+    with pytest.raises(DataError, match=match):
+        imgio.image_size(path)
+    with pytest.raises(DataError, match="no such file"):
+        imgio.image_size(tmp_path / "nope.png")

@@ -7,6 +7,8 @@ replaced, kept in oracles.py, bit for bit; the conv adjoints are compared
 with a tap-by-tap scatter oracle within 1e-12 relative in float64.
 """
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -137,6 +139,45 @@ def test_conv_backward_matches_the_scatter_oracle(c_in, c_out, k, d):
                              conv2d_backward_scatter(x, params, grad_out)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("k,d", [(k, d) for k in (3, 5) for d in (2, 3, 5)])
+def test_dilated_narrowing_conv_is_exact_on_a_4_pixel_side(k, d):
+    # narrowing kernels take the tap-output path; at d*(k-1)/2 >= 4 whole
+    # taps fall outside the image and must add nothing
+    rng = np.random.default_rng(100 * k + d)
+    for h, w in ((4, 4), (4, 7), (9, 4)):
+        x = int_valued(rng, (2, 6, h, w))
+        params = ops.ConvParams(int_valued(rng, (3, 6, k, k)), int_valued(rng, (3,)), d)
+        npt.assert_array_equal(ops.conv2d(x, params),
+                               conv2d_naive(x, params.weights, params.bias, d))
+        grad_out = int_valued(rng, (2, 3, h, w))
+        for got, want in zip(ops.conv2d_backward(x, params, grad_out),
+                             conv2d_backward_scatter(x, params, grad_out)):
+            npt.assert_array_equal(got, want)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_narrowing_conv_forms_no_input_columns():
+    # l7's shape: im2col would hold n * c_in*k*k * h*w floats; the tap side
+    # forms k*k*c_out planes, 28/5 times fewer
+    rng = np.random.default_rng(5)
+    n, c_in, c_out, k, side = 2, 28, 5, 3, 64
+    x = rng.standard_normal((n, c_in, side, side)).astype(np.float32)
+    params = ops.ConvParams(rng.standard_normal((c_out, c_in, k, k)).astype(np.float32),
+                            np.zeros(c_out, np.float32), 1)
+    grad_out = rng.standard_normal((n, c_out, side, side)).astype(np.float32)
+    col_bytes = n * c_in * k * k * side * side * 4
+    assert _traced_peak(lambda: ops.conv2d(x, params)) < col_bytes
+    assert _traced_peak(lambda: ops.conv2d_backward(x, params, grad_out, False)) < col_bytes
 
 
 def test_conv_backward_without_input_gradient():

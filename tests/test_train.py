@@ -8,8 +8,8 @@ import pytest
 
 import lmnet.ops as ops
 from lmnet.checkpoint import load_checkpoint, load_training_checkpoint
-from lmnet.data import write_synthetic_dataset
-from lmnet.errors import ConfigError, TrainAbortedError
+from lmnet.data import DatasetIndex, IndexRecord, save_index, write_synthetic_dataset
+from lmnet.errors import ConfigError, DataError, TrainAbortedError
 from lmnet.model import (
     GraphConfig,
     Variant,
@@ -298,6 +298,27 @@ def test_train_requires_both_splits(tmp_path):
     )
     with pytest.raises(ConfigError, match="split 'val' is empty"):
         train(cfg)
+
+
+def test_train_checks_every_val_tile_before_writing(tmp_path):
+    # the first val tile has the graph's 16x16, the second is 24x24
+    root = tmp_path / "mix"
+    records = []
+    for sub, counts, size in (("a", {"train": 4, "val": 1}, 16), ("b", {"val": 1}, 24)):
+        part = write_synthetic_dataset(root / sub, counts, size, seed=0)
+        records += [IndexRecord(f"{sub}/{r.image}", f"{sub}/{r.mask}", r.split)
+                    for r in part.records]
+    save_index(DatasetIndex(root=root, records=records), root / "index.tsv")
+    cfg = TrainConfig(
+        variant=Variant.PROPOSED, graph=TRAIN_GRAPH,
+        index_path=root / "index.tsv", out_dir=tmp_path / "run",
+        epochs=1, batch_size=4, micro_batch=2, quiet=True,
+    )
+    with pytest.raises(DataError, match=r"b/val/images/synth_00000\.png is 24x24, "
+                                        "but the graph expects 16x16"):
+        train(cfg)
+    assert not list(tmp_path.glob("run/history_*.csv"))
+    assert not (tmp_path / "run").exists()
 
 
 # -- evaluation -------------------------------------------------------------
