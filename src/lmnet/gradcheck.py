@@ -7,8 +7,9 @@ distributions, because the zero-heavy init point parks whole channels
 exactly on the relu kink where finite differences measure one-sided slopes
 and disagree with the (correct) analytic subgradient. The fixture seeds
 below were chosen so the smallest pre-relu magnitude and the smallest
-pool-window runner-up gap both clear 1e-3, three orders above the probe
-step.
+pool-window runner-up gap both clear 2e-3, two orders above the probe
+step, and so no layer's relu is dead on the whole batch: every weight
+tensor then has a non-zero gradient and is checked against a slope.
 """
 
 from __future__ import annotations
@@ -21,16 +22,16 @@ from .seeding import derive_rng
 
 TINY_CONFIG = GraphConfig(input_size=(8, 8), channel_sequence=(2, 2, 3, 3))
 
-INIT_SEED = 30
+INIT_SEED = 59
 POINT_SEED = 1030
 DROPOUT_SEED = 7
 
 # Per-variant input/target seeds with validated kink clearance.
 DATA_SEEDS = {
-    Variant.PLAIN: 36,
-    Variant.DILATION: 0,
-    Variant.RESIDUAL: 1,
-    Variant.PROPOSED: 0,
+    Variant.PLAIN: 22,
+    Variant.DILATION: 21,
+    Variant.RESIDUAL: 3,
+    Variant.PROPOSED: 21,
 }
 
 

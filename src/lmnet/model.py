@@ -24,9 +24,11 @@ dilated first layer. Activations therefore run 192-96-48-24-48-96-192.
 layer_plan states this once, as nine stages (one per activation). forward
 walks the stages in order and keeps one StageRecord per stage, holding
 only what backward reads: the input the stage's kernels read, their
-batchnorm caches, the pool argmax, the channel split point of a skip
-concatenation, the dropout mask and the activation after dropout. backward
-walks the same records in reverse.
+batchnorm caches, the pool argmax, the dropout mask and the activation
+after dropout. A decoder stage runs ops.upsample_conv2d, which reads the
+low-resolution previous activation and the skip activation's own record,
+so no upsampled or concatenated input is formed or kept. backward walks
+the same records in reverse.
 """
 
 from __future__ import annotations
@@ -142,9 +144,10 @@ class Stage:
     pre says what feeds the stage's kernels: "" (the previous activation, or
     the input batch for the first stage), "pool" (a 2x2 max-pool of it) or
     "upsample" (a nearest 2x upsample, followed by the activation numbered
-    `skip` concatenated on the channel axis when skip is set). All kernels
-    read that one input; their outputs are concatenated and pass through
-    `act` (an ops function name) into the stage's activation.
+    `skip` concatenated on the channel axis when skip is set; the kernels
+    apply both fused, through ops.upsample_conv2d). All kernels read that
+    one input; their outputs are concatenated and pass through `act` (an
+    ops function name) into the stage's activation.
     """
 
     index: int
@@ -202,12 +205,15 @@ def layer_plan(variant: Variant, config: GraphConfig) -> LayerPlan:
 
 @dataclass
 class StageRecord:
-    """What one stage's forward pass keeps for the backward pass: only what backward reads."""
+    """What one stage's forward pass keeps for the backward pass: only what backward reads.
+
+    For an upsample stage conv_in is the low-resolution previous activation;
+    the skip input is the `act` of the skip stage's own record.
+    """
 
     conv_in: np.ndarray = None  # the input all of the stage's kernels read
     bn: list = field(default_factory=list)  # batchnorm caches, in kernel order
     argmax: np.ndarray = None   # pool argmax, for a pooling stage
-    split: int = None           # upsampled channels ahead of the concatenated skip
     mask: np.ndarray = None     # dropout mask, when the stage drops
     act: np.ndarray = None      # the stage's activation after dropout
 
@@ -316,13 +322,9 @@ class ModelGraph:
             rec = StageRecord()
             if stage.pre == "pool":
                 cur, rec.argmax = ops.maxpool2(cur)
-            elif stage.pre == "upsample":
-                cur = ops.upsample_nearest2(cur)
-                if stage.skip:
-                    rec.split = cur.shape[1]
-                    cur = ops.concat_channels(cur, records[stage.skip - 1].act)
             rec.conv_in = cur
-            zs = [self._kernel_forward(s, cur, mode, rec.bn) for s in stage.convs]
+            skip = records[stage.skip - 1].act if stage.skip else None
+            zs = [self._kernel_forward(stage, s, cur, skip, mode, rec.bn) for s in stage.convs]
             a = getattr(ops, stage.act)(zs[0] if len(zs) == 1 else np.concatenate(zs, axis=1))
             rate = drop.get(stage.index, 0.0)
             if rate > 0.0:
@@ -331,9 +333,14 @@ class ModelGraph:
             records.append(rec)
         return cur, ForwardCache(mode, records)
 
-    def _kernel_forward(self, spec: ConvSpec, x: np.ndarray, mode: str, bn: list):
-        """conv, then batchnorm when the spec has it, appending its cache to `bn`."""
-        z = ops.conv2d(x, self._conv_params(spec))
+    def _kernel_forward(self, stage: Stage, spec: ConvSpec, x: np.ndarray, skip, mode: str,
+                        bn: list):
+        """conv (fused with the upsample and skip of a decoder stage), then
+        batchnorm when the spec has it, appending its cache to `bn`."""
+        if stage.pre == "upsample":
+            z = ops.upsample_conv2d(x, skip, self._conv_params(spec))
+        else:
+            z = ops.conv2d(x, self._conv_params(spec))
         if spec.has_bn:
             state = self._bn_state(spec)
             z, bncache = ops.batchnorm(z, state, mode)
@@ -355,7 +362,7 @@ class ModelGraph:
                 f"grad_pred shape {grad_pred.shape} does not match prediction {pred.shape}"
             )
         grads = {}
-        skip_grads = {}  # activation index -> cotangent returned by its concat
+        skip_grads = {}  # activation index -> cotangent of its use as a skip input
         g = grad_pred
         for stage, rec in zip(reversed(self.plan.stages), reversed(cache.stages)):
             # here g is d(activation `stage.index` after dropout)
@@ -367,25 +374,26 @@ class ModelGraph:
             # where the mask is 0 the cotangent is already +-0, where it is positive the two
             # share a sign. Stage 9 (sigmoid) never drops: dropout is allowed on 1-7 only.
             g = getattr(ops, f"{stage.act}_backward")(g, rec.act)
-            g = self._kernels_backward(stage, rec, g, grads)
-            if stage.skip:
-                g, skip_grads[stage.skip] = ops.split_channels(g, rec.split)
-            if stage.pre == "upsample":
-                g = ops.upsample_nearest2_backward(g)
-            elif stage.pre == "pool":
+            skip = cache.stages[stage.skip - 1].act if stage.skip else None
+            g, g_skip = self._kernels_backward(stage, rec, skip, g, grads)
+            if g_skip is not None:
+                skip_grads[stage.skip] = g_skip
+            if stage.pre == "pool":
                 n, c, h, w = g.shape
                 g = ops.maxpool2_backward(g, rec.argmax, (n, c, 2 * h, 2 * w))
         return grads
 
-    def _kernels_backward(self, stage: Stage, rec: StageRecord, g: np.ndarray, grads: dict):
-        """d(stage pre-activation) -> d(conv input), filling `grads` for the stage's kernels.
+    def _kernels_backward(self, stage: Stage, rec: StageRecord, skip, g: np.ndarray,
+                          grads: dict):
+        """d(stage pre-activation) -> (d(conv input), d(skip input)), filling
+        `grads` for the stage's kernels.
 
-        The first stage reads the input batch, which has no gradient, so it
-        returns None there.
+        The first stage reads the input batch, which has no gradient, so its
+        d(conv input) is None; d(skip input) is None without a skip.
         """
         need_input = stage is not self.plan.stages[0]
         bn = iter(rec.bn)
-        g_in = None
+        g_in = g_skip = None
         start = 0
         for spec in stage.convs:
             gk = g[:, start : start + spec.out_channels]
@@ -394,14 +402,22 @@ class ModelGraph:
                 gk, grads[f"{spec.name}.gamma"], grads[f"{spec.name}.beta"] = (
                     ops.batchnorm_backward(next(bn), gk)
                 )
-            # need_input goes positionally: perfbench's tracer wraps conv2d_backward
-            # as call(x, params, *rest), which takes no keywords
-            gx, grads[f"{spec.name}.w"], grads[f"{spec.name}.b"] = ops.conv2d_backward(
-                rec.conv_in, self._conv_params(spec), gk, need_input
-            )
+            params = self._conv_params(spec)
+            if stage.pre == "upsample":
+                gx, gs, grads[f"{spec.name}.w"], grads[f"{spec.name}.b"] = (
+                    ops.upsample_conv2d_backward(rec.conv_in, skip, params, gk)
+                )
+                if gs is not None:
+                    g_skip = gs if g_skip is None else g_skip + gs
+            else:
+                # need_input goes positionally: perfbench's tracer wraps conv2d_backward
+                # as call(x, params, *rest), which takes no keywords
+                gx, grads[f"{spec.name}.w"], grads[f"{spec.name}.b"] = ops.conv2d_backward(
+                    rec.conv_in, params, gk, need_input
+                )
             if need_input:
                 g_in = gx if g_in is None else g_in + gx
-        return g_in
+        return g_in, g_skip
 
 
 def build_model(variant, config: GraphConfig | None = None, dtype=np.float32) -> ModelGraph:

@@ -8,7 +8,9 @@ update is the one documented exception) and bit-deterministic for fixed
 inputs, so repeated calls agree exactly.
 
 Every convolution product is formed on its narrower channel side; `_conv`
-states the rule.
+states the rule. The one exception is a fused decoder stage
+(`upsample_conv2d`), whose upsampled channels always form tap planes, at
+the low resolution.
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ def _im2col(x: np.ndarray, k: int, d: int):
     (c_out, c*k*k) weight matrix realises same-padded dilated convolution.
     """
     n, c, h, w = x.shape
+    if k == 1:
+        return x.reshape(n, c, h * w)  # the input itself, read in place
     p = d * (k - 1) // 2
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     sn, sc, sh, sw = xp.strides
@@ -107,25 +111,34 @@ def _narrows(c_in: int, c_out: int, k: int) -> bool:
     return c_out < c_in and k > 1
 
 
-def _shift_add(taps: np.ndarray, d: int) -> np.ndarray:
-    """Sum tap planes (n, k, k, c_out, h, w) into a same-padded output.
-
-    Tap (u, v) reads the input at offset (d*u - p, d*v - p), so its plane
-    lands shifted back by that offset; a tap wholly outside the image adds
-    nothing and is skipped.
-    """
-    n, k, _, c_out, h, w = taps.shape
+def _offsets(k: int, d: int) -> list:
+    """(tap, offset) pairs: tap u reads the input at offset d*u - p, p = d*(k-1)//2."""
     p = d * (k - 1) // 2
-    out = np.zeros((n, c_out, h, w), dtype=taps.dtype)
-    for u in range(k):
-        sy = d * u - p
-        for v in range(k):
-            sx = d * v - p
-            if abs(sy) >= h or abs(sx) >= w:
+    return [(u, d * u - p) for u in range(k)]
+
+
+def _shift_add(taps: np.ndarray, rows: list, cols: list, out: np.ndarray) -> None:
+    """Add tap planes taps[:, u, v] (of shape (n, k, k, c_out, h, w)) into out.
+
+    Tap (u, v), with (u, sy) in rows and (v, sx) in cols, lands shifted back
+    by its offset (sy, sx); a tap wholly outside the plane adds nothing and
+    is skipped.
+    """
+    h, w = out.shape[-2:]
+    for u, sy in rows:
+        if abs(sy) >= h:
+            continue
+        for v, sx in cols:
+            if abs(sx) >= w:
                 continue
-            dst = out[:, :, max(0, -sy):h - max(0, sy), max(0, -sx):w - max(0, sx)]
+            dst = out[..., max(0, -sy):h - max(0, sy), max(0, -sx):w - max(0, sx)]
             dst += taps[:, u, v, :, max(0, sy):h - max(0, -sy), max(0, sx):w - max(0, -sx)]
-    return out
+
+
+def _stacked_taps(weights: np.ndarray) -> np.ndarray:
+    """(c_out, c_in, k, k) weights as the (k*k*c_out, c_in) tap matrix, rows (u, v, o)."""
+    c_out, c_in, k, _ = weights.shape
+    return weights.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
 
 
 def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
@@ -141,12 +154,43 @@ def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
     n, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
     if _narrows(c, c_out, k):
-        stacked = weights.transpose(2, 3, 0, 1).reshape(k * k * c_out, c)
-        taps = np.matmul(stacked, x.reshape(n, c, h * w))
-        return _shift_add(taps.reshape(n, k, k, c_out, h, w), d)
+        taps = np.matmul(_stacked_taps(weights), x.reshape(n, c, h * w))
+        out = np.zeros((n, c_out, h, w), dtype=taps.dtype)
+        _shift_add(taps.reshape(n, k, k, c_out, h, w), _offsets(k, d), _offsets(k, d), out)
+        return out
     col = _im2col(x, k, d)
     out = np.matmul(weights.reshape(c_out, c * k * k), col)  # (n, c_out, h*w)
     return out.reshape(n, c_out, h, w)
+
+
+def _conv_backward(x: np.ndarray, weights: np.ndarray, d: int, grad_out: np.ndarray,
+                   need_input: bool):
+    """(grad_input, grad_weights) of sum(grad_out * _conv(x, weights, d)).
+
+    grad_input is None when need_input is false. Shapes are the caller's to
+    check.
+    """
+    n, c, h, w = x.shape
+    c_out, _, k, _ = weights.shape
+    # weight gradient, per batch element to keep transients small; on the
+    # narrow side the columns come from grad_out and the taps flip back
+    narrow = _narrows(c, c_out, k)
+    if narrow:
+        left, right = _im2col(grad_out, k, d), x.reshape(n, c, h * w)
+    else:
+        left, right = grad_out.reshape(n, c_out, h * w), _im2col(x, k, d)
+    gw = np.zeros((left.shape[1], right.shape[1]), dtype=x.dtype)
+    for b in range(n):
+        gw += left[b] @ right[b].T
+    if narrow:
+        gw = gw.reshape(c_out, k, k, c).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
+    grad_weights = np.ascontiguousarray(gw).reshape(weights.shape)
+    del left, right  # never alive together with the input gradient's products
+
+    if not need_input:
+        return None, grad_weights
+    flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return _conv(grad_out, flipped, d), grad_weights
 
 
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
@@ -166,36 +210,128 @@ def conv2d_backward(x: Tensor, params: ConvParams, grad_out: Tensor, need_input:
     need_input is false (a layer that reads the network input).
     """
     _conv_check(x, params)
-    n, c, h, w = x.shape
-    k, d = params.kernel_size, params.dilation
+    n, _, h, w = x.shape
     c_out = params.out_channels
     if grad_out.shape != (n, c_out, h, w):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match conv output {(n, c_out, h, w)}"
         )
-    go = grad_out.reshape(n, c_out, h * w)
+    grad_input, grad_weights = _conv_backward(x, params.weights, params.dilation, grad_out,
+                                              need_input)
+    return grad_input, grad_weights, grad_out.sum(axis=(0, 2, 3))
 
-    grad_bias = grad_out.sum(axis=(0, 2, 3))
 
-    # weight gradient, per batch element to keep transients small; on the
-    # narrow side the columns come from grad_out and the taps flip back
-    narrow = _narrows(c, c_out, k)
-    if narrow:
-        left, right = _im2col(grad_out, k, d), x.reshape(n, c, h * w)
+def _upsample_conv_check(low: np.ndarray, skip, params: ConvParams) -> int:
+    """Validate a fused decoder call; returns the upsampled channel count."""
+    _require_4d("upsample_conv2d low input", low)
+    n, c_u, hl, wl = low.shape
+    if hl < 1 or wl < 1:
+        raise ShapeError(
+            f"upsample_conv2d low input must have positive spatial dims, got {low.shape}"
+        )
+    c_skip = 0
+    if skip is not None:
+        _require_4d("upsample_conv2d skip input", skip)
+        if skip.shape[0] != n or skip.shape[2:] != (2 * hl, 2 * wl):
+            raise ShapeError(
+                f"skip input {skip.shape} must be (n, c, 2h, 2w) of low input {low.shape}"
+            )
+        c_skip = skip.shape[1]
+    if c_u + c_skip != params.in_channels:
+        raise ShapeError(
+            f"upsample_conv2d inputs have {c_u} + {c_skip} channels but the kernel "
+            f"expects {params.in_channels}"
+        )
+    return c_u
+
+
+def _phase_offsets(k: int, d: int) -> tuple:
+    """Per output phase a, the (tap, offset) pairs of the upsampled input:
+    output row 2*i + a of tap u reads low-resolution row i + (a + d*u - p) // 2."""
+    return tuple([(u, (a + s) // 2) for u, s in _offsets(k, d)] for a in (0, 1))
+
+
+def upsample_conv2d(low: Tensor, skip, params: ConvParams) -> Tensor:
+    """conv2d(concat_channels(upsample_nearest2(low), skip), params), fused.
+
+    skip may be None (no concatenation). Nearest upsampling repeats pixels
+    and a tap matmul mixes channels only, so for an (n, c_out, h, w) output
+    the upsampled channels' k*k tap planes are formed at low resolution
+    (h/2, w/2), summed per output phase into a (n, 2, 2, c_out, h/2, w/2)
+    buffer and added once into the output's 2x2 block view. The skip
+    channels take `_conv` at full resolution. Neither the upsampled nor the
+    concatenated input is formed.
+    """
+    c_u = _upsample_conv_check(low, skip, params)
+    n, _, hl, wl = low.shape
+    weights, d = params.weights, params.dilation
+    c_out, _, k, _ = weights.shape
+    if skip is None:
+        out = np.zeros((n, c_out, 2 * hl, 2 * wl), dtype=low.dtype)
     else:
-        left, right = go, _im2col(x, k, d)
-    gw = np.zeros((left.shape[1], right.shape[1]), dtype=x.dtype)
-    for b in range(n):
-        gw += left[b] @ right[b].T
-    if narrow:
-        gw = gw.reshape(c_out, k, k, c).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
-    grad_weights = np.ascontiguousarray(gw).reshape(params.weights.shape)
-    del left, right  # never alive together with the input gradient's products
+        out = _conv(skip, weights[:, c_u:], d)
+    taps = np.matmul(_stacked_taps(weights[:, :c_u]), low.reshape(n, c_u, hl * wl))
+    taps = taps.reshape(n, k, k, c_out, hl, wl)
+    phases = np.zeros((n, 2, 2, c_out, hl, wl), dtype=taps.dtype)
+    shifts = _phase_offsets(k, d)
+    for a in (0, 1):
+        for b in (0, 1):
+            _shift_add(taps, shifts[a], shifts[b], phases[:, a, b])
+    del taps
+    blocks = out.reshape(n, c_out, hl, 2, wl, 2)  # a view: out is C-contiguous
+    blocks += phases.transpose(0, 3, 4, 1, 5, 2)
+    out += params.bias.reshape(1, -1, 1, 1)
+    return out
 
-    if not need_input:
-        return None, grad_weights, grad_bias
-    flipped = params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    return _conv(grad_out, flipped, d), grad_weights, grad_bias
+
+def upsample_conv2d_backward(low: Tensor, skip, params: ConvParams, grad_out: Tensor):
+    """Adjoints of upsample_conv2d: (grad_low, grad_skip, grad_weights, grad_bias).
+
+    grad_skip is None when skip is. Tap (u, v) of the upsampled channels
+    reads low pixel (i, j) from a 2x2 block of output pixels, so the padded
+    grad_out is pair-summed along rows once per u, then along columns per
+    (u, v): those (n, k*k*c_out, h/2*w/2) block-summed columns give the
+    upsampled channels' weight gradient and grad_low by low-resolution
+    matmuls.
+    The skip channels go through `_conv_backward`.
+    """
+    c_u = _upsample_conv_check(low, skip, params)
+    n, _, hl, wl = low.shape
+    h, w = 2 * hl, 2 * wl
+    weights, d = params.weights, params.dilation
+    c_out, _, k, _ = weights.shape
+    if grad_out.shape != (n, c_out, h, w):
+        raise ShapeError(
+            f"grad_out shape {grad_out.shape} does not match conv output {(n, c_out, h, w)}"
+        )
+    grad_skip = None
+    if skip is not None:
+        grad_skip, gw_skip = _conv_backward(skip, weights[:, c_u:], d, grad_out, True)
+
+    # padded row Y + p holds grad_out row Y; low row i of tap u collects
+    # output rows 2*i - d*u + p and the one below it
+    p = d * (k - 1) // 2
+    gp = np.pad(grad_out, ((0, 0), (0, 0), (p, p), (p, p)))
+    cols = np.empty((n, k, k, c_out, hl, wl), dtype=grad_out.dtype)
+    for u in range(k):
+        y = 2 * p - d * u
+        rows = gp[:, :, y:y + h:2] + gp[:, :, y + 1:y + 1 + h:2]
+        for v in range(k):
+            x = 2 * p - d * v
+            np.add(rows[..., x:x + w:2], rows[..., x + 1:x + 1 + w:2], out=cols[:, u, v])
+    del gp, rows
+    cols = cols.reshape(n, k * k * c_out, hl * wl)
+    flat = low.reshape(n, c_u, hl * wl)
+    gw = np.zeros((k * k * c_out, c_u), dtype=low.dtype)
+    for b in range(n):
+        gw += cols[b] @ flat[b].T
+    grad_up = gw.reshape(k, k, c_out, c_u).transpose(2, 3, 0, 1)
+    grad_low = np.matmul(_stacked_taps(weights[:, :c_u]).T, cols).reshape(n, c_u, hl, wl)
+    if skip is None:
+        grad_weights = np.ascontiguousarray(grad_up)
+    else:
+        grad_weights = np.concatenate([grad_up, gw_skip], axis=1)
+    return grad_low, grad_skip, grad_weights, grad_out.sum(axis=(0, 2, 3))
 
 
 def maxpool2(x: Tensor):
@@ -237,6 +373,11 @@ def maxpool2_backward(grad_out: Tensor, argmax: np.ndarray, input_shape) -> Tens
         flat, argmax.reshape(n, c, -1), grad_out.reshape(n, c, -1), axis=2
     )
     return flat.reshape(n, c, h, w)
+
+
+# The network's decoder stages call upsample_conv2d. upsample_nearest2, its
+# adjoint, concat_channels and split_channels are the unfused composition
+# it is tested against, and perfbench's tracer wraps each of them by name.
 
 
 def upsample_nearest2(x: Tensor) -> Tensor:

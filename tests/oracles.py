@@ -8,6 +8,8 @@ inputs make convolution sums order-independent).
 
 import numpy as np
 
+from lmnet import ops
+
 
 def conv2d_naive(x, weights, bias, dilation=1):
     """Same-padding dilated convolution by direct summation."""
@@ -75,6 +77,20 @@ def conv2d_backward_scatter(x, params, grad_out, need_input=True):
             gxp[window] += np.einsum("oc,noyx->ncyx", params.weights[:, :, u, v], grad_out)
     grad_input = gxp[:, :, p : p + h, p : p + w].copy()
     return grad_input, gw, grad_out.sum(axis=(0, 2, 3))
+
+
+def upsample_conv2d_backward_composed(low, skip, params, grad_out):
+    """upsample_conv2d's adjoints through the unfused composition: upsample
+    and concat the inputs, take the scatter oracle's conv adjoints, split
+    the input gradient and send the upsampled part through the upsample
+    adjoint. Same signature and result order as ops.upsample_conv2d_backward."""
+    up = ops.upsample_nearest2(low)
+    x = up if skip is None else ops.concat_channels(up, skip)
+    grad_x, grad_w, grad_b = conv2d_backward_scatter(x, params, grad_out)
+    grad_skip = None
+    if skip is not None:
+        grad_x, grad_skip = ops.split_channels(grad_x, low.shape[1])
+    return ops.upsample_nearest2_backward(grad_x), grad_skip, grad_w, grad_b
 
 
 def maxpool2_argmax(x):

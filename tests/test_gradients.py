@@ -18,7 +18,7 @@ from lmnet.gradcheck import (
     fixture_graph,
     relative_error,
 )
-from lmnet.model import Variant
+from lmnet.model import Variant, loss_fn
 from lmnet.seeding import derive_rng
 
 from oracles import fd_gradient, rel_err
@@ -65,6 +65,29 @@ def test_conv_gradients_across_dilations(dilation):
     fd_x = fd_gradient(lambda: float((ops.conv2d(x, p) * cotangent).sum()), x)
     assert rel_err(gw, fd_w) < PER_OP_TOL
     assert rel_err(gx, fd_x) < PER_OP_TOL
+
+
+@pytest.mark.parametrize("dilation,with_skip", [(1, True), (2, True), (1, False)])
+def test_fused_decoder_gradients(dilation, with_skip):
+    rng = np.random.default_rng(24 + dilation)
+    low = smooth(rng, (2, 3, 3, 4))
+    skip = smooth(rng, (2, 2, 6, 8)) if with_skip else None
+    weights = smooth(rng, (2, 5 if with_skip else 3, 3, 3))
+    bias = smooth(rng, (2,))
+    cotangent = smooth(rng, (2, 2, 6, 8))
+    p = ops.ConvParams(weights, bias, dilation)
+
+    def value():
+        return float((ops.upsample_conv2d(low, skip, p) * cotangent).sum())
+
+    g_low, g_skip, gw, gb = ops.upsample_conv2d_backward(low, skip, p, cotangent)
+    assert rel_err(g_low, fd_gradient(value, low)) < PER_OP_TOL
+    assert rel_err(gw, fd_gradient(value, weights)) < PER_OP_TOL
+    assert rel_err(gb, fd_gradient(value, bias)) < PER_OP_TOL
+    if with_skip:
+        assert rel_err(g_skip, fd_gradient(value, skip)) < PER_OP_TOL
+    else:
+        assert g_skip is None
 
 
 # -- batch normalization ----------------------------------------------------
@@ -220,8 +243,21 @@ def test_fixture_point_clears_kinks_and_pool_ties(variant, monkeypatch):
     graph = fixture_graph(variant)
     x, _ = fixture_batch(graph, DATA_SEEDS[variant])
     graph.forward(x, "train", rng=derive_rng(DROPOUT_SEED, 1))
-    assert margins["relu"] > 1e-3, f"{variant.value}: relu margin {margins['relu']}"
-    assert margins["pool_gap"] > 1e-3, f"{variant.value}: pool gap {margins['pool_gap']}"
+    assert margins["relu"] > 2e-3, f"{variant.value}: relu margin {margins['relu']}"
+    assert margins["pool_gap"] > 2e-3, f"{variant.value}: pool gap {margins['pool_gap']}"
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_fixture_point_gives_every_weight_a_gradient(variant):
+    """A relu dead on the whole fixture batch zeroes every gradient behind
+    it, and finite differences then agree with the analytic zeros without
+    testing any backward pass there."""
+    graph = fixture_graph(variant)
+    x, targets = fixture_batch(graph, DATA_SEEDS[variant])
+    pred, cache = graph.forward(x, "train", rng=derive_rng(DROPOUT_SEED, 1))
+    grads = graph.backward(cache, loss_fn(graph.config.loss)(pred, targets)[1])
+    dead = [name for name, g in grads.items() if name.endswith(".w") and not np.any(g)]
+    assert not dead, f"{variant.value}: zero gradients for {dead}"
 
 
 @pytest.mark.parametrize("variant", list(Variant))

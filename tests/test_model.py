@@ -19,7 +19,7 @@ from lmnet.model import (
 from lmnet.seeding import derive_rng
 
 from conftest import TINY_GRAPH
-from oracles import conv2d_backward_scatter
+from oracles import conv2d_backward_scatter, upsample_conv2d_backward_composed
 
 SKIP_WIRING = ((5, 3), (6, 2), (7, 1))  # (decoder layer, encoder activation) pairs
 
@@ -252,6 +252,7 @@ def test_backward_matches_the_scatter_oracle_adjoints(variant, monkeypatch):
     grad_pred = np.random.default_rng(4).standard_normal(pred.shape)
     got = graph.backward(cache, grad_pred)
     monkeypatch.setattr(ops, "conv2d_backward", conv2d_backward_scatter)
+    monkeypatch.setattr(ops, "upsample_conv2d_backward", upsample_conv2d_backward_composed)
     want = graph.backward(cache, grad_pred)
     assert got.keys() == want.keys() == graph.params.keys()
     for name in got:
@@ -261,6 +262,32 @@ def test_backward_matches_the_scatter_oracle_adjoints(variant, monkeypatch):
         ref = f"{layer}.w" if name.endswith(".b") and f"{layer}.gamma" in want else name
         scale = np.max(np.abs(want[ref]))
         assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_conv_calls_carry_the_plan_keys_a_call_site_tracer_needs(variant, monkeypatch):
+    # a tracer outside the package wraps conv2d and conv2d_backward as
+    # call(x, params, *rest) and names each call's layer by its
+    # (c_out, c_in, k, dilation); a call with keywords or with a key no
+    # plan spec has (a weight slice, say) breaks it
+    graph = built(variant)
+    keys = {(s.out_channels, s.in_channels, s.kernel, s.dilation) for s in graph.plan.all_convs}
+    seen = []
+
+    def positional(fn):
+        def call(x, params, *rest):
+            seen.append((params.out_channels, params.in_channels, params.kernel_size,
+                         params.dilation))
+            return fn(x, params, *rest)
+        return call
+
+    for name in ("conv2d", "conv2d_backward"):
+        monkeypatch.setattr(ops, name, positional(getattr(ops, name)))
+    x = np.random.default_rng(5).random((2, 3, 16, 16)).astype(np.float32)
+    pred, cache = graph.forward(x, "train", rng=derive_rng(7, 1))
+    graph.backward(cache, np.ones_like(pred))
+    graph.forward(x, "eval")
+    assert seen and set(seen) <= keys
 
 
 def test_single_unit_channel_sequence_still_runs():

@@ -4,7 +4,9 @@ Forward oracle comparisons use integer-valued float64 inputs so convolution
 sums are exact in either summation order and equality can be asserted
 bitwise. The rewritten adjoints are compared with the formulas they
 replaced, kept in oracles.py, bit for bit; the conv adjoints are compared
-with a tap-by-tap scatter oracle within 1e-12 relative in float64.
+with a tap-by-tap scatter oracle within 1e-12 relative in float64, and the
+fused decoder stage with upsample -> concat -> conv and that oracle's
+adjoints through the split and the upsample adjoint.
 """
 
 import tracemalloc
@@ -24,6 +26,7 @@ from oracles import (
     maxpool2_naive,
     upsample2_backward_blocks,
     upsample2_naive,
+    upsample_conv2d_backward_composed,
 )
 
 PLANS = [layer_plan(v, GraphConfig()) for v in Variant]
@@ -190,6 +193,94 @@ def test_conv_backward_without_input_gradient():
     _, want_gw, want_gb = ops.conv2d_backward(x, params, grad_out)
     npt.assert_array_equal(gw, want_gw)
     npt.assert_array_equal(gb, want_gb)
+
+
+def test_a_1x1_conv_reads_its_input_in_place():
+    # l8's shape: beside its output (as large as x), no padded or column
+    # copy of the input
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((2, 5, 64, 64)).astype(np.float32)
+    params = ops.ConvParams(rng.standard_normal((5, 5, 1, 1)).astype(np.float32),
+                            np.zeros(5, np.float32), 1)
+    assert _traced_peak(lambda: ops.conv2d(x, params)) < 1.5 * x.nbytes
+
+
+# -- fused decoder stage ----------------------------------------------------
+
+def _decoder_shapes():
+    """(c_up, c_skip, c_out, k, dilation) of every plan decoder conv, each
+    also without its skip, plus small kernels the plans do not have."""
+    shapes = set()
+    for plan in PLANS:
+        width = None
+        for stage in plan.stages:
+            if stage.pre == "upsample":
+                spec = stage.convs[0]
+                c_skip = spec.in_channels - width
+                shapes |= {(width, c_skip, spec.out_channels, spec.kernel, spec.dilation),
+                           (width, 0, spec.out_channels, spec.kernel, spec.dilation)}
+            width = sum(s.out_channels for s in stage.convs)
+    assert {(233, 89, 89, 3, 1), (89, 13, 13, 3, 1), (13, 15, 5, 3, 1),
+            (13, 5, 5, 3, 1), (13, 0, 5, 3, 1)} <= shapes
+    extra = {(c_up, c_skip, c_out, k, d) for k in (1, 3, 5) for d in (1, 2, 3)
+             for c_up, c_skip, c_out in ((4, 3, 2), (3, 0, 5))}
+    return sorted(shapes | extra)
+
+
+@pytest.mark.parametrize("c_up,c_skip,c_out,k,d", _decoder_shapes())
+def test_fused_decoder_stage_matches_the_composition(c_up, c_skip, c_out, k, d):
+    # low-resolution sides 1-3 put whole taps outside the image at k*d >= 5
+    rng = np.random.default_rng(c_up * 1000 + c_skip * 10 + k + d)
+    for hl, wl in ((1, 1), (2, 3), (3, 2)):
+        low = rng.standard_normal((2, c_up, hl, wl))
+        skip = rng.standard_normal((2, c_skip, 2 * hl, 2 * wl)) if c_skip else None
+        params = ops.ConvParams(rng.standard_normal((c_out, c_up + c_skip, k, k)),
+                                rng.standard_normal(c_out), d)
+        grad_out = rng.standard_normal((2, c_out, 2 * hl, 2 * wl))
+        up = ops.upsample_nearest2(low)
+        x = up if skip is None else ops.concat_channels(up, skip)
+        got = (ops.upsample_conv2d(low, skip, params),
+               *ops.upsample_conv2d_backward(low, skip, params, grad_out))
+        want = (ops.conv2d(x, params),
+                *upsample_conv2d_backward_composed(low, skip, params, grad_out))
+        for name, a, b in zip(("out", "grad_low", "grad_skip", "grad_w", "grad_b"), got, want):
+            if b is None:
+                assert a is None, name
+                continue
+            assert a.shape == b.shape, name
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (name, hl, wl)
+
+
+def test_fused_decoder_stage_forms_no_concatenated_input():
+    # l7's shape at float32: the skip part alone costs what the fused call
+    # costs; the upsampled input (13 planes) or the concatenated one (28)
+    # on top of it would break the bound
+    rng = np.random.default_rng(7)
+    n, c_up, c_skip, c_out, k, side = 2, 13, 15, 5, 3, 64
+    low = rng.standard_normal((n, c_up, side // 2, side // 2)).astype(np.float32)
+    skip = rng.standard_normal((n, c_skip, side, side)).astype(np.float32)
+    params = ops.ConvParams(rng.standard_normal((c_out, c_up + c_skip, k, k)).astype(np.float32),
+                            np.zeros(c_out, np.float32), 1)
+    skip_only = ops.ConvParams(np.ascontiguousarray(params.weights[:, c_up:]), params.bias, 1)
+    grad_out = rng.standard_normal((n, c_out, side, side)).astype(np.float32)
+    up_bytes = n * c_up * side * side * 4
+    assert (_traced_peak(lambda: ops.upsample_conv2d(low, skip, params))
+            < _traced_peak(lambda: ops.conv2d(skip, skip_only)) + up_bytes)
+    assert (_traced_peak(lambda: ops.upsample_conv2d_backward(low, skip, params, grad_out))
+            < _traced_peak(lambda: ops.conv2d_backward(skip, skip_only, grad_out)) + up_bytes)
+
+
+def test_fused_decoder_stage_validation():
+    params = ops.ConvParams(np.zeros((2, 5, 3, 3)), np.zeros(2), 1)
+    low = np.zeros((1, 3, 4, 4))
+    with pytest.raises(ShapeError, match="skip input"):
+        ops.upsample_conv2d(low, np.zeros((1, 2, 4, 4)), params)
+    with pytest.raises(ShapeError, match="3 \\+ 0 channels"):
+        ops.upsample_conv2d(low, None, params)
+    with pytest.raises(ShapeError, match="4-D"):
+        ops.upsample_conv2d(low[0], np.zeros((1, 2, 8, 8)), params)
+    with pytest.raises(ShapeError, match="grad_out"):
+        ops.upsample_conv2d_backward(low, np.zeros((1, 2, 8, 8)), params, np.zeros((1, 2, 4, 4)))
 
 
 # -- pooling / upsampling ---------------------------------------------------
