@@ -276,22 +276,26 @@ def split_size(index: DatasetIndex, split: str, size=None) -> tuple:
     """The one (h, w) shared by every image and mask of a split.
 
     This is the check that a split is named, non-empty and of one tile size:
-    `size`, or the first image's size when it is None. Only file headers are
-    read.
+    `size` (the graph's), or the first image's size when it is None. Only
+    file headers are read.
     """
     if split not in SPLITS:
         raise ConfigError(f"unknown split {split!r}; expected one of {', '.join(SPLITS)}")
     records = index.split_records(split)
     if not records:
         raise ConfigError(f"split {split!r} is empty in {index.root}")
+    first = index.image_path(records[0]) if size is None else None
     for path in (p for r in records for p in (index.image_path(r), index.mask_path(r))):
         got = imgio.image_size(path)
         if size is None:
             size = got
         if got != tuple(size):
             (h, w), (eh, ew) = got, size
-            raise DataError(f"{path} is {h}x{w}, but the graph expects {eh}x{ew}; "
-                            "re-prepare the data or pick a matching checkpoint")
+            if first is None:
+                raise DataError(f"{path} is {h}x{w}, but the graph expects {eh}x{ew}; "
+                                "re-prepare the data or pick a matching checkpoint")
+            raise DataError(f"{path} is {h}x{w}, but the first image of split {split!r}, "
+                            f"{first}, is {eh}x{ew}; re-prepare the data to one tile size")
     return tuple(size)
 
 
@@ -376,8 +380,9 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
 
     Raw layout mirrors the prepared one: `<input>/<split>/images/*` with
     like-named masks under `<input>/<split>/masks/`. Every scene's mask must
-    match its image and both sides must divide by `tile`; this is checked
-    from the headers of all scenes before anything is removed or written.
+    match its image and both sides must divide by `tile`, and `tile` must
+    not be below `target`; this is checked from the headers of all scenes
+    before anything is removed or written.
     Each scene is tiled;
     a tile whose mask foreground fraction lies in [min_fg, max_fg] (both
     ends inclusive) is resized to `target` and written as an 8-bit PNG pair
@@ -424,6 +429,9 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
             _check_tiling(size, tile)
         except DataError as exc:
             raise DataError(f"{rec.image}: {exc}") from None
+    if tile < max(target):
+        raise ConfigError(f"tile size {tile} is below target size {target[0]}x{target[1]}; "
+                          "tiles are resized down, never up")
     if out.exists() and any(out.iterdir()):
         if not overwrite:
             raise ConfigError(f"{out} already has content; pass overwrite to replace it")

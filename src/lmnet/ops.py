@@ -7,10 +7,12 @@ Kernels are pure functions of their inputs (batchnorm's running-statistics
 update is the one documented exception) and bit-deterministic for fixed
 inputs, so repeated calls agree exactly.
 
-Every convolution product is formed on its narrower channel side; `_conv`
-states the rule. The one exception is a fused decoder stage
-(`upsample_conv2d`), whose upsampled channels always form tap planes, at
-the low resolution.
+A conv forms its products on the im2col side (the input's k*k*c_in
+columns) or on the tap side, where one stacked matmul forms k*k*c_out tap
+planes that are shift-added (kn2row) and the adjoint takes both gradients
+from one column matrix of grad_out. `_tap_side` is the rule: the tap side
+when the kernel narrows (c_out < c_in, k > 1) or reads a nearest-upsampled
+input (s = 2), as a fused decoder stage's upsampled channels do.
 """
 
 from __future__ import annotations
@@ -83,38 +85,44 @@ def _conv_check(x: np.ndarray, params: ConvParams) -> None:
         raise ShapeError(f"conv2d input must have positive spatial dims, got {x.shape}")
 
 
-def _im2col(x: np.ndarray, k: int, d: int):
-    """Return the column matrix of x, of shape (n, c*k*k, h*w).
+def _grad_out_check(grad_out: np.ndarray, shape: tuple) -> None:
+    if grad_out.shape != shape:
+        raise ShapeError(f"grad_out shape {grad_out.shape} does not match conv output {shape}")
 
-    col[b, (i*k + u)*k + v, y*w + x] = padded[b, i, y + d*u, x + d*v] where
-    the padding margin is d*(k-1)//2 on each side, so a matmul against the
-    (c_out, c*k*k) weight matrix realises same-padded dilated convolution.
+
+def _im2col(x: np.ndarray, k: int, d: int, s: int = 1):
+    """Return the column matrix of x, of shape (n, c*k*k, (h/s)*(w/s)).
+
+    col[b, (i*k + u)*k + v, y*(w/s) + x] sums the s x s block of padded[b, i]
+    whose top-left pixel is (s*y + d*u, s*x + d*v), where the padding margin
+    is d*(k-1)//2 on each side. At s = 1 a matmul against the (c_out, c*k*k)
+    weight matrix realises same-padded dilated convolution; at s = 2 these
+    are the columns of a conv's grad_out taken back through a nearest 2x
+    upsample.
     """
     n, c, h, w = x.shape
-    if k == 1:
+    if k == 1 and s == 1:
         return x.reshape(n, c, h * w)  # the input itself, read in place
     p = d * (k - 1) // 2
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    if s == 2:
+        # the 2x2 block sums at every offset: rows first, then columns
+        xp = xp[:, :, :-1] + xp[:, :, 1:]
+        xp = xp[..., :-1] + xp[..., 1:]
     sn, sc, sh, sw = xp.strides
     windows = as_strided(
         xp,
-        shape=(n, c, k, k, h, w),
-        strides=(sn, sc, d * sh, d * sw, sh, sw),
+        shape=(n, c, k, k, h // s, w // s),
+        strides=(sn, sc, d * sh, d * sw, s * sh, s * sw),
         writeable=False,
     )
     # reshape copies (the view is not contiguous), materialising the column matrix
-    return windows.reshape(n, c * k * k, h * w)
+    return windows.reshape(n, c * k * k, (h // s) * (w // s))
 
 
-def _narrows(c_in: int, c_out: int, k: int) -> bool:
-    """True when a conv product is formed from its k*k*c_out tap side."""
-    return c_out < c_in and k > 1
-
-
-def _offsets(k: int, d: int) -> list:
-    """(tap, offset) pairs: tap u reads the input at offset d*u - p, p = d*(k-1)//2."""
-    p = d * (k - 1) // 2
-    return [(u, d * u - p) for u in range(k)]
+def _tap_side(c_in: int, c_out: int, k: int, s: int) -> bool:
+    """The side rule of the module docstring: True for the k*k*c_out tap side."""
+    return s == 2 or (c_out < c_in and k > 1)
 
 
 def _shift_add(taps: np.ndarray, rows: list, cols: list, out: np.ndarray) -> None:
@@ -135,61 +143,66 @@ def _shift_add(taps: np.ndarray, rows: list, cols: list, out: np.ndarray) -> Non
             dst += taps[:, u, v, :, max(0, sy):h - max(0, -sy), max(0, sx):w - max(0, -sx)]
 
 
-def _stacked_taps(weights: np.ndarray) -> np.ndarray:
-    """(c_out, c_in, k, k) weights as the (k*k*c_out, c_in) tap matrix, rows (u, v, o)."""
-    c_out, c_in, k, _ = weights.shape
-    return weights.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
+def _tap_conv(x: np.ndarray, weights: np.ndarray, d: int, s: int) -> np.ndarray:
+    """Tap side of the conv of x upsampled s times: the k*k tap planes of one
+    stacked matmul, shift-added per phase (a, b) into an (n, s, s, c_out, h, w)
+    buffer that holds output pixels (s*i + a, s*j + b)."""
+    n, c, h, w = x.shape
+    c_out, _, k, _ = weights.shape
+    stacked = weights.transpose(2, 3, 0, 1).reshape(k * k * c_out, c)  # rows (u, v, o)
+    taps = np.matmul(stacked, x.reshape(n, c, h * w)).reshape(n, k, k, c_out, h, w)
+    out = np.zeros((n, s, s, c_out, h, w), dtype=taps.dtype)
+    # (tap, offset) pairs per phase: output row s*i + a of tap u reads input
+    # row i + (a + d*u - p) // s
+    p = d * (k - 1) // 2
+    shifts = [[(u, (a + d * u - p) // s) for u in range(k)] for a in range(s)]
+    for a in range(s):
+        for b in range(s):
+            _shift_add(taps, shifts[a], shifts[b], out[:, a, b])
+    return out
 
 
 def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
-    """Same-padded dilated convolution of x with `weights`, without bias.
-
-    Side rule: when the kernel narrows (c_out < c_in) and k > 1, one matmul
-    of the stacked (k*k*c_out, c_in) taps with the input's (n, c_in, h*w)
-    view forms the k*k tap outputs, which `_shift_add` sums (kn2row). Any
-    other kernel meets the input's k*k*c_in im2col columns. The weight
-    gradient takes the same side (columns of grad_out when narrowing), and
-    the input gradient, itself a `_conv`, picks its own.
-    """
+    """Same-padded dilated convolution of x with `weights`, without bias."""
     n, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
-    if _narrows(c, c_out, k):
-        taps = np.matmul(_stacked_taps(weights), x.reshape(n, c, h * w))
-        out = np.zeros((n, c_out, h, w), dtype=taps.dtype)
-        _shift_add(taps.reshape(n, k, k, c_out, h, w), _offsets(k, d), _offsets(k, d), out)
-        return out
+    if _tap_side(c, c_out, k, 1):
+        return _tap_conv(x, weights, d, 1).reshape(n, c_out, h, w)  # a view
     col = _im2col(x, k, d)
     out = np.matmul(weights.reshape(c_out, c * k * k), col)  # (n, c_out, h*w)
     return out.reshape(n, c_out, h, w)
 
 
 def _conv_backward(x: np.ndarray, weights: np.ndarray, d: int, grad_out: np.ndarray,
-                   need_input: bool):
-    """(grad_input, grad_weights) of sum(grad_out * _conv(x, weights, d)).
-
-    grad_input is None when need_input is false. Shapes are the caller's to
-    check.
+                   need_input: bool, s: int = 1):
+    """(grad_input, grad_weights) of sum(grad_out * conv) for the conv of x
+    upsampled s times (`_conv` at s = 1, `_tap_conv` at s = 2), with grad_out
+    of shape (n, c_out, s*h, s*w). grad_input is None when need_input is
+    false. Shapes are the caller's to check.
     """
     n, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
     # weight gradient, per batch element to keep transients small; on the
-    # narrow side the columns come from grad_out and the taps flip back
-    narrow = _narrows(c, c_out, k)
-    if narrow:
-        left, right = _im2col(grad_out, k, d), x.reshape(n, c, h * w)
+    # tap side the columns come from grad_out and the taps flip back
+    tap_side = _tap_side(c, c_out, k, s)
+    if tap_side:
+        left, right = _im2col(grad_out, k, d, s), x.reshape(n, c, h * w)
     else:
         left, right = grad_out.reshape(n, c_out, h * w), _im2col(x, k, d)
     gw = np.zeros((left.shape[1], right.shape[1]), dtype=x.dtype)
     for b in range(n):
         gw += left[b] @ right[b].T
-    if narrow:
+    if tap_side:
         gw = gw.reshape(c_out, k, k, c).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
     grad_weights = np.ascontiguousarray(gw).reshape(weights.shape)
-    del left, right  # never alive together with the input gradient's products
-
     if not need_input:
         return None, grad_weights
     flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    if tap_side:
+        # the same columns of grad_out meet the flipped kernel matrix
+        grad_input = np.matmul(flipped.reshape(c, c_out * k * k), left)
+        return grad_input.reshape(n, c, h, w), grad_weights
+    del left, right  # never alive together with the input gradient's products
     return _conv(grad_out, flipped, d), grad_weights
 
 
@@ -206,16 +219,13 @@ def conv2d_backward(x: Tensor, params: ConvParams, grad_out: Tensor, need_input:
 
     Exact partial derivatives of sum(grad_out * conv2d(x, params)).
     grad_input is the same-padded conv of grad_out with the flipped,
-    channel-transposed kernel at the same dilation; it is None when
-    need_input is false (a layer that reads the network input).
+    channel-transposed kernel at the same dilation; on the tap side it is one
+    matmul with the columns of grad_out that give grad_weights. It is None
+    when need_input is false (a layer that reads the network input).
     """
     _conv_check(x, params)
     n, _, h, w = x.shape
-    c_out = params.out_channels
-    if grad_out.shape != (n, c_out, h, w):
-        raise ShapeError(
-            f"grad_out shape {grad_out.shape} does not match conv output {(n, c_out, h, w)}"
-        )
+    _grad_out_check(grad_out, (n, params.out_channels, h, w))
     grad_input, grad_weights = _conv_backward(x, params.weights, params.dilation, grad_out,
                                               need_input)
     return grad_input, grad_weights, grad_out.sum(axis=(0, 2, 3))
@@ -245,39 +255,25 @@ def _upsample_conv_check(low: np.ndarray, skip, params: ConvParams) -> int:
     return c_u
 
 
-def _phase_offsets(k: int, d: int) -> tuple:
-    """Per output phase a, the (tap, offset) pairs of the upsampled input:
-    output row 2*i + a of tap u reads low-resolution row i + (a + d*u - p) // 2."""
-    return tuple([(u, (a + s) // 2) for u, s in _offsets(k, d)] for a in (0, 1))
-
-
 def upsample_conv2d(low: Tensor, skip, params: ConvParams) -> Tensor:
     """conv2d(concat_channels(upsample_nearest2(low), skip), params), fused.
 
     skip may be None (no concatenation). Nearest upsampling repeats pixels
-    and a tap matmul mixes channels only, so for an (n, c_out, h, w) output
-    the upsampled channels' k*k tap planes are formed at low resolution
-    (h/2, w/2), summed per output phase into a (n, 2, 2, c_out, h/2, w/2)
-    buffer and added once into the output's 2x2 block view. The skip
+    and a tap matmul mixes channels only, so the upsampled channels take the
+    tap side at low resolution (h/2, w/2): their (n, 2, 2, c_out, h/2, w/2)
+    phase buffer is added once into the output's 2x2 block view. The skip
     channels take `_conv` at full resolution. Neither the upsampled nor the
     concatenated input is formed.
     """
     c_u = _upsample_conv_check(low, skip, params)
     n, _, hl, wl = low.shape
     weights, d = params.weights, params.dilation
-    c_out, _, k, _ = weights.shape
+    c_out = weights.shape[0]
     if skip is None:
         out = np.zeros((n, c_out, 2 * hl, 2 * wl), dtype=low.dtype)
     else:
         out = _conv(skip, weights[:, c_u:], d)
-    taps = np.matmul(_stacked_taps(weights[:, :c_u]), low.reshape(n, c_u, hl * wl))
-    taps = taps.reshape(n, k, k, c_out, hl, wl)
-    phases = np.zeros((n, 2, 2, c_out, hl, wl), dtype=taps.dtype)
-    shifts = _phase_offsets(k, d)
-    for a in (0, 1):
-        for b in (0, 1):
-            _shift_add(taps, shifts[a], shifts[b], phases[:, a, b])
-    del taps
+    phases = _tap_conv(low, weights[:, :c_u], d, 2)
     blocks = out.reshape(n, c_out, hl, 2, wl, 2)  # a view: out is C-contiguous
     blocks += phases.transpose(0, 3, 4, 1, 5, 2)
     out += params.bias.reshape(1, -1, 1, 1)
@@ -287,50 +283,20 @@ def upsample_conv2d(low: Tensor, skip, params: ConvParams) -> Tensor:
 def upsample_conv2d_backward(low: Tensor, skip, params: ConvParams, grad_out: Tensor):
     """Adjoints of upsample_conv2d: (grad_low, grad_skip, grad_weights, grad_bias).
 
-    grad_skip is None when skip is. Tap (u, v) of the upsampled channels
-    reads low pixel (i, j) from a 2x2 block of output pixels, so the padded
-    grad_out is pair-summed along rows once per u, then along columns per
-    (u, v): those (n, k*k*c_out, h/2*w/2) block-summed columns give the
-    upsampled channels' weight gradient and grad_low by low-resolution
-    matmuls.
-    The skip channels go through `_conv_backward`.
+    grad_skip is None when skip is. The skip channels go through
+    `_conv_backward` at s = 1 and the upsampled channels at s = 2, where
+    grad_out's columns are 2x2 block sums read at low resolution.
     """
     c_u = _upsample_conv_check(low, skip, params)
     n, _, hl, wl = low.shape
-    h, w = 2 * hl, 2 * wl
     weights, d = params.weights, params.dilation
-    c_out, _, k, _ = weights.shape
-    if grad_out.shape != (n, c_out, h, w):
-        raise ShapeError(
-            f"grad_out shape {grad_out.shape} does not match conv output {(n, c_out, h, w)}"
-        )
+    _grad_out_check(grad_out, (n, weights.shape[0], 2 * hl, 2 * wl))
     grad_skip = None
     if skip is not None:
         grad_skip, gw_skip = _conv_backward(skip, weights[:, c_u:], d, grad_out, True)
-
-    # padded row Y + p holds grad_out row Y; low row i of tap u collects
-    # output rows 2*i - d*u + p and the one below it
-    p = d * (k - 1) // 2
-    gp = np.pad(grad_out, ((0, 0), (0, 0), (p, p), (p, p)))
-    cols = np.empty((n, k, k, c_out, hl, wl), dtype=grad_out.dtype)
-    for u in range(k):
-        y = 2 * p - d * u
-        rows = gp[:, :, y:y + h:2] + gp[:, :, y + 1:y + 1 + h:2]
-        for v in range(k):
-            x = 2 * p - d * v
-            np.add(rows[..., x:x + w:2], rows[..., x + 1:x + 1 + w:2], out=cols[:, u, v])
-    del gp, rows
-    cols = cols.reshape(n, k * k * c_out, hl * wl)
-    flat = low.reshape(n, c_u, hl * wl)
-    gw = np.zeros((k * k * c_out, c_u), dtype=low.dtype)
-    for b in range(n):
-        gw += cols[b] @ flat[b].T
-    grad_up = gw.reshape(k, k, c_out, c_u).transpose(2, 3, 0, 1)
-    grad_low = np.matmul(_stacked_taps(weights[:, :c_u]).T, cols).reshape(n, c_u, hl, wl)
-    if skip is None:
-        grad_weights = np.ascontiguousarray(grad_up)
-    else:
-        grad_weights = np.concatenate([grad_up, gw_skip], axis=1)
+    grad_low, grad_weights = _conv_backward(low, weights[:, :c_u], d, grad_out, True, 2)
+    if skip is not None:
+        grad_weights = np.concatenate([grad_weights, gw_skip], axis=1)
     return grad_low, grad_skip, grad_weights, grad_out.sum(axis=(0, 2, 3))
 
 

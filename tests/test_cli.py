@@ -208,6 +208,26 @@ def test_train_refuses_val_tiles_of_another_size_before_any_step(tmp_path, capsy
     assert not (tmp_path / "run").exists()
 
 
+def test_train_names_the_first_image_when_train_tiles_differ_in_size(tmp_path, capsys):
+    # no graph or checkpoint exists yet: the first train tile sets the size
+    root = tmp_path / "mix"
+    records = []
+    for sub, size in (("a", 16), ("b", 24)):
+        part = write_synthetic_dataset(root / sub, {"train": 2}, size, seed=0)
+        records += [IndexRecord(f"{sub}/{r.image}", f"{sub}/{r.mask}", r.split)
+                    for r in part.records]
+    save_index(DatasetIndex(root=root, records=records), root / "index.tsv")
+    code, _, err = run_cli(
+        capsys, "train", "--index", str(root / "index.tsv"), "--out", str(tmp_path / "run"),
+        "--variant", "plain", "--channels", TINY_CHANNELS, "--epochs", "1",
+    )
+    assert code == 1
+    assert err == (f"error: {root / 'b/train/images/synth_00000.png'} is 24x24, but the "
+                   f"first image of split 'train', {root / 'a/train/images/synth_00000.png'}, "
+                   "is 16x16; re-prepare the data to one tile size\n")
+    assert not (tmp_path / "run").exists()
+
+
 # -- prediction -------------------------------------------------------------
 
 def test_predict_is_reproducible(trained_run, tiny_dataset, tmp_path, capsys):
@@ -325,6 +345,19 @@ def test_prepare_checks_every_scene_before_removing_or_writing(tmp_path, capsys)
     fresh = tmp_path / "fresh"
     assert run_cli(capsys, *args[:3], "--output-dir", str(fresh), *args[5:])[0] == 1
     assert not fresh.exists()
+
+
+def test_prepare_refuses_a_tile_below_the_target_before_removing_anything(tmp_path, capsys):
+    raw = _raw_scene(tmp_path)
+    out = tmp_path / "prepared"
+    args = ("prepare", "--input-dir", str(raw), "--output-dir", str(out), "--tile-size", "8")
+    assert run_cli(capsys, *args, "--target-size", "8")[0] == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert out / "index.tsv" in before and out / "train/images/s_r0c0.png" in before
+    code, _, err = run_cli(capsys, *args, "--target-size", "16", "--overwrite")
+    assert code == 1
+    assert "tile size 8 is below target size 16x16" in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_prepare_missing_input_exits_1(tmp_path, capsys):

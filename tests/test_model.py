@@ -1,10 +1,19 @@
 """Network family structure, initialization, forward semantics, and config
 validation."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import lmnet.checkpoint
+import lmnet.data
+import lmnet.imgio
+import lmnet.model
+import lmnet.ops
+import lmnet.train
 from lmnet import ops
 from lmnet.errors import ConfigError, ShapeError
 from lmnet.model import (
@@ -288,6 +297,36 @@ def test_conv_calls_carry_the_plan_keys_a_call_site_tracer_needs(variant, monkey
     graph.backward(cache, np.ones_like(pred))
     graph.forward(x, "eval")
     assert seen and set(seen) <= keys
+
+
+def test_the_benchmark_tracer_finds_every_name_and_restores_each():
+    # perfbench/tracing.py patches the package's call sites by name, so a
+    # renamed or removed one fails instrument; restore must put back the
+    # very objects it replaced
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    owners = {"ops": lmnet.ops, "LOSSES": lmnet.ops.LOSSES, "model": lmnet.model,
+              "ModelGraph": lmnet.model.ModelGraph, "train": lmnet.train,
+              "checkpoint": lmnet.checkpoint, "data": lmnet.data, "imgio": lmnet.imgio}
+
+    def snapshot():
+        return {label: dict(o if isinstance(o, dict) else vars(o)) for label, o in owners.items()}
+
+    before = snapshot()
+    restore = tracing.instrument(tracing.Tracer(), tracing.conv_specs(built(Variant.PROPOSED)))
+    try:
+        patched = {f"{label}.{name}" for label, names in snapshot().items()
+                   for name, obj in names.items() if obj is not before[label].get(name)}
+    finally:
+        restore()
+    assert {"ops.conv2d", "ops.conv2d_backward", "ops.upsample_nearest2", "LOSSES.bce",
+            "ModelGraph.forward", "train.adam_step", "imgio.read_rgb"} <= patched
+    after = snapshot()
+    for label, names in before.items():
+        assert after[label].keys() == names.keys(), label
+        assert all(after[label][name] is obj for name, obj in names.items()), label
 
 
 def test_single_unit_channel_sequence_still_runs():

@@ -195,6 +195,23 @@ def test_conv_backward_without_input_gradient():
     npt.assert_array_equal(gb, want_gb)
 
 
+def test_a_tap_side_adjoint_builds_grad_out_columns_once(monkeypatch):
+    # a narrowing conv and a decoder stage's upsampled channels take both
+    # their gradients from one column matrix of grad_out
+    built = []
+    im2col = ops._im2col
+    monkeypatch.setattr(ops, "_im2col", lambda x, *rest: built.append(x.shape) or im2col(x, *rest))
+    rng = np.random.default_rng(9)
+    grad_out = rng.standard_normal((2, 3, 8, 8))
+    narrowing = ops.ConvParams(rng.standard_normal((3, 6, 3, 3)), np.zeros(3))
+    ops.conv2d_backward(rng.standard_normal((2, 6, 8, 8)), narrowing, grad_out)
+    assert built == [grad_out.shape]
+    built.clear()
+    upsampled = ops.ConvParams(rng.standard_normal((3, 4, 3, 3)), np.zeros(3))
+    ops.upsample_conv2d_backward(rng.standard_normal((2, 4, 4, 4)), None, upsampled, grad_out)
+    assert built == [grad_out.shape]
+
+
 def test_a_1x1_conv_reads_its_input_in_place():
     # l8's shape: beside its output (as large as x), no padded or column
     # copy of the input
