@@ -7,7 +7,7 @@ Two file kinds share one layout and differ by magic:
 
 Layout (all integers little-endian):
   magic        4 bytes
-  version      u16 (currently 1)
+  version      u16 (currently 2)
   config text  u32 length + UTF-8 payload
   [meta text   u32 length + UTF-8 payload, training kind only]
   tensor table u32 count, then per tensor:
@@ -38,7 +38,7 @@ from .optim import AdamState
 
 DEPLOY_MAGIC = b"LMKN"
 TRAIN_MAGIC = b"LMKT"
-VERSION = 1
+VERSION = 2
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -48,15 +48,12 @@ _FIELDS = dataclasses.fields(GraphConfig)
 def config_text(variant: Variant, config: GraphConfig) -> str:
     """Canonical textual form of a graph configuration plus its variant."""
     # each value as it reads back, so that parsing and rendering again gives
-    # the same text whatever the types held (an int rate, a numpy scalar)
+    # the same text whatever the types held (a list for a tuple, a numpy scalar)
     pairs = {f.name: _decode(f, kvtext.render(getattr(config, f.name))) for f in _FIELDS}
     return kvtext.write({"variant": variant.value, **pairs})
 
 
 def _decode(f, text: str):
-    if f.name == "dropout_schedule":
-        return tuple((int(i), float(r)) for i, _, r in
-                     (p.partition(":") for p in text.split(",") if p))
     return kvtext.ints(text) if isinstance(f.default, tuple) else type(f.default)(text)
 
 

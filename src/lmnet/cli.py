@@ -206,19 +206,20 @@ def _cmd_predict(o):
 
     from . import imgio
     from .checkpoint import load_any
-    from .model import replace_input_size
+    from .model import POOL_GRID, pool_grid_problem, replace_input_size
 
     graph = load_any(o["ckpt"])
     image = imgio.read_rgb(o["image"])
     h, w = image.shape[1:]
-    h8, w8 = h - h % 8, w - w % 8
-    if h8 == 0 or w8 == 0:
-        raise DataError(f"{o['image']}: {h}x{w} is too small, need at least 8x8")
+    h8, w8 = h - h % POOL_GRID, w - w % POOL_GRID
+    problem = pool_grid_problem(f"{o['image']}: {h}x{w} is too small; its crop", (h8, w8))
+    if problem:
+        raise DataError(problem)
     if (h8, w8) != (h, w):
         top, left = (h - h8) // 2, (w - w8) // 2
         image = image[:, top:top + h8, left:left + w8]
         print(f"input {h}x{w} center-cropped to {h8}x{w8} "
-              "(spatial dims must be divisible by 8)")
+              f"(spatial dims must be divisible by {POOL_GRID})")
     if (h8, w8) != graph.config.input_size:
         graph = replace_input_size(graph, (h8, w8))
     pred, _ = graph.forward(image[None].astype(graph.dtype), "eval")

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import imgio
 from .errors import ConfigError, DataError
+from .model import pool_grid_problem
 from .seeding import derive_rng
 
 MASK_THRESHOLD = 128.0 / 255.0
@@ -67,13 +68,10 @@ def binarize_mask(raw) -> np.ndarray:
 
 
 def _check_pool_grid(what: str, dims) -> None:
-    """Network inputs pass three 2x poolings, so each side is a positive
-    multiple of 8 (as GraphConfig requires)."""
-    if any(d < 8 or d % 8 for d in dims):
-        raise ConfigError(
-            f"{what} {'x'.join(str(d) for d in dims)} must be at least 8 and "
-            "divisible by 8 (three 2x poolings)"
-        )
+    """Written tiles are network inputs, so they follow the model's pooling grid."""
+    problem = pool_grid_problem(what, dims)
+    if problem:
+        raise ConfigError(problem)
 
 
 def _check_tiling(size, tile: int) -> None:
@@ -299,18 +297,17 @@ def split_size(index: DatasetIndex, split: str, size=None) -> tuple:
     return tuple(size)
 
 
-def batch_iter(index: DatasetIndex, split: str, batch_size: int, size,
+def batch_iter(index: DatasetIndex, split: str, batch_size: int,
                seed: int = 0, epoch: int = 0, shuffle: bool = True):
     """Yield (images (b,3,h,w), masks (b,1,h,w)) batches over one split.
 
-    Every tile must have the graph's input size `size` (h, w), as
-    `split_size` checks before the first batch. Order is a pure function of
-    (seed, epoch); the final short batch is yielded as-is. With
-    shuffle=False records come in index order and seed and epoch are ignored.
+    The caller checks the split with `split_size` first, once per run or
+    evaluation, not once per pass. Order is a pure function of (seed,
+    epoch); the final short batch is yielded as-is. With shuffle=False
+    records come in index order and seed and epoch are ignored.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    split_size(index, split, size)
     records = index.split_records(split)
     order = np.arange(len(records))
     if shuffle:

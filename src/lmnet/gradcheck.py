@@ -17,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .model import GraphConfig, ModelGraph, Variant, build_model, init_parameters, loss_fn
+from .model import (
+    INPUT_CHANNELS, GraphConfig, ModelGraph, Variant, build_model, init_parameters, loss_fn,
+)
 from .seeding import derive_rng
 
 TINY_CONFIG = GraphConfig(input_size=(8, 8), channel_sequence=(2, 2, 3, 3))
@@ -67,8 +69,7 @@ def fixture_graph(variant) -> ModelGraph:
 def fixture_batch(graph: ModelGraph, data_seed: int):
     """Deterministic input and binary target for the fixture graph."""
     h, w = graph.config.input_size
-    c = graph.config.input_channels
-    x = np.random.default_rng(data_seed).random((2, c, h, w)) + 0.1
+    x = np.random.default_rng(data_seed).random((2, INPUT_CHANNELS, h, w)) + 0.1
     rng = derive_rng(DROPOUT_SEED, 1)
     pred, _ = graph.forward(x, "train", rng=rng)
     targets = (np.random.default_rng(data_seed + 2).random(pred.shape) > 0.5)

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 
 def render(value) -> str:
-    """Floats by `repr` (exact), bools as 0/1, tuples by `,` and pairs by `:`."""
+    """Floats by `repr` (exact), bools as 0/1 and tuples by `,`."""
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
         return repr(float(value))  # float(): a numpy scalar's repr names its type
     if isinstance(value, (tuple, list)):
-        return ",".join(":".join(map(render, v)) if isinstance(v, (tuple, list))
-                        else render(v) for v in value)
+        return ",".join(map(render, value))
     return str(value)
 
 

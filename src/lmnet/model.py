@@ -16,19 +16,23 @@ input, channel widths for the default sequence [5, 13, 89, 233]):
   layer 8  1x1 conv 5->5, ReLU
   layer 9  1x1 conv 5->1, sigmoid
 
-Batch normalization exists in layers 1-4 only. Dropout defaults to rates
-0.1 / 0.5 / 0.3 after activations 4 / 5 / 6. Residual and Proposed carry
-the three skip concatenations; Dilation and Proposed carry the parallel
-dilated first layer. Activations therefore run 192-96-48-24-48-96-192.
+The input is RGB (INPUT_CHANNELS). Batch normalization exists in layers
+1-4 only, at ops.BatchNormState's momentum and epsilon. A train-mode
+forward applies dropout at rates 0.1 / 0.5 / 0.3 after activations
+4 / 5 / 6. Residual and Proposed carry the three skip concatenations;
+Dilation and Proposed carry the parallel dilated first layer. Activations
+therefore run 192-96-48-24-48-96-192. The input channels, batch norm and
+dropout are fixed, not settings: GraphConfig holds only what a caller
+chooses.
 
-layer_plan states this once, as nine stages (one per activation). forward
-walks the stages in order and keeps one StageRecord per stage, holding
-only what backward reads: the input the stage's kernels read, their
-batchnorm caches, the pool argmax, the dropout mask and the activation
-after dropout. A decoder stage runs ops.upsample_conv2d, which reads the
-low-resolution previous activation and the skip activation's own record,
-so no upsampled or concatenated input is formed or kept. backward walks
-the same records in reverse.
+layer_plan states this once, as nine stages (one per activation, each
+with its dropout rate). forward walks the stages in order and keeps one
+StageRecord per stage, holding only what backward reads: the input the
+stage's kernels read, their batchnorm caches, the pool argmax, the dropout
+mask and the activation after dropout. A decoder stage runs
+ops.upsample_conv2d, which reads the low-resolution previous activation
+and the skip activation's own record, so no upsampled or concatenated
+input is formed or kept. backward walks the same records in reverse.
 """
 
 from __future__ import annotations
@@ -72,30 +76,36 @@ def parse_variant(name) -> Variant:
         ) from None
 
 
+# three 2x poolings: every input side is a positive multiple of this
+POOL_GRID = 8
+INPUT_CHANNELS = 3  # RGB
+
+
+def pool_grid_problem(what: str, dims) -> str | None:
+    """Why `dims` cannot be a network input's sides, or None when each is a
+    positive multiple of POOL_GRID."""
+    if all(d >= POOL_GRID and d % POOL_GRID == 0 for d in dims):
+        return None
+    return (f"{what} {'x'.join(str(d) for d in dims)} must be at least {POOL_GRID} "
+            f"and divisible by {POOL_GRID} (three 2x poolings)")
+
+
 @dataclass(frozen=True)
 class GraphConfig:
-    """Structural hyperparameters shared by all variants."""
+    """The structural choices a caller makes; layer_plan fixes the rest."""
 
     input_size: tuple = (192, 192)
-    input_channels: int = 3
     channel_sequence: tuple = (5, 13, 89, 233)
     dilation_rates: tuple = (2, 3, 5)
-    dropout_schedule: tuple = ((4, 0.1), (5, 0.5), (6, 0.3))
     loss: str = "bce"
-    bn_momentum: float = 0.1
-    bn_epsilon: float = 1e-5
     seed: int = 0
 
     def violations(self, variant: Variant) -> list:
         """Every violated invariant as a human-readable string."""
         bad = []
-        h, w = self.input_size
-        if h % 8 or w % 8:
-            bad.append(f"input size {h}x{w} must be divisible by 8 (three 2x poolings)")
-        if h < 8 or w < 8:
-            bad.append(f"input size {h}x{w} too small for three poolings")
-        if self.input_channels < 1:
-            bad.append(f"input_channels must be >= 1, got {self.input_channels}")
+        grid = pool_grid_problem("input size", self.input_size)
+        if grid:
+            bad.append(grid)
         if len(self.channel_sequence) != 4:
             bad.append(
                 f"channel_sequence needs exactly 4 entries, got {len(self.channel_sequence)}"
@@ -110,17 +120,8 @@ class GraphConfig:
                 )
             if any(int(d) < 1 for d in self.dilation_rates):
                 bad.append(f"dilation rates must be >= 1, got {self.dilation_rates}")
-        for idx, rate in self.dropout_schedule:
-            if not 1 <= int(idx) <= 7:
-                bad.append(f"dropout index {idx} outside activation range 1..7")
-            if not 0.0 <= float(rate) < 1.0:
-                bad.append(f"dropout rate {rate} outside [0, 1)")
         if self.loss not in ops.LOSSES:
             bad.append(f"loss must be one of {sorted(ops.LOSSES)}, got {self.loss!r}")
-        if not 0.0 < self.bn_momentum < 1.0:
-            bad.append(f"bn_momentum must lie in (0, 1), got {self.bn_momentum}")
-        if not self.bn_epsilon > 0.0:
-            bad.append(f"bn_epsilon must be positive, got {self.bn_epsilon}")
         return bad
 
 
@@ -147,7 +148,8 @@ class Stage:
     `skip` concatenated on the channel axis when skip is set; the kernels
     apply both fused, through ops.upsample_conv2d). All kernels read that
     one input; their outputs are concatenated and pass through `act` (an
-    ops function name) into the stage's activation.
+    ops function name) into the stage's activation. When `drop` is set, a
+    train-mode forward applies dropout at that rate to the activation.
     """
 
     index: int
@@ -155,6 +157,7 @@ class Stage:
     pre: str = ""
     skip: int | None = None
     act: str = "relu"
+    drop: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -169,14 +172,13 @@ class LayerPlan:
 def layer_plan(variant: Variant, config: GraphConfig) -> LayerPlan:
     """The network topology; the only code that knows it."""
     c1, c2, c3, c4 = (int(c) for c in config.channel_sequence)
-    cin = config.input_channels
     if variant.has_pyramid:
         first = tuple(
-            ConvSpec(f"l1b{i}", 1, cin, c1, 3, int(d), True)
+            ConvSpec(f"l1b{i}", 1, INPUT_CHANNELS, c1, 3, int(d), True)
             for i, d in enumerate(config.dilation_rates)
         )
     else:
-        first = (ConvSpec("l1", 1, cin, c1, 3, 1, True),)
+        first = (ConvSpec("l1", 1, INPUT_CHANNELS, c1, 3, 1, True),)
     a1 = c1 * len(first)
     # decoder layer -> the encoder activation concatenated into it
     skips = {5: 3, 6: 2, 7: 1} if variant.has_skips else {}
@@ -185,18 +187,18 @@ def layer_plan(variant: Variant, config: GraphConfig) -> LayerPlan:
     def conv(layer, c_in, c_out, kernel=3, bn=False):
         return (ConvSpec(f"l{layer}", layer, c_in, c_out, kernel, 1, bn),)
 
-    def up(layer, c_in, c_out):
+    def up(layer, c_in, c_out, drop=0.0):
         src = skips.get(layer)
         c_skip = width[src] if src else 0
-        return Stage(layer, conv(layer, c_in + c_skip, c_out), "upsample", src)
+        return Stage(layer, conv(layer, c_in + c_skip, c_out), "upsample", src, drop=drop)
 
     return LayerPlan((
         Stage(1, first),
         Stage(2, conv(2, a1, c2, bn=True), "pool"),
         Stage(3, conv(3, c2, c3, bn=True), "pool"),
-        Stage(4, conv(4, c3, c4, bn=True), "pool"),
-        up(5, c4, c3),
-        up(6, c3, c2),
+        Stage(4, conv(4, c3, c4, bn=True), "pool", drop=0.1),
+        up(5, c4, c3, drop=0.5),
+        up(6, c3, c2, drop=0.3),
         up(7, c2, c1),
         Stage(8, conv(8, c1, c1, kernel=1)),
         Stage(9, conv(9, c1, 1, kernel=1), act="sigmoid"),
@@ -279,8 +281,6 @@ class ModelGraph:
             beta=self.params[f"{spec.name}.beta"],
             running_mean=self.stats[f"{spec.name}.running_mean"],
             running_var=self.stats[f"{spec.name}.running_var"],
-            momentum=self.config.bn_momentum,
-            epsilon=self.config.bn_epsilon,
         )
 
     def astype(self, dtype) -> "ModelGraph":
@@ -303,17 +303,15 @@ class ModelGraph:
         ops._require_4d("forward batch", batch)
         n, c, h, w = batch.shape
         eh, ew = self.config.input_size
-        if c != self.config.input_channels or (h, w) != (eh, ew):
+        if c != INPUT_CHANNELS or (h, w) != (eh, ew):
             raise ShapeError(
                 f"batch shape {batch.shape} does not match configured input "
-                f"(n, {self.config.input_channels}, {eh}, {ew})"
+                f"(n, {INPUT_CHANNELS}, {eh}, {ew})"
             )
-        if mode == "train" and n < 2:
+        train = mode == "train"
+        if train and n < 2:
             raise ShapeError("train-mode forward needs a batch of at least 2 samples")
-        drop = {}
-        if mode == "train":
-            drop = {int(i): float(r) for i, r in self.config.dropout_schedule}
-        if any(r > 0 for r in drop.values()) and rng is None:
+        if train and rng is None:
             raise ValueError("train-mode forward needs an rng for dropout")
 
         cur = batch.astype(self.dtype, copy=False)
@@ -326,9 +324,8 @@ class ModelGraph:
             skip = records[stage.skip - 1].act if stage.skip else None
             zs = [self._kernel_forward(stage, s, cur, skip, mode, rec.bn) for s in stage.convs]
             a = getattr(ops, stage.act)(zs[0] if len(zs) == 1 else np.concatenate(zs, axis=1))
-            rate = drop.get(stage.index, 0.0)
-            if rate > 0.0:
-                a, rec.mask = ops.dropout(a, rate, rng, "train")
+            if train and stage.drop:
+                a, rec.mask = ops.dropout(a, stage.drop, rng)
             rec.act = cur = a
             records.append(rec)
         return cur, ForwardCache(mode, records)
@@ -372,7 +369,7 @@ class ModelGraph:
                 g = ops.dropout_backward(g, rec.mask)
             # relu gated on the activation after dropout gives the bits of gating before it:
             # where the mask is 0 the cotangent is already +-0, where it is positive the two
-            # share a sign. Stage 9 (sigmoid) never drops: dropout is allowed on 1-7 only.
+            # share a sign. Only relu stages drop (4-6 in layer_plan).
             g = getattr(ops, f"{stage.act}_backward")(g, rec.act)
             skip = cache.stages[stage.skip - 1].act if stage.skip else None
             g, g_skip = self._kernels_backward(stage, rec, skip, g, grads)

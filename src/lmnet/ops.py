@@ -478,22 +478,16 @@ def sigmoid_backward(grad_out: Tensor, out: Tensor) -> Tensor:
     return grad_out * out * (1.0 - out)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, mode: str):
+def dropout(x: Tensor, rate: float, rng: np.random.Generator):
     """Inverted dropout; returns (out, mask).
 
-    Train mode zeroes entries with probability `rate` and scales survivors by
-    1/(1-rate) so the expectation matches the input. The returned mask already
-    carries that scale; the backward pass multiplies by the same mask. Eval
-    mode (or rate 0) is the identity with an all-ones mask.
+    Zeroes entries with probability `rate` and scales survivors by
+    1/(1-rate) so the expectation matches the input. The returned mask
+    already carries that scale; the backward pass multiplies by the same
+    mask. The model calls it only in train mode, at a stage's plan rate.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or rate == 0.0:
-        return x, np.ones_like(x)
-    if rng is None:
-        raise ValueError("dropout in train mode needs a random generator")
     keep = rng.random(x.shape) >= rate  # draws are float64 regardless of x.dtype
     mask = keep.astype(x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
     return x * mask, mask

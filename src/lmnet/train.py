@@ -138,12 +138,12 @@ def evaluate(graph: ModelGraph, index: DatasetIndex, split: str,
     """Eval-mode forward over a whole split: mean loss + pooled confusion."""
     if micro_batch < 1:
         raise ConfigError(f"micro_batch must be >= 1, got {micro_batch}")
+    split_size(index, split, graph.config.input_size)
     lossf = loss_fn(graph.config.loss)
     counts = ConfusionCounts()
     loss_sum = 0.0
     n = 0
-    batches = batch_iter(index, split, micro_batch, graph.config.input_size, shuffle=False)
-    for images, masks in batches:
+    for images, masks in batch_iter(index, split, micro_batch, shuffle=False):
         pred, _ = graph.forward(images.astype(graph.dtype, copy=False), "eval")
         loss, _ = lossf(pred, masks.astype(pred.dtype, copy=False))
         k = images.shape[0]
@@ -253,8 +253,7 @@ def train(cfg: TrainConfig):
                        start_epoch if resuming else None)
     try:
         for epoch in range(start_epoch, cfg.epochs):
-            batches = batch_iter(index, "train", cfg.batch_size, cfg.graph.input_size,
-                                 seed=cfg.seed, epoch=epoch)
+            batches = batch_iter(index, "train", cfg.batch_size, seed=cfg.seed, epoch=epoch)
             for batch_idx, (images, masks) in enumerate(batches):
                 images = images.astype(graph.dtype, copy=False)
                 masks = masks.astype(graph.dtype, copy=False)

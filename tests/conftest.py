@@ -93,5 +93,12 @@ def frozen_bn(monkeypatch):
 
 
 @pytest.fixture
+def no_dropout(monkeypatch):
+    """Dropout passes every activation through unchanged, with an all-ones mask,
+    so a train-mode forward draws nothing from its rng."""
+    monkeypatch.setattr(ops, "dropout", lambda x, rate, rng: (x, np.ones_like(x)))
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -204,10 +204,10 @@ def test_gradients_match_finite_differences():
 
     x = rng.uniform(-1, 1, (1, 2, 6, 6))
     cot = rng.uniform(-1, 1, x.shape)
-    _, mask = ops.dropout(x, 0.5, np.random.default_rng(99), "train")
+    _, mask = ops.dropout(x, 0.5, np.random.default_rng(99))
 
     def drop_value():  # same seed every call keeps the mask frozen
-        out, m = ops.dropout(x, 0.5, np.random.default_rng(99), "train")
+        out, m = ops.dropout(x, 0.5, np.random.default_rng(99))
         assert np.array_equal(m, mask)
         return float((out * cot).sum())
 
@@ -242,7 +242,8 @@ def test_structural_facts_hold_for_every_variant():
         pooled = tuple(s.convs[0].out_channels for s in stages if s.pre == "pool")
         assert pooled == (13, 89, 233)
         assert tuple(sorted({s.layer for s in convs if s.has_bn})) == (1, 2, 3, 4)
-        assert graph.config.dropout_schedule == ((4, 0.1), (5, 0.5), (6, 0.3))
+        drops = tuple((s.index, s.drop) for s in stages if s.drop)
+        assert drops == ((4, 0.1), (5, 0.5), (6, 0.3))
         assert tuple(s.kernel for s in convs[-2:]) == (1, 1)
         if variant.has_pyramid:
             assert len(stages[0].convs) == 3

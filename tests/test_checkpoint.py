@@ -152,10 +152,12 @@ def test_bad_magic_and_version(tmp_path):
     graph = tiny_graph()
     save_checkpoint(graph, path)
     blob = bytearray(path.read_bytes())
-    blob[4:6] = (99).to_bytes(2, "little")
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="version 99"):
-        load_checkpoint(path)
+    # version 1 held the dropout and batch-norm settings; it is refused, not read
+    for version in (1, 99):
+        blob[4:6] = version.to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(path)
 
 
 def test_truncation_and_trailing_bytes(tmp_path):
@@ -273,8 +275,7 @@ def test_missing_tensor_is_reported_by_name(tmp_path):
 def test_config_text_round_trip():
     cfg = GraphConfig(
         input_size=(64, 96), channel_sequence=(4, 8, 16, 32),
-        dilation_rates=(1, 2, 4), dropout_schedule=((5, 0.25),),
-        bn_momentum=0.2, seed=9,
+        dilation_rates=(1, 2, 4), seed=9,
     )
     text = config_text(Variant.DILATION, cfg)
     variant, back = parse_config_text(text)
@@ -282,7 +283,9 @@ def test_config_text_round_trip():
     assert back == cfg
     assert text == config_text(variant, back)
     assert "input_size=64,96" in text
-    assert text.index("bn_epsilon") < text.index("variant")  # sorted keys
+    keys = [line.partition("=")[0] for line in text.splitlines()]
+    assert keys == ["channel_sequence", "dilation_rates", "input_size", "loss", "seed",
+                    "variant"]  # sorted
 
 
 def test_config_text_rejects_missing_and_unknown_keys():
@@ -303,12 +306,3 @@ def test_float64_graphs_keep_their_precision(tmp_path):
     back = load_checkpoint(path)
     assert back.dtype == np.float64
     npt.assert_array_equal(back.params["l4.w"], graph.params["l4.w"])
-
-
-def test_empty_dropout_schedule_survives(tmp_path):
-    cfg = GraphConfig(input_size=(8, 8), channel_sequence=(2, 2, 3, 3),
-                      dropout_schedule=())
-    graph = init_parameters(build_model(Variant.PLAIN, cfg), 0)
-    path = tmp_path / "nodrop.ckpt"
-    save_checkpoint(graph, path)
-    assert load_checkpoint(path).config.dropout_schedule == ()

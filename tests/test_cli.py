@@ -94,6 +94,23 @@ def test_train_smoke_writes_checkpoints(trained_run):
         assert (run_dir / name).is_file(), name
 
 
+def test_train_reads_headers_in_its_checks_only(tiny_dataset, tmp_path, capsys, monkeypatch):
+    """A header is read by the up-front split checks and by each epoch's
+    validation, never again by a pass over the train split."""
+    calls = []
+    image_size = imgio.image_size
+    monkeypatch.setattr(imgio, "image_size", lambda path: calls.append(path) or image_size(path))
+    code, _, err = run_cli(
+        capsys, "train", "--index", str(tiny_dataset.root / "index.tsv"),
+        "--out", str(tmp_path / "run"), "--variant", "plain", "--epochs", "3",
+        "--batch", "4", "--micro-batch", "2", "--channels", TINY_CHANNELS, "--quiet",
+    )
+    assert code == 0, err
+    # 8 train and 4 val pairs: the size detection reads the 16 train files,
+    # train() all 24, and each of the 3 validations the 8 val files
+    assert len(calls) == 16 + 24 + 3 * 8
+
+
 def test_train_invalid_lr_fails_before_touching_the_run_dir(
         tiny_dataset, tmp_path, capsys):
     out_dir = tmp_path / "never"
@@ -274,6 +291,7 @@ def test_predict_rejects_microscopic_images(trained_run, tmp_path, capsys):
     )
     assert code == 1
     assert "too small" in err
+    assert "its crop 0x0 must be at least 8" in err
 
 
 # -- preparation ------------------------------------------------------------

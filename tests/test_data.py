@@ -28,7 +28,9 @@ from lmnet.data import (
     write_synthetic_dataset,
 )
 from lmnet.errors import ConfigError, DataError
+from lmnet.model import GraphConfig, build_model
 from lmnet.seeding import derive_rng
+from lmnet.train import evaluate
 
 from oracles import (
     fg_fraction_naive,
@@ -288,7 +290,7 @@ def test_load_pair_binarizes_mid_gray_mask(tmp_path):
 def test_batch_iter_is_deterministic_and_epoch_varying(tiny_dataset):
     def order(epoch):
         out = []
-        for images, _ in batch_iter(tiny_dataset, "train", 3, (16, 16), seed=4, epoch=epoch):
+        for images, _ in batch_iter(tiny_dataset, "train", 3, seed=4, epoch=epoch):
             out.append(images.copy())
         return out
 
@@ -303,12 +305,12 @@ def test_batch_iter_is_deterministic_and_epoch_varying(tiny_dataset):
 
 def test_batch_iter_covers_every_record_exactly_once(tiny_dataset):
     seen = []
-    for images, masks in batch_iter(tiny_dataset, "train", 3, (16, 16), seed=9, epoch=2):
+    for images, masks in batch_iter(tiny_dataset, "train", 3, seed=9, epoch=2):
         assert images.shape[1:] == (3, 16, 16)
         assert masks.shape[1:] == (1, 16, 16)
         seen.extend(images.sum(axis=(1, 2, 3)).tolist())
     plain = []
-    for images, _ in batch_iter(tiny_dataset, "train", 8, (16, 16), shuffle=False):
+    for images, _ in batch_iter(tiny_dataset, "train", 8, shuffle=False):
         plain.extend(images.sum(axis=(1, 2, 3)).tolist())
     assert sorted(seen) == sorted(plain)
     assert len(seen) == 8
@@ -316,21 +318,24 @@ def test_batch_iter_covers_every_record_exactly_once(tiny_dataset):
 
 def test_batch_iter_unshuffled_follows_index_order(tiny_dataset):
     recs = tiny_dataset.split_records("val")
-    first = next(batch_iter(tiny_dataset, "val", 1, (16, 16), shuffle=False))
+    first = next(batch_iter(tiny_dataset, "val", 1, shuffle=False))
     direct = load_pair(tiny_dataset, recs[0])
     npt.assert_array_equal(first[0], direct.image)
 
 
 def test_batch_iter_validates_batch_size(tiny_dataset):
     with pytest.raises(ConfigError):
-        list(batch_iter(tiny_dataset, "train", 0, (16, 16)))
+        list(batch_iter(tiny_dataset, "train", 0))
 
 
 def test_batch_iter_rejects_mixed_sizes(tmp_path):
+    """batch_iter leaves the size check to its callers; evaluate makes it
+    once per call, before the first batch."""
     _layout(tmp_path, [("train", "a.png", 16), ("train", "b.png", 24)])
     index = build_index(tmp_path)
+    graph = build_model("plain", GraphConfig(input_size=(16, 16)))
     with pytest.raises(DataError, match="b.png is 24x24, but the graph expects 16x16"):
-        list(batch_iter(index, "train", 2, (16, 16), shuffle=False))
+        evaluate(graph, index, "train", micro_batch=2)
 
 
 # -- synthetic samples ------------------------------------------------------

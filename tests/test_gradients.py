@@ -180,10 +180,10 @@ def test_dropout_gradient_with_frozen_mask():
     rng = np.random.default_rng(44)
     x = smooth(rng, (1, 2, 6, 6))
     cotangent = smooth(rng, x.shape)
-    _, mask = ops.dropout(x, 0.5, np.random.default_rng(99), "train")
+    _, mask = ops.dropout(x, 0.5, np.random.default_rng(99))
 
     def value():
-        out, m = ops.dropout(x, 0.5, np.random.default_rng(99), "train")
+        out, m = ops.dropout(x, 0.5, np.random.default_rng(99))
         assert np.array_equal(m, mask)  # same seed, same mask, every call
         return float((out * cotangent).sum())
 

@@ -85,7 +85,8 @@ def test_common_structure(variant):
     graph = built(variant)
     convs = graph.plan.all_convs
     assert tuple(sorted({s.layer for s in convs if s.has_bn})) == (1, 2, 3, 4)
-    assert graph.config.dropout_schedule == ((4, 0.1), (5, 0.5), (6, 0.3))
+    drops = tuple((s.index, s.drop) for s in graph.plan.stages if s.drop)
+    assert drops == ((4, 0.1), (5, 0.5), (6, 0.3))
     assert [s.act for s in graph.plan.stages] == ["relu"] * 8 + ["sigmoid"]
     l8, l9 = convs[-2:]
     assert (l8.kernel, l8.in_channels, l8.out_channels) == (1, 5, 5)
@@ -216,13 +217,29 @@ def test_train_forward_updates_running_stats():
     assert not np.array_equal(graph.stats["l1.running_mean"], before["l1.running_mean"])
 
 
-def test_frozen_train_without_dropout_equals_eval(frozen_bn):
-    cfg = GraphConfig(input_size=(16, 16), dropout_schedule=())
+def test_frozen_train_without_dropout_equals_eval(frozen_bn, no_dropout):
+    cfg = GraphConfig(input_size=(16, 16))
     graph = init_parameters(build_model(Variant.PROPOSED, cfg), 0)
     x = np.random.default_rng(5).random((2, 3, 16, 16)).astype(np.float32)
-    train_pred, _ = graph.forward(x, "train")
+    train_pred, _ = graph.forward(x, "train", rng=np.random.default_rng(0))
     eval_pred, _ = graph.forward(x, "eval")
     npt.assert_array_equal(train_pred, eval_pred)
+
+
+def test_only_a_train_forward_drops(monkeypatch):
+    """ops.dropout runs after the plan's dropping stages, at their rates, and
+    only in train mode."""
+    rates = []
+    dropout = ops.dropout
+    monkeypatch.setattr(ops, "dropout",
+                        lambda x, rate, rng: rates.append(rate) or dropout(x, rate, rng))
+    graph = built(Variant.PROPOSED)
+    x = np.random.default_rng(3).random((2, 3, 16, 16)).astype(np.float32)
+    _, cache = graph.forward(x, "eval")
+    assert rates == [] and all(rec.mask is None for rec in cache.stages)
+    _, cache = graph.forward(x, "train", rng=np.random.default_rng(0))
+    assert rates == [0.1, 0.5, 0.3]
+    assert [i for i, rec in enumerate(cache.stages, 1) if rec.mask is not None] == [4, 5, 6]
 
 
 def test_forward_validation():
@@ -369,11 +386,9 @@ def test_variant_feature_flags():
     (dict(channel_sequence=(5, 13, 89)), "4 entries"),
     (dict(channel_sequence=(5, 13, 0, 233)), ">= 1"),
     (dict(dilation_rates=(2, 3)), "3 entries"),
-    (dict(dropout_schedule=((9, 0.1),)), "outside activation range"),
-    (dict(dropout_schedule=((4, 1.0),)), "outside [0, 1)"),
+    (dict(input_size=(0, 0)), "input size 0x0 must be at least 8"),
+    (dict(input_size=(4, 192)), "input size 4x192 must be at least 8"),
     (dict(loss="dice"), "loss"),
-    (dict(bn_momentum=0.0), "bn_momentum"),
-    (dict(bn_epsilon=0.0), "bn_epsilon"),
 ])
 def test_config_violations_are_named(bad, fragment):
     cfg = GraphConfig(**bad)

@@ -510,24 +510,16 @@ def test_relu_backward_masks_by_output():
 
 # -- dropout ----------------------------------------------------------------
 
-def test_dropout_eval_is_identity():
-    rng = np.random.default_rng(0)
-    x = rng.random((2, 3, 4, 4))
-    out, mask = ops.dropout(x, 0.5, None, "eval")
-    npt.assert_array_equal(out, x)
-    npt.assert_array_equal(mask, np.ones_like(x))
-
-
 def test_dropout_rate_zero_is_identity_in_train():
     rng = np.random.default_rng(0)
     x = rng.random((2, 3, 4, 4))
-    out, mask = ops.dropout(x, 0.0, np.random.default_rng(1), "train")
+    out, mask = ops.dropout(x, 0.0, np.random.default_rng(1))
     npt.assert_array_equal(out, x)
 
 
 def test_dropout_train_scales_survivors():
     x = np.ones((1, 1, 100, 100))
-    out, mask = ops.dropout(x, 0.3, np.random.default_rng(2), "train")
+    out, mask = ops.dropout(x, 0.3, np.random.default_rng(2))
     survivors = out[out > 0]
     npt.assert_allclose(survivors, 1.0 / 0.7, rtol=1e-12)
     # drop rate within a few percent of nominal on 10k draws
@@ -538,19 +530,19 @@ def test_dropout_train_scales_survivors():
 def test_dropout_same_seed_same_mask_across_dtypes():
     x32 = np.ones((2, 2, 8, 8), dtype=np.float32)
     x64 = np.ones((2, 2, 8, 8), dtype=np.float64)
-    _, m32 = ops.dropout(x32, 0.5, np.random.default_rng(9), "train")
-    _, m64 = ops.dropout(x64, 0.5, np.random.default_rng(9), "train")
+    _, m32 = ops.dropout(x32, 0.5, np.random.default_rng(9))
+    _, m64 = ops.dropout(x64, 0.5, np.random.default_rng(9))
     npt.assert_array_equal(m32 > 0, m64 > 0)
 
 
 def test_dropout_rejects_rate_one():
     with pytest.raises(ValueError):
-        ops.dropout(np.ones((1, 1, 2, 2)), 1.0, np.random.default_rng(0), "train")
+        ops.dropout(np.ones((1, 1, 2, 2)), 1.0, np.random.default_rng(0))
 
 
 def test_dropout_backward_applies_same_mask():
     x = np.ones((1, 1, 10, 10))
-    out, mask = ops.dropout(x, 0.4, np.random.default_rng(3), "train")
+    out, mask = ops.dropout(x, 0.4, np.random.default_rng(3))
     g = ops.dropout_backward(np.ones_like(x), mask)
     npt.assert_array_equal(g, mask)
 

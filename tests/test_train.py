@@ -64,12 +64,11 @@ def test_micro_slices(n, micro, want):
 
 # -- gradient accumulation --------------------------------------------------
 
-def _nodrop_graph():
-    cfg = replace(TRAIN_GRAPH, dropout_schedule=())
-    return init_parameters(build_model(Variant.PROPOSED, cfg, dtype=np.float64), 0)
+def _graph64():
+    return init_parameters(build_model(Variant.PROPOSED, TRAIN_GRAPH, dtype=np.float64), 0)
 
 
-def test_accumulated_micro_batches_equal_one_full_batch(frozen_bn):
+def test_accumulated_micro_batches_equal_one_full_batch(frozen_bn, no_dropout):
     """With per-sample-independent forwards (frozen statistics, no dropout)
     the weighted micro-batch sum must reproduce the full-batch gradient."""
     rng = np.random.default_rng(8)
@@ -77,15 +76,15 @@ def test_accumulated_micro_batches_equal_one_full_batch(frozen_bn):
     masks = (rng.random((8, 1, 16, 16)) > 0.5).astype(np.float64)
     lossf = loss_fn("bce")
 
-    graph = _nodrop_graph()
+    graph = _graph64()
     cfg = TrainConfig(
         variant=Variant.PROPOSED, graph=graph.config, index_path="unused",
         out_dir="unused", micro_batch=3,
     )
     grads, loss = _accumulate_batch(graph, images, masks, lossf, cfg, 0, 0)
 
-    whole = _nodrop_graph()
-    pred, cache = whole.forward(images, "train")
+    whole = _graph64()
+    pred, cache = whole.forward(images, "train", rng=np.random.default_rng(0))
     ref_loss, grad_pred = lossf(pred, masks)
     ref = whole.backward(cache, grad_pred)
 
@@ -101,14 +100,14 @@ def test_single_micro_batch_is_bitwise_plain_sgd_step_input():
     masks = (rng.random((4, 1, 16, 16)) > 0.5).astype(np.float64)
     lossf = loss_fn("bce")
 
-    graph = _nodrop_graph()
+    graph = _graph64()
     cfg = TrainConfig(
         variant=Variant.PROPOSED, graph=graph.config, index_path="unused",
         out_dir="unused", micro_batch=4, seed=3,
     )
     grads, loss = _accumulate_batch(graph, images, masks, lossf, cfg, 1, 2)
 
-    ref_graph = _nodrop_graph()
+    ref_graph = _graph64()
     pred, cache = ref_graph.forward(images, "train", rng=derive_rng(3, 1, 1, 2, 0))
     ref_loss, grad_pred = lossf(pred, masks)
     ref = ref_graph.backward(cache, grad_pred)
