@@ -3,7 +3,8 @@
 Two file kinds share one layout and differ by magic:
 
   "LMKN"  deployment: config text + parameter/statistic tensors
-  "LMKT"  training: adds a metadata text block and the Adam moment tensors
+  "LMKT"  training: adds a metadata text block, which holds the Adam step
+          count as adam_t, and the Adam moment tensors
 
 Layout (all integers little-endian):
   magic        4 bytes
@@ -196,8 +197,18 @@ def _take(tensors: dict, name: str, shape: tuple) -> np.ndarray:
 
 
 def _graph_from(variant, config, tensors: dict) -> ModelGraph:
-    dtypes = {t.dtype for t in tensors.values()}
-    dtype = np.float64 if dtypes == {np.dtype(np.float64)} else np.float32
+    """A graph holding the file's parameters and statistics, in the dtype of
+    the first of them; every other tensor, Adam moments included, must have
+    that dtype too."""
+    first = next((name for name in tensors if not name.startswith("adam.")),
+                 next(iter(tensors), None))
+    dtype = np.float32 if first is None else tensors[first].dtype
+    for name, t in tensors.items():
+        if t.dtype != dtype:
+            raise CheckpointError(
+                f"tensor {name} is {t.dtype} but tensor {first} is {dtype}; "
+                "every tensor of a checkpoint has one dtype"
+            )
     graph = build_model(variant, config, dtype=dtype)
     for store in (graph.params, graph.stats):
         for name in store:
@@ -228,12 +239,6 @@ def _write(path, data: bytes) -> None:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-_KIND_MISMATCH = {
-    DEPLOY_MAGIC: "this is a training checkpoint; use load_training_checkpoint",
-    TRAIN_MAGIC: "this is a deployment checkpoint and carries no optimizer state",
-}
-
-
 def pop_meta(meta: dict, key: str, kind, path):
     """Remove `key` from a training checkpoint's metadata, parsed by `kind`."""
     if key not in meta:
@@ -255,33 +260,25 @@ def _naming(path):
         raise CheckpointError(f"{path}: {exc}") from None
 
 
-def _load(path, want):
-    """Read a checkpoint of kind `want` (a magic, or None for either) into
-    (graph, AdamState, meta); the last two are None for the deployment kind.
-    An error in reading the file or in matching it to the graph names the
-    path once, as its prefix."""
+def _load(path, training: bool):
+    """Read a checkpoint into (graph, AdamState, meta); the last two are None
+    for the deployment kind, which `training` refuses. An error in reading
+    the file or in matching it to the graph names the path once, as its
+    prefix."""
     with _open(path) as fh, _naming(path):
         magic = _read_header(fh)
-        if want is not None and magic != want:
-            raise CheckpointError(_KIND_MISMATCH[want])
+        if training and magic != TRAIN_MAGIC:
+            raise CheckpointError("this is a deployment checkpoint and carries no optimizer state")
         variant, config = parse_config_text(_read_text_block(fh, "config"))
         if magic == TRAIN_MAGIC:
             meta = parse_kv_text(_read_text_block(fh, "metadata"))
         tensors = _read_tensors(fh)
         if fh.read(1):
             raise CheckpointError("trailing bytes after tensor table")
+        graph = _graph_from(variant, config, tensors)
         if magic == DEPLOY_MAGIC:
-            return _graph_from(variant, config, tensors), None, None
-        graph = _graph_from(
-            variant, config, {k: v for k, v in tensors.items() if not k.startswith("adam.")}
-        )
-    adam = AdamState(
-        lr=pop_meta(meta, "lr", float, path),
-        beta1=pop_meta(meta, "beta1", float, path),
-        beta2=pop_meta(meta, "beta2", float, path),
-        eps=pop_meta(meta, "adam_eps", float, path),
-        t=pop_meta(meta, "adam_t", int, path),
-    )
+            return graph, None, None
+    adam = AdamState(t=pop_meta(meta, "adam_t", int, path))
     with _naming(path):
         for name, p in graph.params.items():
             for store, prefix in ((adam.m, "adam.m."), (adam.v, "adam.v.")):
@@ -294,31 +291,19 @@ def save_checkpoint(graph: ModelGraph, path) -> None:
     _write(path, _serialize(DEPLOY_MAGIC, graph, None, None))
 
 
-def load_checkpoint(path) -> ModelGraph:
-    """Read a deployment checkpoint back into a freshly built graph."""
-    return _load(path, DEPLOY_MAGIC)[0]
-
-
 def save_training_checkpoint(graph: ModelGraph, adam: AdamState, meta: dict, path) -> None:
     """Write a resumable checkpoint: graph, Adam state, and run metadata."""
-    meta = dict(meta)
-    meta.update(
-        lr=float(adam.lr), beta1=float(adam.beta1), beta2=float(adam.beta2),
-        adam_eps=float(adam.eps), adam_t=int(adam.t),
-    )
-    extra = {}
-    for name, m in adam.m.items():
-        extra[f"adam.m.{name}"] = m
-    for name, v in adam.v.items():
-        extra[f"adam.v.{name}"] = v
+    meta = {**meta, "adam_t": int(adam.t)}
+    extra = {f"adam.m.{name}": m for name, m in adam.m.items()}
+    extra.update((f"adam.v.{name}", v) for name, v in adam.v.items())
     _write(path, _serialize(TRAIN_MAGIC, graph, kvtext.write(meta), extra))
 
 
 def load_training_checkpoint(path):
     """Read a training checkpoint; returns (graph, AdamState, meta dict)."""
-    return _load(path, TRAIN_MAGIC)
+    return _load(path, True)
 
 
 def load_any(path) -> ModelGraph:
     """Load either checkpoint kind, returning just the graph."""
-    return _load(path, None)[0]
+    return _load(path, False)[0]

@@ -17,7 +17,7 @@ input, channel widths for the default sequence [5, 13, 89, 233]):
   layer 9  1x1 conv 5->1, sigmoid
 
 The input is RGB (INPUT_CHANNELS). Batch normalization exists in layers
-1-4 only, at ops.BatchNormState's momentum and epsilon. A train-mode
+1-4 only, at ops.BN_MOMENTUM and ops.BN_EPSILON. A train-mode
 forward applies dropout at rates 0.1 / 0.5 / 0.3 after activations
 4 / 5 / 6. Residual and Proposed carry the three skip concatenations;
 Dilation and Proposed carry the parallel dilated first layer. Activations

@@ -362,20 +362,22 @@ def upsample_nearest2_backward(grad_out: Tensor) -> Tensor:
     return (g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2]) + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2])
 
 
+BN_MOMENTUM = 0.1
+BN_EPSILON = 1e-5
+
+
 @dataclass
 class BatchNormState:
     """Per-channel affine parameters plus running statistics.
 
     gamma/beta are learned; running_mean/running_var are updated in train
-    mode with momentum and consumed in eval mode.
+    mode with BN_MOMENTUM and consumed in eval mode.
     """
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
 
     def __post_init__(self):
         c = self.gamma.shape[0]
@@ -383,10 +385,6 @@ class BatchNormState:
             arr = getattr(self, name)
             if arr.shape != (c,):
                 raise ShapeError(f"batchnorm {name} must have shape ({c},), got {arr.shape}")
-        if not 0.0 < self.momentum < 1.0:
-            raise ShapeError(f"batchnorm momentum must lie in (0, 1), got {self.momentum}")
-        if not self.epsilon > 0.0:
-            raise ShapeError(f"batchnorm epsilon must be positive, got {self.epsilon}")
         if np.any(self.running_var < 0):
             raise ShapeError("batchnorm running_var must be non-negative")
 
@@ -415,13 +413,13 @@ def batchnorm(x: Tensor, state: BatchNormState, mode: str):
             )
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
-        m = np.asarray(state.momentum, dtype=x.dtype)
+        m = np.asarray(BN_MOMENTUM, dtype=x.dtype)
         state.running_mean = ((1 - m) * state.running_mean + m * mean).astype(x.dtype)
         state.running_var = ((1 - m) * state.running_var + m * var).astype(x.dtype)
     else:
         mean = state.running_mean
         var = state.running_var
-    inv_std = 1.0 / np.sqrt(var + np.asarray(state.epsilon, dtype=x.dtype))
+    inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=x.dtype))
     xhat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
     out = state.gamma.reshape(1, -1, 1, 1) * xhat + state.beta.reshape(1, -1, 1, 1)
     cache = {"mode": mode, "xhat": xhat, "inv_std": inv_std, "gamma": state.gamma}

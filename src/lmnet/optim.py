@@ -1,8 +1,10 @@
 """Adam optimizer over named parameter dicts.
 
-State mirrors the parameter tree exactly. A step is atomic: if any gradient
-entry is non-finite the step is rejected and neither the parameters nor the
-moment estimates change.
+State mirrors the parameter tree exactly and holds only what carries from
+step to step: the step counter and the two moments. The settings (lr, beta1,
+beta2, eps) are inputs to each step. A step is atomic: if any gradient entry
+is non-finite the step is rejected and neither the parameters nor the moment
+estimates change.
 
 Update rule per tensor (t is the shared step counter):
     t <- t + 1
@@ -22,26 +24,22 @@ from .errors import NonFiniteGradientError, ShapeError
 
 @dataclass
 class AdamState:
-    lr: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def adam_init(params: dict, lr: float = 0.005, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(params: dict) -> AdamState:
     """Zero-initialized moments shaped like `params`, step counter 0."""
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0)
+    state = AdamState()
     for name, p in params.items():
         state.m[name] = np.zeros_like(p)
         state.v[name] = np.zeros_like(p)
     return state
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> None:
+def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float,
+              beta1: float, beta2: float, eps: float) -> None:
     """Apply one Adam step in place on `params` and `state`.
 
     Raises NonFiniteGradientError before touching any state if a gradient
@@ -66,13 +64,12 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
             )
 
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    corr1 = 1.0 - b1 ** state.t
-    corr2 = 1.0 - b2 ** state.t
+    corr1 = 1.0 - beta1 ** state.t
+    corr2 = 1.0 - beta2 ** state.t
     for name in params:
         g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
+        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
+        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
         m_hat = state.m[name] / corr1
         v_hat = state.v[name] / corr2
-        params[name] = params[name] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)

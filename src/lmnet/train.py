@@ -153,29 +153,28 @@ def evaluate(graph: ModelGraph, index: DatasetIndex, split: str,
     return report(counts, loss_sum / n, split, samples=n)
 
 
-def _train_meta(cfg: TrainConfig, epochs_done: int, step: int, best: float) -> dict:
+def _resume_settings(cfg: TrainConfig) -> dict:
+    """What a bit-exact resume depends on beyond the graph, by metadata key.
+    lr is not among them, so a resume may change it."""
     return {
-        "epochs_done": epochs_done,
-        "step": step,
-        "best_val_loss": float(best),
         "train_seed": cfg.seed,
         "batch_size": cfg.batch_size,
         "micro_batch": cfg.micro_batch,
-        "epochs": cfg.epochs,
-        "threshold": float(cfg.threshold),
+        "beta1": float(cfg.beta1),
+        "beta2": float(cfg.beta2),
+        "adam_eps": float(cfg.adam_eps),
     }
 
 
-def _check_resume_settings(cfg: TrainConfig, adam, meta: dict, path: Path) -> None:
+def _train_meta(cfg: TrainConfig, epochs_done: int, step: int, best: float) -> dict:
+    return {**_resume_settings(cfg), "epochs_done": epochs_done, "step": step,
+            "best_val_loss": float(best)}
+
+
+def _check_resume_settings(cfg: TrainConfig, meta: dict, path: Path) -> None:
     """Refuse to resume with settings that would break the bit-exact replay."""
-    for key, requested, recorded in (
-        ("train_seed", cfg.seed, pop_meta(meta, "train_seed", int, path)),
-        ("batch_size", cfg.batch_size, pop_meta(meta, "batch_size", int, path)),
-        ("micro_batch", cfg.micro_batch, pop_meta(meta, "micro_batch", int, path)),
-        ("beta1", cfg.beta1, adam.beta1),
-        ("beta2", cfg.beta2, adam.beta2),
-        ("adam_eps", cfg.adam_eps, adam.eps),
-    ):
+    for key, requested in _resume_settings(cfg).items():
+        recorded = pop_meta(meta, key, type(requested), path)
         if requested != recorded:
             raise ConfigError(
                 f"{path} was trained with {key}={kvtext.render(recorded)}, not "
@@ -228,16 +227,14 @@ def train(cfg: TrainConfig):
                 f"{last_path} was trained with a different graph configuration; "
                 "change the flags or start a fresh run directory"
             )
-        _check_resume_settings(cfg, adam, meta, last_path)
+        _check_resume_settings(cfg, meta, last_path)
         start_epoch = pop_meta(meta, "epochs_done", int, last_path)
         step = pop_meta(meta, "step", int, last_path)
         best = pop_meta(meta, "best_val_loss", float, last_path)
-        adam.lr = cfg.lr
     else:
         graph = build_model(cfg.variant, cfg.graph, dtype=np.float32)
         init_parameters(graph)
-        adam = adam_init(graph.params, lr=cfg.lr, beta1=cfg.beta1,
-                         beta2=cfg.beta2, eps=cfg.adam_eps)
+        adam = adam_init(graph.params)
         start_epoch, step, best = 0, 0, math.inf
 
     history = TrainHistory()
@@ -261,7 +258,8 @@ def train(cfg: TrainConfig):
                     graph, images, masks, lossf, cfg, epoch, batch_idx
                 )
                 try:
-                    adam_step(graph.params, grads, adam)
+                    adam_step(graph.params, grads, adam, lr=cfg.lr, beta1=cfg.beta1,
+                              beta2=cfg.beta2, eps=cfg.adam_eps)
                 except NonFiniteGradientError as exc:
                     raise TrainAbortedError(
                         f"optimizer step {step + 1} rejected: {exc}", step=step + 1

@@ -20,7 +20,7 @@ import pytest
 
 import lmnet.ops as ops
 from lmnet import imgio
-from lmnet.checkpoint import load_checkpoint, save_checkpoint
+from lmnet.checkpoint import load_any, save_checkpoint
 from lmnet.data import (
     ImagePair,
     load_index,
@@ -368,7 +368,7 @@ def test_tiling_and_checkpoint_round_trips(tmp_path):
     before, _ = graph.forward(x, "eval")
     first, second = tmp_path / "one.ckpt", tmp_path / "two.ckpt"
     save_checkpoint(graph, first)
-    loaded = load_checkpoint(first)
+    loaded = load_any(first)
     save_checkpoint(loaded, second)
     assert first.read_bytes() == second.read_bytes()
     after, _ = loaded.forward(x, "eval")

@@ -533,14 +533,14 @@ def test_importing_the_cli_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("missing", ["lr", "train_seed"])
+@pytest.mark.parametrize("missing", ["adam_t", "train_seed"])
 def test_resume_from_incomplete_checkpoint_metadata_exits_2(
         missing, tiny_dataset, tmp_path, capsys):
     graph = init_parameters(build_model(Variant.PROPOSED, GraphConfig(
         input_size=(16, 16), channel_sequence=(2, 2, 3, 3))))
     last = tmp_path / "run" / "last.ckpt"
     last.parent.mkdir()
-    if missing == "lr":  # no optimizer settings in the metadata at all
+    if missing == "adam_t":  # no optimizer state in the metadata at all
         last.write_bytes(_serialize(TRAIN_MAGIC, graph, "epochs_done=1\n", None))
     else:
         save_training_checkpoint(graph, adam_init(graph.params), {"epochs_done": 1}, last)

@@ -420,11 +420,10 @@ def test_upsample_matches_naive_and_adjoint_sums_blocks():
 
 # -- batch normalization ----------------------------------------------------
 
-def _bn_state(c, dtype=np.float64, momentum=0.1):
+def _bn_state(c, dtype=np.float64):
     return ops.BatchNormState(
         gamma=np.ones(c, dtype), beta=np.zeros(c, dtype),
         running_mean=np.zeros(c, dtype), running_var=np.ones(c, dtype),
-        momentum=momentum, epsilon=1e-5,
     )
 
 
@@ -441,14 +440,15 @@ def test_batchnorm_train_normalizes_per_channel():
 def test_batchnorm_running_stats_update_rule():
     rng = np.random.default_rng(6)
     x = rng.normal(1.0, 1.5, (3, 2, 4, 4))
-    st = _bn_state(2, momentum=0.25)
+    st = _bn_state(2)
     st.running_mean = np.array([1.0, -1.0])
     st.running_var = np.array([2.0, 0.5])
     batch_mean = x.mean(axis=(0, 2, 3))
     batch_var = x.var(axis=(0, 2, 3))  # biased
     ops.batchnorm(x, st, "train")
-    npt.assert_allclose(st.running_mean, 0.75 * np.array([1.0, -1.0]) + 0.25 * batch_mean)
-    npt.assert_allclose(st.running_var, 0.75 * np.array([2.0, 0.5]) + 0.25 * batch_var)
+    m = ops.BN_MOMENTUM
+    npt.assert_allclose(st.running_mean, (1 - m) * np.array([1.0, -1.0]) + m * batch_mean)
+    npt.assert_allclose(st.running_var, (1 - m) * np.array([2.0, 0.5]) + m * batch_var)
 
 
 def test_batchnorm_eval_uses_running_stats_only():
@@ -476,13 +476,8 @@ def test_batchnorm_rejects_single_element_statistics():
 def test_batchnorm_state_validation():
     with pytest.raises(ValueError):
         ops.BatchNormState(
-            gamma=np.ones(2), beta=np.zeros(2), running_mean=np.zeros(2),
-            running_var=np.ones(2), momentum=1.5, epsilon=1e-5,
-        )
-    with pytest.raises(ValueError):
-        ops.BatchNormState(
             gamma=np.ones(2), beta=np.zeros(3), running_mean=np.zeros(2),
-            running_var=np.ones(2), momentum=0.1, epsilon=1e-5,
+            running_var=np.ones(2),
         )
 
 

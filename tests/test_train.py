@@ -7,7 +7,12 @@ import numpy.testing as npt
 import pytest
 
 import lmnet.ops as ops
-from lmnet.checkpoint import load_checkpoint, load_training_checkpoint
+from lmnet.checkpoint import (
+    DEPLOY_MAGIC,
+    load_any,
+    load_training_checkpoint,
+    save_training_checkpoint,
+)
 from lmnet.data import DatasetIndex, IndexRecord, save_index, write_synthetic_dataset
 from lmnet.errors import ConfigError, DataError, TrainAbortedError
 from lmnet.model import (
@@ -142,8 +147,10 @@ def test_outputs_include_all_three_checkpoints(tiny_dataset, tmp_path):
     cfg = make_cfg(tiny_dataset, tmp_path / "run", epochs=1)
     graph, _ = train(cfg)
     out = tmp_path / "run"
-    final = load_checkpoint(out / FINAL_CKPT)       # deployment kind
-    best = load_checkpoint(out / BEST_CKPT)
+    for name in (FINAL_CKPT, BEST_CKPT):
+        assert (out / name).read_bytes()[:4] == DEPLOY_MAGIC
+    final = load_any(out / FINAL_CKPT)
+    best = load_any(out / BEST_CKPT)
     resumable, adam, meta = load_training_checkpoint(out / LAST_CKPT)
     for k in graph.params:
         npt.assert_array_equal(final.params[k], graph.params[k])
@@ -213,6 +220,40 @@ def test_resume_after_a_crash_matches_uninterrupted_run(
     monkeypatch.setattr(train_mod, crash_in, original)
 
     train(make_cfg(tiny_dataset, tmp_path / "split", resume=True, **settings))
+    for f in artifacts:
+        assert (tmp_path / "whole" / f).read_bytes() == \
+            (tmp_path / "split" / f).read_bytes(), f
+
+
+def test_resume_may_change_the_learning_rate(tiny_dataset, tmp_path, monkeypatch):
+    import lmnet.train as train_mod
+
+    train(make_cfg(tiny_dataset, tmp_path / "run", epochs=1))
+    step = train_mod.adam_step
+    rates = []
+
+    def recording_step(*args, lr, **kw):
+        rates.append(lr)
+        return step(*args, lr=lr, **kw)
+
+    monkeypatch.setattr(train_mod, "adam_step", recording_step)
+    _, history = train(make_cfg(tiny_dataset, tmp_path / "run", resume=True, lr=1e-3))
+    assert len(history.steps) == 2  # 8 images in batches of 4, epoch 1 only
+    assert rates == [1e-3, 1e-3]
+
+
+def test_a_checkpoint_with_unread_meta_keys_resumes_byte_exact(tiny_dataset, tmp_path):
+    artifacts = (TRAIN_CSV, VAL_CSV, LAST_CKPT, BEST_CKPT, FINAL_CKPT)
+    train(make_cfg(tiny_dataset, tmp_path / "whole", epochs=2))
+    train(make_cfg(tiny_dataset, tmp_path / "split", epochs=1))
+    # earlier builds also wrote lr, epochs and threshold, which no resume reads
+    last = tmp_path / "split" / LAST_CKPT
+    graph, adam, meta = load_training_checkpoint(last)
+    save_training_checkpoint(graph, adam, {**meta, "lr": 0.005, "epochs": 1,
+                                           "threshold": 0.5}, last)
+    assert b"\nlr=0.005\n" in last.read_bytes()
+
+    train(make_cfg(tiny_dataset, tmp_path / "split", epochs=2, resume=True))
     for f in artifacts:
         assert (tmp_path / "whole" / f).read_bytes() == \
             (tmp_path / "split" / f).read_bytes(), f
