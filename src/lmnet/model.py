@@ -26,13 +26,16 @@ dropout are fixed, not settings: GraphConfig holds only what a caller
 chooses.
 
 layer_plan states this once, as nine stages (one per activation, each
-with its dropout rate). forward walks the stages in order and keeps one
-StageRecord per stage, holding only what backward reads: the input the
-stage's kernels read, their batchnorm caches, the pool argmax, the dropout
-mask and the activation after dropout. A decoder stage runs
-ops.upsample_conv2d, which reads the low-resolution previous activation
-and the skip activation's own record, so no upsampled or concatenated
-input is formed or kept. backward walks the same records in reverse.
+with its dropout rate). forward walks the stages in order. In train mode it
+keeps one StageRecord per stage, holding only what backward reads: the
+input the stage's kernels read, their batchnorm caches, the dropout mask
+and the activation after dropout. A pool's adjoint reads the pool's input
+(the previous activation) and output (the kernels' input). In eval mode
+forward keeps only the activations, for the skips, and returns no cache.
+A decoder stage runs ops.upsample_conv2d, which reads the
+low-resolution previous activation and the skip activation's own record,
+so no upsampled or concatenated input is formed or kept. backward walks
+the train records in reverse.
 """
 
 from __future__ import annotations
@@ -122,6 +125,8 @@ class GraphConfig:
                 bad.append(f"dilation rates must be >= 1, got {self.dilation_rates}")
         if self.loss not in ops.LOSSES:
             bad.append(f"loss must be one of {sorted(ops.LOSSES)}, got {self.loss!r}")
+        if int(self.seed) < 0:
+            bad.append(f"seed must be >= 0, got {self.seed}")
         return bad
 
 
@@ -215,17 +220,15 @@ class StageRecord:
 
     conv_in: np.ndarray = None  # the input all of the stage's kernels read
     bn: list = field(default_factory=list)  # batchnorm caches, in kernel order
-    argmax: np.ndarray = None   # pool argmax, for a pooling stage
     mask: np.ndarray = None     # dropout mask, when the stage drops
     act: np.ndarray = None      # the stage's activation after dropout
 
 
 @dataclass
 class ForwardCache:
-    """What forward returns beside the prediction: its mode and one
+    """What a train-mode forward returns beside the prediction: one
     StageRecord per plan stage."""
 
-    mode: str
     stages: list
 
 
@@ -295,8 +298,9 @@ class ModelGraph:
     def forward(self, batch: np.ndarray, mode: str, rng: np.random.Generator | None = None):
         """Run the network; returns (prediction, cache).
 
-        mode is "train" (batch statistics, dropout active, cache usable for
-        backward) or "eval" (running statistics, dropout off, deterministic).
+        mode is "train" (batch statistics, dropout active, a ForwardCache
+        for backward) or "eval" (running statistics, dropout off,
+        deterministic, and the cache is None).
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"forward mode must be 'train' or 'eval', got {mode!r}")
@@ -315,11 +319,11 @@ class ModelGraph:
             raise ValueError("train-mode forward needs an rng for dropout")
 
         cur = batch.astype(self.dtype, copy=False)
-        records = []
+        records = []  # eval keeps each record's activation alone, for the skips
         for stage in self.plan.stages:
             rec = StageRecord()
             if stage.pre == "pool":
-                cur, rec.argmax = ops.maxpool2(cur)
+                cur = ops.maxpool2(cur)
             rec.conv_in = cur
             skip = records[stage.skip - 1].act if stage.skip else None
             zs = [self._kernel_forward(stage, s, cur, skip, mode, rec.bn) for s in stage.convs]
@@ -327,8 +331,8 @@ class ModelGraph:
             if train and stage.drop:
                 a, rec.mask = ops.dropout(a, stage.drop, rng)
             rec.act = cur = a
-            records.append(rec)
-        return cur, ForwardCache(mode, records)
+            records.append(rec if train else StageRecord(act=a))
+        return cur, ForwardCache(records) if train else None
 
     def _kernel_forward(self, stage: Stage, spec: ConvSpec, x: np.ndarray, skip, mode: str,
                         bn: list):
@@ -350,9 +354,7 @@ class ModelGraph:
     def backward(self, cache: ForwardCache, grad_pred: np.ndarray) -> dict:
         """Gradients of the scalar whose d(pred) is `grad_pred`, for every parameter."""
         if not isinstance(cache, ForwardCache):
-            raise ValueError("backward needs the cache returned by a forward call")
-        if cache.mode != "train":
-            raise ValueError("backward needs a cache from a train-mode forward")
+            raise ValueError("backward needs the cache returned by a train-mode forward")
         pred = cache.stages[-1].act
         if grad_pred.shape != pred.shape:
             raise ShapeError(
@@ -375,9 +377,8 @@ class ModelGraph:
             g, g_skip = self._kernels_backward(stage, rec, skip, g, grads)
             if g_skip is not None:
                 skip_grads[stage.skip] = g_skip
-            if stage.pre == "pool":
-                n, c, h, w = g.shape
-                g = ops.maxpool2_backward(g, rec.argmax, (n, c, 2 * h, 2 * w))
+            if stage.pre == "pool":  # input: the previous activation; output: conv_in
+                g = ops.maxpool2_backward(g, cache.stages[stage.index - 2].act, rec.conv_in)
         return grads
 
     def _kernels_backward(self, stage: Stage, rec: StageRecord, skip, g: np.ndarray,

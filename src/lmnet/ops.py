@@ -300,45 +300,40 @@ def upsample_conv2d_backward(low: Tensor, skip, params: ConvParams, grad_out: Te
     return grad_low, grad_skip, grad_weights, grad_out.sum(axis=(0, 2, 3))
 
 
-def maxpool2(x: Tensor):
-    """2x2 max pooling with stride 2; returns (output, argmax).
-
-    argmax holds, for every pooled element, the flat row-major index (y*w + x)
-    of the winning input position within its (n, c) plane. Ties go to the
-    first occurrence in row-major window order. A window holding a NaN
-    pools to NaN, and its argmax is the first NaN in that order (as
-    np.argmax picks it).
-    """
+def maxpool2(x: Tensor) -> Tensor:
+    """2x2 max pooling with stride 2. A window holding a NaN pools to NaN."""
     _require_4d("maxpool2 input", x)
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got h={h}, w={w}")
     tl, tr = x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]
     bl, br = x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
-    out = np.maximum(np.maximum(tl, tr), np.maximum(bl, br))  # NaN wins
-    hit_tl, hit_tr, hit_bl = tl == out, tr == out, bl == out
-    if np.isnan(out).any():
-        hit_tl |= np.isnan(tl)
-        hit_tr |= np.isnan(tr)
-        hit_bl |= np.isnan(bl)
-    corner = 2 * w * np.arange(h // 2).reshape(-1, 1) + 2 * np.arange(w // 2)
-    offset = np.where(hit_tl, 0, np.where(hit_tr, 1, np.where(hit_bl, w, w + 1)))
-    return out, corner + offset
+    return np.maximum(np.maximum(tl, tr), np.maximum(bl, br))  # NaN wins
 
 
-def maxpool2_backward(grad_out: Tensor, argmax: np.ndarray, input_shape) -> Tensor:
-    """Route each pooled cotangent to its argmax position; zeros elsewhere."""
-    n, c, h, w = input_shape
-    if grad_out.shape != argmax.shape:
-        raise ShapeError(
-            f"grad_out shape {grad_out.shape} does not match argmax shape {argmax.shape}"
-        )
-    flat = np.zeros((n, c, h * w), dtype=grad_out.dtype)
-    # windows are disjoint so indices are unique per (n, c) plane
-    np.put_along_axis(
-        flat, argmax.reshape(n, c, -1), grad_out.reshape(n, c, -1), axis=2
-    )
-    return flat.reshape(n, c, h, w)
+def maxpool2_backward(grad_out: Tensor, x: Tensor, out: Tensor) -> Tensor:
+    """Adjoint of maxpool2 given its input x and output out: each pooled
+    cotangent goes to the first position of its window, in row-major order,
+    that holds the max (in a NaN window, the first NaN); every other
+    position gets +0."""
+    n, c, h, w = out.shape
+    if grad_out.shape != out.shape or x.shape != (n, c, 2 * h, 2 * w):
+        raise ShapeError(f"maxpool2 adjoint got grad_out {grad_out.shape} and output "
+                         f"{out.shape} for input {x.shape}")
+    grad = np.empty(x.shape, dtype=grad_out.dtype)
+    blocks = grad.reshape(n, c, h, 2, w, 2)
+    nan = np.isnan(out).any()
+    free = np.ones(out.shape, dtype=bool)  # windows whose max is not yet placed
+    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        corner = x[:, :, dy::2, dx::2]
+        hit = corner == out
+        if nan:
+            hit |= np.isnan(corner)
+        hit &= free
+        free ^= hit
+        # np.where, not grad_out * hit: the product is -0.0 under a negative cotangent
+        blocks[:, :, :, dy, :, dx] = np.where(hit, grad_out, 0)
+    return grad
 
 
 # The network's decoder stages call upsample_conv2d. upsample_nearest2, its

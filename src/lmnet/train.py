@@ -93,6 +93,8 @@ class TrainConfig:
             out.append(f"threshold must be in [0, 1], got {self.threshold}")
         if self.log_every < 1:
             out.append(f"log_every must be >= 1, got {self.log_every}")
+        if self.seed < 0:
+            out.append(f"seed must be >= 0, got {self.seed}")
         return out
 
 

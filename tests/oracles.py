@@ -106,6 +106,16 @@ def maxpool2_argmax(x):
     return out, ys * w + xs
 
 
+def maxpool2_scatter(grad_out, arg, input_shape):
+    """maxpool2's adjoint through an oracle's flat index (maxpool2_naive's or
+    maxpool2_argmax's): each cotangent lands on its window's recorded
+    winner, and every other position holds +0."""
+    n, c, h, w = input_shape
+    flat = np.zeros((n, c, h * w), dtype=grad_out.dtype)
+    np.put_along_axis(flat, arg.reshape(n, c, -1), grad_out.reshape(n, c, -1), axis=2)
+    return flat.reshape(n, c, h, w)
+
+
 def upsample2_backward_blocks(grad_out):
     """Adjoint of the nearest 2x upsample as one reshape and a sum over the
     two block axes."""

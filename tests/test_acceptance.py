@@ -45,6 +45,7 @@ from oracles import (
     conv2d_naive,
     fd_gradient,
     maxpool2_naive,
+    maxpool2_scatter,
     rel_err,
     tile_naive,
 )
@@ -101,14 +102,17 @@ def test_kernels_match_their_oracles_exactly():
         got = ops.conv2d(x, ops.ConvParams(weights, bias, d))
         assert np.array_equal(got, conv2d_naive(x, weights, bias, d))
 
-    for _ in range(50):  # pooling, including tied windows
+    cot_rng = np.random.default_rng(102)  # pool cotangents, off the config stream
+    for _ in range(50):  # pooling, including tied windows; the adjoint fills +0
         c = int(rng.integers(1, 4))
         h, w = (2 * int(v) for v in rng.integers(1, 7, 2))
         x = rng.integers(-9, 10, (2, c, h, w)).astype(np.float64)
-        out, arg = ops.maxpool2(x)
+        out = ops.maxpool2(x)
         naive_out, naive_arg = maxpool2_naive(x)
         assert np.array_equal(out, naive_out)
-        assert np.array_equal(arg, naive_arg)
+        cot = cot_rng.integers(-9, 10, out.shape).astype(np.float64)
+        got = ops.maxpool2_backward(cot, x, out)
+        assert got.tobytes() == maxpool2_scatter(cot, naive_arg, x.shape).tobytes()
 
     for _ in range(50):  # confusion counting
         shape = (int(rng.integers(1, 4)), 1,
@@ -183,10 +187,9 @@ def test_gradients_match_finite_differences():
     x = rng.uniform(-1, 1, (2, 2, 6, 6))
     x += np.arange(x.size).reshape(x.shape) * 1e-2  # no ties near the probe
     cot = rng.uniform(-1, 1, (2, 2, 3, 3))
-    _, arg = ops.maxpool2(x)
-    gx = ops.maxpool2_backward(cot, arg, x.shape)
+    gx = ops.maxpool2_backward(cot, x, ops.maxpool2(x))
     worst["maxpool"] = rel_err(
-        gx, fd_gradient(lambda: float((ops.maxpool2(x)[0] * cot).sum()), x))
+        gx, fd_gradient(lambda: float((ops.maxpool2(x) * cot).sum()), x))
 
     x = rng.uniform(-1, 1, (1, 3, 3, 4))
     cot = rng.uniform(-1, 1, (1, 3, 6, 8))

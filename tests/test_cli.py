@@ -124,6 +124,20 @@ def test_train_invalid_lr_fails_before_touching_the_run_dir(
     assert not out_dir.exists()
 
 
+def test_train_negative_seed_fails_before_touching_the_run_dir(
+        tiny_dataset, tmp_path, capsys):
+    out_dir = tmp_path / "never"
+    code, _, err = run_cli(
+        capsys, "train", "--index", str(tiny_dataset.root / "index.tsv"),
+        "--out", str(out_dir), "--variant", "plain", "--seed", "-1",
+        "--channels", TINY_CHANNELS,
+    )
+    assert code == 1
+    assert "seed must be >= 0" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_train_non_numeric_flag_exits_1(tiny_dataset, tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "train", "--index", str(tiny_dataset.root / "index.tsv"),

@@ -161,9 +161,8 @@ def test_maxpool_gradient_away_from_ties():
     x = smooth(rng, (2, 2, 6, 6))
     x += np.arange(x.size).reshape(x.shape) * 1e-2  # break all ties by > fd step
     cotangent = smooth(rng, (2, 2, 3, 3))
-    _, arg = ops.maxpool2(x)
-    gx = ops.maxpool2_backward(cotangent, arg, x.shape)
-    fd = fd_gradient(lambda: float((ops.maxpool2(x)[0] * cotangent).sum()), x)
+    gx = ops.maxpool2_backward(cotangent, x, ops.maxpool2(x))
+    fd = fd_gradient(lambda: float((ops.maxpool2(x) * cotangent).sum()), x)
     assert rel_err(gx, fd) < PER_OP_TOL
 
 

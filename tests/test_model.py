@@ -166,7 +166,8 @@ def test_init_weight_scale_is_fan_in_kaiming():
 def test_eval_forward_shapes_and_range():
     graph = built(Variant.PROPOSED)
     x = np.zeros((1, 3, 16, 16), dtype=np.float32)
-    pred, _ = graph.forward(x, "eval")
+    pred, cache = graph.forward(x, "eval")
+    assert cache is None  # an eval forward keeps no records for backward
     assert pred.shape == (1, 1, 16, 16)
     assert pred.dtype == np.float32
     assert np.all(pred > 0) and np.all(pred < 1)
@@ -235,8 +236,8 @@ def test_only_a_train_forward_drops(monkeypatch):
                         lambda x, rate, rng: rates.append(rate) or dropout(x, rate, rng))
     graph = built(Variant.PROPOSED)
     x = np.random.default_rng(3).random((2, 3, 16, 16)).astype(np.float32)
-    _, cache = graph.forward(x, "eval")
-    assert rates == [] and all(rec.mask is None for rec in cache.stages)
+    graph.forward(x, "eval")
+    assert rates == []
     _, cache = graph.forward(x, "train", rng=np.random.default_rng(0))
     assert rates == [0.1, 0.5, 0.3]
     assert [i for i, rec in enumerate(cache.stages, 1) if rec.mask is not None] == [4, 5, 6]
@@ -259,12 +260,11 @@ def test_backward_validation():
     graph = built(Variant.PLAIN)
     x = np.random.default_rng(6).random((2, 3, 16, 16)).astype(np.float32)
     grad = np.ones((2, 1, 16, 16), np.float32)
-    for not_a_cache in (None, {}, [grad]):
-        with pytest.raises(ValueError, match="cache returned by a forward call"):
-            graph.backward(not_a_cache, grad)
     _, eval_cache = graph.forward(x, "eval")
-    with pytest.raises(ValueError, match="train-mode forward"):
-        graph.backward(eval_cache, grad)
+    assert eval_cache is None
+    for not_a_cache in (eval_cache, {}, [grad]):
+        with pytest.raises(ValueError, match="needs the cache returned by a train-mode forward"):
+            graph.backward(not_a_cache, grad)
     _, cache = graph.forward(x, "train", rng=np.random.default_rng(0))
     with pytest.raises(ShapeError, match="does not match prediction"):
         graph.backward(cache, np.ones((2, 1, 8, 8), np.float32))
@@ -389,6 +389,7 @@ def test_variant_feature_flags():
     (dict(input_size=(0, 0)), "input size 0x0 must be at least 8"),
     (dict(input_size=(4, 192)), "input size 4x192 must be at least 8"),
     (dict(loss="dice"), "loss"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
 ])
 def test_config_violations_are_named(bad, fragment):
     cfg = GraphConfig(**bad)

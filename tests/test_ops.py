@@ -24,6 +24,7 @@ from oracles import (
     conv2d_naive,
     maxpool2_argmax,
     maxpool2_naive,
+    maxpool2_scatter,
     upsample2_backward_blocks,
     upsample2_naive,
     upsample_conv2d_backward_composed,
@@ -319,22 +320,25 @@ def _plan_resampling_shapes(n, size):
 
 
 def _bits(a):
-    return a.view(np.uint32)
+    return a.view(f"u{a.itemsize}")  # tells -0.0 from +0.0, and NaN payloads apart
 
 
 @pytest.mark.parametrize("n,size", [(10, 192), (1, 768)])
 def test_pool_and_upsample_adjoint_are_bit_identical_to_their_oracles(n, size):
     rng = np.random.default_rng(size)
+    cot_rng = np.random.default_rng(size + 1)  # pool cotangents, off the input stream
     pools, upsamples = _plan_resampling_shapes(n, size)
     assert len(pools) == 4 and len(upsamples) == 3
     for shape in pools:
         # relu-like levels: many tied windows, most of them at zero
         x = np.maximum(rng.integers(-6, 7, shape), 0).astype(np.float32)
         x[:, :, 0::2] += rng.standard_normal(x[:, :, 0::2].shape).astype(np.float32)
-        out, arg = ops.maxpool2(x)
+        out = ops.maxpool2(x)
         want_out, want_arg = maxpool2_argmax(x)
         npt.assert_array_equal(_bits(out), _bits(want_out), err_msg=str(shape))
-        npt.assert_array_equal(arg, want_arg, err_msg=str(shape))
+        g = cot_rng.standard_normal(out.shape).astype(np.float32)
+        npt.assert_array_equal(_bits(ops.maxpool2_backward(g, x, out)),
+                               _bits(maxpool2_scatter(g, want_arg, x.shape)), err_msg=str(shape))
     for shape in upsamples:
         g = rng.standard_normal(shape).astype(np.float32)
         npt.assert_array_equal(_bits(ops.upsample_nearest2_backward(g)),
@@ -350,39 +354,52 @@ def test_maxpool_nan_pools_to_nan_at_the_first_nan(pos):
     x[0, 0, 1, 3] = np.nan  # the second window's last entry
     if pos < 3:
         x[0, 0, 1, 1] = np.nan  # a later NaN in the same window loses
-    out, arg = ops.maxpool2(x)
+    out = ops.maxpool2(x)
     assert np.isnan(out[0, 0, 0, 0]) and np.isnan(out[0, 0, 0, 1])
-    assert arg[0, 0, 0, 0] == y * 4 + xx
-    assert arg[0, 0, 0, 1] == 7
-    npt.assert_array_equal(arg, maxpool2_argmax(x)[1])
+    g = np.array([-5.0, 6.0]).reshape(1, 1, 1, 2)
+    gx = ops.maxpool2_backward(g, x, out)
+    want = np.zeros(8)
+    want[y * 4 + xx], want[7] = -5.0, 6.0
+    npt.assert_array_equal(_bits(gx.ravel()), _bits(want))
+    npt.assert_array_equal(_bits(gx), _bits(maxpool2_scatter(g, maxpool2_argmax(x)[1], x.shape)))
 
 
 def test_maxpool_frozen_example():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-    out, arg = ops.maxpool2(x)
+    out = ops.maxpool2(x)
     assert out[0, 0, 0, 0] == 4.0
-    assert arg[0, 0, 0, 0] == 3  # flat index into the 2x2 plane
+    gx = ops.maxpool2_backward(np.full((1, 1, 1, 1), -5.0), x, out)
+    npt.assert_array_equal(_bits(gx), _bits(np.array([[[[0.0, 0.0], [0.0, -5.0]]]])))
 
 
 def test_maxpool_ties_pick_first_in_row_major_order():
     x = np.full((1, 1, 4, 4), 2.5)
-    out, arg = ops.maxpool2(x)
+    out = ops.maxpool2(x)
     npt.assert_array_equal(out, np.full((1, 1, 2, 2), 2.5))
-    npt.assert_array_equal(arg[0, 0], [[0, 2], [8, 10]])  # window top-left corners
+    g = -np.arange(1.0, 5.0).reshape(1, 1, 2, 2)
+    gx = ops.maxpool2_backward(g, x, out)
+    want = np.zeros((4, 4))
+    want[0::2, 0::2] = g[0, 0]  # window top-left corners
+    npt.assert_array_equal(_bits(gx[0, 0]), _bits(want))
+    npt.assert_array_equal(_bits(gx), _bits(maxpool2_scatter(g, maxpool2_naive(x)[1], x.shape)))
 
 
 def test_maxpool_matches_naive_oracle_on_50_random_configs():
     rng = np.random.default_rng(11)
+    cot_rng = np.random.default_rng(12)  # cotangents, off the config stream
     for case in range(50):
         n = int(rng.integers(1, 3))
         c = int(rng.integers(1, 4))
         h = 2 * int(rng.integers(1, 7))
         w = 2 * int(rng.integers(1, 7))
         x = int_valued(rng, (n, c, h, w))
-        out, arg = ops.maxpool2(x)
+        out = ops.maxpool2(x)
         want_out, want_arg = maxpool2_naive(x)
         npt.assert_array_equal(out, want_out, err_msg=f"case {case}")
-        npt.assert_array_equal(arg, want_arg, err_msg=f"case {case} argmax")
+        g = int_valued(cot_rng, out.shape)  # zeros and negatives: the +0 fill shows in the bits
+        npt.assert_array_equal(_bits(ops.maxpool2_backward(g, x, out)),
+                               _bits(maxpool2_scatter(g, want_arg, x.shape)),
+                               err_msg=f"case {case} adjoint")
 
 
 def test_maxpool_rejects_odd_dims():
@@ -392,8 +409,8 @@ def test_maxpool_rejects_odd_dims():
 
 def test_maxpool_backward_routes_to_argmax():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-    out, arg = ops.maxpool2(x)
-    gx = ops.maxpool2_backward(np.full((1, 1, 1, 1), 5.0), arg, x.shape)
+    out = ops.maxpool2(x)
+    gx = ops.maxpool2_backward(np.full((1, 1, 1, 1), 5.0), x, out)
     npt.assert_array_equal(gx, [[[[0.0, 0.0], [0.0, 5.0]]]])
 
 

@@ -318,14 +318,15 @@ def test_non_finite_gradients_abort_with_step_number(tiny_dataset, tmp_path,
 def test_train_config_violations_are_collected(tiny_dataset, tmp_path):
     cfg = make_cfg(tiny_dataset, tmp_path / "run", epochs=0, batch_size=0,
                    micro_batch=5, lr=-1.0, threshold=1.5, log_every=0,
-                   beta1=1.5, beta2=1.0, adam_eps=float("nan"))
+                   beta1=1.5, beta2=1.0, adam_eps=float("nan"), seed=-1)
     with pytest.raises(ConfigError) as err:
         train(cfg)
     text = str(err.value)
     for frag in ("epochs", "batch_size", "micro_batch", "lr", "threshold",
                  "log_every", "beta1 must be in [0, 1), got 1.5",
                  "beta2 must be in [0, 1), got 1.0",
-                 "adam_eps must be positive and finite, got nan"):
+                 "adam_eps must be positive and finite, got nan",
+                 "seed must be >= 0, got -1"):
         assert frag in text
 
 
