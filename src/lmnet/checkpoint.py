@@ -199,7 +199,8 @@ def _take(tensors: dict, name: str, shape: tuple) -> np.ndarray:
 def _graph_from(variant, config, tensors: dict) -> ModelGraph:
     """A graph holding the file's parameters and statistics, in the dtype of
     the first of them; every other tensor, Adam moments included, must have
-    that dtype too."""
+    that dtype too. Every tensor must be finite and every running variance
+    non-negative."""
     first = next((name for name in tensors if not name.startswith("adam.")),
                  next(iter(tensors), None))
     dtype = np.float32 if first is None else tensors[first].dtype
@@ -209,6 +210,10 @@ def _graph_from(variant, config, tensors: dict) -> ModelGraph:
                 f"tensor {name} is {t.dtype} but tensor {first} is {dtype}; "
                 "every tensor of a checkpoint has one dtype"
             )
+        if not np.isfinite(t).all():
+            raise CheckpointError(f"tensor {name} holds a non-finite value")
+        if name.endswith(".running_var") and (t < 0).any():
+            raise CheckpointError(f"tensor {name} holds a negative variance")
     graph = build_model(variant, config, dtype=dtype)
     for store in (graph.params, graph.stats):
         for name in store:

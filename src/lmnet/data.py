@@ -9,9 +9,13 @@ parent scene, so no scene leaks across splits.
 
 A prepared layout holds `<split>/images/<name>` with a mask of the same name
 under `<split>/masks/`; `_record` is the one place that forms those paths and
-`_write_pair` the one writer. Masks are binary the moment they enter this
-module and stay binary through every operation. A synthetic rectangle
-generator writes deterministic layouts for tests and smoke runs.
+`_write_pair` the one writer. A sample is a plain (image, mask) pair of
+arrays: the image (3, h, w) in [0, 1], the mask (h, w). Masks are binary the
+moment they enter this module (`load_pair` binarizes what it reads,
+`synth_pair` draws them binary) and stay binary through every operation;
+`load_pair` is also where an image and its mask must agree in size. A
+synthetic rectangle generator writes deterministic layouts for tests and
+smoke runs.
 """
 
 from __future__ import annotations
@@ -30,31 +34,6 @@ from .seeding import derive_rng
 
 MASK_THRESHOLD = 128.0 / 255.0
 SPLITS = ("train", "val", "test")
-
-
-@dataclass
-class ImagePair:
-    """One sample: color image (1, 3, h, w) in [0, 1], binary mask (1, 1, h, w)."""
-
-    image: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        if self.image.ndim != 4 or self.image.shape[:2] != (1, 3):
-            raise DataError(f"image must be (1, 3, h, w), got {self.image.shape}")
-        if self.mask.ndim != 4 or self.mask.shape[:2] != (1, 1):
-            raise DataError(f"mask must be (1, 1, h, w), got {self.mask.shape}")
-        if self.image.shape[2:] != self.mask.shape[2:]:
-            raise DataError(
-                f"image dims {self.image.shape[2:]} != mask dims {self.mask.shape[2:]}"
-            )
-        bad = (self.mask != 0) & (self.mask != 1)
-        if bad.any():
-            raise DataError("mask is not binary")
-
-    @property
-    def size(self):
-        return self.image.shape[2:]
 
 
 def binarize_mask(raw) -> np.ndarray:
@@ -80,22 +59,19 @@ def _check_tiling(size, tile: int) -> None:
             raise DataError(f"{axis} {dim} is not divisible by tile size {tile}")
 
 
-def tile_image(pair: ImagePair, tile: int = 500) -> list[ImagePair]:
-    """Cut a pair into non-overlapping tile×tile pieces, row-major.
+def tile_image(image: np.ndarray, mask: np.ndarray, tile: int = 500) -> list:
+    """Cut an (image, mask) pair into non-overlapping tile×tile pairs, row-major.
 
     Both source dims must divide evenly; no pixel is resampled or dropped.
     """
-    _check_tiling(pair.size, tile)
-    h, w = pair.size
+    h, w = image.shape[1:]
+    _check_tiling((h, w), tile)
     out = []
     for r in range(h // tile):
         for c in range(w // tile):
             ys = slice(r * tile, (r + 1) * tile)
             xs = slice(c * tile, (c + 1) * tile)
-            out.append(ImagePair(
-                image=pair.image[:, :, ys, xs].copy(),
-                mask=pair.mask[:, :, ys, xs].copy(),
-            ))
+            out.append((image[:, ys, xs].copy(), mask[ys, xs].copy()))
     return out
 
 
@@ -142,21 +118,22 @@ def _resize_nearest(mask: np.ndarray, target) -> np.ndarray:
     return mask[..., ys, :][..., :, xs]
 
 
-def resize_pair(pair: ImagePair, target=(192, 192)) -> ImagePair:
-    """Downscale a pair: bilinear for the image, nearest for the mask.
+def resize_pair(image: np.ndarray, mask: np.ndarray, target=(192, 192)) -> tuple:
+    """Downscale an (image, mask) pair: bilinear for the image, nearest for
+    the mask.
 
     The mask is re-binarized at 0.5 after the gather, keeping the strict
     {0, 1} closure. Upscaling is refused.
     """
     th, tw = target
-    h, w = pair.size
+    h, w = image.shape[1:]
     if th > h or tw > w:
         raise DataError(
-            f"target {target} exceeds source {pair.size}; upscaling is not supported"
+            f"target {target} exceeds source {(h, w)}; upscaling is not supported"
         )
-    mask = _resize_nearest(pair.mask, target)
+    mask = _resize_nearest(mask, target)
     mask = (mask >= mask.dtype.type(0.5)).astype(mask.dtype)
-    return ImagePair(image=_resize_bilinear(pair.image, target), mask=mask)
+    return _resize_bilinear(image, target), mask
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +167,13 @@ def _record(split: str, name: str) -> IndexRecord:
                        split=split)
 
 
-def _write_pair(root: Path, rec: IndexRecord, pair: ImagePair) -> None:
-    """Write `pair` where `rec` points under `root`, creating directories."""
+def _write_pair(root: Path, rec: IndexRecord, image: np.ndarray, mask: np.ndarray) -> None:
+    """Write an (image, mask) pair where `rec` points under `root`, creating
+    directories."""
     for rel in (rec.image, rec.mask):
         (root / rel).parent.mkdir(parents=True, exist_ok=True)
-    imgio.write_rgb(root / rec.image, pair.image[0])
-    imgio.write_gray(root / rec.mask, pair.mask[0, 0])
+    imgio.write_rgb(root / rec.image, image)
+    imgio.write_gray(root / rec.mask, mask)
 
 
 def save_index(index: DatasetIndex, path) -> None:
@@ -264,10 +242,15 @@ def build_index(prepared_dir) -> DatasetIndex:
     return DatasetIndex(root=prepared, records=records)
 
 
-def load_pair(index: DatasetIndex, rec: IndexRecord) -> ImagePair:
-    image = imgio.read_rgb(index.image_path(rec))[None]
-    mask = binarize_mask(imgio.read_gray(index.mask_path(rec)))[None, None]
-    return ImagePair(image=image, mask=mask)
+def load_pair(index: DatasetIndex, rec: IndexRecord) -> tuple:
+    """The sample `rec` names: image (3, h, w) and binarized mask (h, w)."""
+    image_path, mask_path = index.image_path(rec), index.mask_path(rec)
+    image = imgio.read_rgb(image_path)
+    mask = binarize_mask(imgio.read_gray(mask_path))
+    if image.shape[1:] != mask.shape:
+        raise DataError(f"{mask_path} is {mask.shape[0]}x{mask.shape[1]}, but its image "
+                        f"{image_path} is {image.shape[1]}x{image.shape[2]}")
+    return image, mask
 
 
 def split_size(index: DatasetIndex, split: str, size=None) -> tuple:
@@ -313,18 +296,17 @@ def batch_iter(index: DatasetIndex, split: str, batch_size: int,
     if shuffle:
         order = derive_rng(seed, 0, epoch).permutation(len(records))
     for start in range(0, len(records), batch_size):
-        pairs = [load_pair(index, records[i]) for i in order[start:start + batch_size]]
-        yield (
-            np.concatenate([p.image for p in pairs], axis=0),
-            np.concatenate([p.mask for p in pairs], axis=0),
-        )
+        images, masks = zip(*(load_pair(index, records[i])
+                              for i in order[start:start + batch_size]))
+        yield np.stack(images), np.stack(masks)[:, None]
 
 
 # ---------------------------------------------------------------------------
 # Synthetic fixtures
 
-def synth_pair(size: int, rng) -> ImagePair:
-    """One synthetic sample: bright axis-aligned rectangles on dark noise.
+def synth_pair(size: int, rng) -> tuple:
+    """One synthetic (image, mask) sample: bright axis-aligned rectangles on
+    dark noise.
 
     Rectangle sides are 10% to 30% of the image side, so even five rectangles
     cover under half the area. Rectangle pixels are at least 0.65 in every
@@ -343,7 +325,7 @@ def synth_pair(size: int, rng) -> ImagePair:
         fill = base + 0.1 * rng.random((3, rh, rw))
         image[:, top:top + rh, left:left + rw] = fill.astype(np.float32)
         mask[top:top + rh, left:left + rw] = 1.0
-    return ImagePair(image=image[None], mask=mask[None, None])
+    return image, mask
 
 
 def write_synthetic_dataset(out_dir, counts: dict, size: int, seed: int) -> DatasetIndex:
@@ -360,7 +342,7 @@ def write_synthetic_dataset(out_dir, counts: dict, size: int, seed: int) -> Data
         for _ in range(counts.get(split, 0)):
             i = len(records)
             rec = _record(split, f"synth_{i:05d}.png")
-            _write_pair(out, rec, synth_pair(size, derive_rng(seed, 2, i)))
+            _write_pair(out, rec, *synth_pair(size, derive_rng(seed, 2, i)))
             records.append(rec)
     index = DatasetIndex(root=out, records=records)
     save_index(index, out / "index.tsv")
@@ -453,13 +435,13 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
     reject_rows = []
     summary = {s: {"kept": 0, "rejected": 0} for s in SPLITS}
     for (split, stem), rec in scenes.items():
-        scene = load_pair(raw, rec)
-        cols = scene.size[1] // tile
-        for i, t in enumerate(tile_image(scene, tile)):
+        image, mask = load_pair(raw, rec)
+        cols = mask.shape[1] // tile
+        for i, (t_image, t_mask) in enumerate(tile_image(image, mask, tile)):
             tile_rec = _record(split, f"{stem}_r{i // cols}c{i % cols}.png")
-            frac = foreground_fraction(t.mask)
+            frac = foreground_fraction(t_mask)
             if min_fg <= frac <= max_fg:
-                _write_pair(out, tile_rec, resize_pair(t, target))
+                _write_pair(out, tile_rec, *resize_pair(t_image, t_mask, target))
                 records.append(tile_rec)
                 summary[split]["kept"] += 1
             else:

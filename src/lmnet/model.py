@@ -17,7 +17,9 @@ input, channel widths for the default sequence [5, 13, 89, 233]):
   layer 9  1x1 conv 5->1, sigmoid
 
 The input is RGB (INPUT_CHANNELS). Batch normalization exists in layers
-1-4 only, at ops.BN_MOMENTUM and ops.BN_EPSILON. A train-mode
+1-4 only, at ops.BN_MOMENTUM and ops.BN_EPSILON; a train-mode forward
+stores the running statistics ops.batchnorm returns in ModelGraph.stats,
+and an eval forward reads them and leaves them in place. A train-mode
 forward applies dropout at rates 0.1 / 0.5 / 0.3 after activations
 4 / 5 / 6. Residual and Proposed carry the three skip concatenations;
 Dilation and Proposed carry the parallel dilated first layer. Activations
@@ -278,14 +280,6 @@ class ModelGraph:
             self.params[f"{spec.name}.w"], self.params[f"{spec.name}.b"], spec.dilation
         )
 
-    def _bn_state(self, spec: ConvSpec) -> ops.BatchNormState:
-        return ops.BatchNormState(
-            gamma=self.params[f"{spec.name}.gamma"],
-            beta=self.params[f"{spec.name}.beta"],
-            running_mean=self.stats[f"{spec.name}.running_mean"],
-            running_var=self.stats[f"{spec.name}.running_var"],
-        )
-
     def astype(self, dtype) -> "ModelGraph":
         """Copy of this graph with all tensors cast to `dtype`."""
         other = ModelGraph(self.variant, self.config, dtype=dtype)
@@ -343,12 +337,11 @@ class ModelGraph:
         else:
             z = ops.conv2d(x, self._conv_params(spec))
         if spec.has_bn:
-            state = self._bn_state(spec)
-            z, bncache = ops.batchnorm(z, state, mode)
+            mean_key, var_key = f"{spec.name}.running_mean", f"{spec.name}.running_var"
+            z, bncache, self.stats[mean_key], self.stats[var_key] = ops.batchnorm(
+                z, self.params[f"{spec.name}.gamma"], self.params[f"{spec.name}.beta"],
+                self.stats[mean_key], self.stats[var_key], mode)
             bn.append(bncache)
-            # train mode leaves updated running statistics on `state`
-            self.stats[f"{spec.name}.running_mean"] = state.running_mean
-            self.stats[f"{spec.name}.running_var"] = state.running_var
         return z
 
     def backward(self, cache: ForwardCache, grad_pred: np.ndarray) -> dict:

@@ -3,9 +3,9 @@
 Every tensor is a numpy ndarray laid out (batch, channel, height, width),
 row-major. float32 is the production dtype; all kernels also run in float64
 so the whole stack can be verified against central finite differences.
-Kernels are pure functions of their inputs (batchnorm's running-statistics
-update is the one documented exception) and bit-deterministic for fixed
-inputs, so repeated calls agree exactly.
+Kernels are pure functions of their inputs: none writes to an argument
+(batchnorm returns its new running statistics), and each is
+bit-deterministic for fixed inputs, so repeated calls agree exactly.
 
 A conv forms its products on the im2col side (the input's k*k*c_in
 columns) or on the tap side, where one stacked matmul forms k*k*c_out tap
@@ -17,7 +17,7 @@ input (s = 2), as a fused decoder stage's upsampled channels do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -361,45 +361,23 @@ BN_MOMENTUM = 0.1
 BN_EPSILON = 1e-5
 
 
-@dataclass
-class BatchNormState:
-    """Per-channel affine parameters plus running statistics.
+def batchnorm(x: Tensor, gamma, beta, running_mean, running_var, mode: str):
+    """Normalize per channel; returns (out, cache, running_mean, running_var).
 
-    gamma/beta are learned; running_mean/running_var are updated in train
-    mode with BN_MOMENTUM and consumed in eval mode.
-    """
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-    def __post_init__(self):
-        c = self.gamma.shape[0]
-        for name in ("beta", "running_mean", "running_var"):
-            arr = getattr(self, name)
-            if arr.shape != (c,):
-                raise ShapeError(f"batchnorm {name} must have shape ({c},), got {arr.shape}")
-        if np.any(self.running_var < 0):
-            raise ShapeError("batchnorm running_var must be non-negative")
-
-
-def batchnorm(x: Tensor, state: BatchNormState, mode: str):
-    """Normalize per channel; returns (out, cache).
-
-    Train mode normalizes with batch statistics over (n, h, w) and updates
-    the running statistics in place on `state` (the single deliberately
-    stateful operation here). Eval mode uses the stored running statistics
-    and never mutates. The cache feeds batchnorm_backward.
+    Train mode normalizes with batch statistics over (n, h, w) and returns
+    new running statistics moved toward them by BN_MOMENTUM. Eval mode
+    normalizes with the given running statistics and returns them as they
+    are. No argument is written. The cache feeds batchnorm_backward.
     """
     _require_4d("batchnorm input", x)
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
     n, c, h, w = x.shape
-    if c != state.gamma.shape[0]:
-        raise ShapeError(
-            f"batchnorm input has {c} channels but state holds {state.gamma.shape[0]}"
-        )
+    for name, arr in (("gamma", gamma), ("beta", beta), ("running_mean", running_mean),
+                      ("running_var", running_var)):
+        if arr.shape != (c,):
+            raise ShapeError(f"batchnorm {name} must have shape ({c},) for an input of "
+                             f"{c} channels, got {arr.shape}")
     if mode == "train":
         if n * h * w == 1:
             raise ShapeError(
@@ -409,16 +387,15 @@ def batchnorm(x: Tensor, state: BatchNormState, mode: str):
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
         m = np.asarray(BN_MOMENTUM, dtype=x.dtype)
-        state.running_mean = ((1 - m) * state.running_mean + m * mean).astype(x.dtype)
-        state.running_var = ((1 - m) * state.running_var + m * var).astype(x.dtype)
+        running_mean = ((1 - m) * running_mean + m * mean).astype(x.dtype)
+        running_var = ((1 - m) * running_var + m * var).astype(x.dtype)
     else:
-        mean = state.running_mean
-        var = state.running_var
+        mean, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=x.dtype))
     xhat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-    out = state.gamma.reshape(1, -1, 1, 1) * xhat + state.beta.reshape(1, -1, 1, 1)
-    cache = {"mode": mode, "xhat": xhat, "inv_std": inv_std, "gamma": state.gamma}
-    return out, cache
+    out = gamma.reshape(1, -1, 1, 1) * xhat + beta.reshape(1, -1, 1, 1)
+    cache = {"mode": mode, "xhat": xhat, "inv_std": inv_std, "gamma": gamma}
+    return out, cache, running_mean, running_var
 
 
 def batchnorm_backward(cache: dict, grad_out: Tensor):
@@ -458,13 +435,8 @@ def relu_backward(grad_out: Tensor, out: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # split by sign to avoid overflow in exp for large negative inputs
-    pos = x >= 0
-    out = np.empty_like(x)
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # never overflows: the exponent is <= 0
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
 def sigmoid_backward(grad_out: Tensor, out: Tensor) -> Tensor:

@@ -202,7 +202,8 @@ def _open_csv(path: Path, header: str, keep_rows):
 
 def train(cfg: TrainConfig):
     """Run the full regime; returns (graph, TrainHistory)."""
-    problems = cfg.violations()
+    # each distinct problem once: a negative --seed fails both configs
+    problems = dict.fromkeys(cfg.violations() + cfg.graph.violations(cfg.variant))
     if problems:
         raise ConfigError("; ".join(problems))
     index = load_index(cfg.index_path)

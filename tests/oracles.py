@@ -116,6 +116,18 @@ def maxpool2_scatter(grad_out, arg, input_shape):
     return flat.reshape(n, c, h, w)
 
 
+def sigmoid_split(x):
+    """The logistic function by a boolean-mask split on the sign of x:
+    1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere, so
+    exp never overflows."""
+    pos = x >= 0
+    out = np.empty_like(x)
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def upsample2_backward_blocks(grad_out):
     """Adjoint of the nearest 2x upsample as one reshape and a sum over the
     two block axes."""

@@ -22,7 +22,6 @@ import lmnet.ops as ops
 from lmnet import imgio
 from lmnet.checkpoint import load_any, save_checkpoint
 from lmnet.data import (
-    ImagePair,
     load_index,
     load_pair,
     prepare_dataset,
@@ -126,13 +125,13 @@ def test_kernels_match_their_oracles_exactly():
     for _ in range(50):  # tiling
         t = int(rng.integers(2, 6))
         rows, cols = (int(v) for v in rng.integers(1, 4, 2))
-        image = (rng.integers(0, 256, (1, 3, rows * t, cols * t)) / 255.0).astype(np.float32)
-        mask = (rng.random((1, 1, rows * t, cols * t)) > 0.5).astype(np.float32)
-        tiles = tile_image(ImagePair(image, mask), t)
+        image = (rng.integers(0, 256, (3, rows * t, cols * t)) / 255.0).astype(np.float32)
+        mask = (rng.random((rows * t, cols * t)) > 0.5).astype(np.float32)
+        tiles = tile_image(image, mask, t)
         assert len(tiles) == rows * cols
-        for pair, ni, nm in zip(tiles, tile_naive(image, t), tile_naive(mask, t)):
-            assert np.array_equal(pair.image, ni)
-            assert np.array_equal(pair.mask, nm)
+        for (ti, tm), ni, nm in zip(tiles, tile_naive(image, t), tile_naive(mask, t)):
+            assert np.array_equal(ti, ni)
+            assert np.array_equal(tm, nm)
 
     assert time.perf_counter() - start < 60.0
 
@@ -155,21 +154,19 @@ def test_gradients_match_finite_differences():
     worst["conv.b"] = rel_err(gb, fd_gradient(value, bias))
 
     x = rng.uniform(-2, 2, (3, 2, 4, 4))
-    state = ops.BatchNormState(
-        gamma=rng.uniform(0.7, 1.3, 2), beta=rng.normal(0.0, 0.2, 2),
-        running_mean=np.zeros(2), running_var=np.ones(2),
-    )
+    gamma, beta = rng.uniform(0.7, 1.3, 2), rng.normal(0.0, 0.2, 2)
+    stats = (np.zeros(2), np.ones(2))
     cot = rng.uniform(-1, 1, x.shape)
 
     def bn_value():
-        out, _ = ops.batchnorm(x, state, "train")
+        out = ops.batchnorm(x, gamma, beta, *stats, "train")[0]
         return float((out * cot).sum())
 
-    _, cache = ops.batchnorm(x, state, "train")
+    cache = ops.batchnorm(x, gamma, beta, *stats, "train")[1]
     gx, ggamma, gbeta = ops.batchnorm_backward(cache, cot)
     worst["bn.x"] = rel_err(gx, fd_gradient(bn_value, x))
-    worst["bn.gamma"] = rel_err(ggamma, fd_gradient(bn_value, state.gamma))
-    worst["bn.beta"] = rel_err(gbeta, fd_gradient(bn_value, state.beta))
+    worst["bn.gamma"] = rel_err(ggamma, fd_gradient(bn_value, gamma))
+    worst["bn.beta"] = rel_err(gbeta, fd_gradient(bn_value, beta))
 
     x = rng.uniform(-1, 1, (2, 2, 4, 4))
     x[np.abs(x) < 0.05] = 0.1  # probe away from the kink
@@ -359,8 +356,8 @@ def test_tiling_and_checkpoint_round_trips(tmp_path):
     tiles = {r.image: load_pair(index, r) for r in index.records}
     grid = [[tiles[f"train/images/scene_r{r}c{c}.png"] for c in range(3)]
             for r in range(3)]
-    back_image = np.block([[t.image for t in row] for row in grid])[0]
-    back_mask = np.block([[t.mask for t in row] for row in grid])[0, 0]
+    back_image = np.block([[t_image for t_image, _ in row] for row in grid])
+    back_mask = np.block([[t_mask for _, t_mask in row] for row in grid])
     assert back_image.dtype == image.dtype
     assert np.array_equal(back_image, image)
     assert np.array_equal(back_mask, mask)

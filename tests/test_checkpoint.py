@@ -2,6 +2,7 @@
 diagnostics."""
 
 import os
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -277,6 +278,37 @@ def test_adam_moments_of_another_dtype_are_refused(tmp_path):
     save_training_checkpoint(graph, adam, {"epochs_done": 1}, tmp_path / "t.ckpt")
     for load in (load_training_checkpoint, load_any):
         with pytest.raises(CheckpointError, match=r"tensor adam\.m\.l1b0\.b is float64"):
+            load(tmp_path / "t.ckpt")
+
+
+@pytest.mark.parametrize("name,value,needle", [
+    ("l2.running_var", -0.5, "a negative variance"),
+    ("l2.running_var", np.nan, "a non-finite value"),
+    ("l9.b", np.nan, "a non-finite value"),
+    ("l4.gamma", np.inf, "a non-finite value"),
+    ("l1b1.running_mean", -np.inf, "a non-finite value"),
+])
+def test_a_non_finite_tensor_or_negative_variance_is_refused(tmp_path, name, value, needle):
+    graph = tiny_graph()
+    store = graph.params if name in graph.params else graph.stats
+    store[name] = store[name].copy()
+    store[name][0] = value
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(graph, path)
+    with pytest.raises(CheckpointError,
+                       match=rf"^{re.escape(str(path))}: tensor {name} holds {needle}$"):
+        load_any(path)
+
+
+@pytest.mark.parametrize("moment", ["m", "v"])
+def test_a_non_finite_adam_moment_is_refused(tmp_path, moment):
+    graph = tiny_graph()
+    adam = trained_state(graph)
+    getattr(adam, moment)["l3.w"][0, 0, 0, 0] = np.nan
+    save_training_checkpoint(graph, adam, {"epochs_done": 1}, tmp_path / "t.ckpt")
+    for load in (load_training_checkpoint, load_any):
+        with pytest.raises(CheckpointError,
+                           match=rf"tensor adam\.{moment}\.l3\.w holds a non-finite value"):
             load(tmp_path / "t.ckpt")
 
 

@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +134,24 @@ def test_train_negative_seed_fails_before_touching_the_run_dir(
         "--channels", TINY_CHANNELS,
     )
     assert code == 1
-    assert "seed must be >= 0" in err
+    assert err.count("seed must be >= 0") == 1  # the train and graph seeds, reported once
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag,value,needle", [
+    ("--channels", "5,13,89", "channel_sequence needs exactly 4 entries, got 3"),
+    ("--dilations", "0,1,2", "dilation rates must be >= 1, got (0, 1, 2)"),
+])
+def test_train_graph_error_fails_before_touching_the_run_dir(
+        flag, value, needle, tiny_dataset, tmp_path, capsys):
+    out_dir = tmp_path / "never"
+    code, _, err = run_cli(
+        capsys, "train", "--index", str(tiny_dataset.root / "index.tsv"),
+        "--out", str(out_dir), "--variant", "proposed", flag, value,
+    )
+    assert code == 1
+    assert needle in err
     assert "Traceback" not in err
     assert not out_dir.exists()
 
@@ -203,6 +221,22 @@ def test_a_malformed_checkpoint_exits_2_with_one_line(command, damage, tmp_path,
     code, _, err = run_cli(capsys, command, "--ckpt", str(ckpt), *rest[command])
     assert code == 2
     assert err.count("error:") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_a_checkpoint_holding_nan_writes_no_output(command, tiny_dataset, tmp_path, capsys):
+    graph = init_parameters(build_model(Variant.PLAIN, replace(TINY_GRAPH, input_size=(16, 16))))
+    graph.params["l9.b"] = np.full_like(graph.params["l9.b"], np.nan)
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(graph, ckpt)
+    rest = {"eval": ["--index", str(tiny_dataset.root / "index.tsv")],
+            "predict": ["--image", str(tiny_dataset.image_path(tiny_dataset.records[0])),
+                        "--out", str(tmp_path / "p")]}
+    code, out, err = run_cli(capsys, command, "--ckpt", str(ckpt), *rest[command])
+    assert code == 2
+    assert err == f"error: {ckpt}: tensor l9.b holds a non-finite value\n"
+    assert "loss=" not in out and "Method" not in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.ckpt"]
 
 
 def test_eval_size_mismatch_is_explained(trained_run, tmp_path, capsys):

@@ -11,7 +11,6 @@ import pytest
 from lmnet import imgio
 from lmnet.data import (
     DatasetIndex,
-    ImagePair,
     IndexRecord,
     MASK_THRESHOLD,
     batch_iter,
@@ -41,9 +40,10 @@ from oracles import (
 
 
 def random_pair(rng, h, w):
-    image = rng.random((1, 3, h, w)).astype(np.float32)
-    mask = (rng.random((1, 1, h, w)) > 0.5).astype(np.float32)
-    return ImagePair(image=image, mask=mask)
+    """An (image (3, h, w), binary mask (h, w)) sample of random pixels."""
+    image = rng.random((3, h, w)).astype(np.float32)
+    mask = (rng.random((h, w)) > 0.5).astype(np.float32)
+    return image, mask
 
 
 def write_layout_pair(root, split, name, image, mask):
@@ -71,26 +71,26 @@ def test_full_scene_tiles_and_reassembles_bit_exact(tmp_path, rng):
     by_name = {r.image: load_pair(index, r) for r in index.records}
     grid = [[by_name[f"train/images/scene_r{r}c{c}.png"] for c in range(3)]
             for r in range(3)]
-    assert all(t.size == (512, 512) for row in grid for t in row)
-    npt.assert_array_equal(np.block([[t.image for t in row] for row in grid])[0], image)
-    npt.assert_array_equal(np.block([[t.mask for t in row] for row in grid])[0, 0], mask)
+    assert all(t_image.shape[1:] == (512, 512) for row in grid for t_image, _ in row)
+    npt.assert_array_equal(np.block([[t_image for t_image, _ in row] for row in grid]), image)
+    npt.assert_array_equal(np.block([[t_mask for _, t_mask in row] for row in grid]), mask)
 
 
 def test_tile_contents_match_plain_slicing(rng):
-    pair = random_pair(rng, 12, 20)
-    tiles = tile_image(pair, 4)
-    naive = tile_naive(pair.image, 4)
+    image, mask = random_pair(rng, 12, 20)
+    tiles = tile_image(image, mask, 4)
+    naive = tile_naive(image, 4)
     assert len(tiles) == len(naive) == 15
-    for t, n in zip(tiles, naive):
-        npt.assert_array_equal(t.image, n)
-    npt.assert_array_equal(tiles[0].image, pair.image[..., :4, :4])
+    for (t_image, _), n in zip(tiles, naive):
+        npt.assert_array_equal(t_image, n)
+    npt.assert_array_equal(tiles[0][0], image[..., :4, :4])
 
 
 def test_tile_refuses_non_divisible_dims_naming_the_axis(rng):
     with pytest.raises(DataError, match="height 10"):
-        tile_image(random_pair(rng, 10, 12), 4)
+        tile_image(*random_pair(rng, 10, 12), 4)
     with pytest.raises(DataError, match="width 10"):
-        tile_image(random_pair(rng, 12, 10), 4)
+        tile_image(*random_pair(rng, 12, 10), 4)
 
 
 # -- foreground filtering ---------------------------------------------------
@@ -132,7 +132,7 @@ def test_filter_band_ends_are_inclusive(tmp_path):
 
 def test_filter_matches_brute_force(tmp_path, rng):
     # random 6x6 masks with every pixel doubled: 12x12 tiles, same fractions
-    masks = [np.kron(random_pair(rng, 6, 6).mask[0, 0], np.ones((2, 2), np.float32))
+    masks = [np.kron(random_pair(rng, 6, 6)[1], np.ones((2, 2), np.float32))
              for _ in range(40)]
     # the random fractions all fall inside the band; these four fall outside:
     # empty, full, and one pixel past each end (0.3 * 144 = 43.2, 0.7 * 144 = 100.8)
@@ -178,44 +178,44 @@ def test_binarize_threshold_is_exact_for_8bit_files(tmp_path):
 # -- resizing ---------------------------------------------------------------
 
 def test_resize_to_same_size_is_identity(rng):
-    pair = random_pair(rng, 24, 24)
-    out = resize_pair(pair, (24, 24))
-    npt.assert_array_equal(out.image, pair.image)
-    npt.assert_array_equal(out.mask, pair.mask)
+    image, mask = random_pair(rng, 24, 24)
+    out_image, out_mask = resize_pair(image, mask, (24, 24))
+    npt.assert_array_equal(out_image, image)
+    npt.assert_array_equal(out_mask, mask)
 
 
 def test_resize_constant_image_stays_constant():
-    image = np.full((1, 3, 100, 100), np.float32(0.37))
-    mask = np.ones((1, 1, 100, 100), dtype=np.float32)
-    out = resize_pair(ImagePair(image=image, mask=mask), (48, 48))
-    npt.assert_array_equal(out.image, np.full((1, 3, 48, 48), np.float32(0.37)))
-    npt.assert_array_equal(out.mask, 1.0)
+    image = np.full((3, 100, 100), np.float32(0.37))
+    mask = np.ones((100, 100), dtype=np.float32)
+    out_image, out_mask = resize_pair(image, mask, (48, 48))
+    npt.assert_array_equal(out_image, np.full((3, 48, 48), np.float32(0.37)))
+    npt.assert_array_equal(out_mask, 1.0)
 
 
 def test_resize_matches_naive_formulas(rng):
-    pair = random_pair(rng, 50, 40)
-    out = resize_pair(pair, (19, 17))
+    image, mask = random_pair(rng, 50, 40)
+    out_image, out_mask = resize_pair(image, mask, (19, 17))
     npt.assert_allclose(
-        out.image.astype(np.float64),
-        resize_bilinear_naive(pair.image, 19, 17),
+        out_image.astype(np.float64),
+        resize_bilinear_naive(image, 19, 17),
         rtol=0, atol=1e-6,  # float32 storage of identical math
     )
-    npt.assert_array_equal(out.mask, resize_nearest_naive(pair.mask, 19, 17))
+    npt.assert_array_equal(out_mask, resize_nearest_naive(mask, 19, 17))
 
 
 def test_resize_checkerboard_mask_stays_binary_and_balanced():
     yy, xx = np.mgrid[0:500, 0:500]
-    mask = ((yy + xx) % 2).astype(np.float32)[None, None]
-    image = np.broadcast_to(mask, (1, 3, 500, 500)).copy()
-    out = resize_pair(ImagePair(image=image, mask=mask), (192, 192))
-    vals = np.unique(out.mask)
+    mask = ((yy + xx) % 2).astype(np.float32)
+    image = np.broadcast_to(mask, (3, 500, 500)).copy()
+    _, out_mask = resize_pair(image, mask, (192, 192))
+    vals = np.unique(out_mask)
     assert set(vals.tolist()) <= {0.0, 1.0}
-    assert abs(foreground_fraction(out.mask) - 0.5) < 0.05
+    assert abs(foreground_fraction(out_mask) - 0.5) < 0.05
 
 
 def test_resize_refuses_upscale(rng):
     with pytest.raises(DataError, match="upscal"):
-        resize_pair(random_pair(rng, 100, 100), (192, 192))
+        resize_pair(*random_pair(rng, 100, 100), (192, 192))
 
 
 # -- index files ------------------------------------------------------------
@@ -224,8 +224,7 @@ def _layout(tmp_path, entries):
     """entries: (split, name, size) triples; writes image+mask PNGs."""
     rng = np.random.default_rng(0)
     for split, name, size in entries:
-        pair = random_pair(rng, size, size)
-        write_layout_pair(tmp_path, split, name, pair.image[0], pair.mask[0, 0])
+        write_layout_pair(tmp_path, split, name, *random_pair(rng, size, size))
 
 
 def test_build_save_load_round_trip(tmp_path):
@@ -280,9 +279,20 @@ def test_load_pair_binarizes_mid_gray_mask(tmp_path):
     imgio.write_gray(tmp_path / "train/masks/a.png",
                      np.array([[100, 200]] * 2 + [[0, 255]] * 2, np.float32) / 255)
     index = build_index(tmp_path)
-    pair = load_pair(index, index.records[0])
-    npt.assert_array_equal(pair.mask[0, 0, :, 0], [0, 0, 0, 0])
-    npt.assert_array_equal(pair.mask[0, 0, :, 1], [1, 1, 1, 1])
+    _, mask = load_pair(index, index.records[0])
+    npt.assert_array_equal(mask[:, 0], [0, 0, 0, 0])
+    npt.assert_array_equal(mask[:, 1], [1, 1, 1, 1])
+
+
+def test_load_pair_names_both_files_when_their_sizes_differ(tmp_path):
+    write_layout_pair(tmp_path, "train", "a.png", np.zeros((3, 8, 8), np.float32),
+                      np.zeros((8, 16), np.float32))
+    index = build_index(tmp_path)
+    with pytest.raises(DataError) as err:
+        load_pair(index, index.records[0])
+    text = str(err.value)
+    assert str(tmp_path / "train/masks/a.png") + " is 8x16" in text
+    assert str(tmp_path / "train/images/a.png") + " is 8x8" in text
 
 
 # -- batching ---------------------------------------------------------------
@@ -319,8 +329,8 @@ def test_batch_iter_covers_every_record_exactly_once(tiny_dataset):
 def test_batch_iter_unshuffled_follows_index_order(tiny_dataset):
     recs = tiny_dataset.split_records("val")
     first = next(batch_iter(tiny_dataset, "val", 1, shuffle=False))
-    direct = load_pair(tiny_dataset, recs[0])
-    npt.assert_array_equal(first[0], direct.image)
+    direct_image, _ = load_pair(tiny_dataset, recs[0])
+    npt.assert_array_equal(first[0], direct_image[None])
 
 
 def test_batch_iter_validates_batch_size(tiny_dataset):
@@ -343,26 +353,26 @@ def test_batch_iter_rejects_mixed_sizes(tmp_path):
 def test_synth_is_a_pure_function_of_seed():
     a = [synth_pair(32, derive_rng(7, 2, i)) for i in range(3)]
     b = [synth_pair(32, derive_rng(7, 2, i)) for i in range(3)]
-    for x, y in zip(a, b):
-        npt.assert_array_equal(x.image, y.image)
-        npt.assert_array_equal(x.mask, y.mask)
-    c = synth_pair(32, derive_rng(8, 2, 0))
-    assert not np.array_equal(a[0].image, c.image)
+    for (x_image, x_mask), (y_image, y_mask) in zip(a, b):
+        npt.assert_array_equal(x_image, y_image)
+        npt.assert_array_equal(x_mask, y_mask)
+    c_image, _ = synth_pair(32, derive_rng(8, 2, 0))
+    assert not np.array_equal(a[0][0], c_image)
 
 
 def test_synth_foreground_stays_in_the_useful_band():
     for i in range(100):
-        pair = synth_pair(32, derive_rng(123, 2, i))
-        frac = foreground_fraction(pair.mask)
+        _, mask = synth_pair(32, derive_rng(123, 2, i))
+        frac = foreground_fraction(mask)
         assert 0.0 < frac <= 0.5, f"sample {i}: {frac}"
 
 
 def test_synth_rectangles_are_brighter_than_background():
-    pair = synth_pair(64, derive_rng(5, 2, 0))
+    image, mask = synth_pair(64, derive_rng(5, 2, 0))
     # the mask is exactly the union of the rectangles, all channels >= 0.65
-    assert pair.mask.any()
-    npt.assert_array_equal(pair.mask[0, 0], pair.image[0].min(axis=0) >= 0.65)
-    outside = pair.image[0][:, pair.mask[0, 0] == 0]
+    assert mask.any()
+    npt.assert_array_equal(mask, image.min(axis=0) >= 0.65)
+    outside = image[:, mask == 0]
     assert float(outside.max()) < 0.46
 
 
@@ -381,11 +391,11 @@ def test_write_synthetic_dataset_round_trips(tmp_path):
     assert names[3] == "val/images/synth_00003.png"
     reloaded = load_index(tmp_path / "index.tsv")
     assert reloaded.records == index.records
-    pair = load_pair(index, index.records[0])
-    direct = synth_pair(16, derive_rng(9, 2, 0))
+    image, mask = load_pair(index, index.records[0])
+    direct_image, direct_mask = synth_pair(16, derive_rng(9, 2, 0))
     # PNG quantization moves values by at most half a level
-    npt.assert_allclose(pair.image, direct.image, atol=0.5 / 255 + 1e-6)
-    npt.assert_array_equal(pair.mask, direct.mask)
+    npt.assert_allclose(image, direct_image, atol=0.5 / 255 + 1e-6)
+    npt.assert_array_equal(mask, direct_mask)
 
 
 # -- preparation pipeline ---------------------------------------------------
@@ -427,8 +437,8 @@ def test_prepare_filters_tiles_and_writes_index(tmp_path):
     assert float(fields[3]) == 1.0
 
     # tile target == tile size, so kept pixels survive the resize untouched
-    pair = load_pair(index, index.records[0])
-    assert pair.size == (8, 8)
+    image, _ = load_pair(index, index.records[0])
+    assert image.shape[1:] == (8, 8)
 
 
 def test_prepare_refuses_nonempty_output_without_overwrite(tmp_path):

@@ -92,45 +92,44 @@ def test_fused_decoder_gradients(dilation, with_skip):
 
 # -- batch normalization ----------------------------------------------------
 
-def _bn_state(rng, c):
-    return ops.BatchNormState(
-        gamma=rng.uniform(0.7, 1.3, c), beta=rng.normal(0.0, 0.2, c),
-        running_mean=rng.normal(0.0, 0.5, c), running_var=rng.uniform(0.5, 2.0, c),
-    )
+def _bn_args(rng, c):
+    """(gamma, beta, running_mean, running_var) for c channels."""
+    return (rng.uniform(0.7, 1.3, c), rng.normal(0.0, 0.2, c),
+            rng.normal(0.0, 0.5, c), rng.uniform(0.5, 2.0, c))
 
 
 def test_batchnorm_train_gradients():
     rng = np.random.default_rng(30)
     x = smooth(rng, (3, 2, 4, 4), -2.0, 2.0)
-    state = _bn_state(rng, 2)
+    args = _bn_args(rng, 2)
     cotangent = smooth(rng, x.shape)
 
     def value():
-        out, _ = ops.batchnorm(x, state, "train")
+        out = ops.batchnorm(x, *args, "train")[0]
         return float((out * cotangent).sum())
 
-    _, cache = ops.batchnorm(x, state, "train")
+    cache = ops.batchnorm(x, *args, "train")[1]
     gx, ggamma, gbeta = ops.batchnorm_backward(cache, cotangent)
     assert rel_err(gx, fd_gradient(value, x)) < PER_OP_TOL
-    assert rel_err(ggamma, fd_gradient(value, state.gamma)) < PER_OP_TOL
-    assert rel_err(gbeta, fd_gradient(value, state.beta)) < PER_OP_TOL
+    assert rel_err(ggamma, fd_gradient(value, args[0])) < PER_OP_TOL
+    assert rel_err(gbeta, fd_gradient(value, args[1])) < PER_OP_TOL
 
 
 def test_batchnorm_eval_gradient_is_plain_affine():
     rng = np.random.default_rng(31)
     x = smooth(rng, (2, 3, 4, 4))
-    state = _bn_state(rng, 3)
+    args = _bn_args(rng, 3)
     cotangent = smooth(rng, x.shape)
 
     def value():
-        out, _ = ops.batchnorm(x, state, "eval")
+        out = ops.batchnorm(x, *args, "eval")[0]
         return float((out * cotangent).sum())
 
-    _, cache = ops.batchnorm(x, state, "eval")
+    cache = ops.batchnorm(x, *args, "eval")[1]
     gx, ggamma, gbeta = ops.batchnorm_backward(cache, cotangent)
     assert rel_err(gx, fd_gradient(value, x)) < PER_OP_TOL
-    assert rel_err(ggamma, fd_gradient(value, state.gamma)) < PER_OP_TOL
-    assert rel_err(gbeta, fd_gradient(value, state.beta)) < PER_OP_TOL
+    assert rel_err(ggamma, fd_gradient(value, args[0])) < PER_OP_TOL
+    assert rel_err(gbeta, fd_gradient(value, args[1])) < PER_OP_TOL
 
 
 # -- pointwise ops ----------------------------------------------------------

@@ -25,6 +25,7 @@ from oracles import (
     maxpool2_argmax,
     maxpool2_naive,
     maxpool2_scatter,
+    sigmoid_split,
     upsample2_backward_blocks,
     upsample2_naive,
     upsample_conv2d_backward_composed,
@@ -437,17 +438,15 @@ def test_upsample_matches_naive_and_adjoint_sums_blocks():
 
 # -- batch normalization ----------------------------------------------------
 
-def _bn_state(c, dtype=np.float64):
-    return ops.BatchNormState(
-        gamma=np.ones(c, dtype), beta=np.zeros(c, dtype),
-        running_mean=np.zeros(c, dtype), running_var=np.ones(c, dtype),
-    )
+def _bn_args(c, dtype=np.float64):
+    """(gamma, beta, running_mean, running_var) at their initial values."""
+    return np.ones(c, dtype), np.zeros(c, dtype), np.zeros(c, dtype), np.ones(c, dtype)
 
 
 def test_batchnorm_train_normalizes_per_channel():
     rng = np.random.default_rng(5)
     x = rng.normal(3.0, 2.0, (4, 3, 6, 6))
-    out, _ = ops.batchnorm(x, _bn_state(3), "train")
+    out = ops.batchnorm(x, *_bn_args(3), "train")[0]
     means = out.mean(axis=(0, 2, 3))
     stds = out.std(axis=(0, 2, 3))
     npt.assert_allclose(means, 0.0, atol=1e-12)
@@ -457,45 +456,62 @@ def test_batchnorm_train_normalizes_per_channel():
 def test_batchnorm_running_stats_update_rule():
     rng = np.random.default_rng(6)
     x = rng.normal(1.0, 1.5, (3, 2, 4, 4))
-    st = _bn_state(2)
-    st.running_mean = np.array([1.0, -1.0])
-    st.running_var = np.array([2.0, 0.5])
+    gamma, beta, _, _ = _bn_args(2)
     batch_mean = x.mean(axis=(0, 2, 3))
     batch_var = x.var(axis=(0, 2, 3))  # biased
-    ops.batchnorm(x, st, "train")
+    _, _, mean, var = ops.batchnorm(x, gamma, beta, np.array([1.0, -1.0]),
+                                    np.array([2.0, 0.5]), "train")
     m = ops.BN_MOMENTUM
-    npt.assert_allclose(st.running_mean, (1 - m) * np.array([1.0, -1.0]) + m * batch_mean)
-    npt.assert_allclose(st.running_var, (1 - m) * np.array([2.0, 0.5]) + m * batch_var)
+    npt.assert_allclose(mean, (1 - m) * np.array([1.0, -1.0]) + m * batch_mean)
+    npt.assert_allclose(var, (1 - m) * np.array([2.0, 0.5]) + m * batch_var)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_train_writes_to_no_argument(dtype):
+    rng = np.random.default_rng(8)
+    x = rng.normal(1.0, 1.5, (3, 2, 4, 4)).astype(dtype)
+    args = [np.array(v, dtype) for v in ([1.5, 0.5], [0.2, -0.1], [1.0, -1.0], [2.0, 0.5])]
+    before = [a.copy() for a in (x, *args)]
+    for a in (x, *args):
+        a.flags.writeable = False
+    _, _, mean, var = ops.batchnorm(x, *args, "train")
+    for a, b in zip((x, *args), before):
+        assert a.tobytes() == b.tobytes()
+    # the returned statistics follow the momentum rule, in the input's dtype
+    m = np.asarray(ops.BN_MOMENTUM, dtype)
+    want_mean = ((1 - m) * args[2] + m * x.mean(axis=(0, 2, 3))).astype(dtype)
+    want_var = ((1 - m) * args[3] + m * x.var(axis=(0, 2, 3))).astype(dtype)
+    assert mean.dtype == var.dtype == dtype
+    assert mean.tobytes() == want_mean.tobytes()
+    assert var.tobytes() == want_var.tobytes()
 
 
 def test_batchnorm_eval_uses_running_stats_only():
     rng = np.random.default_rng(7)
     x = rng.normal(0.0, 1.0, (2, 2, 3, 3))
-    st = _bn_state(2)
-    st.running_mean = np.array([0.5, -0.5])
-    st.running_var = np.array([4.0, 1.0])
-    st.gamma = np.array([2.0, 3.0])
-    st.beta = np.array([1.0, -1.0])
-    out, _ = ops.batchnorm(x, st, "eval")
-    want = st.gamma.reshape(1, 2, 1, 1) * (
-        (x - st.running_mean.reshape(1, 2, 1, 1))
-        / np.sqrt(st.running_var.reshape(1, 2, 1, 1) + 1e-5)
-    ) + st.beta.reshape(1, 2, 1, 1)
+    gamma, beta = np.array([2.0, 3.0]), np.array([1.0, -1.0])
+    running_mean, running_var = np.array([0.5, -0.5]), np.array([4.0, 1.0])
+    out, _, mean, var = ops.batchnorm(x, gamma, beta, running_mean, running_var, "eval")
+    want = gamma.reshape(1, 2, 1, 1) * (
+        (x - running_mean.reshape(1, 2, 1, 1))
+        / np.sqrt(running_var.reshape(1, 2, 1, 1) + 1e-5)
+    ) + beta.reshape(1, 2, 1, 1)
     npt.assert_allclose(out, want, rtol=1e-12)
-    npt.assert_array_equal(st.running_mean, [0.5, -0.5])  # untouched in eval
+    npt.assert_array_equal(running_mean, [0.5, -0.5])  # untouched in eval
+    # eval returns the statistics it was given, unchanged
+    assert mean is running_mean and var is running_var
+    npt.assert_array_equal(var, [4.0, 1.0])
 
 
 def test_batchnorm_rejects_single_element_statistics():
     with pytest.raises(ShapeError):
-        ops.batchnorm(np.zeros((1, 2, 1, 1)), _bn_state(2), "train")
+        ops.batchnorm(np.zeros((1, 2, 1, 1)), *_bn_args(2), "train")
 
 
 def test_batchnorm_state_validation():
-    with pytest.raises(ValueError):
-        ops.BatchNormState(
-            gamma=np.ones(2), beta=np.zeros(3), running_mean=np.zeros(2),
-            running_var=np.ones(2),
-        )
+    with pytest.raises(ValueError, match="beta must have shape"):
+        ops.batchnorm(np.zeros((2, 2, 3, 3)), np.ones(2), np.zeros(3), np.zeros(2),
+                      np.ones(2), "train")
 
 
 # -- activations ------------------------------------------------------------
@@ -505,6 +521,17 @@ def test_relu_and_sigmoid_pointwise():
     npt.assert_array_equal(ops.relu(x), [0, 0, 0, 0.5, 2.0])
     assert ops.sigmoid(np.zeros(1))[0] == 0.5
     npt.assert_allclose(ops.sigmoid(np.array([1.0]))[0], 1 / (1 + np.exp(-1)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_bit_identical_to_the_sign_split(dtype):
+    rng = np.random.default_rng(9)
+    normals = [rng.normal(0.0, scale, 20000) for scale in (0.1, 1.0, 10.0, 100.0, 1000.0)]
+    edges = [0.0, -0.0, 1e30, -1e30, 745.0, -745.0, np.inf, -np.inf]
+    x = np.concatenate(normals + [np.array(edges)]).astype(dtype)
+    out = ops.sigmoid(x)
+    assert out.dtype == dtype
+    npt.assert_array_equal(_bits(out), _bits(sigmoid_split(x)))
 
 
 def test_sigmoid_extreme_inputs_saturate_without_warnings():
