@@ -154,15 +154,19 @@ def _graph_config(o, **fixed):
 
 
 def _cmd_train(o):
-    from .data import load_index, split_size
+    from . import imgio
+    from .data import load_index
     from .model import parse_variant
     from .train import TrainConfig, train
 
     variant = parse_variant(o["variant"])
     index = load_index(o["index"])
-    input_size = split_size(index, "train")
-    print(f"input size {input_size[0]}x{input_size[1]} detected from "
-          f"{index.split_records('train')[0].image}")
+    records = index.split_records("train")
+    if not records:
+        raise ConfigError(f"split 'train' is empty in {index.root}")
+    # the first image's header only: train() checks every file against it
+    input_size = imgio.image_size(index.image_path(records[0]))
+    print(f"input size {input_size[0]}x{input_size[1]} detected from {records[0].image}")
     cfg = TrainConfig(
         variant=variant,
         graph=_graph_config(o, input_size=input_size, loss=o["loss"], seed=o["seed"]),

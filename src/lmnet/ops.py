@@ -12,7 +12,11 @@ columns) or on the tap side, where one stacked matmul forms k*k*c_out tap
 planes that are shift-added (kn2row) and the adjoint takes both gradients
 from one column matrix of grad_out. `_tap_side` is the rule: the tap side
 when the kernel narrows (c_out < c_in, k > 1) or reads a nearest-upsampled
-input (s = 2), as a fused decoder stage's upsampled channels do.
+input (s = 2), as a fused decoder stage's upsampled channels do. A forward
+builds either matrix one block at a time: one sample's strip of output rows,
+read with its halo from the sample padded once, whose matrix holds at most
+BLOCK_ELEMS floats; its matmul writes into its output slice. The adjoint
+builds whole columns one sample at a time and sums the samples in order.
 """
 
 from __future__ import annotations
@@ -90,34 +94,42 @@ def _grad_out_check(grad_out: np.ndarray, shape: tuple) -> None:
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match conv output {shape}")
 
 
-def _im2col(x: np.ndarray, k: int, d: int, s: int = 1):
-    """Return the column matrix of x, of shape (n, c*k*k, (h/s)*(w/s)).
+BLOCK_ELEMS = 1 << 20  # floats in one block's column or tap matrix
 
-    col[b, (i*k + u)*k + v, y*(w/s) + x] sums the s x s block of padded[b, i]
-    whose top-left pixel is (s*y + d*u, s*x + d*v), where the padding margin
-    is d*(k-1)//2 on each side. At s = 1 a matmul against the (c_out, c*k*k)
-    weight matrix realises same-padded dilated convolution; at s = 2 these
-    are the columns of a conv's grad_out taken back through a nearest 2x
-    upsample.
-    """
-    n, c, h, w = x.shape
-    if k == 1 and s == 1:
-        return x.reshape(n, c, h * w)  # the input itself, read in place
-    p = d * (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+
+def _strips(h: int, row_elems: int, halo: int = 0) -> list:
+    """The fewest near-equal row ranges [r0, r1) of h rows whose block matrices
+    (row_elems floats a row, halo rows included) hold BLOCK_ELEMS floats or less."""
+    count = -(-h // max(1, BLOCK_ELEMS // max(row_elems, 1) - halo))
+    bounds = [h * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _pad(x: np.ndarray, p: int) -> np.ndarray:
+    """Planes x (c, h, w) with p zero rows and columns on each side (x itself at p = 0)."""
+    return np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
+
+
+def _columns(xp: np.ndarray, k: int, d: int, s: int, h: int, w: int) -> np.ndarray:
+    """The (c*k*k, h*w) column matrix of padded planes xp (c, ., .), a copy
+    unless k = s = 1: entry ((i*k + u)*k + v, y*w + x) is xp[i, s*y + d*u, s*x + d*v]."""
+    sc, sh, sw = xp.strides
+    windows = as_strided(xp, shape=(xp.shape[0], k, k, h, w),
+                         strides=(sc, d * sh, d * sw, s * sh, s * sw), writeable=False)
+    return windows.reshape(xp.shape[0] * k * k, h * w)
+
+
+def _im2col(x: np.ndarray, k: int, d: int, s: int = 1) -> np.ndarray:
+    """The (c*k*k, (h/s)*(w/s)) columns of one sample x (1, c, h, w) padded by
+    d*(k-1)//2. At s = 2 each entry sums the 2x2 block at its position: the
+    columns of a conv's grad_out taken back through a nearest 2x upsample."""
+    _, _, h, w = x.shape
+    xp = _pad(x[0], d * (k - 1) // 2)
     if s == 2:
         # the 2x2 block sums at every offset: rows first, then columns
-        xp = xp[:, :, :-1] + xp[:, :, 1:]
+        xp = xp[:, :-1] + xp[:, 1:]
         xp = xp[..., :-1] + xp[..., 1:]
-    sn, sc, sh, sw = xp.strides
-    windows = as_strided(
-        xp,
-        shape=(n, c, k, k, h // s, w // s),
-        strides=(sn, sc, d * sh, d * sw, s * sh, s * sw),
-        writeable=False,
-    )
-    # reshape copies (the view is not contiguous), materialising the column matrix
-    return windows.reshape(n, c * k * k, (h // s) * (w // s))
+    return _columns(xp, k, d, s, h // s, w // s)
 
 
 def _tap_side(c_in: int, c_out: int, k: int, s: int) -> bool:
@@ -125,52 +137,52 @@ def _tap_side(c_in: int, c_out: int, k: int, s: int) -> bool:
     return s == 2 or (c_out < c_in and k > 1)
 
 
-def _shift_add(taps: np.ndarray, rows: list, cols: list, out: np.ndarray) -> None:
-    """Add tap planes taps[:, u, v] (of shape (n, k, k, c_out, h, w)) into out.
-
-    Tap (u, v), with (u, sy) in rows and (v, sx) in cols, lands shifted back
-    by its offset (sy, sx); a tap wholly outside the plane adds nothing and
-    is skipped.
-    """
-    h, w = out.shape[-2:]
-    for u, sy in rows:
-        if abs(sy) >= h:
-            continue
-        for v, sx in cols:
-            if abs(sx) >= w:
-                continue
-            dst = out[..., max(0, -sy):h - max(0, sy), max(0, -sx):w - max(0, sx)]
-            dst += taps[:, u, v, :, max(0, sy):h - max(0, -sy), max(0, sx):w - max(0, -sx)]
-
-
-def _tap_conv(x: np.ndarray, weights: np.ndarray, d: int, s: int) -> np.ndarray:
-    """Tap side of the conv of x upsampled s times: the k*k tap planes of one
-    stacked matmul, shift-added per phase (a, b) into an (n, s, s, c_out, h, w)
-    buffer that holds output pixels (s*i + a, s*j + b)."""
+def _tap_conv(x: np.ndarray, weights: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
+    """Add the conv of x upsampled s times into out (n, c_out, s*h, s*w): per
+    block, one stacked matmul forms the k*k*c_out tap planes of a padded strip
+    and its halo, shift-added per phase (a, b) into a zeroed buffer of output
+    pixels (s*i + a, s*j + b) that is then added into out."""
     n, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
     stacked = weights.transpose(2, 3, 0, 1).reshape(k * k * c_out, c)  # rows (u, v, o)
-    taps = np.matmul(stacked, x.reshape(n, c, h * w)).reshape(n, k, k, c_out, h, w)
-    out = np.zeros((n, s, s, c_out, h, w), dtype=taps.dtype)
-    # (tap, offset) pairs per phase: output row s*i + a of tap u reads input
-    # row i + (a + d*u - p) // s
     p = d * (k - 1) // 2
-    shifts = [[(u, (a + d * u - p) // s) for u in range(k)] for a in range(s)]
-    for a in range(s):
-        for b in range(s):
-            _shift_add(taps, shifts[a], shifts[b], out[:, a, b])
-    return out
+    q = -(-p // s)  # the margin every phase reads, ceil(p / s)
+    # output row s*i + a of tap u reads padded row i + q + (a + d*u - p) // s
+    shifts = [[(u, q + (a + d * u - p) // s) for u in range(k)] for a in range(s)]
+    blocks = out.reshape(n, c_out, h, s, w, s)  # a view: out is C-contiguous
+    for j in range(n):
+        xp = _pad(x[j], q)
+        for r0, r1 in _strips(h, k * k * c_out * (w + 2 * q), 2 * q):
+            rows = r1 - r0
+            taps = stacked @ xp[:, r0:r1 + 2 * q].reshape(c, -1)
+            taps = taps.reshape(k, k, c_out, rows + 2 * q, w + 2 * q)
+            phases = np.zeros((s, s, c_out, rows, w), dtype=taps.dtype)
+            for a, b in np.ndindex(s, s):
+                for u, sy in shifts[a]:
+                    for v, sx in shifts[b]:
+                        phases[a, b] += taps[u, v, :, sy:sy + rows, sx:sx + w]
+            blocks[j, :, r0:r1] += phases.transpose(2, 3, 0, 4, 1)
 
 
 def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
     """Same-padded dilated convolution of x with `weights`, without bias."""
     n, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
+    wmat = weights.reshape(c_out, c * k * k)
+    if k == 1:  # the input is its own column matrix, read in place
+        return np.matmul(wmat, x.reshape(n, c, h * w)).reshape(n, c_out, h, w)
+    out = np.zeros((n, c_out, h, w), dtype=np.result_type(x, weights))
     if _tap_side(c, c_out, k, 1):
-        return _tap_conv(x, weights, d, 1).reshape(n, c_out, h, w)  # a view
-    col = _im2col(x, k, d)
-    out = np.matmul(weights.reshape(c_out, c * k * k), col)  # (n, c_out, h*w)
-    return out.reshape(n, c_out, h, w)
+        _tap_conv(x, weights, d, 1, out)
+        return out
+    p = d * (k - 1) // 2
+    for j in range(n):
+        xp = _pad(x[j], p)
+        flat = out[j].reshape(c_out, h * w)
+        for r0, r1 in _strips(h, c * k * k * w):
+            col = _columns(xp[:, r0:r1 + 2 * p], k, d, 1, r1 - r0, w)
+            np.matmul(wmat, col, out=flat[:, r0 * w:r1 * w])
+    return out
 
 
 def _conv_backward(x: np.ndarray, weights: np.ndarray, d: int, grad_out: np.ndarray,
@@ -178,31 +190,31 @@ def _conv_backward(x: np.ndarray, weights: np.ndarray, d: int, grad_out: np.ndar
     """(grad_input, grad_weights) of sum(grad_out * conv) for the conv of x
     upsampled s times (`_conv` at s = 1, `_tap_conv` at s = 2), with grad_out
     of shape (n, c_out, s*h, s*w). grad_input is None when need_input is
-    false. Shapes are the caller's to check.
+    false. Shapes are the caller's to check. Columns are built one sample at a
+    time and never in strips, so the weight gradient sums the same products in
+    sample order; on the tap side they come from grad_out and give both gradients.
     """
     n, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
-    # weight gradient, per batch element to keep transients small; on the
-    # tap side the columns come from grad_out and the taps flip back
     tap_side = _tap_side(c, c_out, k, s)
-    if tap_side:
-        left, right = _im2col(grad_out, k, d, s), x.reshape(n, c, h * w)
-    else:
-        left, right = grad_out.reshape(n, c_out, h * w), _im2col(x, k, d)
-    gw = np.zeros((left.shape[1], right.shape[1]), dtype=x.dtype)
-    for b in range(n):
-        gw += left[b] @ right[b].T
-    if tap_side:
+    flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    fmat = flipped.reshape(c, c_out * k * k)
+    gw = np.zeros((c_out * k * k, c) if tap_side else (c_out, c * k * k), dtype=x.dtype)
+    tap_input = tap_side and need_input
+    grad_input = np.empty(x.shape, np.result_type(weights, grad_out)) if tap_input else None
+    for j in range(n):
+        if tap_side:
+            left, right = _im2col(grad_out[j:j + 1], k, d, s), x[j].reshape(c, h * w)
+            if tap_input:  # the same columns of grad_out meet the flipped kernel matrix
+                np.matmul(fmat, left, out=grad_input[j].reshape(c, h * w))
+        else:
+            left, right = grad_out[j].reshape(c_out, h * w), _im2col(x[j:j + 1], k, d)
+        gw += left @ right.T
+    if tap_side:  # the taps flip back
         gw = gw.reshape(c_out, k, k, c).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
     grad_weights = np.ascontiguousarray(gw).reshape(weights.shape)
-    if not need_input:
-        return None, grad_weights
-    flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    if tap_side:
-        # the same columns of grad_out meet the flipped kernel matrix
-        grad_input = np.matmul(flipped.reshape(c, c_out * k * k), left)
-        return grad_input.reshape(n, c, h, w), grad_weights
-    del left, right  # never alive together with the input gradient's products
+    if tap_side or not need_input:
+        return grad_input, grad_weights
     return _conv(grad_out, flipped, d), grad_weights
 
 
@@ -260,22 +272,19 @@ def upsample_conv2d(low: Tensor, skip, params: ConvParams) -> Tensor:
 
     skip may be None (no concatenation). Nearest upsampling repeats pixels
     and a tap matmul mixes channels only, so the upsampled channels take the
-    tap side at low resolution (h/2, w/2): their (n, 2, 2, c_out, h/2, w/2)
-    phase buffer is added once into the output's 2x2 block view. The skip
+    tap side at low resolution (h/2, w/2): each block's (2, 2, c_out, rows,
+    w/2) phase buffer is added into the output's 2x2 block view. The skip
     channels take `_conv` at full resolution. Neither the upsampled nor the
     concatenated input is formed.
     """
     c_u = _upsample_conv_check(low, skip, params)
     n, _, hl, wl = low.shape
     weights, d = params.weights, params.dilation
-    c_out = weights.shape[0]
     if skip is None:
-        out = np.zeros((n, c_out, 2 * hl, 2 * wl), dtype=low.dtype)
+        out = np.zeros((n, weights.shape[0], 2 * hl, 2 * wl), dtype=low.dtype)
     else:
         out = _conv(skip, weights[:, c_u:], d)
-    phases = _tap_conv(low, weights[:, :c_u], d, 2)
-    blocks = out.reshape(n, c_out, hl, 2, wl, 2)  # a view: out is C-contiguous
-    blocks += phases.transpose(0, 3, 4, 1, 5, 2)
+    _tap_conv(low, weights[:, :c_u], d, 2, out)
     out += params.bias.reshape(1, -1, 1, 1)
     return out
 

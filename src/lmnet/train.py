@@ -141,6 +141,11 @@ def evaluate(graph: ModelGraph, index: DatasetIndex, split: str,
     if micro_batch < 1:
         raise ConfigError(f"micro_batch must be >= 1, got {micro_batch}")
     split_size(index, split, graph.config.input_size)
+    return _evaluate(graph, index, split, threshold, micro_batch)
+
+
+def _evaluate(graph, index, split, threshold, micro_batch) -> MetricsReport:
+    """`evaluate` over a split its caller has already checked."""
     lossf = loss_fn(graph.config.loss)
     counts = ConfusionCounts()
     loss_sum = 0.0
@@ -207,9 +212,11 @@ def train(cfg: TrainConfig):
     if problems:
         raise ConfigError("; ".join(problems))
     index = load_index(cfg.index_path)
-    # an empty split, or any tile of another size, fails before anything is written
-    for split in ("train", "val"):
-        split_size(index, split, cfg.graph.input_size)
+    # an empty split, or a tile of another size, fails before anything is written;
+    # train tiles must match the first (the size `lmnet train` reads), then the graph
+    if split_size(index, "train") != tuple(cfg.graph.input_size):
+        split_size(index, "train", cfg.graph.input_size)
+    split_size(index, "val", cfg.graph.input_size)
     n_train = len(index.split_records("train"))
     if n_train % cfg.batch_size == 1:
         raise ConfigError(
@@ -274,7 +281,7 @@ def train(cfg: TrainConfig):
                 if not cfg.quiet and step % cfg.log_every == 0:
                     print(f"step {step}  epoch {epoch}  loss {loss:.6f}", flush=True)
 
-            val = evaluate(graph, index, "val", cfg.threshold, cfg.micro_batch)
+            val = _evaluate(graph, index, "val", cfg.threshold, cfg.micro_batch)
             history.val.append((epoch, val))
             val_fh.write(
                 f"{epoch},{val.loss!r},{val.accuracy!r},{val.iou!r},"

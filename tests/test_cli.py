@@ -96,8 +96,8 @@ def test_train_smoke_writes_checkpoints(trained_run):
 
 
 def test_train_reads_headers_in_its_checks_only(tiny_dataset, tmp_path, capsys, monkeypatch):
-    """A header is read by the up-front split checks and by each epoch's
-    validation, never again by a pass over the train split."""
+    """A header is read by the size detection and the up-front split checks,
+    never again by a pass over the train split or a validation."""
     calls = []
     image_size = imgio.image_size
     monkeypatch.setattr(imgio, "image_size", lambda path: calls.append(path) or image_size(path))
@@ -107,9 +107,9 @@ def test_train_reads_headers_in_its_checks_only(tiny_dataset, tmp_path, capsys, 
         "--batch", "4", "--micro-batch", "2", "--channels", TINY_CHANNELS, "--quiet",
     )
     assert code == 0, err
-    # 8 train and 4 val pairs: the size detection reads the 16 train files,
-    # train() all 24, and each of the 3 validations the 8 val files
-    assert len(calls) == 16 + 24 + 3 * 8
+    # 8 train and 4 val pairs: the size detection reads the first train
+    # image, train() all 24 files, and the 3 validations none again
+    assert len(calls) == 1 + 24
 
 
 def test_train_invalid_lr_fails_before_touching_the_run_dir(

@@ -199,7 +199,7 @@ def test_conv_backward_without_input_gradient():
 
 def test_a_tap_side_adjoint_builds_grad_out_columns_once(monkeypatch):
     # a narrowing conv and a decoder stage's upsampled channels take both
-    # their gradients from one column matrix of grad_out
+    # their gradients from one column matrix of grad_out per sample
     built = []
     im2col = ops._im2col
     monkeypatch.setattr(ops, "_im2col", lambda x, *rest: built.append(x.shape) or im2col(x, *rest))
@@ -207,11 +207,11 @@ def test_a_tap_side_adjoint_builds_grad_out_columns_once(monkeypatch):
     grad_out = rng.standard_normal((2, 3, 8, 8))
     narrowing = ops.ConvParams(rng.standard_normal((3, 6, 3, 3)), np.zeros(3))
     ops.conv2d_backward(rng.standard_normal((2, 6, 8, 8)), narrowing, grad_out)
-    assert built == [grad_out.shape]
+    assert built == [(1, 3, 8, 8)] * 2
     built.clear()
     upsampled = ops.ConvParams(rng.standard_normal((3, 4, 3, 3)), np.zeros(3))
     ops.upsample_conv2d_backward(rng.standard_normal((2, 4, 4, 4)), None, upsampled, grad_out)
-    assert built == [grad_out.shape]
+    assert built == [(1, 3, 8, 8)] * 2
 
 
 def test_a_1x1_conv_reads_its_input_in_place():
@@ -300,6 +300,107 @@ def test_fused_decoder_stage_validation():
         ops.upsample_conv2d(low[0], np.zeros((1, 2, 8, 8)), params)
     with pytest.raises(ShapeError, match="grad_out"):
         ops.upsample_conv2d_backward(low, np.zeros((1, 2, 8, 8)), params, np.zeros((1, 2, 4, 4)))
+
+
+# -- blocks -----------------------------------------------------------------
+
+def _conv_and_adjoints(low, skip, params, grad_out):
+    """Output and adjoints of a plain conv of skip (low None) or of a fused
+    decoder stage."""
+    if low is None:
+        return ops.conv2d(skip, params), *ops.conv2d_backward(skip, params, grad_out)
+    return (ops.upsample_conv2d(low, skip, params),
+            *ops.upsample_conv2d_backward(low, skip, params, grad_out))
+
+
+def _assert_all_equal(got, want):
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert (a is None) == (b is None), i
+        if b is not None:
+            npt.assert_array_equal(a, b, err_msg=f"result {i}")
+
+
+@pytest.mark.parametrize("budget", [1, 500])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_blocked_convs_match_the_oracles(monkeypatch, budget, d):
+    # budget 1 cuts every plane into one-row strips, 500 some into strips of
+    # a few rows; halos cross strip edges, and at d >= 2 whole taps fall
+    # outside a strip
+    monkeypatch.setattr(ops, "BLOCK_ELEMS", budget)
+    rng = np.random.default_rng(10 * d + budget)
+    n, h, w = 2, 10, 6
+    # (c_up, c_in, c_out, k): plain convs on the column side and on the tap
+    # side, then decoder stages with and without a skip
+    for c_up, c_in, c_out, k in ((0, 3, 4, 3), (0, 6, 3, 3), (0, 4, 2, 5),
+                                 (4, 3, 2, 3), (3, 0, 5, 3), (2, 3, 3, 5)):
+        low = int_valued(rng, (n, c_up, h // 2, w // 2)) if c_up else None
+        skip = int_valued(rng, (n, c_in, h, w)) if c_in else None
+        params = ops.ConvParams(int_valued(rng, (c_out, c_up + c_in, k, k)),
+                                int_valued(rng, (c_out,)), d)
+        grad_out = int_valued(rng, (n, c_out, h, w))
+        if low is None:
+            want = (conv2d_naive(skip, params.weights, params.bias, d),
+                    *conv2d_backward_scatter(skip, params, grad_out))
+        else:
+            up = ops.upsample_nearest2(low)
+            x = up if skip is None else ops.concat_channels(up, skip)
+            want = (conv2d_naive(x, params.weights, params.bias, d),
+                    *upsample_conv2d_backward_composed(low, skip, params, grad_out))
+        _assert_all_equal(_conv_and_adjoints(low, skip, params, grad_out), want)
+
+
+def _plan_convs_at(size):
+    """(c_up, c_in, c_out, k, dilation, side) of every plan conv at input
+    side `size`: c_up counts a decoder stage's upsampled channels (0 for a
+    plain conv), c_in the channels it reads at full resolution."""
+    shapes = set()
+    for plan in PLANS:
+        side, width = size, 0
+        for stage in plan.stages:
+            side = {"pool": side // 2, "upsample": 2 * side}.get(stage.pre, side)
+            c_up = width if stage.pre == "upsample" else 0
+            shapes |= {(c_up, s.in_channels - c_up, s.out_channels, s.kernel, s.dilation, side)
+                       for s in stage.convs}
+            width = sum(s.out_channels for s in stage.convs)
+    return sorted(shapes)
+
+
+def test_the_block_budget_changes_no_bit(monkeypatch):
+    # every plan conv and decoder stage at the training tile's sides, in
+    # float32: each output element stays one BLAS dot product over the same
+    # terms, so one-row strips give the whole plane's bits. That rests on the
+    # BLAS keeping a product's order whatever the block's width, as OpenBLAS
+    # does at these shapes but not for much smaller products
+    shapes = _plan_convs_at(192)
+    assert (233, 89, 89, 3, 1, 48) in shapes and (13, 15, 5, 3, 1, 192) in shapes
+    rng = np.random.default_rng(18)
+    for c_up, c_in, c_out, k, d, side in shapes:
+        def draw(*shape):
+            return rng.standard_normal(shape).astype(np.float32)
+        low = draw(2, c_up, side // 2, side // 2) if c_up else None
+        skip = draw(2, c_in, side, side) if c_in else None
+        params = ops.ConvParams(draw(c_out, c_up + c_in, k, k), draw(c_out), d)
+        grad_out = draw(2, c_out, side, side)
+        results = []
+        for budget in (1, 1 << 40):
+            monkeypatch.setattr(ops, "BLOCK_ELEMS", budget)
+            results.append(_conv_and_adjoints(low, skip, params, grad_out))
+        _assert_all_equal(*results)
+
+
+@pytest.mark.parametrize("c_up,c_skip,c_out,side", [(233, 89, 89, 192), (13, 15, 5, 768)])
+def test_a_scene_decoder_stage_holds_two_blocks_beside_its_arrays(c_up, c_skip, c_out, side):
+    # l5's and l7's shapes on a 768 scene at n = 1. Formed whole, l5's skip
+    # columns (801 x 192^2) or l7's tap planes (45 x 768^2) would take
+    # about 110 MB on top of the output and the padded inputs
+    rng = np.random.default_rng(c_out)
+    low = rng.standard_normal((1, c_up, side // 2, side // 2)).astype(np.float32)
+    skip = rng.standard_normal((1, c_skip, side, side)).astype(np.float32)
+    params = ops.ConvParams(rng.standard_normal((c_out, c_up + c_skip, 3, 3)).astype(np.float32),
+                            np.zeros(c_out, np.float32), 1)
+    arrays = 4 * (c_out * side ** 2 + c_skip * (side + 2) ** 2 + c_up * (side // 2 + 2) ** 2)
+    two_blocks = 2 * 4 * ops.BLOCK_ELEMS
+    assert _traced_peak(lambda: ops.upsample_conv2d(low, skip, params)) < arrays + two_blocks
 
 
 # -- pooling / upsampling ---------------------------------------------------

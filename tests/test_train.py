@@ -195,7 +195,7 @@ LONG_FLOATS = dict(epochs=3, beta2=0.99912345678, adam_eps=1.234567891e-2)
 
 
 @pytest.mark.parametrize("crash_in,settings", [
-    ("evaluate", {}), ("save_training_checkpoint", {}), ("evaluate", LONG_FLOATS),
+    ("_evaluate", {}), ("save_training_checkpoint", {}), ("_evaluate", LONG_FLOATS),
 ], ids=["evaluate", "save_training_checkpoint", "evaluate-long-floats"])
 def test_resume_after_a_crash_matches_uninterrupted_run(
         tiny_dataset, tmp_path, monkeypatch, crash_in, settings):
