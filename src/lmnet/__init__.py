@@ -2,10 +2,7 @@
 
 Four related fully convolutional variants (plain, dilation, residual,
 proposed) built on hand-written numpy forward/backward kernels, plus the
-dataset pipeline, trainer, metrics, and CLI around them.
-
-This module stays import-free on purpose: the CLI must be able to export
-thread caps to the BLAS layer before numpy is first loaded. Import the
+dataset pipeline, trainer, metrics, and CLI around them. Import the
 submodules directly (lmnet.model, lmnet.ops, lmnet.train, ...).
 """
 

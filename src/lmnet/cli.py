@@ -12,10 +12,6 @@ read and written by `kvtext`, the codec of the checkpoint text blocks too.
 Exit codes: 0 success, 1 validation error (bad flags, bad config, bad
 data, a path that cannot be read or written), 2 runtime failure (aborted
 training, broken checkpoint, failed gradient check).
-
-Heavy imports happen inside the subcommand handlers, and the module-level
-ones (`errors`, `kvtext`) use only the standard library: `LMNET_THREADS`
-must be exported to the BLAS layer before numpy loads.
 """
 
 from __future__ import annotations
@@ -25,8 +21,19 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import kvtext
+import numpy as np
+
+from . import imgio, kvtext
+from .checkpoint import load_any
+from .data import load_index, prepare_dataset
 from .errors import ConfigError, DataError, LmnetError
+from .gradcheck import check_graph_gradients
+from .metrics import DEFAULT_THRESHOLD, render_kv, render_table
+from .model import (
+    POOL_GRID, GraphConfig, build_model, closed_form_param_count, parse_variant,
+    pool_grid_problem, replace_input_size,
+)
+from .train import TrainConfig, evaluate, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,8 +138,6 @@ def _echo(command: str, resolved: dict) -> None:
 # Subcommand handlers. Each returns an exit code (None means 0).
 
 def _cmd_prepare(o):
-    from .data import prepare_dataset
-
     summary = prepare_dataset(
         o["input_dir"], o["output_dir"], tile=o["tile_size"],
         target=o["target_size"], min_fg=o["min_fg"], max_fg=o["max_fg"],
@@ -145,25 +150,13 @@ def _cmd_prepare(o):
 
 
 def _graph_config(o, **fixed):
-    from .model import GraphConfig
-
-    kwargs = dict(channel_sequence=o["channels"], **fixed)
-    if o["dilations"]:
-        kwargs["dilation_rates"] = o["dilations"]
-    return GraphConfig(**kwargs)
+    return GraphConfig(channel_sequence=o["channels"], dilation_rates=o["dilations"], **fixed)
 
 
 def _cmd_train(o):
-    from . import imgio
-    from .data import load_index
-    from .model import parse_variant
-    from .train import TrainConfig, train
-
     variant = parse_variant(o["variant"])
     index = load_index(o["index"])
     records = index.split_records("train")
-    if not records:
-        raise ConfigError(f"split 'train' is empty in {index.root}")
     # the first image's header only: train() checks every file against it
     input_size = imgio.image_size(index.image_path(records[0]))
     print(f"input size {input_size[0]}x{input_size[1]} detected from {records[0].image}")
@@ -191,11 +184,6 @@ def _cmd_train(o):
 
 
 def _cmd_eval(o):
-    from .checkpoint import load_any
-    from .data import load_index
-    from .metrics import render_kv, render_table
-    from .train import evaluate
-
     graph = load_any(o["ckpt"])
     index = load_index(o["index"])
     rep = evaluate(graph, index, o["split"], o["threshold"], o["micro_batch"])
@@ -206,12 +194,6 @@ def _cmd_eval(o):
 
 
 def _cmd_predict(o):
-    import numpy as np
-
-    from . import imgio
-    from .checkpoint import load_any
-    from .model import POOL_GRID, pool_grid_problem, replace_input_size
-
     graph = load_any(o["ckpt"])
     image = imgio.read_rgb(o["image"])
     h, w = image.shape[1:]
@@ -238,8 +220,6 @@ def _cmd_predict(o):
 
 
 def _cmd_params(o):
-    from .model import build_model, closed_form_param_count, parse_variant
-
     variant = parse_variant(o["variant"])
     config = _graph_config(o)
     graph = build_model(variant, config)
@@ -260,9 +240,6 @@ def _cmd_params(o):
 
 
 def _cmd_gradcheck(o):
-    from .gradcheck import check_graph_gradients
-    from .model import parse_variant
-
     variant = parse_variant(o["variant"])
     tolerance = 1e-5
     errors = check_graph_gradients(variant, step=o["eps"])
@@ -279,14 +256,12 @@ def _cmd_gradcheck(o):
     return 2 if failed else 0
 
 
-_CHANNELS_DEFAULT = (5, 13, 89, 233)
-
 _COMMANDS = {
     "prepare": ([
         Opt("input_dir", required=True, help="raw scene layout root"),
         Opt("output_dir", required=True, help="prepared dataset root"),
         Opt("tile_size", int, 500, help="square tile side"),
-        Opt("target_size", _size, (192, 192), help="training size, int or h,w"),
+        Opt("target_size", _size, GraphConfig.input_size, help="training size, int or h,w"),
         Opt("min_fg", float, 0.01, help="lowest kept mask foreground fraction"),
         Opt("max_fg", float, 0.90, help="highest kept mask foreground fraction"),
         Opt("overwrite", _flag, False, help="replace existing output"),
@@ -295,40 +270,41 @@ _COMMANDS = {
         Opt("index", required=True, help="path to index.tsv"),
         Opt("out", required=True, help="run directory for checkpoints"),
         Opt("variant", required=True, help="plain|dilation|residual|proposed"),
-        Opt("epochs", int, 10),
-        Opt("batch", int, 200, help="samples per optimizer step"),
-        Opt("micro_batch", int, 10, help="samples per forward/backward pass"),
-        Opt("lr", float, 0.005),
-        Opt("beta1", float, 0.9),
-        Opt("beta2", float, 0.999),
-        Opt("adam_eps", float, 1e-8,
+        Opt("epochs", int, TrainConfig.epochs),
+        Opt("batch", int, TrainConfig.batch_size, help="samples per optimizer step"),
+        Opt("micro_batch", int, TrainConfig.micro_batch,
+            help="samples per forward/backward pass"),
+        Opt("lr", float, TrainConfig.lr),
+        Opt("beta1", float, TrainConfig.beta1),
+        Opt("beta2", float, TrainConfig.beta2),
+        Opt("adam_eps", float, TrainConfig.adam_eps,
             help="Adam epsilon; ~1e-2 tames the scale-free first steps"),
-        Opt("seed", int, 0),
-        Opt("threshold", _fraction, 0.5, help="validation metrics threshold"),
-        Opt("channels", _ints, _CHANNELS_DEFAULT, help="encoder channel widths"),
-        Opt("dilations", _ints, None, help="pyramid dilation rates"),
-        Opt("loss", str, "bce", help="bce|mse"),
-        Opt("log_every", int, 1),
-        Opt("resume", _flag, False, help="continue from last.ckpt in --out"),
-        Opt("quiet", _flag, False),
+        Opt("seed", int, TrainConfig.seed),
+        Opt("threshold", _fraction, TrainConfig.threshold, help="validation metrics threshold"),
+        Opt("channels", _ints, GraphConfig.channel_sequence, help="encoder channel widths"),
+        Opt("dilations", _ints, GraphConfig.dilation_rates, help="pyramid dilation rates"),
+        Opt("loss", str, GraphConfig.loss, help="bce|mse"),
+        Opt("log_every", int, TrainConfig.log_every),
+        Opt("resume", _flag, TrainConfig.resume, help="continue from last.ckpt in --out"),
+        Opt("quiet", _flag, TrainConfig.quiet),
     ], _cmd_train, "run the training regime"),
     "eval": ([
         Opt("ckpt", required=True),
         Opt("index", required=True),
         Opt("split", str, "test", help="train|val|test"),
-        Opt("threshold", _fraction, 0.5),
-        Opt("micro_batch", int, 10),
+        Opt("threshold", _fraction, DEFAULT_THRESHOLD),
+        Opt("micro_batch", int, TrainConfig.micro_batch),
     ], _cmd_eval, "score a checkpoint on one split"),
     "predict": ([
         Opt("ckpt", required=True),
         Opt("image", required=True),
         Opt("out", required=True, help="output path prefix"),
-        Opt("threshold", _fraction, 0.5),
+        Opt("threshold", _fraction, DEFAULT_THRESHOLD),
     ], _cmd_predict, "write probability map and mask for one image"),
     "params": ([
         Opt("variant", required=True),
-        Opt("channels", _ints, _CHANNELS_DEFAULT),
-        Opt("dilations", _ints, None),
+        Opt("channels", _ints, GraphConfig.channel_sequence),
+        Opt("dilations", _ints, GraphConfig.dilation_rates),
     ], _cmd_params, "per-layer parameter census"),
     "gradcheck": ([
         Opt("variant", required=True),
@@ -352,23 +328,8 @@ def _build_parser():
     return parser, sub.choices
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("LMNET_THREADS")
-    if not cap:
-        return
-    try:
-        n = int(cap)
-        if n < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"LMNET_THREADS must be a positive integer, got {cap!r}") from None
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-
-
 def main(argv=None) -> int:
     try:
-        _apply_thread_cap()
         command, resolved = _resolve(argv)
         _echo(command, resolved)
         return int(_COMMANDS[command][1](resolved) or 0)

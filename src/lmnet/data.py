@@ -13,9 +13,9 @@ under `<split>/masks/`; `_record` is the one place that forms those paths and
 arrays: the image (3, h, w) in [0, 1], the mask (h, w). Masks are binary the
 moment they enter this module (`load_pair` binarizes what it reads,
 `synth_pair` draws them binary) and stay binary through every operation;
-`load_pair` is also where an image and its mask must agree in size. A
-synthetic rectangle generator writes deterministic layouts for tests and
-smoke runs.
+`load_pair` is also where an image must agree in size with its mask and,
+when given, the graph. A synthetic rectangle generator writes deterministic
+layouts for tests and smoke runs.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def resize_pair(image: np.ndarray, mask: np.ndarray, target=(192, 192)) -> tuple
     """Downscale an (image, mask) pair: bilinear for the image, nearest for
     the mask.
 
-    The mask is re-binarized at 0.5 after the gather, keeping the strict
-    {0, 1} closure. Upscaling is refused.
+    The nearest gather only picks pixels, so a binary mask stays binary.
+    Upscaling is refused.
     """
     th, tw = target
     h, w = image.shape[1:]
@@ -131,9 +131,7 @@ def resize_pair(image: np.ndarray, mask: np.ndarray, target=(192, 192)) -> tuple
         raise DataError(
             f"target {target} exceeds source {(h, w)}; upscaling is not supported"
         )
-    mask = _resize_nearest(mask, target)
-    mask = (mask >= mask.dtype.type(0.5)).astype(mask.dtype)
-    return _resize_bilinear(image, target), mask
+    return _resize_bilinear(image, target), _resize_nearest(mask, target)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +150,14 @@ class DatasetIndex:
     records: list
 
     def split_records(self, split: str) -> list:
-        return [r for r in self.records if r.split == split]
+        """The records of `split` in index order; an unknown or empty split
+        is refused."""
+        if split not in SPLITS:
+            raise ConfigError(f"unknown split {split!r}; expected one of {', '.join(SPLITS)}")
+        records = [r for r in self.records if r.split == split]
+        if not records:
+            raise ConfigError(f"split {split!r} is empty in {self.root}")
+        return records
 
     def image_path(self, rec: IndexRecord) -> Path:
         return self.root / rec.image
@@ -242,10 +247,23 @@ def build_index(prepared_dir) -> DatasetIndex:
     return DatasetIndex(root=prepared, records=records)
 
 
-def load_pair(index: DatasetIndex, rec: IndexRecord) -> tuple:
-    """The sample `rec` names: image (3, h, w) and binarized mask (h, w)."""
+def _check_graph_size(path, got, size) -> None:
+    """Refuse a file of (h, w) `got` where the graph expects `size`."""
+    if tuple(got) != tuple(size):
+        (h, w), (eh, ew) = got, size
+        raise DataError(f"{path} is {h}x{w}, but the graph expects {eh}x{ew}; "
+                        "re-prepare the data or pick a matching checkpoint")
+
+
+def load_pair(index: DatasetIndex, rec: IndexRecord, size=None) -> tuple:
+    """The sample `rec` names: image (3, h, w) and binarized mask (h, w).
+
+    With `size` (the graph's), an image of another size is refused.
+    """
     image_path, mask_path = index.image_path(rec), index.mask_path(rec)
     image = imgio.read_rgb(image_path)
+    if size is not None:
+        _check_graph_size(image_path, image.shape[1:], size)
     mask = binarize_mask(imgio.read_gray(mask_path))
     if image.shape[1:] != mask.shape:
         raise DataError(f"{mask_path} is {mask.shape[0]}x{mask.shape[1]}, but its image "
@@ -260,34 +278,31 @@ def split_size(index: DatasetIndex, split: str, size=None) -> tuple:
     `size` (the graph's), or the first image's size when it is None. Only
     file headers are read.
     """
-    if split not in SPLITS:
-        raise ConfigError(f"unknown split {split!r}; expected one of {', '.join(SPLITS)}")
     records = index.split_records(split)
-    if not records:
-        raise ConfigError(f"split {split!r} is empty in {index.root}")
     first = index.image_path(records[0]) if size is None else None
     for path in (p for r in records for p in (index.image_path(r), index.mask_path(r))):
         got = imgio.image_size(path)
         if size is None:
             size = got
-        if got != tuple(size):
+        if first is None:
+            _check_graph_size(path, got, size)
+        elif got != size:
             (h, w), (eh, ew) = got, size
-            if first is None:
-                raise DataError(f"{path} is {h}x{w}, but the graph expects {eh}x{ew}; "
-                                "re-prepare the data or pick a matching checkpoint")
             raise DataError(f"{path} is {h}x{w}, but the first image of split {split!r}, "
                             f"{first}, is {eh}x{ew}; re-prepare the data to one tile size")
     return tuple(size)
 
 
 def batch_iter(index: DatasetIndex, split: str, batch_size: int,
-               seed: int = 0, epoch: int = 0, shuffle: bool = True):
+               seed: int = 0, epoch: int = 0, shuffle: bool = True, size=None):
     """Yield (images (b,3,h,w), masks (b,1,h,w)) batches over one split.
 
-    The caller checks the split with `split_size` first, once per run or
-    evaluation, not once per pass. Order is a pure function of (seed,
-    epoch); the final short batch is yielded as-is. With shuffle=False
-    records come in index order and seed and epoch are ignored.
+    An unknown or empty split is refused. With `size` (the graph's), each
+    image is checked against it as it is decoded; without it, the caller
+    checks the split's tile sizes with `split_size` first.
+    Order is a pure function of (seed, epoch); the final short batch is
+    yielded as-is. With shuffle=False records come in index order and seed
+    and epoch are ignored.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -296,7 +311,7 @@ def batch_iter(index: DatasetIndex, split: str, batch_size: int,
     if shuffle:
         order = derive_rng(seed, 0, epoch).permutation(len(records))
     for start in range(0, len(records), batch_size):
-        images, masks = zip(*(load_pair(index, records[i])
+        images, masks = zip(*(load_pair(index, records[i], size)
                               for i in order[start:start + batch_size]))
         yield np.stack(images), np.stack(masks)[:, None]
 

@@ -1,7 +1,5 @@
 """The `key=value` text of config files, the echoed config, checkpoint text
 blocks and the `eval` metrics block: one key per line, keys sorted.
-
-Standard library only: the CLI imports this module before numpy may load.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from .checkpoint import (
 )
 from .data import DatasetIndex, batch_iter, load_index, split_size
 from .errors import ConfigError, NonFiniteGradientError, TrainAbortedError
-from .metrics import ConfusionCounts, MetricsReport, confusion, report
+from .metrics import DEFAULT_THRESHOLD, ConfusionCounts, MetricsReport, confusion, report
 from .model import GraphConfig, ModelGraph, Variant, build_model, init_parameters, loss_fn
 from .optim import adam_init, adam_step
 from .seeding import derive_rng
@@ -66,7 +66,7 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    threshold: float = 0.5
+    threshold: float = DEFAULT_THRESHOLD
     log_every: int = 1
     resume: bool = False
     quiet: bool = False
@@ -136,21 +136,20 @@ def _accumulate_batch(graph: ModelGraph, images, masks, lossf, cfg: TrainConfig,
 
 
 def evaluate(graph: ModelGraph, index: DatasetIndex, split: str,
-             threshold: float = 0.5, micro_batch: int = 10) -> MetricsReport:
-    """Eval-mode forward over a whole split: mean loss + pooled confusion."""
+             threshold: float = DEFAULT_THRESHOLD, micro_batch: int = 10) -> MetricsReport:
+    """Eval-mode forward over a whole split: mean loss + pooled confusion.
+
+    No header is read: a tile of another size than the graph's is refused
+    as it is decoded, before its batch is forwarded.
+    """
     if micro_batch < 1:
         raise ConfigError(f"micro_batch must be >= 1, got {micro_batch}")
-    split_size(index, split, graph.config.input_size)
-    return _evaluate(graph, index, split, threshold, micro_batch)
-
-
-def _evaluate(graph, index, split, threshold, micro_batch) -> MetricsReport:
-    """`evaluate` over a split its caller has already checked."""
     lossf = loss_fn(graph.config.loss)
     counts = ConfusionCounts()
     loss_sum = 0.0
     n = 0
-    for images, masks in batch_iter(index, split, micro_batch, shuffle=False):
+    for images, masks in batch_iter(index, split, micro_batch, shuffle=False,
+                                    size=graph.config.input_size):
         pred, _ = graph.forward(images.astype(graph.dtype, copy=False), "eval")
         loss, _ = lossf(pred, masks.astype(pred.dtype, copy=False))
         k = images.shape[0]
@@ -281,7 +280,7 @@ def train(cfg: TrainConfig):
                 if not cfg.quiet and step % cfg.log_every == 0:
                     print(f"step {step}  epoch {epoch}  loss {loss:.6f}", flush=True)
 
-            val = _evaluate(graph, index, "val", cfg.threshold, cfg.micro_batch)
+            val = evaluate(graph, index, "val", cfg.threshold, cfg.micro_batch)
             history.val.append((epoch, val))
             val_fh.write(
                 f"{epoch},{val.loss!r},{val.accuracy!r},{val.iou!r},"

@@ -9,7 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from lmnet.cli import _resolve, main
 from lmnet.data import DatasetIndex, IndexRecord, save_index, write_synthetic_dataset
 from lmnet.model import GraphConfig, Variant, build_model, init_parameters
 from lmnet.optim import adam_init
+from lmnet.train import TrainConfig
 
 from conftest import TINY_GRAPH, checkpoint_offsets, declare_first_tensor
 
@@ -82,6 +83,28 @@ def test_params_accepts_custom_channels(capsys):
     )
     assert code == 0
     assert "channels=2,2,3,3" in out
+
+
+def test_params_echoes_the_default_dilations(capsys):
+    code, out, _ = run_cli(capsys, "params", "--variant", "proposed")
+    assert code == 0
+    assert "  dilations=2,3,5\n" in echoed_config(out)
+
+
+def test_train_defaults_are_the_config_classes_defaults():
+    """Every train option but the three required ones sets a TrainConfig or
+    GraphConfig field, and defaults to that field's default."""
+    _, resolved = _resolve(["train", "--index", "i", "--out", "o", "--variant", "plain"])
+    option_of = {"batch_size": "batch", "channel_sequence": "channels",
+                 "dilation_rates": "dilations"}
+    checked = set()
+    for cls in (TrainConfig, GraphConfig):
+        for f in fields(cls):
+            option = option_of.get(f.name, f.name)
+            if option in resolved and f.default is not MISSING:
+                assert resolved[option] == f.default, option
+                checked.add(option)
+    assert checked == set(resolved) - {"index", "out", "variant"}
 
 
 # -- training ---------------------------------------------------------------
@@ -471,22 +494,6 @@ def test_config_file_stray_keys_exit_1(tmp_path, capsys):
     assert code == 1
 
 
-def test_thread_cap_env_var(monkeypatch, capsys):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "sentinel")  # record the original for teardown
-        del os.environ[var]
-    monkeypatch.setenv("LMNET_THREADS", "abc")
-    code, _, err = run_cli(capsys, "params", "--variant", "plain")
-    assert code == 1
-    assert "LMNET_THREADS" in err
-
-    monkeypatch.setenv("LMNET_THREADS", "2")
-    code, _, _ = run_cli(capsys, "params", "--variant", "plain")
-    assert code == 0
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-
-
 def test_usage_errors_exit_1_not_2(capsys):
     code, _, err = run_cli(capsys, "params", "--variant", "plain", "--bogus")
     assert code == 1
@@ -568,17 +575,6 @@ def test_bad_input_is_one_error_line(argv, needle, echoed, tmp_path, capsys):
         assert "Traceback" not in err
     assert ("resolved config" in out) == echoed
     assert not (tmp_path / "run").exists()
-
-
-def test_importing_the_cli_loads_no_numpy():
-    """`LMNET_THREADS` reaches the BLAS layer only if numpy loads after the
-    CLI has exported it, so importing the CLI must not load numpy."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, lmnet.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, timeout=120, env=child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("missing", ["adam_t", "train_seed"])

@@ -339,8 +339,8 @@ def test_batch_iter_validates_batch_size(tiny_dataset):
 
 
 def test_batch_iter_rejects_mixed_sizes(tmp_path):
-    """batch_iter leaves the size check to its callers; evaluate makes it
-    once per call, before the first batch."""
+    """Given the graph's size, batch_iter refuses a tile of another size as
+    it decodes it."""
     _layout(tmp_path, [("train", "a.png", 16), ("train", "b.png", 24)])
     index = build_index(tmp_path)
     graph = build_model("plain", GraphConfig(input_size=(16, 16)))

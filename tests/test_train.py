@@ -1,5 +1,6 @@
 """Training loop mechanics: micro-batching, determinism, resume, abort."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 import lmnet.ops as ops
+from lmnet import imgio
 from lmnet.checkpoint import (
     DEPLOY_MAGIC,
     load_any,
@@ -195,7 +197,7 @@ LONG_FLOATS = dict(epochs=3, beta2=0.99912345678, adam_eps=1.234567891e-2)
 
 
 @pytest.mark.parametrize("crash_in,settings", [
-    ("_evaluate", {}), ("save_training_checkpoint", {}), ("_evaluate", LONG_FLOATS),
+    ("evaluate", {}), ("save_training_checkpoint", {}), ("evaluate", LONG_FLOATS),
 ], ids=["evaluate", "save_training_checkpoint", "evaluate-long-floats"])
 def test_resume_after_a_crash_matches_uninterrupted_run(
         tiny_dataset, tmp_path, monkeypatch, crash_in, settings):
@@ -375,6 +377,22 @@ def test_evaluate_is_deterministic_and_counts_samples(tiny_dataset):
         (b.accuracy, b.iou, b.precision, b.recall)
     c = evaluate(graph, tiny_dataset, "val", micro_batch=3)
     assert (a.loss, a.accuracy, a.iou) == (c.loss, c.accuracy, c.iou)
+
+
+def test_evaluate_reads_no_header_and_names_a_tile_of_the_wrong_size(
+        tmp_path, monkeypatch):
+    small = write_synthetic_dataset(tmp_path / "a", {"val": 3}, 16, seed=0)
+    big = write_synthetic_dataset(tmp_path / "b", {"val": 1}, 24, seed=1)
+    bad = IndexRecord(f"b/{big.records[0].image}", f"b/{big.records[0].mask}", "val")
+    index = DatasetIndex(tmp_path, [IndexRecord(f"a/{r.image}", f"a/{r.mask}", r.split)
+                                    for r in small.records] + [bad])
+    calls = []
+    monkeypatch.setattr(imgio, "image_size", lambda path: calls.append(path))
+    graph = init_parameters(build_model(Variant.PROPOSED, TRAIN_GRAPH), 0)
+    wrong = f"{tmp_path / bad.image} is 24x24, but the graph expects 16x16"
+    with pytest.raises(DataError, match=re.escape(wrong)):
+        evaluate(graph, index, "val", micro_batch=2)
+    assert calls == []
 
 
 def test_evaluate_empty_split_is_a_config_error(tmp_path):
