@@ -33,10 +33,12 @@ keeps one StageRecord per stage, holding only what backward reads: the
 input the stage's kernels read, their batchnorm caches, the dropout mask
 and the activation after dropout. A pool's adjoint reads the pool's input
 (the previous activation) and output (the kernels' input). In eval mode
-forward keeps only the activations, for the skips, and returns no cache.
+forward keeps no records and returns no cache: it holds each activation
+only until its last reader (the next stage, or the stage whose skip names
+it) has run, and batch norm and ReLU overwrite the fresh conv output.
 A decoder stage runs ops.upsample_conv2d, which reads the
-low-resolution previous activation and the skip activation's own record,
-so no upsampled or concatenated input is formed or kept. backward walks
+low-resolution previous activation and the skip activation itself, so no
+upsampled or concatenated input is formed or kept. backward walks
 the train records in reverse.
 """
 
@@ -174,6 +176,11 @@ class LayerPlan:
     @property
     def all_convs(self) -> tuple:
         return tuple(spec for stage in self.stages for spec in stage.convs)
+
+    @property
+    def skip_sources(self) -> frozenset:
+        """The indices of the activations a later stage reads as its skip."""
+        return frozenset(stage.skip for stage in self.stages if stage.skip)
 
 
 def layer_plan(variant: Variant, config: GraphConfig) -> LayerPlan:
@@ -313,36 +320,49 @@ class ModelGraph:
             raise ValueError("train-mode forward needs an rng for dropout")
 
         cur = batch.astype(self.dtype, copy=False)
-        records = []  # eval keeps each record's activation alone, for the skips
+        records = []  # train only: one StageRecord per stage
+        kept = {}  # skip activations by index, until the stage that reads them
         for stage in self.plan.stages:
             rec = StageRecord()
+            skip = kept.pop(stage.skip) if stage.skip else None
             if stage.pre == "pool":
                 cur = ops.maxpool2(cur)
-            rec.conv_in = cur
-            skip = records[stage.skip - 1].act if stage.skip else None
-            zs = [self._kernel_forward(stage, s, cur, skip, mode, rec.bn) for s in stage.convs]
-            a = getattr(ops, stage.act)(zs[0] if len(zs) == 1 else np.concatenate(zs, axis=1))
+            if train:
+                rec.conv_in = cur
+            cur = self._stage_forward(stage, cur, skip, mode, rec.bn)
+            if train or stage.act != "relu":
+                cur = getattr(ops, stage.act)(cur)
+            else:  # eval: nothing else reads the fresh pre-activation
+                cur = ops.relu(cur, cur)
             if train and stage.drop:
-                a, rec.mask = ops.dropout(a, stage.drop, rng)
-            rec.act = cur = a
-            records.append(rec if train else StageRecord(act=a))
+                cur, rec.mask = ops.dropout(cur, stage.drop, rng)
+            if stage.index in self.plan.skip_sources:
+                kept[stage.index] = cur
+            if train:
+                rec.act = cur
+                records.append(rec)
         return cur, ForwardCache(records) if train else None
 
-    def _kernel_forward(self, stage: Stage, spec: ConvSpec, x: np.ndarray, skip, mode: str,
-                        bn: list):
-        """conv (fused with the upsample and skip of a decoder stage), then
-        batchnorm when the spec has it, appending its cache to `bn`."""
-        if stage.pre == "upsample":
-            z = ops.upsample_conv2d(x, skip, self._conv_params(spec))
-        else:
-            z = ops.conv2d(x, self._conv_params(spec))
-        if spec.has_bn:
-            mean_key, var_key = f"{spec.name}.running_mean", f"{spec.name}.running_var"
-            z, bncache, self.stats[mean_key], self.stats[var_key] = ops.batchnorm(
-                z, self.params[f"{spec.name}.gamma"], self.params[f"{spec.name}.beta"],
-                self.stats[mean_key], self.stats[var_key], mode)
-            bn.append(bncache)
-        return z
+    def _stage_forward(self, stage: Stage, x: np.ndarray, skip, mode: str, bn: list):
+        """The stage's pre-activation: per kernel, conv (fused with the
+        upsample and skip of a decoder stage), then batchnorm when the spec
+        has it, appending its cache to `bn`; the outputs are concatenated.
+        Eval batchnorm normalizes the fresh conv output in place."""
+        zs = []
+        for spec in stage.convs:
+            if stage.pre == "upsample":
+                z = ops.upsample_conv2d(x, skip, self._conv_params(spec))
+            else:
+                z = ops.conv2d(x, self._conv_params(spec))
+            if spec.has_bn:
+                mean_key, var_key = f"{spec.name}.running_mean", f"{spec.name}.running_var"
+                z, bncache, self.stats[mean_key], self.stats[var_key] = ops.batchnorm(
+                    z, self.params[f"{spec.name}.gamma"], self.params[f"{spec.name}.beta"],
+                    self.stats[mean_key], self.stats[var_key], mode,
+                    None if mode == "train" else z)
+                bn.append(bncache)
+            zs.append(z)
+        return zs[0] if len(zs) == 1 else np.concatenate(zs, axis=1)
 
     def backward(self, cache: ForwardCache, grad_pred: np.ndarray) -> dict:
         """Gradients of the scalar whose d(pred) is `grad_pred`, for every parameter."""

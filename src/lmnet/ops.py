@@ -4,8 +4,9 @@ Every tensor is a numpy ndarray laid out (batch, channel, height, width),
 row-major. float32 is the production dtype; all kernels also run in float64
 so the whole stack can be verified against central finite differences.
 Kernels are pure functions of their inputs: none writes to an argument
-(batchnorm returns its new running statistics), and each is
-bit-deterministic for fixed inputs, so repeated calls agree exactly.
+(batchnorm returns its new running statistics) but the `out` array that
+eval batchnorm and relu may be handed, which may be the input itself. Each
+is bit-deterministic for fixed inputs, so repeated calls agree exactly.
 
 A conv forms its products on the im2col side (the input's k*k*c_in
 columns) or on the tap side, where one stacked matmul forms k*k*c_out tap
@@ -14,9 +15,10 @@ from one column matrix of grad_out. `_tap_side` is the rule: the tap side
 when the kernel narrows (c_out < c_in, k > 1) or reads a nearest-upsampled
 input (s = 2), as a fused decoder stage's upsampled channels do. A forward
 builds either matrix one block at a time: one sample's strip of output rows,
-read with its halo from the sample padded once, whose matrix holds at most
-BLOCK_ELEMS floats; its matmul writes into its output slice. The adjoint
-builds whole columns one sample at a time and sums the samples in order.
+whose matrix holds at most BLOCK_ELEMS floats, read from a small buffer
+holding the strip and its halo rows zero-padded; its matmul writes into its
+output slice. The adjoint builds whole columns of each sample padded whole,
+one sample at a time, and sums the samples in order.
 """
 
 from __future__ import annotations
@@ -110,6 +112,16 @@ def _pad(x: np.ndarray, p: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
 
 
+def _padded_rows(x: np.ndarray, r0: int, r1: int, p: int) -> np.ndarray:
+    """Rows r0 - p .. r1 + p of planes x (c, h, w) padded by p zero rows and
+    columns on each side: the (c, r1 - r0 + 2p, w + 2p) strip one block reads."""
+    c, h, w = x.shape
+    strip = np.zeros((c, r1 - r0 + 2 * p, w + 2 * p), dtype=x.dtype)
+    top, bottom = max(r0 - p, 0), min(r1 + p, h)
+    strip[:, top - r0 + p:bottom - r0 + p, p:p + w] = x[:, top:bottom]
+    return strip
+
+
 def _columns(xp: np.ndarray, k: int, d: int, s: int, h: int, w: int) -> np.ndarray:
     """The (c*k*k, h*w) column matrix of padded planes xp (c, ., .), a copy
     unless k = s = 1: entry ((i*k + u)*k + v, y*w + x) is xp[i, s*y + d*u, s*x + d*v]."""
@@ -151,10 +163,9 @@ def _tap_conv(x: np.ndarray, weights: np.ndarray, d: int, s: int, out: np.ndarra
     shifts = [[(u, q + (a + d * u - p) // s) for u in range(k)] for a in range(s)]
     blocks = out.reshape(n, c_out, h, s, w, s)  # a view: out is C-contiguous
     for j in range(n):
-        xp = _pad(x[j], q)
         for r0, r1 in _strips(h, k * k * c_out * (w + 2 * q), 2 * q):
             rows = r1 - r0
-            taps = stacked @ xp[:, r0:r1 + 2 * q].reshape(c, -1)
+            taps = stacked @ _padded_rows(x[j], r0, r1, q).reshape(c, -1)
             taps = taps.reshape(k, k, c_out, rows + 2 * q, w + 2 * q)
             phases = np.zeros((s, s, c_out, rows, w), dtype=taps.dtype)
             for a, b in np.ndindex(s, s):
@@ -162,6 +173,7 @@ def _tap_conv(x: np.ndarray, weights: np.ndarray, d: int, s: int, out: np.ndarra
                     for v, sx in shifts[b]:
                         phases[a, b] += taps[u, v, :, sy:sy + rows, sx:sx + w]
             blocks[j, :, r0:r1] += phases.transpose(2, 3, 0, 4, 1)
+            del taps, phases  # not held while the next strip's are formed
 
 
 def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
@@ -177,11 +189,11 @@ def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
         return out
     p = d * (k - 1) // 2
     for j in range(n):
-        xp = _pad(x[j], p)
         flat = out[j].reshape(c_out, h * w)
         for r0, r1 in _strips(h, c * k * k * w):
-            col = _columns(xp[:, r0:r1 + 2 * p], k, d, 1, r1 - r0, w)
-            np.matmul(wmat, col, out=flat[:, r0 * w:r1 * w])
+            xp = _padded_rows(x[j], r0, r1, p)
+            # unnamed, the columns go with the matmul, before the next strip's are formed
+            np.matmul(wmat, _columns(xp, k, d, 1, r1 - r0, w), out=flat[:, r0 * w:r1 * w])
     return out
 
 
@@ -370,17 +382,22 @@ BN_MOMENTUM = 0.1
 BN_EPSILON = 1e-5
 
 
-def batchnorm(x: Tensor, gamma, beta, running_mean, running_var, mode: str):
+def batchnorm(x: Tensor, gamma, beta, running_mean, running_var, mode: str, out=None):
     """Normalize per channel; returns (out, cache, running_mean, running_var).
 
     Train mode normalizes with batch statistics over (n, h, w) and returns
     new running statistics moved toward them by BN_MOMENTUM. Eval mode
     normalizes with the given running statistics and returns them as they
-    are. No argument is written. The cache feeds batchnorm_backward.
+    are. The cache feeds batchnorm_backward. No argument is written but
+    `out`, which eval mode alone takes: an array of x's shape and dtype (x
+    itself, for one) that receives the same bits and is returned with no
+    cache.
     """
     _require_4d("batchnorm input", x)
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
+    if out is not None and mode == "train":
+        raise ValueError("batchnorm writes into `out` in eval mode only")
     n, c, h, w = x.shape
     for name, arr in (("gamma", gamma), ("beta", beta), ("running_mean", running_mean),
                       ("running_var", running_var)):
@@ -401,6 +418,12 @@ def batchnorm(x: Tensor, gamma, beta, running_mean, running_var, mode: str):
     else:
         mean, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=x.dtype))
+    if out is not None:  # the operations below, in the same order, in place
+        np.subtract(x, mean.reshape(1, -1, 1, 1), out=out)
+        out *= inv_std.reshape(1, -1, 1, 1)
+        out *= gamma.reshape(1, -1, 1, 1)
+        out += beta.reshape(1, -1, 1, 1)
+        return out, None, running_mean, running_var
     xhat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
     out = gamma.reshape(1, -1, 1, 1) * xhat + beta.reshape(1, -1, 1, 1)
     cache = {"mode": mode, "xhat": xhat, "inv_std": inv_std, "gamma": gamma}
@@ -434,8 +457,9 @@ def batchnorm_backward(cache: dict, grad_out: Tensor):
     return grad_input, grad_gamma, grad_beta
 
 
-def relu(x: Tensor) -> Tensor:
-    return np.maximum(x, 0)
+def relu(x: Tensor, out=None) -> Tensor:
+    """max(x, 0), written into `out` when given (x itself, for one)."""
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(grad_out: Tensor, out: Tensor) -> Tensor:

@@ -89,7 +89,7 @@ def frozen_bn(monkeypatch):
     them untouched, in train mode too, so every sample's forward is
     independent of the rest of its batch."""
     batchnorm = ops.batchnorm
-    monkeypatch.setattr(ops, "batchnorm", lambda *args: batchnorm(*args[:-1], "eval"))
+    monkeypatch.setattr(ops, "batchnorm", lambda *args: batchnorm(*args[:5], "eval", *args[6:]))
 
 
 @pytest.fixture

@@ -93,6 +93,36 @@ def upsample_conv2d_backward_composed(low, skip, params, grad_out):
     return ops.upsample_nearest2_backward(grad_x), grad_skip, grad_w, grad_b
 
 
+def eval_forward_composed(graph, batch):
+    """An eval forward of `graph` composed from the public kernels, keeping
+    every activation: per stage, the pool, then per kernel conv2d or
+    upsample_conv2d and ops.batchnorm(..., "eval") when the spec has it,
+    concat_channels of the kernels' outputs, and the stage's activation.
+    Returns the list of activations, the input batch first."""
+    acts = [batch]
+    for stage in graph.plan.stages:
+        x = ops.maxpool2(acts[-1]) if stage.pre == "pool" else acts[-1]
+        skip = acts[stage.skip] if stage.skip else None
+        zs = []
+        for spec in stage.convs:
+            p = {k.split(".", 1)[1]: v for k, v in {**graph.params, **graph.stats}.items()
+                 if k.split(".", 1)[0] == spec.name}
+            params = ops.ConvParams(p["w"], p["b"], spec.dilation)
+            if stage.pre == "upsample":
+                z = ops.upsample_conv2d(x, skip, params)
+            else:
+                z = ops.conv2d(x, params)
+            if spec.has_bn:
+                z = ops.batchnorm(z, p["gamma"], p["beta"], p["running_mean"],
+                                  p["running_var"], "eval")[0]
+            zs.append(z)
+        z = zs[0]
+        for other in zs[1:]:
+            z = ops.concat_channels(z, other)
+        acts.append(getattr(ops, stage.act)(z))
+    return acts
+
+
 def maxpool2_argmax(x):
     """maxpool2 by one window axis and np.argmax: the first maximum (or the
     first NaN) in row-major window order, as a flat index into the plane."""

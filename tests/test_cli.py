@@ -19,13 +19,22 @@ from lmnet import imgio
 from lmnet.checkpoint import (
     TRAIN_MAGIC,
     _serialize,
+    load_any,
     load_training_checkpoint,
     save_checkpoint,
     save_training_checkpoint,
 )
 from lmnet.cli import _resolve, main
 from lmnet.data import DatasetIndex, IndexRecord, save_index, write_synthetic_dataset
-from lmnet.model import GraphConfig, Variant, build_model, init_parameters
+from lmnet.metrics import DEFAULT_THRESHOLD
+from lmnet.model import (
+    GraphConfig,
+    ModelGraph,
+    Variant,
+    build_model,
+    init_parameters,
+    replace_input_size,
+)
 from lmnet.optim import adam_init
 from lmnet.train import TrainConfig
 
@@ -350,6 +359,36 @@ def test_predict_crops_to_the_pooling_grid(trained_run, tmp_path, capsys):
     assert code == 0
     assert "center-cropped to 16x16" in out
     assert imgio.read_gray(tmp_path / "o_prob.png").shape == (16, 16)
+
+
+@pytest.mark.parametrize("shape", [(3, 24, 32), (3, 27, 35)])
+def test_predict_forwards_the_decoded_scene_itself(trained_run, tmp_path, capsys, monkeypatch,
+                                                   shape):
+    # the forward reads the float32 scene read_rgb decoded, or its center
+    # crop (a strided view), without a copy; the maps are byte for byte
+    # those of a forward of a contiguous copy
+    run_dir, _ = trained_run
+    ckpt, image = run_dir / "model.ckpt", tmp_path / "scene.png"
+    imgio.write_rgb(image, np.random.default_rng(3).random(shape).astype(np.float32))
+    decoded, batches = [], []
+    read_rgb, forward = imgio.read_rgb, ModelGraph.forward
+    monkeypatch.setattr(imgio, "read_rgb",
+                        lambda path: decoded.append(read_rgb(path)) or decoded[-1])
+    monkeypatch.setattr(ModelGraph, "forward", lambda graph, batch, mode:
+                        batches.append(batch) or forward(graph, batch, mode))
+    code, _, err = run_cli(capsys, "predict", "--ckpt", str(ckpt), "--image", str(image),
+                           "--out", str(tmp_path / "cli"))
+    assert code == 0, err
+    assert np.shares_memory(batches[0], decoded[0])
+    top, left = (shape[1] - 24) // 2, (shape[2] - 32) // 2
+    copy = decoded[0][:, top:top + 24, left:left + 32][None].astype(np.float32)  # a copy
+    graph = replace_input_size(load_any(ckpt), (24, 32))
+    prob = forward(graph, copy, "eval")[0][0, 0]
+    imgio.write_gray(tmp_path / "ref_prob.png", prob)
+    imgio.write_gray(tmp_path / "ref_mask.png", (prob >= DEFAULT_THRESHOLD).astype(np.float32))
+    for kind in ("prob", "mask"):
+        assert (tmp_path / f"cli_{kind}.png").read_bytes() == \
+            (tmp_path / f"ref_{kind}.png").read_bytes()
 
 
 def test_predict_rejects_microscopic_images(trained_run, tmp_path, capsys):

@@ -2,6 +2,7 @@
 validation."""
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,11 @@ from lmnet.model import (
 from lmnet.seeding import derive_rng
 
 from conftest import TINY_GRAPH
-from oracles import conv2d_backward_scatter, upsample_conv2d_backward_composed
+from oracles import (
+    conv2d_backward_scatter,
+    eval_forward_composed,
+    upsample_conv2d_backward_composed,
+)
 
 SKIP_WIRING = ((5, 3), (6, 2), (7, 1))  # (decoder layer, encoder activation) pairs
 
@@ -208,6 +213,72 @@ def test_eval_forward_is_deterministic_and_pure():
     npt.assert_array_equal(p1, p2)
     for k in before:
         npt.assert_array_equal(graph.stats[k], before[k])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_eval_forward_is_its_kernels_composed_bit_for_bit(variant, dtype):
+    """Batch norm and relu in place and each activation let go after its last
+    reader change no bit, and write none of the caller's arrays: the batch,
+    the parameters and the running statistics keep their bytes."""
+    graph = built(variant, GraphConfig(input_size=(32, 48)), seed=4).astype(dtype)
+    rng = np.random.default_rng(12)
+    # biases, gamma, beta and the running statistics off their 0/1 defaults,
+    # so every batch norm operation changes values
+    for tensors in (graph.params, graph.stats):
+        for name, value in tensors.items():
+            if not name.endswith(".w"):
+                tensors[name] = (value + rng.uniform(0.1, 0.9, value.shape)).astype(dtype)
+    batch = rng.random((2, 3, 32, 48)).astype(dtype)
+
+    def arrays():
+        return {"batch": batch.tobytes(), **{k: v.tobytes() for k, v in graph.params.items()},
+                **{k: v.tobytes() for k, v in graph.stats.items()}}
+
+    before = arrays()
+    pred, cache = graph.forward(batch, "eval")
+    assert cache is None
+    assert arrays() == before
+    want = eval_forward_composed(graph, batch)[-1]
+    assert pred.dtype == want.dtype == dtype
+    assert pred.tobytes() == want.tobytes()
+
+
+def test_an_eval_forward_holds_each_activation_until_its_last_reader(monkeypatch):
+    """proposed at n = 1 on a 512x512 input, with blocks of 2^18 floats so
+    they stay small beside the activations. When a stage's activation is
+    formed, the traced memory holds it and the skip activations that this
+    stage or a later one reads, nothing more. The peak stays below the
+    widest stage's arrays (activations 1-3, its input 4 and its output 5)
+    plus four blocks. A dead activation kept, a batch norm cache kept or a
+    whole sample padded crosses one of the two bounds."""
+    monkeypatch.setattr(ops, "BLOCK_ELEMS", 1 << 18)
+    side = 512
+    graph = built(Variant.PROPOSED, GraphConfig(input_size=(side, side)))
+    batch = np.random.default_rng(6).random((1, 3, side, side)).astype(np.float32)
+    formed = []  # (activation bytes, traced bytes) at each stage's activation
+
+    def spy(act):
+        def call(x, *rest):
+            formed.append((x.nbytes, tracemalloc.get_traced_memory()[0]))
+            return act(x, *rest)
+        return call
+
+    for name in ("relu", "sigmoid"):
+        monkeypatch.setattr(ops, name, spy(getattr(ops, name)))
+    tracemalloc.start()
+    try:
+        graph.forward(batch, "eval")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = {i: nbytes for i, (nbytes, _) in enumerate(formed, 1)}
+    reader = {stage.skip: stage.index for stage in graph.plan.stages if stage.skip}
+    for i, (nbytes, traced) in enumerate(formed, 1):
+        live = nbytes + sum(size[j] for j, r in reader.items() if j < i <= r)
+        assert live <= traced < live + (64 << 10), f"stage {i}"
+    widest = sum(size[i] for i in (1, 2, 3, 4, 5))
+    assert peak < widest + 4 * 4 * ops.BLOCK_ELEMS
 
 
 def test_train_forward_updates_running_stats():

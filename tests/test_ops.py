@@ -392,15 +392,16 @@ def test_the_block_budget_changes_no_bit(monkeypatch):
 def test_a_scene_decoder_stage_holds_two_blocks_beside_its_arrays(c_up, c_skip, c_out, side):
     # l5's and l7's shapes on a 768 scene at n = 1. Formed whole, l5's skip
     # columns (801 x 192^2) or l7's tap planes (45 x 768^2) would take
-    # about 110 MB on top of the output and the padded inputs
+    # about 110 MB on top of the output; a padded copy of either whole
+    # input (l7's skip: 36 MB) would cross the bound too
     rng = np.random.default_rng(c_out)
     low = rng.standard_normal((1, c_up, side // 2, side // 2)).astype(np.float32)
     skip = rng.standard_normal((1, c_skip, side, side)).astype(np.float32)
     params = ops.ConvParams(rng.standard_normal((c_out, c_up + c_skip, 3, 3)).astype(np.float32),
                             np.zeros(c_out, np.float32), 1)
-    arrays = 4 * (c_out * side ** 2 + c_skip * (side + 2) ** 2 + c_up * (side // 2 + 2) ** 2)
+    output = 4 * c_out * side ** 2
     two_blocks = 2 * 4 * ops.BLOCK_ELEMS
-    assert _traced_peak(lambda: ops.upsample_conv2d(low, skip, params)) < arrays + two_blocks
+    assert _traced_peak(lambda: ops.upsample_conv2d(low, skip, params)) < output + two_blocks
 
 
 # -- pooling / upsampling ---------------------------------------------------
@@ -604,6 +605,21 @@ def test_batchnorm_eval_uses_running_stats_only():
     npt.assert_array_equal(var, [4.0, 1.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_batchnorm_into_its_input_gives_the_bits_of_a_fresh_result(dtype):
+    rng = np.random.default_rng(10)
+    x = rng.normal(1.0, 2.0, (2, 3, 5, 7)).astype(dtype)
+    args = [rng.uniform(0.5, 1.5, 3).astype(dtype) for _ in range(4)]
+    want, _, _, _ = ops.batchnorm(x, *args, "eval")
+    z = x.copy()
+    got, cache, mean, var = ops.batchnorm(z, *args, "eval", z)
+    assert got is z and cache is None
+    assert mean is args[2] and var is args[3]
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="eval mode only"):
+        ops.batchnorm(x, *args, "train", x.copy())
+
+
 def test_batchnorm_rejects_single_element_statistics():
     with pytest.raises(ShapeError):
         ops.batchnorm(np.zeros((1, 2, 1, 1)), *_bn_args(2), "train")
@@ -639,6 +655,13 @@ def test_sigmoid_extreme_inputs_saturate_without_warnings():
     with np.errstate(over="raise"):
         out = ops.sigmoid(np.array([-800.0, 800.0]))
     npt.assert_array_equal(out, [0.0, 1.0])
+
+
+def test_relu_into_its_input_gives_the_bits_of_a_fresh_result():
+    x = np.array([-1.5, -0.0, 0.0, 2.5, np.inf, np.nan], np.float32)
+    want = ops.relu(x)
+    got = ops.relu(x, x)
+    assert got is x and got.tobytes() == want.tobytes()
 
 
 def test_relu_backward_masks_by_output():
