@@ -13,7 +13,8 @@ Layout (all integers little-endian):
   [meta text   u32 length + UTF-8 payload, training kind only]
   tensor table u32 count, then per tensor:
                u16 name length + UTF-8 name, u8 dtype code (0=f32, 1=f64),
-               u8 rank, u32 per dim, u64 payload bytes, raw little-endian data
+               u8 rank (at most 4), u32 per dim (none 0), u64 payload bytes,
+               raw little-endian data
 
 Text blocks are canonical `kvtext` blocks: one key=value per line, keys
 sorted lexicographically, floats rendered by `repr` so that they read back
@@ -40,6 +41,7 @@ from .optim import AdamState
 DEPLOY_MAGIC = b"LMKN"
 TRAIN_MAGIC = b"LMKT"
 VERSION = 2
+MAX_NDIM = 4  # a conv weight (c_out, c_in, k, k) has the most dimensions
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -139,9 +141,15 @@ def _read_tensors(buf) -> dict:
         code, ndim = struct.unpack("<BB", _read_exact(buf, 2, f"tensor {name} header"))
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"tensor {name} has unknown dtype code {code}")
+        if ndim > MAX_NDIM:
+            raise CheckpointError(
+                f"tensor {name} declares {ndim} dimensions; no tensor has more than {MAX_NDIM}"
+            )
         shape = struct.unpack(
             f"<{ndim}I", _read_exact(buf, 4 * ndim, f"tensor {name} shape")
         )
+        if 0 in shape:
+            raise CheckpointError(f"tensor {name} declares a zero dimension in shape {shape}")
         (nbytes,) = struct.unpack("<Q", _read_exact(buf, 8, f"tensor {name} size"))
         dtype = _CODE_DTYPES[code]
         expected = math.prod(shape) * dtype.itemsize

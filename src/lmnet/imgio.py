@@ -296,12 +296,15 @@ def _to_u8(arr) -> np.ndarray:
 
 
 def read_rgb(path) -> np.ndarray:
-    """Read any supported image as float32 (3, h, w) in [0, 1]."""
+    """Read any supported image as float32 (3, h, w) in [0, 1].
+
+    The uint8 planes are converted into the result and divided in place, so
+    the scene has one float32 copy."""
     raw = _read_raw(path)
-    if raw.ndim == 2:
-        raw = np.stack([raw] * 3, axis=-1)
-    out = raw.astype(np.float32) / np.float32(255.0)
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
+    planes = raw.transpose(2, 0, 1) if raw.ndim == 3 else np.broadcast_to(raw, (3, *raw.shape))
+    out = planes.astype(np.float32, order="C")
+    out /= np.float32(255.0)
+    return out
 
 
 def read_gray(path) -> np.ndarray:

@@ -4,8 +4,9 @@ Canonical topology (nine convolution layers; spatial sizes for a 192x192
 input, channel widths for the default sequence [5, 13, 89, 233]):
 
   layer 1  at 192: 3x3 conv 3->5, BN, ReLU.  Dilation/Proposed run three
-           such kernels in parallel with dilation rates [2, 3, 5] and
-           concatenate their outputs (15 channels); Plain/Residual run one
+           such kernels in parallel with dilation rates [2, 3, 5], each
+           writing its BN output into its channel slice of one 15-channel
+           array (the bits of concatenating them); Plain/Residual run one
            kernel with dilation 1 (5 channels).
   layer 2  pool -> 96, 3x3 conv -> 13, BN, ReLU
   layer 3  pool -> 48, 3x3 conv -> 89, BN, ReLU
@@ -30,16 +31,19 @@ chooses.
 layer_plan states this once, as nine stages (one per activation, each
 with its dropout rate). forward walks the stages in order. In train mode it
 keeps one StageRecord per stage, holding only what backward reads: the
-input the stage's kernels read, their batchnorm caches, the dropout mask
-and the activation after dropout. A pool's adjoint reads the pool's input
-(the previous activation) and output (the kernels' input). In eval mode
+input the stage's kernels read, their batchnorm caches, the bool keep mask
+of dropout (its adjoint rebuilds the scaled factor from it and the stage's
+rate) and the activation after dropout. A pool's adjoint reads the pool's
+input (the previous activation) and output (the kernels' input). In eval mode
 forward keeps no records and returns no cache: it holds each activation
 only until its last reader (the next stage, or the stage whose skip names
 it) has run, and batch norm and ReLU overwrite the fresh conv output.
 A decoder stage runs ops.upsample_conv2d, which reads the
 low-resolution previous activation and the skip activation itself, so no
 upsampled or concatenated input is formed or kept. backward walks
-the train records in reverse.
+the train records in reverse and consumes them: a record goes once its
+stage's adjoint has run, since the next stage's pool adjoint, the other
+reader of its activation, runs before it. A cache serves one backward.
 """
 
 from __future__ import annotations
@@ -229,14 +233,14 @@ class StageRecord:
 
     conv_in: np.ndarray = None  # the input all of the stage's kernels read
     bn: list = field(default_factory=list)  # batchnorm caches, in kernel order
-    mask: np.ndarray = None     # dropout mask, when the stage drops
+    mask: np.ndarray = None     # dropout's bool keep mask, when the stage drops
     act: np.ndarray = None      # the stage's activation after dropout
 
 
 @dataclass
 class ForwardCache:
     """What a train-mode forward returns beside the prediction: one
-    StageRecord per plan stage."""
+    StageRecord per plan stage, until backward consumes them."""
 
     stages: list
 
@@ -346,52 +350,76 @@ class ModelGraph:
     def _stage_forward(self, stage: Stage, x: np.ndarray, skip, mode: str, bn: list):
         """The stage's pre-activation: per kernel, conv (fused with the
         upsample and skip of a decoder stage), then batchnorm when the spec
-        has it, appending its cache to `bn`; the outputs are concatenated.
-        Eval batchnorm normalizes the fresh conv output in place."""
-        zs = []
+        has it, appending its cache to `bn`. With several kernels each output
+        goes into its channel slice of one array, the bits of concatenating
+        them. Eval batchnorm writes straight into that slice, or normalizes a
+        lone kernel's fresh conv output in place."""
+        out = None
+        start = 0
         for spec in stage.convs:
             if stage.pre == "upsample":
                 z = ops.upsample_conv2d(x, skip, self._conv_params(spec))
             else:
                 z = ops.conv2d(x, self._conv_params(spec))
+            dest = z
+            if len(stage.convs) > 1:
+                if out is None:
+                    width = sum(s.out_channels for s in stage.convs)
+                    out = np.empty((z.shape[0], width) + z.shape[2:], dtype=z.dtype)
+                dest = out[:, start:start + spec.out_channels]
+                start += spec.out_channels
             if spec.has_bn:
                 mean_key, var_key = f"{spec.name}.running_mean", f"{spec.name}.running_var"
                 z, bncache, self.stats[mean_key], self.stats[var_key] = ops.batchnorm(
                     z, self.params[f"{spec.name}.gamma"], self.params[f"{spec.name}.beta"],
                     self.stats[mean_key], self.stats[var_key], mode,
-                    None if mode == "train" else z)
+                    None if mode == "train" else dest)
                 bn.append(bncache)
-            zs.append(z)
-        return zs[0] if len(zs) == 1 else np.concatenate(zs, axis=1)
+            if out is None:
+                return z
+            if z is not dest:
+                dest[...] = z
+            del z  # not held while the next kernel's conv output is formed
+        return out
 
     def backward(self, cache: ForwardCache, grad_pred: np.ndarray) -> dict:
-        """Gradients of the scalar whose d(pred) is `grad_pred`, for every parameter."""
+        """Gradients of the scalar whose d(pred) is `grad_pred`, for every parameter.
+
+        Consumes the cache: each record goes once its stage's adjoint has
+        run, so a cache serves one backward.
+        """
         if not isinstance(cache, ForwardCache):
             raise ValueError("backward needs the cache returned by a train-mode forward")
-        pred = cache.stages[-1].act
-        if grad_pred.shape != pred.shape:
+        records = cache.stages
+        if not records:
+            raise ValueError("backward already consumed this cache; run a new train-mode forward")
+        pred_shape = records[-1].act.shape
+        if grad_pred.shape != pred_shape:
             raise ShapeError(
-                f"grad_pred shape {grad_pred.shape} does not match prediction {pred.shape}"
+                f"grad_pred shape {grad_pred.shape} does not match prediction {pred_shape}"
             )
+        cache.stages = []
         grads = {}
         skip_grads = {}  # activation index -> cotangent of its use as a skip input
         g = grad_pred
-        for stage, rec in zip(reversed(self.plan.stages), reversed(cache.stages)):
+        for stage in reversed(self.plan.stages):
+            rec = records.pop()  # records[j - 1] is still stage j's, for every j < stage.index
             # here g is d(activation `stage.index` after dropout)
             if stage.index in skip_grads:
                 g = g + skip_grads.pop(stage.index)
             if rec.mask is not None:
-                g = ops.dropout_backward(g, rec.mask)
+                g = ops.dropout_backward(g, rec.mask, stage.drop)
             # relu gated on the activation after dropout gives the bits of gating before it:
             # where the mask is 0 the cotangent is already +-0, where it is positive the two
             # share a sign. Only relu stages drop (4-6 in layer_plan).
             g = getattr(ops, f"{stage.act}_backward")(g, rec.act)
-            skip = cache.stages[stage.skip - 1].act if stage.skip else None
+            rec.mask = rec.act = None  # their last reads: gone before the kernels' adjoints
+            skip = records[stage.skip - 1].act if stage.skip else None
             g, g_skip = self._kernels_backward(stage, rec, skip, g, grads)
             if g_skip is not None:
                 skip_grads[stage.skip] = g_skip
             if stage.pre == "pool":  # input: the previous activation; output: conv_in
-                g = ops.maxpool2_backward(g, cache.stages[stage.index - 2].act, rec.conv_in)
+                g = ops.maxpool2_backward(g, records[-1].act, rec.conv_in)
         return grads
 
     def _kernels_backward(self, stage: Stage, rec: StageRecord, skip, g: np.ndarray,

@@ -477,22 +477,29 @@ def sigmoid_backward(grad_out: Tensor, out: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator):
-    """Inverted dropout; returns (out, mask).
+    """Inverted dropout; returns (out, keep).
 
     Zeroes entries with probability `rate` and scales survivors by
-    1/(1-rate) so the expectation matches the input. The returned mask
-    already carries that scale; the backward pass multiplies by the same
-    mask. The model calls it only in train mode, at a stage's plan rate.
+    1/(1-rate) so the expectation matches the input. keep is the bool mask
+    of survivors, a quarter of a float32 mask's bytes; dropout_backward
+    rebuilds from it the scaled factor x was multiplied by. The model calls
+    it only in train mode, at a stage's plan rate.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     keep = rng.random(x.shape) >= rate  # draws are float64 regardless of x.dtype
-    mask = keep.astype(x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
-    return x * mask, mask
+    return x * _dropout_factor(keep, rate, x.dtype), keep
 
 
-def dropout_backward(grad_out: Tensor, mask: Tensor) -> Tensor:
-    return grad_out * mask
+def _dropout_factor(keep: np.ndarray, rate: float, dtype) -> np.ndarray:
+    """1/(1-rate) where keep is set and 0 elsewhere, in `dtype`."""
+    return keep.astype(dtype) / np.asarray(1.0 - rate, dtype=dtype)
+
+
+def dropout_backward(grad_out: Tensor, keep: np.ndarray, rate: float) -> Tensor:
+    """Adjoint of dropout given its keep mask and rate: grad_out times the
+    factor the forward applied, rebuilt with the same bits."""
+    return grad_out * _dropout_factor(keep, rate, grad_out.dtype)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

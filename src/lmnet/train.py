@@ -122,6 +122,7 @@ def _accumulate_batch(graph: ModelGraph, images, masks, lossf, cfg: TrainConfig,
         rng = derive_rng(cfg.seed, 1, epoch, batch_idx, micro_idx)
         pred, cache = graph.forward(images[lo:hi], "train", rng=rng)
         loss, grad_pred = lossf(pred, masks[lo:hi])
+        del pred  # backward lets each record go after its last reader
         grads = graph.backward(cache, grad_pred)
         k = hi - lo
         loss_sum += loss * k
@@ -130,7 +131,6 @@ def _accumulate_batch(graph: ModelGraph, images, masks, lossf, cfg: TrainConfig,
         else:
             for name, g in grads.items():
                 acc[name] += g * k
-        del cache
     mean_grads = {name: g / n for name, g in acc.items()}
     return mean_grads, loss_sum / n
 

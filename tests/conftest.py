@@ -94,9 +94,9 @@ def frozen_bn(monkeypatch):
 
 @pytest.fixture
 def no_dropout(monkeypatch):
-    """Dropout passes every activation through unchanged, with an all-ones mask,
-    so a train-mode forward draws nothing from its rng."""
-    monkeypatch.setattr(ops, "dropout", lambda x, rate, rng: (x, np.ones_like(x)))
+    """Dropout passes every activation through unchanged and keeps no mask, so
+    a train-mode forward draws nothing from its rng and backward scales nothing."""
+    monkeypatch.setattr(ops, "dropout", lambda x, rate, rng: (x, None))
 
 
 @pytest.fixture

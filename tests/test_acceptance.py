@@ -211,7 +211,7 @@ def test_gradients_match_finite_differences():
         assert np.array_equal(m, mask)
         return float((out * cot).sum())
 
-    worst["dropout"] = rel_err(ops.dropout_backward(cot, mask),
+    worst["dropout"] = rel_err(ops.dropout_backward(cot, mask, 0.5),
                                fd_gradient(drop_value, x))
 
     pred = rng.uniform(0.2, 0.8, (2, 1, 4, 4))

@@ -5,6 +5,7 @@ the packaging entry point and the process exit code.
 """
 
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -253,6 +254,27 @@ def test_a_malformed_checkpoint_exits_2_with_one_line(command, damage, tmp_path,
     code, _, err = run_cli(capsys, command, "--ckpt", str(ckpt), *rest[command])
     assert code == 2
     assert err.count("error:") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape,why", [
+    ((0,) * 70, "declares 70 dimensions; no tensor has more than 4"),
+    ((0, 5), r"declares a zero dimension in shape \(0, 5\)"),
+], ids=["ndim-70", "zero-dim"])
+def test_a_corrupt_tensor_header_is_refused_by_name(shape, why, tmp_path, capsys):
+    """A tensor header declaring more dimensions than any tensor has, or a
+    zero dimension, declares a 0-byte payload that the size check passes.
+    predict refuses it as a broken checkpoint, naming the tensor, and writes
+    nothing. Unbounded, 70 dimensions reach numpy's reshape, whose ValueError
+    is no LmnetError and ends in a traceback."""
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(init_parameters(build_model(Variant.PLAIN, TINY_GRAPH)), ckpt)
+    ckpt.write_bytes(declare_first_tensor(ckpt.read_bytes(), shape))
+    imgio.write_rgb(tmp_path / "x.png", np.zeros((3, 8, 8), np.float32))
+    code, _, err = run_cli(capsys, "predict", "--ckpt", str(ckpt),
+                           "--image", str(tmp_path / "x.png"), "--out", str(tmp_path / "p"))
+    assert code == 2, err
+    assert re.fullmatch(f"error: {re.escape(str(ckpt))}: tensor l1.b {why}\n", err), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "x.png"]
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])

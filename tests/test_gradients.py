@@ -185,7 +185,7 @@ def test_dropout_gradient_with_frozen_mask():
         assert np.array_equal(m, mask)  # same seed, same mask, every call
         return float((out * cotangent).sum())
 
-    gx = ops.dropout_backward(cotangent, mask)
+    gx = ops.dropout_backward(cotangent, mask, 0.5)
     assert rel_err(gx, fd_gradient(value, x)) < PER_OP_TOL
 
 

@@ -1,6 +1,7 @@
 """Image round trips through PNG and netpbm, plus decode error handling."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -63,6 +64,27 @@ def test_rgb_read_of_gray_image_stacks_channels(tmp_path):
     npt.assert_array_equal(back[0], back[1])
     npt.assert_array_equal(back[1], back[2])
 
+
+
+@pytest.mark.parametrize("ext", ["ppm", "pgm"])
+def test_read_rgb_holds_one_float32_copy_of_the_scene(tmp_path, ext):
+    """The uint8 planes go straight into the float32 result: the traced peak
+    is the result and the file's bytes, with no second float32 copy, and
+    each value is its uint8 level over 255 in float32, gray stacked thrice."""
+    h, w = 256, 320
+    levels = np.random.default_rng(3).integers(0, 256, size=(3, h, w) if ext == "ppm" else (h, w))
+    path = tmp_path / f"scene.{ext}"
+    (write_rgb if ext == "ppm" else write_gray)(path, levels / 255.0)
+    tracemalloc.start()
+    try:
+        out = read_rgb(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.broadcast_to(levels.astype(np.float32) / np.float32(255.0), (3, h, w))
+    assert out.dtype == np.float32 and out.flags.c_contiguous
+    assert out.tobytes() == want.tobytes()
+    assert peak <= out.nbytes + path.stat().st_size + (64 << 10)
 
 def test_netpbm_header_comments_are_skipped(tmp_path):
     path = tmp_path / "c.pgm"

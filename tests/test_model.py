@@ -281,6 +281,36 @@ def test_an_eval_forward_holds_each_activation_until_its_last_reader(monkeypatch
     assert peak < widest + 4 * 4 * ops.BLOCK_ELEMS
 
 
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("variant", [Variant.DILATION, Variant.PROPOSED])
+def test_pyramid_stage_writes_the_bits_of_concatenating_its_kernels(variant, mode,
+                                                                    monkeypatch):
+    """Stage 1 of a pyramid variant writes each kernel's batch norm output
+    into its channel slice of one array: the pre-activation the stage's relu
+    reads has the bits of concatenating the kernels' outputs."""
+    graph = built(variant, GraphConfig(input_size=(16, 24)), seed=2)
+    rng = np.random.default_rng(13)
+    for tensors in (graph.params, graph.stats):
+        for name, value in tensors.items():
+            if not name.endswith(".w"):
+                tensors[name] = (value + rng.uniform(0.1, 0.9, value.shape)).astype(value.dtype)
+    batch = rng.random((2, 3, 16, 24)).astype(np.float32)
+    zs = []
+    for spec in graph.plan.stages[0].convs:
+        p = {k.split(".", 1)[1]: v for k, v in {**graph.params, **graph.stats}.items()
+             if k.split(".", 1)[0] == spec.name}
+        z = ops.conv2d(batch, ops.ConvParams(p["w"], p["b"], spec.dilation))
+        zs.append(ops.batchnorm(z, p["gamma"], p["beta"], p["running_mean"],
+                                p["running_var"], mode)[0])
+    want = np.concatenate(zs, axis=1)
+    seen = []
+    relu = ops.relu
+    monkeypatch.setattr(ops, "relu", lambda x, *out: seen.append(x.copy()) or relu(x, *out))
+    graph.forward(batch, mode, rng=np.random.default_rng(0))
+    assert seen[0].dtype == want.dtype
+    assert seen[0].tobytes() == want.tobytes()
+
+
 def test_train_forward_updates_running_stats():
     x = np.random.default_rng(4).random((2, 3, 16, 16)).astype(np.float32)
     graph = built(Variant.PLAIN)
@@ -341,6 +371,71 @@ def test_backward_validation():
         graph.backward(cache, np.ones((2, 1, 8, 8), np.float32))
 
 
+def test_backward_consumes_its_cache():
+    """A refused grad_pred leaves the cache whole; a backward that runs lets
+    every record go, and a second backward on that cache is refused."""
+    graph = built(Variant.PROPOSED)
+    x = np.random.default_rng(6).random((2, 3, 16, 16)).astype(np.float32)
+    pred, cache = graph.forward(x, "train", rng=np.random.default_rng(0))
+    grad = np.ones_like(pred)
+    with pytest.raises(ShapeError):
+        graph.backward(cache, grad[:, :, :8])
+    assert len(graph.backward(cache, grad)) == len(graph.params)
+    assert cache.stages == []
+    with pytest.raises(ValueError, match="already consumed this cache"):
+        graph.backward(cache, grad)
+
+
+def test_a_train_backward_lets_each_record_go_after_its_last_reader(monkeypatch):
+    """proposed, float32, 8 samples at 96x96. While stage i's adjoint runs
+    (from its activation adjoint to the next one), the traced peak stays
+    within what backward started with besides the records, plus the record
+    bytes of stages 1..i, the parameter gradients, and one stage's working
+    set: four arrays the size of activation 1, the widest (its pending skip
+    cotangent, the stage's cotangents and column matrices). Keeping every
+    record to the end of backward crosses the bound from stage 4 on."""
+    side, n = 96, 8
+    graph = built(Variant.PROPOSED, GraphConfig(input_size=(side, side)))
+    batch = np.random.default_rng(6).random((n, 3, side, side)).astype(np.float32)
+    peaks = []  # traced peak since the previous call, at each activation adjoint
+
+    def spy(adjoint):
+        def call(g, out):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return adjoint(g, out)
+        return call
+
+    for name in ("relu_backward", "sigmoid_backward"):
+        monkeypatch.setattr(ops, name, spy(getattr(ops, name)))
+    tracemalloc.start()
+    try:
+        pred, cache = graph.forward(batch, "train", rng=derive_rng(7, 1))
+        grad = np.ones_like(pred)
+        del pred
+        # each record array, counted once, at the lowest stage that reads it
+        owner = {}
+        for i, rec in enumerate(cache.stages, 1):
+            for a in [rec.conv_in, rec.mask, rec.act] + [c["xhat"] for c in rec.bn]:
+                if a is not None and a is not batch:
+                    owner.setdefault(id(a), (i, a.nbytes))
+        held = [0] * 10  # held[i]: bytes whose last reader is stage i's adjoint
+        for i, nbytes in owner.values():
+            held[i] += nbytes
+        act1 = cache.stages[0].act.nbytes
+        before = tracemalloc.get_traced_memory()[0] - sum(held)  # all but the records
+        tracemalloc.reset_peak()
+        graph.backward(cache, grad)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    grads = sum(p.nbytes for p in graph.params.values())
+    stage_peaks = peaks[1:]  # peaks[0] covers the loss side, before stage 9's adjoint
+    assert len(stage_peaks) == 9
+    for i, peak in zip(range(9, 0, -1), stage_peaks):
+        bound = before + sum(held[1:i + 1]) + grads + 4 * act1
+        assert peak <= bound, f"stage {i}: {peak - bound} bytes over"
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_backward_matches_the_scatter_oracle_adjoints(variant, monkeypatch):
     graph = built(variant).astype(np.float64)
@@ -350,6 +445,8 @@ def test_backward_matches_the_scatter_oracle_adjoints(variant, monkeypatch):
     got = graph.backward(cache, grad_pred)
     monkeypatch.setattr(ops, "conv2d_backward", conv2d_backward_scatter)
     monkeypatch.setattr(ops, "upsample_conv2d_backward", upsample_conv2d_backward_composed)
+    # backward consumed the cache; the same rng gives the same records again
+    _, cache = graph.forward(x, "train", rng=derive_rng(7, 1))
     want = graph.backward(cache, grad_pred)
     assert got.keys() == want.keys() == graph.params.keys()
     for name in got:

@@ -705,9 +705,9 @@ def test_dropout_rejects_rate_one():
 
 def test_dropout_backward_applies_same_mask():
     x = np.ones((1, 1, 10, 10))
-    out, mask = ops.dropout(x, 0.4, np.random.default_rng(3))
-    g = ops.dropout_backward(np.ones_like(x), mask)
-    npt.assert_array_equal(g, mask)
+    out, keep = ops.dropout(x, 0.4, np.random.default_rng(3))
+    g = ops.dropout_backward(np.ones_like(x), keep, 0.4)
+    npt.assert_array_equal(g, out)  # x is all ones: out is the forward's scaled mask
 
 
 # -- concat / split ---------------------------------------------------------
