@@ -290,9 +290,21 @@ def image_size(path) -> tuple:
     return parse(path, blob)[:2]
 
 
-def _to_u8(arr) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    return np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
+# values converted at a time by _to_u8
+_U8_BLOCK = 1 << 16
+
+
+def _to_u8(arr: np.ndarray) -> np.ndarray:
+    """rint(clip(arr, 0, 1) * 255) in float64, as uint8, converted one block
+    of rows at a time so no float64 copy of the whole array is held."""
+    out = np.empty(arr.shape, dtype=np.uint8)
+    step = max(1, _U8_BLOCK * arr.shape[0] // max(1, arr.size))  # rows a block
+    for r0 in range(0, arr.shape[0], step):
+        block = arr[r0:r0 + step].astype(np.float64)
+        np.clip(block, 0.0, 1.0, out=block)
+        block *= 255.0
+        out[r0:r0 + step] = np.rint(block, out=block)
+    return out
 
 
 def read_rgb(path) -> np.ndarray:

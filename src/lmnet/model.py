@@ -38,6 +38,16 @@ input (the previous activation) and output (the kernels' input). In eval mode
 forward keeps no records and returns no cache: it holds each activation
 only until its last reader (the next stage, or the stage whose skip names
 it) has run, and batch norm and ReLU overwrite the fresh conv output.
+An eval input of more than TILE_PIXELS pixels a sample runs in overlapping
+tiles, the overlap-tile scheme of U-Net (Ronneberger et al., 2015):
+tile_plan cuts it on POOL_GRID into interiors, each widened on every side
+by the plan's halo (its receptive-field radius rounded up to POOL_GRID)
+and clipped to the input, and the stage loop's output on each interior
+goes into one output array. No interior pixel reads an input pixel outside
+its tile, and the tiles pool on the whole input's grid, so a tile computes
+the whole-image values; its narrower matmuls may round them differently.
+The working set is then one tile's, whatever the scene's size. A train
+forward never tiles: batch statistics span the whole batch.
 A decoder stage runs ops.upsample_conv2d, which reads the
 low-resolution previous activation and the skip activation itself, so no
 upsampled or concatenated input is formed or kept. backward walks
@@ -186,6 +196,31 @@ class LayerPlan:
         """The indices of the activations a later stage reads as its skip."""
         return frozenset(stage.skip for stage in self.stages if stage.skip)
 
+    @property
+    def radius(self) -> int:
+        """The receptive-field radius in input pixels: an output pixel reads
+        no input pixel farther than this along either axis. A stage at scale
+        s (pixels per activation pixel) reaches s * d * (k - 1) / 2 pixels
+        through its widest kernel; each upsample aligns what it reads to the
+        coarser activation's blocks, which adds at most top - 1 pixels in
+        all, for the coarsest scale top."""
+        scale = top = 1
+        reach = 0
+        for stage in self.stages:
+            if stage.pre == "pool":
+                scale *= 2
+            elif stage.pre == "upsample":
+                scale //= 2
+            top = max(top, scale)
+            reach += scale * max(s.dilation * (s.kernel - 1) // 2 for s in stage.convs)
+        return reach + top - 1
+
+    @property
+    def halo(self) -> int:
+        """The radius rounded up to POOL_GRID: the margin an eval tile adds
+        on each side of its interior, so tiles stay on the pooling grid."""
+        return -(-self.radius // POOL_GRID) * POOL_GRID
+
 
 def layer_plan(variant: Variant, config: GraphConfig) -> LayerPlan:
     """The network topology; the only code that knows it."""
@@ -221,6 +256,57 @@ def layer_plan(variant: Variant, config: GraphConfig) -> LayerPlan:
         Stage(8, conv(8, c1, c1, kernel=1)),
         Stage(9, conv(9, c1, 1, kernel=1), act="sigmoid"),
     ))
+
+
+# An eval forward of a larger input runs in overlapping tiles of at most this
+# many pixels per sample, halo included
+TILE_PIXELS = 1 << 19
+
+
+def _spans(size: int, parts: int, halo: int) -> list:
+    """`parts` near-equal spans of [0, size) cut on POOL_GRID, as (interior,
+    extent) slice pairs: the extent is the interior widened by `halo` on each
+    side and clipped to [0, size)."""
+    cuts = [size // POOL_GRID * i // parts * POOL_GRID for i in range(parts + 1)]
+    return [(slice(a, b), slice(max(a - halo, 0), min(b + halo, size)))
+            for a, b in zip(cuts, cuts[1:])]
+
+
+def _within(inner: slice, outer: slice) -> slice:
+    """`inner` counted from the start of `outer`."""
+    return slice(inner.start - outer.start, inner.stop - outer.start)
+
+
+def _extents(spans) -> list:
+    return [ext.stop - ext.start for _, ext in spans]
+
+
+def tile_plan(h: int, w: int, halo: int, budget: int) -> list:
+    """Overlapping tiles of an h x w input whose extents hold at most `budget`
+    pixels (sides and halo on POOL_GRID): a list of ((interior rows, extent rows),
+    (interior cols, extent cols)) slice pairs whose interiors cover the input
+    once. For each count of row bands it takes the fewest columns that fit;
+    of those grids, the one that computes the fewest pixels, and of equals,
+    the one with fewer columns: full-width bands where they fit."""
+    narrowest = min(w, POOL_GRID + 2 * halo)  # the widest extent of the finest columns
+    best = plan = None
+    for ny in range(1, h // POOL_GRID + 1):
+        # each cut adds at least min(halo, POOL_GRID) rows to either band it bounds
+        if best and (h + 2 * min(halo, POOL_GRID) * (ny - 1)) * w > best[0]:
+            break
+        rows = _spans(h, ny, halo)
+        limit = budget // max(_extents(rows))
+        if limit < narrowest:
+            continue
+        nx = -(-w // limit)
+        while max(_extents(cols := _spans(w, nx, halo))) > limit:
+            nx += 1
+        key = (sum(_extents(rows)) * sum(_extents(cols)), nx)
+        if best is None or key < best:
+            best, plan = key, [(r, c) for r in rows for c in cols]
+    if plan is None:
+        raise ValueError(f"no tiling of {h}x{w} with halo {halo} fits {budget} pixels a tile")
+    return plan
 
 
 @dataclass
@@ -305,7 +391,8 @@ class ModelGraph:
 
         mode is "train" (batch statistics, dropout active, a ForwardCache
         for backward) or "eval" (running statistics, dropout off,
-        deterministic, and the cache is None).
+        deterministic, and the cache is None). An eval batch of more than
+        TILE_PIXELS pixels a sample runs in overlapping tiles.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"forward mode must be 'train' or 'eval', got {mode!r}")
@@ -323,7 +410,21 @@ class ModelGraph:
         if train and rng is None:
             raise ValueError("train-mode forward needs an rng for dropout")
 
-        cur = batch.astype(self.dtype, copy=False)
+        if train or h * w <= TILE_PIXELS:
+            pred, records = self._stages(batch.astype(self.dtype, copy=False), mode, rng)
+            return pred, ForwardCache(records) if train else None
+        width = sum(spec.out_channels for spec in self.plan.stages[-1].convs)
+        pred = np.empty((n, width, h, w), dtype=self.dtype)
+        for (rows, ext_rows), (cols, ext_cols) in tile_plan(h, w, self.plan.halo, TILE_PIXELS):
+            tile, _ = self._stages(
+                batch[:, :, ext_rows, ext_cols].astype(self.dtype, copy=False), mode, None)
+            pred[:, :, rows, cols] = tile[:, :, _within(rows, ext_rows), _within(cols, ext_cols)]
+            del tile  # not held while the next tile runs
+        return pred, None
+
+    def _stages(self, cur: np.ndarray, mode: str, rng):
+        """The stage loop over one input: (prediction, train records)."""
+        train = mode == "train"
         records = []  # train only: one StageRecord per stage
         kept = {}  # skip activations by index, until the stage that reads them
         for stage in self.plan.stages:
@@ -345,7 +446,7 @@ class ModelGraph:
             if train:
                 rec.act = cur
                 records.append(rec)
-        return cur, ForwardCache(records) if train else None
+        return cur, records
 
     def _stage_forward(self, stage: Stage, x: np.ndarray, skip, mode: str, bn: list):
         """The stage's pre-activation: per kernel, conv (fused with the
@@ -428,10 +529,11 @@ class ModelGraph:
         `grads` for the stage's kernels.
 
         The first stage reads the input batch, which has no gradient, so its
-        d(conv input) is None; d(skip input) is None without a skip.
+        d(conv input) is None; d(skip input) is None without a skip. Each
+        batchnorm cache leaves `rec` as its adjoint reads it, so its xhat goes
+        before the next kernel's adjoint runs.
         """
         need_input = stage is not self.plan.stages[0]
-        bn = iter(rec.bn)
         g_in = g_skip = None
         start = 0
         for spec in stage.convs:
@@ -439,7 +541,7 @@ class ModelGraph:
             start += spec.out_channels
             if spec.has_bn:
                 gk, grads[f"{spec.name}.gamma"], grads[f"{spec.name}.beta"] = (
-                    ops.batchnorm_backward(next(bn), gk)
+                    ops.batchnorm_backward(rec.bn.pop(0), gk)
                 )
             params = self._conv_params(spec)
             if stage.pre == "upsample":

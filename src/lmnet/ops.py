@@ -96,7 +96,7 @@ def _grad_out_check(grad_out: np.ndarray, shape: tuple) -> None:
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match conv output {shape}")
 
 
-BLOCK_ELEMS = 1 << 20  # floats in one block's column or tap matrix
+BLOCK_ELEMS = 1 << 20  # floats in one block's column or tap matrix, or of dropout draws
 
 
 def _strips(h: int, row_elems: int, halo: int = 0) -> list:
@@ -172,7 +172,8 @@ def _tap_conv(x: np.ndarray, weights: np.ndarray, d: int, s: int, out: np.ndarra
                 for u, sy in shifts[a]:
                     for v, sx in shifts[b]:
                         phases[a, b] += taps[u, v, :, sy:sy + rows, sx:sx + w]
-            blocks[j, :, r0:r1] += phases.transpose(2, 3, 0, 4, 1)
+            for a, b in np.ndindex(s, s):  # one add per phase reads its buffer in order
+                blocks[j, :, r0:r1, a, :, b] += phases[a, b]
             del taps, phases  # not held while the next strip's are formed
 
 
@@ -487,7 +488,12 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator):
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    keep = rng.random(x.shape) >= rate  # draws are float64 regardless of x.dtype
+    keep = np.empty(x.shape, dtype=bool)
+    flat = keep.reshape(-1)
+    # float64 draws regardless of x.dtype, BLOCK_ELEMS at a time: the stream
+    # of one whole draw, without holding it
+    for i in range(0, flat.size, BLOCK_ELEMS):
+        flat[i:i + BLOCK_ELEMS] = rng.random(min(BLOCK_ELEMS, flat.size - i)) >= rate
     return x * _dropout_factor(keep, rate, x.dtype), keep
 
 

@@ -86,6 +86,30 @@ def test_read_rgb_holds_one_float32_copy_of_the_scene(tmp_path, ext):
     assert out.tobytes() == want.tobytes()
     assert peak <= out.nbytes + path.stat().st_size + (64 << 10)
 
+@pytest.mark.parametrize("ext", ["png", "pgm", "ppm"])
+def test_writing_a_map_holds_no_float64_copy_of_it(tmp_path, ext):
+    """A map is quantized one block of rows at a time: the traced peak of a
+    write is one float64 block and a few uint8 copies of the map (the codec's
+    own), where a whole float64 copy would be eight bytes a value. The file
+    holds the bytes of quantizing the whole map at once."""
+    shape = (3, 384, 512) if ext == "ppm" else (384, 512)
+    arr = (np.random.default_rng(4).random(shape) * 1.4 - 0.2).astype(np.float32)
+    arr.flat[:4] = [0.5 / 255, 1.5 / 255, -0.0, np.float32(1.0)]  # ties and bounds
+    path = tmp_path / f"map.{ext}"
+    tracemalloc.start()
+    try:
+        (write_rgb if ext == "ppm" else write_gray)(path, arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    levels = arr.transpose(1, 2, 0) if ext == "ppm" else arr
+    whole = np.rint(np.clip(levels.astype(np.float64), 0.0, 1.0) * 255.0).astype(np.uint8)
+    ref = tmp_path / f"ref.{ext}"
+    imgio._codec(ref, "write")[1](ref, whole)
+    assert path.read_bytes() == ref.read_bytes()
+    assert peak <= 6 * arr.size + 8 * imgio._U8_BLOCK + (64 << 10)
+
+
 def test_netpbm_header_comments_are_skipped(tmp_path):
     path = tmp_path / "c.pgm"
     payload = bytes(range(6))

@@ -25,6 +25,7 @@ from lmnet.model import (
     init_parameters,
     parse_variant,
     replace_input_size,
+    tile_plan,
 )
 from lmnet.seeding import derive_rng
 
@@ -51,6 +52,16 @@ SMALL = GraphConfig(input_size=(16, 16))  # default widths, cheap spatial size
 def built(variant, config=SMALL, seed=0):
     graph = build_model(variant, config)
     init_parameters(graph, seed)
+    return graph
+
+
+def off_defaults(graph, rng):
+    """Biases, gamma, beta and the running statistics moved off their 0/1
+    defaults, so every batch norm operation changes values."""
+    for tensors in (graph.params, graph.stats):
+        for name, value in tensors.items():
+            if not name.endswith(".w"):
+                tensors[name] = (value + rng.uniform(0.1, 0.9, value.shape)).astype(value.dtype)
     return graph
 
 
@@ -221,14 +232,9 @@ def test_eval_forward_is_its_kernels_composed_bit_for_bit(variant, dtype):
     """Batch norm and relu in place and each activation let go after its last
     reader change no bit, and write none of the caller's arrays: the batch,
     the parameters and the running statistics keep their bytes."""
-    graph = built(variant, GraphConfig(input_size=(32, 48)), seed=4).astype(dtype)
     rng = np.random.default_rng(12)
-    # biases, gamma, beta and the running statistics off their 0/1 defaults,
-    # so every batch norm operation changes values
-    for tensors in (graph.params, graph.stats):
-        for name, value in tensors.items():
-            if not name.endswith(".w"):
-                tensors[name] = (value + rng.uniform(0.1, 0.9, value.shape)).astype(dtype)
+    graph = off_defaults(built(variant, GraphConfig(input_size=(32, 48)), seed=4).astype(dtype),
+                         rng)
     batch = rng.random((2, 3, 32, 48)).astype(dtype)
 
     def arrays():
@@ -281,6 +287,123 @@ def test_an_eval_forward_holds_each_activation_until_its_last_reader(monkeypatch
     assert peak < widest + 4 * 4 * ops.BLOCK_ELEMS
 
 
+# -- overlap-tile eval forward -------------------------------------------------
+
+def tile_grid(plan):
+    """(row bands, columns) of a tile plan."""
+    return (len({rows[0].start for rows, _ in plan}), len({cols[0].start for _, cols in plan}))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_tiled_eval_forward_is_the_whole_image_stage_loop(variant, dtype, monkeypatch):
+    """A 2 x 176x208 batch over a budget of 2^14 pixels runs as a grid of
+    tiles, both axes cut, each with its halo. Its output is the whole-image
+    stage loop's within 1e-6: equal in exact arithmetic, while a tile's
+    narrower matmuls may round differently."""
+    h, w = 176, 208
+    rng = np.random.default_rng(12)
+    graph = off_defaults(built(variant, GraphConfig(input_size=(h, w)), seed=4).astype(dtype),
+                         rng)
+    batch = rng.random((2, 3, h, w)).astype(dtype)
+    assert h * w <= lmnet.model.TILE_PIXELS
+    whole, _ = graph.forward(batch, "eval")
+    monkeypatch.setattr(lmnet.model, "TILE_PIXELS", 1 << 14)
+    bands, cols = tile_grid(tile_plan(h, w, graph.plan.halo, 1 << 14))
+    assert bands > 1 and cols > 1
+    tiled, cache = graph.forward(batch, "eval")
+    assert cache is None
+    assert tiled.dtype == whole.dtype == dtype and tiled.shape == whole.shape
+    assert np.max(np.abs(tiled - whole)) <= 1e-6
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_no_output_moves_beyond_the_plan_radius(variant):
+    """float64, 128x128: a one-pixel change moves outputs within plan.radius
+    of it along each axis, and for some of five pixels exactly that far, so
+    the derived radius is the measured one. The halo rounds it up to
+    POOL_GRID: 40 pixels for proposed, whose radius is 33."""
+    side = 128
+    graph = built(variant, GraphConfig(input_size=(side, side)), seed=3).astype(np.float64)
+    batch = np.random.default_rng(1).random((1, 3, side, side))
+    base = graph.forward(batch, "eval")[0][0, 0]
+    reach = 0
+    for y, x in [(64, 64), (63, 63), (60, 61), (57, 70), (64, 71)]:
+        moved = batch.copy()
+        moved[0, :, y, x] += 0.5
+        where = np.argwhere(graph.forward(moved, "eval")[0][0, 0] != base)
+        reach = max(reach, int(np.abs(where - [y, x]).max()))
+    radius, halo = graph.plan.radius, graph.plan.halo
+    assert reach == radius
+    assert halo % lmnet.model.POOL_GRID == 0 and radius <= halo < radius + lmnet.model.POOL_GRID
+    if variant is Variant.PROPOSED:
+        assert (radius, halo) == (33, 40)
+
+
+def test_a_tiled_eval_forward_peak_does_not_grow_with_the_scene(monkeypatch):
+    """proposed, float32, n = 1, a budget of 2^15 pixels: besides the output
+    array, the traced peak of a 512x512 forward stays within 5% of a 256x512
+    one's, where a whole-image forward's doubles with the scene."""
+    monkeypatch.setattr(lmnet.model, "TILE_PIXELS", 1 << 15)
+    held = []
+    for h, w in [(256, 512), (512, 512)]:
+        graph = built(Variant.PROPOSED, GraphConfig(input_size=(h, w)))
+        batch = np.random.default_rng(6).random((1, 3, h, w)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            pred, _ = graph.forward(batch, "eval")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held.append(peak - pred.nbytes)
+    assert held[1] <= 1.05 * held[0]
+
+
+def test_a_tile_plan_covers_the_input_once_within_the_budget():
+    """Interiors on POOL_GRID cover the input once; each extent is its
+    interior widened by the halo and clipped to the input, within the
+    budget. A 768x768 scene at 2^19 pixels and proposed's 40-pixel halo runs
+    as two full-width bands of 424 rows; an input within the budget as one
+    tile."""
+    h, w, halo, budget = 232, 312, 40, 1 << 14
+    plan = tile_plan(h, w, halo, budget)
+    cover = np.zeros((h, w), dtype=int)
+    for (rows, ext_rows), (cols, ext_cols) in plan:
+        for inner, ext, size in ((rows, ext_rows, h), (cols, ext_cols, w)):
+            assert inner.start % lmnet.model.POOL_GRID == 0 < inner.stop - inner.start
+            assert ext == slice(max(inner.start - halo, 0), min(inner.stop + halo, size))
+        assert (ext_rows.stop - ext_rows.start) * (ext_cols.stop - ext_cols.start) <= budget
+        cover[rows, cols] += 1
+    assert (cover == 1).all()
+    bands = tile_plan(768, 768, 40, 1 << 19)
+    assert [(r, c) for (_, r), (_, c) in bands] == [
+        (slice(0, 424), slice(0, 768)), (slice(344, 768), slice(0, 768))]
+    assert tile_plan(64, 64, 40, 64 * 64) == [((slice(0, 64),) * 2, (slice(0, 64),) * 2)]
+
+
+@pytest.mark.parametrize("h, w, budget", [(232, 312, 1 << 14), (96, 400, 1 << 13),
+                                          (400, 96, 1 << 13), (320, 448, 1 << 16)])
+def test_a_tile_plan_computes_the_fewest_pixels_of_any_grid(h, w, budget):
+    """Of every grid of near-equal bands and columns within the budget, the
+    plan's computes the fewest pixels, and of equals has the fewest columns."""
+    halo = 40
+
+    def extents(size, parts):
+        spans = lmnet.model._spans(size, parts, halo)
+        return [ext.stop - ext.start for _, ext in spans]
+
+    best = None
+    for bands in range(1, h // 8 + 1):
+        for cols in range(1, w // 8 + 1):
+            rows_ext, cols_ext = extents(h, bands), extents(w, cols)
+            if max(rows_ext) * max(cols_ext) <= budget:
+                key = (sum(rows_ext) * sum(cols_ext), cols)
+                best = key if best is None else min(best, key)
+    plan = tile_plan(h, w, halo, budget)
+    pixels = sum((r.stop - r.start) * (c.stop - c.start) for (_, r), (_, c) in plan)
+    assert (pixels, tile_grid(plan)[1]) == best
+
+
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("variant", [Variant.DILATION, Variant.PROPOSED])
 def test_pyramid_stage_writes_the_bits_of_concatenating_its_kernels(variant, mode,
@@ -288,12 +411,8 @@ def test_pyramid_stage_writes_the_bits_of_concatenating_its_kernels(variant, mod
     """Stage 1 of a pyramid variant writes each kernel's batch norm output
     into its channel slice of one array: the pre-activation the stage's relu
     reads has the bits of concatenating the kernels' outputs."""
-    graph = built(variant, GraphConfig(input_size=(16, 24)), seed=2)
     rng = np.random.default_rng(13)
-    for tensors in (graph.params, graph.stats):
-        for name, value in tensors.items():
-            if not name.endswith(".w"):
-                tensors[name] = (value + rng.uniform(0.1, 0.9, value.shape)).astype(value.dtype)
+    graph = off_defaults(built(variant, GraphConfig(input_size=(16, 24)), seed=2), rng)
     batch = rng.random((2, 3, 16, 24)).astype(np.float32)
     zs = []
     for spec in graph.plan.stages[0].convs:
@@ -435,6 +554,35 @@ def test_a_train_backward_lets_each_record_go_after_its_last_reader(monkeypatch)
     for i, peak in zip(range(9, 0, -1), stage_peaks):
         bound = before + sum(held[1:i + 1]) + grads + 4 * act1
         assert peak <= bound, f"stage {i}: {peak - bound} bytes over"
+
+def test_a_stage_backward_lets_each_batchnorm_cache_go_as_it_is_read(monkeypatch):
+    """proposed, 4 x 64x64: on entry to each of stage 1's three batchnorm
+    adjoints the traced memory is one xhat lower than on entry to the last,
+    since the cache that adjoint read has gone with it."""
+    side = 64
+    graph = built(Variant.PROPOSED, GraphConfig(input_size=(side, side)))
+    batch = np.random.default_rng(6).random((4, 3, side, side)).astype(np.float32)
+    entries = []  # (xhat bytes, traced bytes) at each batchnorm adjoint
+    adjoint = ops.batchnorm_backward
+
+    def spy(cache, grad):
+        entries.append((cache["xhat"].nbytes, tracemalloc.get_traced_memory()[0]))
+        return adjoint(cache, grad)
+
+    monkeypatch.setattr(ops, "batchnorm_backward", spy)
+    tracemalloc.start()  # before the forward, so freeing its xhat shows
+    try:
+        pred, cache = graph.forward(batch, "train", rng=derive_rng(7, 1))
+        grad = np.ones_like(pred)
+        del pred
+        graph.backward(cache, grad)
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 6  # stages 4, 3, 2, then stage 1's three kernels
+    stage1 = entries[3:]
+    for (xhat, before), (_, after) in zip(stage1, stage1[1:]):
+        assert abs((before - after) - xhat) <= 16 << 10
+
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_backward_matches_the_scatter_oracle_adjoints(variant, monkeypatch):

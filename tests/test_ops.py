@@ -698,6 +698,18 @@ def test_dropout_same_seed_same_mask_across_dtypes():
     npt.assert_array_equal(m32 > 0, m64 > 0)
 
 
+def test_dropout_draws_in_blocks_give_the_mask_of_one_whole_draw(monkeypatch):
+    """Blocks of 7 draws, none of which divides the 2*3*9*11 entries, read the
+    stream of one whole draw: the same keep mask and output bits."""
+    monkeypatch.setattr(ops, "BLOCK_ELEMS", 7)
+    x = np.random.default_rng(5).random((2, 3, 9, 11)).astype(np.float32)
+    out, keep = ops.dropout(x, 0.3, np.random.default_rng(21))
+    want = np.random.default_rng(21).random(x.shape) >= 0.3
+    assert keep.dtype == np.bool_
+    npt.assert_array_equal(keep, want)
+    assert out.tobytes() == (x * (want.astype(np.float32) / np.float32(0.7))).tobytes()
+
+
 def test_dropout_rejects_rate_one():
     with pytest.raises(ValueError):
         ops.dropout(np.ones((1, 1, 2, 2)), 1.0, np.random.default_rng(0))
