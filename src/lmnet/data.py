@@ -311,9 +311,14 @@ def batch_iter(index: DatasetIndex, split: str, batch_size: int,
     if shuffle:
         order = derive_rng(seed, 0, epoch).permutation(len(records))
     for start in range(0, len(records), batch_size):
-        images, masks = zip(*(load_pair(index, records[i], size)
-                              for i in order[start:start + batch_size]))
-        yield np.stack(images), np.stack(masks)[:, None]
+        yield _load_batch(index, [records[i] for i in order[start:start + batch_size]], size)
+
+
+def _load_batch(index: DatasetIndex, records, size) -> tuple:
+    """The stacked (images, masks) of `records`. The per-sample arrays go
+    with this frame, so a caller holding the batch holds it once."""
+    images, masks = zip(*(load_pair(index, record, size) for record in records))
+    return np.stack(images), np.stack(masks)[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -233,16 +233,36 @@ def _png_chunk(kind: bytes, body: bytes) -> bytes:
     return struct.pack(">I", len(body)) + kind + body + struct.pack(">I", zlib.crc32(kind + body))
 
 
+def _deflated_rows(arr: np.ndarray):
+    """The zlib stream of arr's rows, each prefixed by filter byte 0, in
+    pieces: the rows are formed and compressed one block of _U8_BLOCK bytes
+    at a time."""
+    flat = arr.reshape(arr.shape[0], -1)
+    step = max(1, _U8_BLOCK // (1 + flat.shape[1]))  # rows a block
+    deflate = zlib.compressobj()
+    for r0 in range(0, len(flat), step):
+        yield deflate.compress(np.pad(flat[r0:r0 + step], ((0, 0), (1, 0))))
+    yield deflate.flush()
+
+
 def _write_png(path, arr: np.ndarray) -> None:
-    """Colour type 2 (RGB) or 0 (gray), filter 0 on every row, one IDAT."""
+    """Colour type 2 (RGB) or 0 (gray), filter 0 on every row, one IDAT.
+
+    Each compressed piece is written as it comes and the IDAT length goes in
+    last, so neither the filtered rows nor their zlib stream is held whole."""
     h, w = arr.shape[:2]
-    rows = np.zeros((h, 1 + arr[0].size), dtype=np.uint8)
-    rows[:, 1:] = arr.reshape(h, -1)
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2 if arr.ndim == 3 else 0, 0, 0, 0)
+    crc, length = zlib.crc32(b"IDAT"), 0
     with open(path, "wb") as fh:
-        fh.write(_PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr)
-                 + _png_chunk(b"IDAT", zlib.compress(rows.tobytes()))
-                 + _png_chunk(b"IEND", b""))
+        fh.write(_PNG_SIGNATURE + _png_chunk(b"IHDR", ihdr))
+        start = fh.tell()
+        fh.write(b"\0\0\0\0IDAT")  # the length is known once the stream ends
+        for piece in _deflated_rows(arr):
+            fh.write(piece)
+            crc, length = zlib.crc32(piece, crc), length + len(piece)
+        fh.write(struct.pack(">I", crc) + _png_chunk(b"IEND", b""))
+        fh.seek(start)
+        fh.write(struct.pack(">I", length))
 
 
 _CODECS = {  # extension -> (reader, writer, header parser)
@@ -290,7 +310,7 @@ def image_size(path) -> tuple:
     return parse(path, blob)[:2]
 
 
-# values converted at a time by _to_u8
+# values converted at a time by _to_u8, and bytes of PNG rows compressed at a time
 _U8_BLOCK = 1 << 16
 
 
@@ -304,6 +324,7 @@ def _to_u8(arr: np.ndarray) -> np.ndarray:
         np.clip(block, 0.0, 1.0, out=block)
         block *= 255.0
         out[r0:r0 + step] = np.rint(block, out=block)
+        del block  # not held while the next block is formed
     return out
 
 

@@ -35,19 +35,24 @@ input the stage's kernels read, their batchnorm caches, the bool keep mask
 of dropout (its adjoint rebuilds the scaled factor from it and the stage's
 rate) and the activation after dropout. A pool's adjoint reads the pool's
 input (the previous activation) and output (the kernels' input). In eval mode
-forward keeps no records and returns no cache: it holds each activation
+forward keeps no records and returns no cache. It runs the stage loop on
+one sample at a time, each result going into one output array: batch norm
+reads running statistics and every kernel computes a sample on its own,
+so a sample gets the bits it would get in any batch, and the working set is
+one sample's, whatever the batch size. The loop holds each activation
 only until its last reader (the next stage, or the stage whose skip names
 it) has run, and batch norm and ReLU overwrite the fresh conv output.
-An eval input of more than TILE_PIXELS pixels a sample runs in overlapping
-tiles, the overlap-tile scheme of U-Net (Ronneberger et al., 2015):
-tile_plan cuts it on POOL_GRID into interiors, each widened on every side
-by the plan's halo (its receptive-field radius rounded up to POOL_GRID)
-and clipped to the input, and the stage loop's output on each interior
-goes into one output array. No interior pixel reads an input pixel outside
-its tile, and the tiles pool on the whole input's grid, so a tile computes
-the whole-image values; its narrower matmuls may round them differently.
-The working set is then one tile's, whatever the scene's size. A train
-forward never tiles: batch statistics span the whole batch.
+A sample of more than TILE_PIXELS pixels runs in overlapping tiles, the
+overlap-tile scheme of U-Net (Ronneberger et al., 2015); one within the
+budget is a single tile. tile_plan cuts the input on POOL_GRID into
+interiors, each widened on every side by the plan's halo (its
+receptive-field radius rounded up to POOL_GRID) and clipped to the input,
+and the stage loop's output on each interior goes into the output array.
+No interior pixel reads an input pixel outside its tile, and the tiles pool
+on the whole input's grid, so a tile computes the whole-image values; its
+narrower matmuls may round them differently. The working set is then one
+tile's, whatever the scene's size. A train forward runs the whole batch
+at once and never tiles: batch statistics span the whole batch.
 A decoder stage runs ops.upsample_conv2d, which reads the
 low-resolution previous activation and the skip activation itself, so no
 upsampled or concatenated input is formed or kept. backward walks
@@ -391,8 +396,9 @@ class ModelGraph:
 
         mode is "train" (batch statistics, dropout active, a ForwardCache
         for backward) or "eval" (running statistics, dropout off,
-        deterministic, and the cache is None). An eval batch of more than
-        TILE_PIXELS pixels a sample runs in overlapping tiles.
+        deterministic, and the cache is None). An eval forward runs each
+        sample alone, in overlapping tiles when it has more than TILE_PIXELS
+        pixels.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"forward mode must be 'train' or 'eval', got {mode!r}")
@@ -410,16 +416,20 @@ class ModelGraph:
         if train and rng is None:
             raise ValueError("train-mode forward needs an rng for dropout")
 
-        if train or h * w <= TILE_PIXELS:
+        if train:
             pred, records = self._stages(batch.astype(self.dtype, copy=False), mode, rng)
-            return pred, ForwardCache(records) if train else None
+            return pred, ForwardCache(records)
         width = sum(spec.out_channels for spec in self.plan.stages[-1].convs)
         pred = np.empty((n, width, h, w), dtype=self.dtype)
-        for (rows, ext_rows), (cols, ext_cols) in tile_plan(h, w, self.plan.halo, TILE_PIXELS):
-            tile, _ = self._stages(
-                batch[:, :, ext_rows, ext_cols].astype(self.dtype, copy=False), mode, None)
-            pred[:, :, rows, cols] = tile[:, :, _within(rows, ext_rows), _within(cols, ext_cols)]
-            del tile  # not held while the next tile runs
+        tiles = tile_plan(h, w, self.plan.halo, TILE_PIXELS)
+        for i in range(n):
+            for (rows, ext_rows), (cols, ext_cols) in tiles:
+                tile, _ = self._stages(
+                    batch[i:i + 1, :, ext_rows, ext_cols].astype(self.dtype, copy=False),
+                    mode, None)
+                pred[i, :, rows, cols] = tile[0, :, _within(rows, ext_rows),
+                                              _within(cols, ext_cols)]
+                del tile  # not held while the next sample or tile runs
         return pred, None
 
     def _stages(self, cur: np.ndarray, mode: str, rng):

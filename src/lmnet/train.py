@@ -156,6 +156,7 @@ def evaluate(graph: ModelGraph, index: DatasetIndex, split: str,
         loss_sum += loss * k
         n += k
         counts = counts + confusion(pred, masks, threshold)
+        del images, masks, pred  # not held while the next batch is read
     return report(counts, loss_sum / n, split, samples=n)
 
 

@@ -2,6 +2,7 @@
 synthetic fixtures, and the end-to-end preparation run."""
 
 import shutil
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -331,6 +332,22 @@ def test_batch_iter_unshuffled_follows_index_order(tiny_dataset):
     first = next(batch_iter(tiny_dataset, "val", 1, shuffle=False))
     direct_image, _ = load_pair(tiny_dataset, recs[0])
     npt.assert_array_equal(first[0], direct_image[None])
+
+
+def test_a_batch_the_caller_holds_is_held_once(tmp_path):
+    """While the caller holds a batch, the traced memory holds its stacked
+    arrays and no more: a suspended frame that kept the decoded samples
+    would hold the batch twice."""
+    index = write_synthetic_dataset(tmp_path, {"train": 4}, size=64, seed=5)
+    batches = batch_iter(index, "train", 4, shuffle=False)
+    tracemalloc.start()
+    try:
+        images, masks = next(batches)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    batch = images.nbytes + masks.nbytes
+    assert batch <= held < batch + (64 << 10)
 
 
 def test_batch_iter_validates_batch_size(tiny_dataset):

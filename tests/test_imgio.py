@@ -110,6 +110,23 @@ def test_writing_a_map_holds_no_float64_copy_of_it(tmp_path, ext):
     assert peak <= 6 * arr.size + 8 * imgio._U8_BLOCK + (64 << 10)
 
 
+def test_writing_a_scene_sized_png_holds_neither_its_rows_nor_their_stream(tmp_path):
+    """A 768x768 map of noise, whose zlib stream is as large as its pixels,
+    writes as PNG within 1.5 MB traced: its uint8 levels, one float64
+    block, and one block of rows with the compressor's state. The file
+    decodes to the levels."""
+    arr = np.random.default_rng(5).random((768, 768)).astype(np.float32)
+    path = tmp_path / "map.png"
+    tracemalloc.start()
+    try:
+        write_gray(path, arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    npt.assert_array_equal(imgio._read_raw(path), imgio._to_u8(arr))
+
+
 def test_netpbm_header_comments_are_skipped(tmp_path):
     path = tmp_path / "c.pgm"
     payload = bytes(range(6))

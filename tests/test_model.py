@@ -256,8 +256,9 @@ def test_an_eval_forward_holds_each_activation_until_its_last_reader(monkeypatch
     formed, the traced memory holds it and the skip activations that this
     stage or a later one reads, nothing more. The peak stays below the
     widest stage's arrays (activations 1-3, its input 4 and its output 5)
-    plus four blocks. A dead activation kept, a batch norm cache kept or a
-    whole sample padded crosses one of the two bounds."""
+    plus four blocks. Both also count the output array, which the forward
+    allocates before the stage loop runs. A dead activation kept, a batch
+    norm cache kept or a whole sample padded crosses one of the two bounds."""
     monkeypatch.setattr(ops, "BLOCK_ELEMS", 1 << 18)
     side = 512
     graph = built(Variant.PROPOSED, GraphConfig(input_size=(side, side)))
@@ -279,12 +280,64 @@ def test_an_eval_forward_holds_each_activation_until_its_last_reader(monkeypatch
     finally:
         tracemalloc.stop()
     size = {i: nbytes for i, (nbytes, _) in enumerate(formed, 1)}
+    output = size[len(formed)]  # the prediction has the last activation's shape
     reader = {stage.skip: stage.index for stage in graph.plan.stages if stage.skip}
     for i, (nbytes, traced) in enumerate(formed, 1):
-        live = nbytes + sum(size[j] for j, r in reader.items() if j < i <= r)
+        live = output + nbytes + sum(size[j] for j, r in reader.items() if j < i <= r)
         assert live <= traced < live + (64 << 10), f"stage {i}"
     widest = sum(size[i] for i in (1, 2, 3, 4, 5))
-    assert peak < widest + 4 * 4 * ops.BLOCK_ELEMS
+    assert peak < output + widest + 4 * 4 * ops.BLOCK_ELEMS
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_batched_eval_forward_is_its_samples_forwarded_alone(variant, dtype):
+    """An eval forward runs one sample at a time: a 3-sample batch gives the
+    bits of forwarding each sample alone, and those of one stage loop over
+    the whole batch, since eval batch norm reads running statistics and
+    every kernel computes a sample on its own."""
+    rng = np.random.default_rng(14)
+    graph = off_defaults(built(variant, GraphConfig(input_size=(32, 48)), seed=5).astype(dtype),
+                         rng)
+    batch = rng.random((3, 3, 32, 48)).astype(dtype)
+    pred, _ = graph.forward(batch, "eval")
+    alone = np.concatenate([graph.forward(batch[i:i + 1], "eval")[0] for i in range(3)])
+    whole, _ = graph._stages(batch, "eval", None)
+    assert pred.dtype == alone.dtype == whole.dtype == dtype
+    assert pred.tobytes() == alone.tobytes() == whole.tobytes()
+
+
+def test_a_batched_tiled_eval_forward_is_its_samples_forwarded_alone(monkeypatch):
+    """Above a budget of 2^14 pixels each sample of a 3 x 176x208 batch runs
+    in its own tiles, with the bits of forwarding it alone."""
+    monkeypatch.setattr(lmnet.model, "TILE_PIXELS", 1 << 14)
+    h, w = 176, 208
+    rng = np.random.default_rng(15)
+    graph = off_defaults(built(Variant.PROPOSED, GraphConfig(input_size=(h, w)), seed=6), rng)
+    batch = rng.random((3, 3, h, w)).astype(np.float32)
+    assert len(tile_plan(h, w, graph.plan.halo, 1 << 14)) > 1
+    pred, _ = graph.forward(batch, "eval")
+    alone = np.concatenate([graph.forward(batch[i:i + 1], "eval")[0] for i in range(3)])
+    assert pred.tobytes() == alone.tobytes()
+
+
+def test_an_eval_forward_peak_does_not_grow_with_the_batch():
+    """proposed, float32, 96x96: besides the output array, the traced peak
+    of a 10-sample eval forward stays within 5% of a 1-sample one's, where
+    a whole-batch forward's grows tenfold."""
+    side = 96
+    graph = built(Variant.PROPOSED, GraphConfig(input_size=(side, side)))
+    held = []
+    for n in (1, 10):
+        batch = np.random.default_rng(7).random((n, 3, side, side)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            pred, _ = graph.forward(batch, "eval")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held.append(peak - pred.nbytes)
+    assert held[1] <= 1.05 * held[0]
 
 
 # -- overlap-tile eval forward -------------------------------------------------
@@ -410,7 +463,8 @@ def test_pyramid_stage_writes_the_bits_of_concatenating_its_kernels(variant, mod
                                                                     monkeypatch):
     """Stage 1 of a pyramid variant writes each kernel's batch norm output
     into its channel slice of one array: the pre-activation the stage's relu
-    reads has the bits of concatenating the kernels' outputs."""
+    reads has the bits of concatenating the kernels' outputs. A train
+    forward's first relu reads the whole batch, an eval forward's sample 0."""
     rng = np.random.default_rng(13)
     graph = off_defaults(built(variant, GraphConfig(input_size=(16, 24)), seed=2), rng)
     batch = rng.random((2, 3, 16, 24)).astype(np.float32)
@@ -422,6 +476,8 @@ def test_pyramid_stage_writes_the_bits_of_concatenating_its_kernels(variant, mod
         zs.append(ops.batchnorm(z, p["gamma"], p["beta"], p["running_mean"],
                                 p["running_var"], mode)[0])
     want = np.concatenate(zs, axis=1)
+    if mode == "eval":
+        want = want[:1]
     seen = []
     relu = ops.relu
     monkeypatch.setattr(ops, "relu", lambda x, *out: seen.append(x.copy()) or relu(x, *out))
