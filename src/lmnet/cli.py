@@ -208,7 +208,7 @@ def _cmd_predict(o):
               f"(spatial dims must be divisible by {POOL_GRID})")
     if (h8, w8) != graph.config.input_size:
         graph = replace_input_size(graph, (h8, w8))
-    pred, _ = graph.forward(image[None].astype(graph.dtype, copy=False), "eval")
+    pred, _ = graph.forward(image[None], "eval")
     prob = pred[0, 0]
     mask = (prob >= o["threshold"]).astype(np.float32)
     prob_path = f"{o['out']}_prob.png"

@@ -29,19 +29,21 @@ dropout are fixed, not settings: GraphConfig holds only what a caller
 chooses.
 
 layer_plan states this once, as nine stages (one per activation, each
-with its dropout rate). forward walks the stages in order. In train mode it
-keeps one StageRecord per stage, holding only what backward reads: the
-input the stage's kernels read, their batchnorm caches, the bool keep mask
-of dropout (its adjoint rebuilds the scaled factor from it and the stage's
-rate) and the activation after dropout. A pool's adjoint reads the pool's
-input (the previous activation) and output (the kernels' input). In eval mode
+with its dropout rate). forward walks the stages in order, and in both
+modes batch norm and ReLU overwrite the fresh conv output (a train batch
+norm keeps its xhat apart, in its cache). In train mode it keeps one
+StageRecord per stage, holding only what backward reads: the input the
+stage's kernels read, their batchnorm caches, the bool keep mask of dropout
+(its adjoint rebuilds the scaled factor from it and the stage's rate) and
+the activation after dropout. A pool's adjoint reads the pool's input (the
+previous activation) and output (the kernels' input). In eval mode
 forward keeps no records and returns no cache. It runs the stage loop on
 one sample at a time, each result going into one output array: batch norm
 reads running statistics and every kernel computes a sample on its own,
 so a sample gets the bits it would get in any batch, and the working set is
 one sample's, whatever the batch size. The loop holds each activation
 only until its last reader (the next stage, or the stage whose skip names
-it) has run, and batch norm and ReLU overwrite the fresh conv output.
+it) has run.
 A sample of more than TILE_PIXELS pixels runs in overlapping tiles, the
 overlap-tile scheme of U-Net (Ronneberger et al., 2015); one within the
 budget is a single tile. tile_plan cuts the input on POOL_GRID into
@@ -445,10 +447,8 @@ class ModelGraph:
             if train:
                 rec.conv_in = cur
             cur = self._stage_forward(stage, cur, skip, mode, rec.bn)
-            if train or stage.act != "relu":
-                cur = getattr(ops, stage.act)(cur)
-            else:  # eval: nothing else reads the fresh pre-activation
-                cur = ops.relu(cur, cur)
+            # nothing else reads the fresh pre-activation, and relu's adjoint reads its output
+            cur = ops.relu(cur, cur) if stage.act == "relu" else getattr(ops, stage.act)(cur)
             if train and stage.drop:
                 cur, rec.mask = ops.dropout(cur, stage.drop, rng)
             if stage.index in self.plan.skip_sources:
@@ -463,8 +463,8 @@ class ModelGraph:
         upsample and skip of a decoder stage), then batchnorm when the spec
         has it, appending its cache to `bn`. With several kernels each output
         goes into its channel slice of one array, the bits of concatenating
-        them. Eval batchnorm writes straight into that slice, or normalizes a
-        lone kernel's fresh conv output in place."""
+        them. Batchnorm writes straight into that slice, or normalizes a lone
+        kernel's fresh conv output in place."""
         out = None
         start = 0
         for spec in stage.convs:
@@ -483,8 +483,7 @@ class ModelGraph:
                 mean_key, var_key = f"{spec.name}.running_mean", f"{spec.name}.running_var"
                 z, bncache, self.stats[mean_key], self.stats[var_key] = ops.batchnorm(
                     z, self.params[f"{spec.name}.gamma"], self.params[f"{spec.name}.beta"],
-                    self.stats[mean_key], self.stats[var_key], mode,
-                    None if mode == "train" else dest)
+                    self.stats[mean_key], self.stats[var_key], mode, dest)
                 bn.append(bncache)
             if out is None:
                 return z

@@ -5,8 +5,9 @@ row-major. float32 is the production dtype; all kernels also run in float64
 so the whole stack can be verified against central finite differences.
 Kernels are pure functions of their inputs: none writes to an argument
 (batchnorm returns its new running statistics) but the `out` array that
-eval batchnorm and relu may be handed, which may be the input itself. Each
-is bit-deterministic for fixed inputs, so repeated calls agree exactly.
+batchnorm and relu may be handed in either mode, which may be the input
+itself. Each is bit-deterministic for fixed inputs, so repeated calls agree
+exactly.
 
 A conv forms its products on the im2col side (the input's k*k*c_in
 columns) or on the tap side, where one stacked matmul forms k*k*c_out tap
@@ -386,26 +387,24 @@ BN_EPSILON = 1e-5
 def batchnorm(x: Tensor, gamma, beta, running_mean, running_var, mode: str, out=None):
     """Normalize per channel; returns (out, cache, running_mean, running_var).
 
-    Train mode normalizes with batch statistics over (n, h, w) and returns
-    new running statistics moved toward them by BN_MOMENTUM. Eval mode
-    normalizes with the given running statistics and returns them as they
-    are. The cache feeds batchnorm_backward. No argument is written but
-    `out`, which eval mode alone takes: an array of x's shape and dtype (x
-    itself, for one) that receives the same bits and is returned with no
-    cache.
+    Train mode normalizes with batch statistics over (n, h, w), returns new
+    running statistics moved toward them by BN_MOMENTUM and a cache for
+    batchnorm_backward. Eval mode normalizes with the given running
+    statistics and returns them as they are, with no cache. No argument is
+    written but `out`, in either mode: an array of x's shape and dtype (x
+    itself, for one) that receives the result and is returned.
     """
     _require_4d("batchnorm input", x)
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
-    if out is not None and mode == "train":
-        raise ValueError("batchnorm writes into `out` in eval mode only")
     n, c, h, w = x.shape
     for name, arr in (("gamma", gamma), ("beta", beta), ("running_mean", running_mean),
                       ("running_var", running_var)):
         if arr.shape != (c,):
             raise ShapeError(f"batchnorm {name} must have shape ({c},) for an input of "
                              f"{c} channels, got {arr.shape}")
-    if mode == "train":
+    train = mode == "train"
+    if train:
         if n * h * w == 1:
             raise ShapeError(
                 "batchnorm train mode needs more than one value per channel "
@@ -419,24 +418,18 @@ def batchnorm(x: Tensor, gamma, beta, running_mean, running_var, mode: str, out=
     else:
         mean, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=x.dtype))
-    if out is not None:  # the operations below, in the same order, in place
-        np.subtract(x, mean.reshape(1, -1, 1, 1), out=out)
-        out *= inv_std.reshape(1, -1, 1, 1)
-        out *= gamma.reshape(1, -1, 1, 1)
-        out += beta.reshape(1, -1, 1, 1)
-        return out, None, running_mean, running_var
-    xhat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-    out = gamma.reshape(1, -1, 1, 1) * xhat + beta.reshape(1, -1, 1, 1)
-    cache = {"mode": mode, "xhat": xhat, "inv_std": inv_std, "gamma": gamma}
+    # one sequence in both modes; train keeps xhat apart for the adjoint
+    xhat = np.subtract(x, mean.reshape(1, -1, 1, 1), out=None if train else out)
+    xhat *= inv_std.reshape(1, -1, 1, 1)
+    out = np.multiply(xhat, gamma.reshape(1, -1, 1, 1), out=out if train else xhat)
+    out += beta.reshape(1, -1, 1, 1)
+    cache = {"xhat": xhat, "inv_std": inv_std, "gamma": gamma} if train else None
     return out, cache, running_mean, running_var
 
 
 def batchnorm_backward(cache: dict, grad_out: Tensor):
-    """Adjoints of batchnorm: (grad_input, grad_gamma, grad_beta).
-
-    Train mode differentiates through the batch statistics; eval mode treats
-    mean/var as constants (they are running statistics there).
-    """
+    """Adjoints of train-mode batchnorm, through the batch statistics:
+    (grad_input, grad_gamma, grad_beta)."""
     xhat = cache["xhat"]
     inv_std = cache["inv_std"].reshape(1, -1, 1, 1)
     gamma = cache["gamma"].reshape(1, -1, 1, 1)
@@ -447,14 +440,11 @@ def batchnorm_backward(cache: dict, grad_out: Tensor):
     grad_beta = grad_out.sum(axis=(0, 2, 3))
     grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
     dxhat = grad_out * gamma
-    if cache["mode"] == "eval":
-        grad_input = dxhat * inv_std
-    else:
-        n, c, h, w = xhat.shape
-        count = n * h * w
-        s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-        s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        grad_input = (inv_std / count) * (count * dxhat - s1 - xhat * s2)
+    n, c, h, w = xhat.shape
+    count = n * h * w
+    s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+    s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    grad_input = (inv_std / count) * (count * dxhat - s1 - xhat * s2)
     return grad_input, grad_gamma, grad_beta
 
 

@@ -150,7 +150,7 @@ def evaluate(graph: ModelGraph, index: DatasetIndex, split: str,
     n = 0
     for images, masks in batch_iter(index, split, micro_batch, shuffle=False,
                                     size=graph.config.input_size):
-        pred, _ = graph.forward(images.astype(graph.dtype, copy=False), "eval")
+        pred, _ = graph.forward(images, "eval")
         loss, _ = lossf(pred, masks.astype(pred.dtype, copy=False))
         k = images.shape[0]
         loss_sum += loss * k
@@ -251,6 +251,7 @@ def train(cfg: TrainConfig):
     if start_epoch >= cfg.epochs:
         if not cfg.quiet:
             print(f"nothing to do: {start_epoch} epochs already trained")
+        save_checkpoint(graph, out / FINAL_CKPT)  # a crash may have come before it
         return graph, history
 
     lossf = loss_fn(cfg.graph.loss)
@@ -262,7 +263,6 @@ def train(cfg: TrainConfig):
         for epoch in range(start_epoch, cfg.epochs):
             batches = batch_iter(index, "train", cfg.batch_size, seed=cfg.seed, epoch=epoch)
             for batch_idx, (images, masks) in enumerate(batches):
-                images = images.astype(graph.dtype, copy=False)
                 masks = masks.astype(graph.dtype, copy=False)
                 grads, loss = _accumulate_batch(
                     graph, images, masks, lossf, cfg, epoch, batch_idx

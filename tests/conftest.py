@@ -83,13 +83,31 @@ def overfit_dataset(tmp_path_factory):
     return write_synthetic_dataset(root, {"train": 16, "val": 4}, size=64, seed=11)
 
 
+def frozen_batchnorm_backward(cache, grad_out):
+    """The adjoint of batch norm with constant statistics, the affine map
+    gamma * (x - mean) * inv_std + beta: (grad_input, grad_gamma, grad_beta)."""
+    dxhat = grad_out * cache["gamma"].reshape(1, -1, 1, 1)
+    return (dxhat * cache["inv_std"].reshape(1, -1, 1, 1),
+            (grad_out * cache["xhat"]).sum(axis=(0, 2, 3)), grad_out.sum(axis=(0, 2, 3)))
+
+
 @pytest.fixture
 def frozen_bn(monkeypatch):
     """Batch norm normalizes with the stored running statistics and leaves
     them untouched, in train mode too, so every sample's forward is
-    independent of the rest of its batch."""
+    independent of the rest of its batch. Its output has the eval bits, and
+    its cache feeds frozen_batchnorm_backward, which replaces the adjoint."""
     batchnorm = ops.batchnorm
-    monkeypatch.setattr(ops, "batchnorm", lambda *args: batchnorm(*args[:5], "eval", *args[6:]))
+
+    def frozen(x, gamma, beta, mean, var, mode, out=None):
+        inv_std = 1.0 / np.sqrt(var + np.asarray(ops.BN_EPSILON, dtype=x.dtype))
+        # formed before batchnorm writes `out`, which may be x itself
+        xhat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+        out = batchnorm(x, gamma, beta, mean, var, "eval", out)[0]
+        return out, {"xhat": xhat, "inv_std": inv_std, "gamma": gamma}, mean, var
+
+    monkeypatch.setattr(ops, "batchnorm", frozen)
+    monkeypatch.setattr(ops, "batchnorm_backward", frozen_batchnorm_backward)
 
 
 @pytest.fixture

@@ -115,7 +115,9 @@ def test_batchnorm_train_gradients():
     assert rel_err(gbeta, fd_gradient(value, args[1])) < PER_OP_TOL
 
 
-def test_batchnorm_eval_gradient_is_plain_affine():
+def test_batchnorm_eval_gradient_is_plain_affine(frozen_bn):
+    """The frozen_bn fixture's adjoint is the exact gradient of eval batch
+    norm, where the running statistics are constants."""
     rng = np.random.default_rng(31)
     x = smooth(rng, (2, 3, 4, 4))
     args = _bn_args(rng, 3)
@@ -125,7 +127,7 @@ def test_batchnorm_eval_gradient_is_plain_affine():
         out = ops.batchnorm(x, *args, "eval")[0]
         return float((out * cotangent).sum())
 
-    cache = ops.batchnorm(x, *args, "eval")[1]
+    cache = ops.batchnorm(x, *args, "train")[1]
     gx, ggamma, gbeta = ops.batchnorm_backward(cache, cotangent)
     assert rel_err(gx, fd_gradient(value, x)) < PER_OP_TOL
     assert rel_err(ggamma, fd_gradient(value, args[0])) < PER_OP_TOL
@@ -222,9 +224,9 @@ def test_fixture_point_clears_kinks_and_pool_ties(variant, monkeypatch):
     margins = {"relu": np.inf, "pool_gap": np.inf}
     real_relu, real_pool = ops.relu, ops.maxpool2
 
-    def spy_relu(x):
+    def spy_relu(x, out=None):
         margins["relu"] = min(margins["relu"], float(np.min(np.abs(x))))
-        return real_relu(x)
+        return real_relu(x, out)
 
     def spy_pool(x):
         n, c, h, w = x.shape

@@ -607,17 +607,26 @@ def test_batchnorm_eval_uses_running_stats_only():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_eval_batchnorm_into_its_input_gives_the_bits_of_a_fresh_result(dtype):
+    """In either mode, batch norm written into its input gives the bits,
+    statistics and cache of a fresh result."""
     rng = np.random.default_rng(10)
     x = rng.normal(1.0, 2.0, (2, 3, 5, 7)).astype(dtype)
     args = [rng.uniform(0.5, 1.5, 3).astype(dtype) for _ in range(4)]
-    want, _, _, _ = ops.batchnorm(x, *args, "eval")
-    z = x.copy()
-    got, cache, mean, var = ops.batchnorm(z, *args, "eval", z)
-    assert got is z and cache is None
-    assert mean is args[2] and var is args[3]
-    assert got.tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="eval mode only"):
-        ops.batchnorm(x, *args, "train", x.copy())
+    for mode in ("eval", "train"):
+        want, want_cache, want_mean, want_var = ops.batchnorm(x, *args, mode)
+        z = x.copy()
+        got, cache, mean, var = ops.batchnorm(z, *args, mode, z)
+        assert got is z
+        assert got.tobytes() == want.tobytes()
+        assert mean.tobytes() == want_mean.tobytes() and var.tobytes() == want_var.tobytes()
+        if mode == "eval":
+            assert cache is want_cache is None
+            assert mean is args[2] and var is args[3]
+        else:
+            assert cache.keys() == want_cache.keys() == {"xhat", "inv_std", "gamma"}
+            for key in cache:
+                assert cache[key].tobytes() == want_cache[key].tobytes(), key
+            assert cache["xhat"] is not z
 
 
 def test_batchnorm_rejects_single_element_statistics():

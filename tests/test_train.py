@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -198,9 +199,12 @@ LONG_FLOATS = dict(epochs=3, beta2=0.99912345678, adam_eps=1.234567891e-2)
 
 @pytest.mark.parametrize("crash_in,settings", [
     ("evaluate", {}), ("save_training_checkpoint", {}), ("evaluate", LONG_FLOATS),
-], ids=["evaluate", "save_training_checkpoint", "evaluate-long-floats"])
+    ("save_checkpoint", {}),
+], ids=["evaluate", "save_training_checkpoint", "evaluate-long-floats", "model.ckpt"])
 def test_resume_after_a_crash_matches_uninterrupted_run(
         tiny_dataset, tmp_path, monkeypatch, crash_in, settings):
+    """A crash in epoch 2's evaluate or last.ckpt write, or just before
+    model.ckpt is written (after last.ckpt records the final epoch)."""
     import lmnet.train as train_mod
 
     artifacts = (TRAIN_CSV, VAL_CSV, LAST_CKPT, BEST_CKPT, FINAL_CKPT)
@@ -210,13 +214,14 @@ def test_resume_after_a_crash_matches_uninterrupted_run(
     original = getattr(train_mod, crash_in)
     calls = []
 
-    def crash_in_epoch_2(*args, **kw):
+    def crashing(*args, **kw):
         calls.append(1)
-        if len(calls) == 2:
+        if (Path(args[1]).name == FINAL_CKPT if crash_in == "save_checkpoint"
+                else len(calls) == 2):
             raise RuntimeError("simulated crash")
         return original(*args, **kw)
 
-    monkeypatch.setattr(train_mod, crash_in, crash_in_epoch_2)
+    monkeypatch.setattr(train_mod, crash_in, crashing)
     with pytest.raises(RuntimeError, match="simulated crash"):
         train(make_cfg(tiny_dataset, tmp_path / "split", **settings))
     monkeypatch.setattr(train_mod, crash_in, original)
