@@ -33,17 +33,15 @@ with its dropout rate). forward walks the stages in order, and in both
 modes batch norm and ReLU overwrite the fresh conv output (a train batch
 norm keeps its xhat apart, in its cache). In train mode it keeps one
 StageRecord per stage, holding only what backward reads: the input the
-stage's kernels read, their batchnorm caches, the bool keep mask of dropout
-(its adjoint rebuilds the scaled factor from it and the stage's rate) and
-the activation after dropout. A pool's adjoint reads the pool's input (the
-previous activation) and output (the kernels' input). In eval mode
-forward keeps no records and returns no cache. It runs the stage loop on
-one sample at a time, each result going into one output array: batch norm
-reads running statistics and every kernel computes a sample on its own,
-so a sample gets the bits it would get in any batch, and the working set is
-one sample's, whatever the batch size. The loop holds each activation
-only until its last reader (the next stage, or the stage whose skip names
-it) has run.
+stage's kernels read, their batchnorm caches and the activation after
+dropout. A pool's adjoint reads the pool's input (the previous activation)
+and output (the kernels' input). In eval mode forward keeps no records and
+returns no cache. It runs the stage loop on one sample at a time, each
+result going into one output array: batch norm reads running statistics and
+every kernel computes a sample on its own, so a sample gets the bits it
+would get in any batch, and the working set is one sample's, whatever the
+batch size. The loop holds each activation only until its last reader (the
+next stage, or the stage whose skip names it) has run.
 A sample of more than TILE_PIXELS pixels runs in overlapping tiles, the
 overlap-tile scheme of U-Net (Ronneberger et al., 2015); one within the
 budget is a single tile. tile_plan cuts the input on POOL_GRID into
@@ -326,7 +324,6 @@ class StageRecord:
 
     conv_in: np.ndarray = None  # the input all of the stage's kernels read
     bn: list = field(default_factory=list)  # batchnorm caches, in kernel order
-    mask: np.ndarray = None     # dropout's bool keep mask, when the stage drops
     act: np.ndarray = None      # the stage's activation after dropout
 
 
@@ -450,7 +447,7 @@ class ModelGraph:
             # nothing else reads the fresh pre-activation, and relu's adjoint reads its output
             cur = ops.relu(cur, cur) if stage.act == "relu" else getattr(ops, stage.act)(cur)
             if train and stage.drop:
-                cur, rec.mask = ops.dropout(cur, stage.drop, rng)
+                cur = ops.dropout(cur, stage.drop, rng)
             if stage.index in self.plan.skip_sources:
                 kept[stage.index] = cur
             if train:
@@ -517,13 +514,13 @@ class ModelGraph:
             # here g is d(activation `stage.index` after dropout)
             if stage.index in skip_grads:
                 g = g + skip_grads.pop(stage.index)
-            if rec.mask is not None:
-                g = ops.dropout_backward(g, rec.mask, stage.drop)
-            # relu gated on the activation after dropout gives the bits of gating before it:
-            # where the mask is 0 the cotangent is already +-0, where it is positive the two
-            # share a sign. Only relu stages drop (4-6 in layer_plan).
-            g = getattr(ops, f"{stage.act}_backward")(g, rec.act)
-            rec.mask = rec.act = None  # their last reads: gone before the kernels' adjoints
+            if stage.drop:
+                # only relu stages drop, so act > 0 is where dropout kept an entry and
+                # relu passed it: one gate for both adjoints, with the bits of the two
+                g = ops.dropout_backward(g, rec.act > 0, stage.drop)
+            else:
+                g = getattr(ops, f"{stage.act}_backward")(g, rec.act)
+            rec.act = None  # its last read: gone before the kernels' adjoints
             skip = records[stage.skip - 1].act if stage.skip else None
             g, g_skip = self._kernels_backward(stage, rec, skip, g, grads)
             if g_skip is not None:

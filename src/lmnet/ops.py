@@ -467,14 +467,10 @@ def sigmoid_backward(grad_out: Tensor, out: Tensor) -> Tensor:
     return grad_out * out * (1.0 - out)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator):
-    """Inverted dropout; returns (out, keep).
-
-    Zeroes entries with probability `rate` and scales survivors by
-    1/(1-rate) so the expectation matches the input. keep is the bool mask
-    of survivors, a quarter of a float32 mask's bytes; dropout_backward
-    rebuilds from it the scaled factor x was multiplied by. The model calls
-    it only in train mode, at a stage's plan rate.
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: zeroes entries with probability `rate` and scales
+    survivors by 1/(1-rate) so the expectation matches the input. The model
+    calls it only in train mode, at a stage's plan rate.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
@@ -484,7 +480,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator):
     # of one whole draw, without holding it
     for i in range(0, flat.size, BLOCK_ELEMS):
         flat[i:i + BLOCK_ELEMS] = rng.random(min(BLOCK_ELEMS, flat.size - i)) >= rate
-    return x * _dropout_factor(keep, rate, x.dtype), keep
+    return x * _dropout_factor(keep, rate, x.dtype)
 
 
 def _dropout_factor(keep: np.ndarray, rate: float, dtype) -> np.ndarray:
@@ -493,8 +489,9 @@ def _dropout_factor(keep: np.ndarray, rate: float, dtype) -> np.ndarray:
 
 
 def dropout_backward(grad_out: Tensor, keep: np.ndarray, rate: float) -> Tensor:
-    """Adjoint of dropout given its keep mask and rate: grad_out times the
-    factor the forward applied, rebuilt with the same bits."""
+    """Adjoint of dropout at `rate`: grad_out times the factor the forward
+    applied, rebuilt with the same bits. keep is the bool mask of where the
+    forward kept its input; for a positive input, where its output is positive."""
     return grad_out * _dropout_factor(keep, rate, grad_out.dtype)
 
 

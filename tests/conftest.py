@@ -112,9 +112,13 @@ def frozen_bn(monkeypatch):
 
 @pytest.fixture
 def no_dropout(monkeypatch):
-    """Dropout passes every activation through unchanged and keeps no mask, so
-    a train-mode forward draws nothing from its rng and backward scales nothing."""
-    monkeypatch.setattr(ops, "dropout", lambda x, rate, rng: (x, None))
+    """Dropout passes every activation through unchanged, so a train-mode
+    forward draws nothing from its rng. Its adjoint is then the bare gate it
+    is handed (backward passes act > 0, which is the relu gate) and scales
+    nothing: a backward takes dropout from the plan, so patching the forward
+    alone would leave gradients scaled by 1/(1-rate)."""
+    monkeypatch.setattr(ops, "dropout", lambda x, rate, rng: x)
+    monkeypatch.setattr(ops, "dropout_backward", lambda g, keep, rate: g * keep)
 
 
 @pytest.fixture

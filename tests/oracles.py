@@ -273,14 +273,3 @@ def fd_gradient(f, x, step=1e-5):
         gflat[i] = (hi - lo) / (2.0 * step)
     return grad
 
-
-def rel_err(analytic, numeric, floor=1e-3):
-    """max |a-n| / max(max|a|, max|n|, floor); the floor keeps rounding noise
-    on genuinely zero gradients from reading as failure."""
-    analytic = np.asarray(analytic)
-    numeric = np.asarray(numeric)
-    if analytic.size == 0:
-        return 0.0
-    num = float(np.max(np.abs(analytic - numeric)))
-    den = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), floor)
-    return num / den

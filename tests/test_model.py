@@ -113,6 +113,13 @@ def test_common_structure(variant):
     assert GraphConfig().input_size == (192, 192)
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_only_relu_stages_drop(variant):
+    """backward gates a dropping stage once, on act > 0: dropout's keep mask
+    and relu's gate together, which holds only after a relu."""
+    assert all(s.act == "relu" for s in built(variant).plan.stages if s.drop)
+
+
 def decoder_inputs(variant):
     stages = built(variant).plan.stages
     return [s.convs[0].in_channels for s in stages if s.pre == "upsample"]
@@ -505,7 +512,7 @@ def test_frozen_train_without_dropout_equals_eval(frozen_bn, no_dropout):
 
 def test_only_a_train_forward_drops(monkeypatch):
     """ops.dropout runs after the plan's dropping stages, at their rates, and
-    only in train mode."""
+    only in train mode; every dropping stage is a relu stage."""
     rates = []
     dropout = ops.dropout
     monkeypatch.setattr(ops, "dropout",
@@ -514,9 +521,9 @@ def test_only_a_train_forward_drops(monkeypatch):
     x = np.random.default_rng(3).random((2, 3, 16, 16)).astype(np.float32)
     graph.forward(x, "eval")
     assert rates == []
-    _, cache = graph.forward(x, "train", rng=np.random.default_rng(0))
+    graph.forward(x, "train", rng=np.random.default_rng(0))
     assert rates == [0.1, 0.5, 0.3]
-    assert [i for i, rec in enumerate(cache.stages, 1) if rec.mask is not None] == [4, 5, 6]
+    assert all(s.act == "relu" for s in graph.plan.stages if s.drop)
 
 
 def test_forward_validation():
@@ -575,13 +582,13 @@ def test_a_train_backward_lets_each_record_go_after_its_last_reader(monkeypatch)
     peaks = []  # traced peak since the previous call, at each activation adjoint
 
     def spy(adjoint):
-        def call(g, out):
+        def call(g, *rest):
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
-            return adjoint(g, out)
+            return adjoint(g, *rest)
         return call
 
-    for name in ("relu_backward", "sigmoid_backward"):
+    for name in ("relu_backward", "sigmoid_backward", "dropout_backward"):
         monkeypatch.setattr(ops, name, spy(getattr(ops, name)))
     tracemalloc.start()
     try:
@@ -591,7 +598,7 @@ def test_a_train_backward_lets_each_record_go_after_its_last_reader(monkeypatch)
         # each record array, counted once, at the lowest stage that reads it
         owner = {}
         for i, rec in enumerate(cache.stages, 1):
-            for a in [rec.conv_in, rec.mask, rec.act] + [c["xhat"] for c in rec.bn]:
+            for a in [rec.conv_in, rec.act] + [c["xhat"] for c in rec.bn]:
                 if a is not None and a is not batch:
                     owner.setdefault(id(a), (i, a.nbytes))
         held = [0] * 10  # held[i]: bytes whose last reader is stage i's adjoint

@@ -685,13 +685,13 @@ def test_relu_backward_masks_by_output():
 def test_dropout_rate_zero_is_identity_in_train():
     rng = np.random.default_rng(0)
     x = rng.random((2, 3, 4, 4))
-    out, mask = ops.dropout(x, 0.0, np.random.default_rng(1))
+    out = ops.dropout(x, 0.0, np.random.default_rng(1))
     npt.assert_array_equal(out, x)
 
 
 def test_dropout_train_scales_survivors():
     x = np.ones((1, 1, 100, 100))
-    out, mask = ops.dropout(x, 0.3, np.random.default_rng(2))
+    out = ops.dropout(x, 0.3, np.random.default_rng(2))
     survivors = out[out > 0]
     npt.assert_allclose(survivors, 1.0 / 0.7, rtol=1e-12)
     # drop rate within a few percent of nominal on 10k draws
@@ -702,9 +702,9 @@ def test_dropout_train_scales_survivors():
 def test_dropout_same_seed_same_mask_across_dtypes():
     x32 = np.ones((2, 2, 8, 8), dtype=np.float32)
     x64 = np.ones((2, 2, 8, 8), dtype=np.float64)
-    _, m32 = ops.dropout(x32, 0.5, np.random.default_rng(9))
-    _, m64 = ops.dropout(x64, 0.5, np.random.default_rng(9))
-    npt.assert_array_equal(m32 > 0, m64 > 0)
+    out32 = ops.dropout(x32, 0.5, np.random.default_rng(9))
+    out64 = ops.dropout(x64, 0.5, np.random.default_rng(9))
+    npt.assert_array_equal(out32 > 0, out64 > 0)
 
 
 def test_dropout_draws_in_blocks_give_the_mask_of_one_whole_draw(monkeypatch):
@@ -712,10 +712,8 @@ def test_dropout_draws_in_blocks_give_the_mask_of_one_whole_draw(monkeypatch):
     stream of one whole draw: the same keep mask and output bits."""
     monkeypatch.setattr(ops, "BLOCK_ELEMS", 7)
     x = np.random.default_rng(5).random((2, 3, 9, 11)).astype(np.float32)
-    out, keep = ops.dropout(x, 0.3, np.random.default_rng(21))
+    out = ops.dropout(x, 0.3, np.random.default_rng(21))
     want = np.random.default_rng(21).random(x.shape) >= 0.3
-    assert keep.dtype == np.bool_
-    npt.assert_array_equal(keep, want)
     assert out.tobytes() == (x * (want.astype(np.float32) / np.float32(0.7))).tobytes()
 
 
@@ -726,9 +724,28 @@ def test_dropout_rejects_rate_one():
 
 def test_dropout_backward_applies_same_mask():
     x = np.ones((1, 1, 10, 10))
-    out, keep = ops.dropout(x, 0.4, np.random.default_rng(3))
-    g = ops.dropout_backward(np.ones_like(x), keep, 0.4)
+    out = ops.dropout(x, 0.4, np.random.default_rng(3))
+    g = ops.dropout_backward(np.ones_like(x), out != 0, 0.4)
     npt.assert_array_equal(g, out)  # x is all ones: out is the forward's scaled mask
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.1, 0.5, 0.3])
+def test_dropout_backward_gated_on_its_output_is_both_adjoints_after_relu(rate, dtype):
+    """After relu, out > 0 is where dropout kept an entry and relu passed it:
+    one gate on it gives the bits, signed zeros included, of dropout's adjoint
+    on its keep mask followed by relu's."""
+    r = np.random.default_rng(17)
+    x = r.standard_normal((2, 3, 9, 11)).astype(dtype)
+    x[r.random(x.shape) < 0.2] = 0  # exact zeros, which relu does not pass
+    g = r.standard_normal(x.shape).astype(dtype)
+    out = ops.dropout(ops.relu(x), rate, np.random.default_rng(23))
+    keep = np.random.default_rng(23).random(x.shape) >= rate
+    want = ops.relu_backward(ops.dropout_backward(g, keep, rate), out)
+    got = ops.dropout_backward(g, out > 0, rate)
+    assert got.dtype == want.dtype == dtype
+    assert np.signbit(got[got == 0]).any() and not np.signbit(got[got == 0]).all()
+    assert got.tobytes() == want.tobytes()
 
 
 # -- concat / split ---------------------------------------------------------
