@@ -59,6 +59,12 @@ upsampled or concatenated input is formed or kept. backward walks
 the train records in reverse and consumes them: a record goes once its
 stage's adjoint has run, since the next stage's pool adjoint, the other
 reader of its activation, runs before it. A cache serves one backward.
+
+A train forward and backward run their kernels' samples on the ops
+module's worker threads and hold numpy's OpenBLAS at one thread meanwhile
+(see ops), so a train step's bits do not depend on the BLAS thread count.
+An eval forward runs one sample at a time, in the caller's thread and at
+the BLAS's own thread count.
 """
 
 from __future__ import annotations
@@ -416,7 +422,8 @@ class ModelGraph:
             raise ValueError("train-mode forward needs an rng for dropout")
 
         if train:
-            pred, records = self._stages(batch.astype(self.dtype, copy=False), mode, rng)
+            with ops._one_blas_thread():
+                pred, records = self._stages(batch.astype(self.dtype, copy=False), mode, rng)
             return pred, ForwardCache(records)
         width = sum(spec.out_channels for spec in self.plan.stages[-1].convs)
         pred = np.empty((n, width, h, w), dtype=self.dtype)
@@ -506,6 +513,11 @@ class ModelGraph:
                 f"grad_pred shape {grad_pred.shape} does not match prediction {pred_shape}"
             )
         cache.stages = []
+        with ops._one_blas_thread():
+            return self._backward(records, grad_pred)
+
+    def _backward(self, records: list, grad_pred: np.ndarray) -> dict:
+        """The stage adjoints in reverse, consuming `records`."""
         grads = {}
         skip_grads = {}  # activation index -> cotangent of its use as a skip input
         g = grad_pred

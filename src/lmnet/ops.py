@@ -20,10 +20,28 @@ whose matrix holds at most BLOCK_ELEMS floats, read from a small buffer
 holding the strip and its halo rows zero-padded; its matmul writes into its
 output slice. The adjoint builds whole columns of each sample padded whole,
 one sample at a time, and sums the samples in order.
+
+Workers: a conv's per-sample loop, and the whole-array passes of train-mode
+batch norm, its adjoint, max pooling and its adjoint and the relu and dropout
+adjoints, deal their samples (or, for a reduction per channel, their
+channels) to WORKERS threads. Each writes its own slices of one output; the
+weight gradient's per-sample products come back and are summed in sample
+order. So the bits do not depend on the split or on which thread runs a
+part, and no worker forms more than one sample's column matrix. A call of
+one sample (every eval forward), or of parts under TASK_ELEMS floats, runs
+in the caller's thread. A worker calls only private helpers and numpy,
+never a public name of this module, which a tracer may wrap.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import itertools
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +116,91 @@ def _grad_out_check(grad_out: np.ndarray, shape: tuple) -> None:
 
 
 BLOCK_ELEMS = 1 << 20  # floats in one block's column or tap matrix, or of dropout draws
+# threads that run a kernel's samples or array parts: two, or the one CPU the process may use
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+TASK_ELEMS = 1 << 16  # floats a worker call touches at least; smaller calls stay in the caller
+
+
+@functools.cache
+def _pool():
+    from concurrent.futures import ThreadPoolExecutor  # on first use: eval never needs it
+    return ThreadPoolExecutor(WORKERS, thread_name_prefix="lmnet-worker")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's pool threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _map(fn, items, cost: int):
+    """fn(item) for each item, yielded in item order; one call touches about
+    `cost` floats. Calls of TASK_ELEMS floats or more run on the pool, at
+    most WORKERS + 1 ahead of the result the caller takes; smaller ones,
+    which would wait on each other for the interpreter, run in the caller's
+    thread. A call's exception reaches the caller as it was raised, once no
+    other call still runs. fn must not call _map itself."""
+    items = list(items)
+    if WORKERS < 2 or len(items) < 2 or cost < TASK_ELEMS:
+        yield from map(fn, items)
+        return
+    todo = iter(items)
+    pending = deque(_pool().submit(fn, item) for item in itertools.islice(todo, WORKERS + 1))
+    try:
+        while pending:
+            done = pending.popleft()
+            pending.extend(_pool().submit(fn, item) for item in itertools.islice(todo, 1))
+            yield done.result()
+    finally:
+        for future in pending:
+            if not future.cancel():
+                future.exception()  # waits for a call already running
+
+
+def _each(fn, items, cost: int) -> None:
+    """_map for calls that write their results into the caller's arrays."""
+    for _ in _map(fn, items, cost):
+        pass
+
+
+def _split(fn, size: int, total: int, least: int = 1) -> None:
+    """fn(part) for up to WORKERS near-equal slices of range(size), each at
+    least `least` long and touching TASK_ELEMS or more of `total` floats."""
+    count = max(1, min(WORKERS, size // least, total // TASK_ELEMS))
+    bounds = [size * i // count for i in range(count + 1)]
+    _each(fn, [slice(a, b) for a, b in zip(bounds, bounds[1:])], total // count)
+
+
+@functools.cache
+def _blas():
+    """(get, set) of the thread count of the scipy-openblas numpy loaded, or
+    None where numpy's BLAS is another build."""
+    root = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*scipy_openblas*"))
+                       + glob.glob(os.path.join(root, ".dylibs", "*scipy_openblas*"))):
+        lib = ctypes.CDLL(path)  # the loaded library: it is opened once per process
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get and put:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, restoring its count on exit: the
+    workers run its calls side by side, and its own threads would spin beside them."""
+    blas = _blas()
+    before = blas[0]() if blas else 1
+    if before != 1:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if before != 1:
+            blas[1](before)
 
 
 def _strips(h: int, row_elems: int, halo: int = 0) -> list:
@@ -163,8 +266,10 @@ def _tap_conv(x: np.ndarray, weights: np.ndarray, d: int, s: int, out: np.ndarra
     # output row s*i + a of tap u reads padded row i + q + (a + d*u - p) // s
     shifts = [[(u, q + (a + d * u - p) // s) for u in range(k)] for a in range(s)]
     blocks = out.reshape(n, c_out, h, s, w, s)  # a view: out is C-contiguous
-    for j in range(n):
-        for r0, r1 in _strips(h, k * k * c_out * (w + 2 * q), 2 * q):
+    strips = _strips(h, k * k * c_out * (w + 2 * q), 2 * q)
+
+    def sample(j):
+        for r0, r1 in strips:
             rows = r1 - r0
             taps = stacked @ _padded_rows(x[j], r0, r1, q).reshape(c, -1)
             taps = taps.reshape(k, k, c_out, rows + 2 * q, w + 2 * q)
@@ -176,6 +281,8 @@ def _tap_conv(x: np.ndarray, weights: np.ndarray, d: int, s: int, out: np.ndarra
             for a, b in np.ndindex(s, s):  # one add per phase reads its buffer in order
                 blocks[j, :, r0:r1, a, :, b] += phases[a, b]
             del taps, phases  # not held while the next strip's are formed
+
+    _each(sample, range(n), (c + c_out) * k * k * h * w)
 
 
 def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
@@ -190,12 +297,16 @@ def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
         _tap_conv(x, weights, d, 1, out)
         return out
     p = d * (k - 1) // 2
-    for j in range(n):
+    strips = _strips(h, c * k * k * w)
+
+    def sample(j):
         flat = out[j].reshape(c_out, h * w)
-        for r0, r1 in _strips(h, c * k * k * w):
+        for r0, r1 in strips:
             xp = _padded_rows(x[j], r0, r1, p)
             # unnamed, the columns go with the matmul, before the next strip's are formed
             np.matmul(wmat, _columns(xp, k, d, 1, r1 - r0, w), out=flat[:, r0 * w:r1 * w])
+
+    _each(sample, range(n), (c + c_out) * k * k * h * w)
     return out
 
 
@@ -216,14 +327,18 @@ def _conv_backward(x: np.ndarray, weights: np.ndarray, d: int, grad_out: np.ndar
     gw = np.zeros((c_out * k * k, c) if tap_side else (c_out, c * k * k), dtype=x.dtype)
     tap_input = tap_side and need_input
     grad_input = np.empty(x.shape, np.result_type(weights, grad_out)) if tap_input else None
-    for j in range(n):
+
+    def sample(j):
         if tap_side:
             left, right = _im2col(grad_out[j:j + 1], k, d, s), x[j].reshape(c, h * w)
             if tap_input:  # the same columns of grad_out meet the flipped kernel matrix
                 np.matmul(fmat, left, out=grad_input[j].reshape(c, h * w))
         else:
             left, right = grad_out[j].reshape(c_out, h * w), _im2col(x[j:j + 1], k, d)
-        gw += left @ right.T
+        return left @ right.T
+
+    for product in _map(sample, range(n), (c + c_out) * k * k * s * s * h * w + gw.size):
+        gw += product
     if tap_side:  # the taps flip back
         gw = gw.reshape(c_out, k, k, c).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
     grad_weights = np.ascontiguousarray(gw).reshape(weights.shape)
@@ -329,9 +444,15 @@ def maxpool2(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got h={h}, w={w}")
-    tl, tr = x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]
-    bl, br = x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
-    return np.maximum(np.maximum(tl, tr), np.maximum(bl, br))  # NaN wins
+    out = np.empty((n, c, h // 2, w // 2), dtype=x.dtype)
+
+    def part(i):
+        tl, tr = x[i, :, 0::2, 0::2], x[i, :, 0::2, 1::2]
+        bl, br = x[i, :, 1::2, 0::2], x[i, :, 1::2, 1::2]
+        np.maximum(np.maximum(tl, tr), np.maximum(bl, br), out=out[i])  # NaN wins
+
+    _split(part, n, x.size)
+    return out
 
 
 def maxpool2_backward(grad_out: Tensor, x: Tensor, out: Tensor) -> Tensor:
@@ -345,17 +466,22 @@ def maxpool2_backward(grad_out: Tensor, x: Tensor, out: Tensor) -> Tensor:
                          f"{out.shape} for input {x.shape}")
     grad = np.empty(x.shape, dtype=grad_out.dtype)
     blocks = grad.reshape(n, c, h, 2, w, 2)
-    nan = np.isnan(out).any()
-    free = np.ones(out.shape, dtype=bool)  # windows whose max is not yet placed
-    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        corner = x[:, :, dy::2, dx::2]
-        hit = corner == out
-        if nan:
-            hit |= np.isnan(corner)
-        hit &= free
-        free ^= hit
-        # np.where, not grad_out * hit: the product is -0.0 under a negative cotangent
-        blocks[:, :, :, dy, :, dx] = np.where(hit, grad_out, 0)
+
+    def part(i):
+        pooled = out[i]
+        nan = np.isnan(pooled).any()  # a NaN input pools to NaN
+        free = np.ones(pooled.shape, dtype=bool)  # windows whose max is not yet placed
+        for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            corner = x[i, :, dy::2, dx::2]
+            hit = corner == pooled
+            if nan:
+                hit |= np.isnan(corner)
+            hit &= free
+            free ^= hit
+            # np.where, not grad_out * hit: the product is -0.0 under a negative cotangent
+            blocks[i, :, :, dy, :, dx] = np.where(hit, grad_out[i], 0)
+
+    _split(part, n, x.size)
     return grad
 
 
@@ -403,28 +529,42 @@ def batchnorm(x: Tensor, gamma, beta, running_mean, running_var, mode: str, out=
         if arr.shape != (c,):
             raise ShapeError(f"batchnorm {name} must have shape ({c},) for an input of "
                              f"{c} channels, got {arr.shape}")
-    train = mode == "train"
-    if train:
-        if n * h * w == 1:
-            raise ShapeError(
-                "batchnorm train mode needs more than one value per channel "
-                f"(n*h*w = 1 for input shape {x.shape})"
-            )
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        m = np.asarray(BN_MOMENTUM, dtype=x.dtype)
-        running_mean = ((1 - m) * running_mean + m * mean).astype(x.dtype)
-        running_var = ((1 - m) * running_var + m * var).astype(x.dtype)
-    else:
-        mean, var = running_mean, running_var
+    if mode == "eval":
+        inv_std = 1.0 / np.sqrt(running_var + np.asarray(BN_EPSILON, dtype=x.dtype))
+        if out is None:
+            out = np.empty(x.shape, np.result_type(x, running_mean))
+        _normalize(x, running_mean, inv_std, gamma, beta, out, out)
+        return out, None, running_mean, running_var
+    if n * h * w == 1:
+        raise ShapeError(
+            "batchnorm train mode needs more than one value per channel "
+            f"(n*h*w = 1 for input shape {x.shape})"
+        )
+    mean, var = np.empty(c, x.dtype), np.empty(c, x.dtype)
+
+    def moments(ch):
+        mean[ch] = x[:, ch].mean(axis=(0, 2, 3))
+        var[ch] = x[:, ch].var(axis=(0, 2, 3))
+
+    _split(moments, c, x.size, 2)  # a one-channel slice would reduce in another order
+    m = np.asarray(BN_MOMENTUM, dtype=x.dtype)
+    running_mean = ((1 - m) * running_mean + m * mean).astype(x.dtype)
+    running_var = ((1 - m) * running_var + m * var).astype(x.dtype)
     inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=x.dtype))
-    # one sequence in both modes; train keeps xhat apart for the adjoint
-    xhat = np.subtract(x, mean.reshape(1, -1, 1, 1), out=None if train else out)
+    xhat = np.empty(x.shape, x.dtype)  # formed once the moments' temporaries are gone
+    if out is None:
+        out = np.empty(x.shape, np.result_type(x, gamma))
+    _split(lambda i: _normalize(x[i], mean, inv_std, gamma, beta, xhat[i], out[i]), n, x.size)
+    return out, {"xhat": xhat, "inv_std": inv_std, "gamma": gamma}, running_mean, running_var
+
+
+def _normalize(x, mean, inv_std, gamma, beta, xhat, out) -> None:
+    """One sequence in both modes: xhat = (x - mean) * inv_std per channel
+    and out = xhat * gamma + beta, where xhat may be out."""
+    np.subtract(x, mean.reshape(1, -1, 1, 1), out=xhat)
     xhat *= inv_std.reshape(1, -1, 1, 1)
-    out = np.multiply(xhat, gamma.reshape(1, -1, 1, 1), out=out if train else xhat)
+    np.multiply(xhat, gamma.reshape(1, -1, 1, 1), out=out)
     out += beta.reshape(1, -1, 1, 1)
-    cache = {"xhat": xhat, "inv_std": inv_std, "gamma": gamma} if train else None
-    return out, cache, running_mean, running_var
 
 
 def batchnorm_backward(cache: dict, grad_out: Tensor):
@@ -437,14 +577,28 @@ def batchnorm_backward(cache: dict, grad_out: Tensor):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match batchnorm input {xhat.shape}"
         )
-    grad_beta = grad_out.sum(axis=(0, 2, 3))
-    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
-    dxhat = grad_out * gamma
     n, c, h, w = xhat.shape
     count = n * h * w
-    s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-    s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-    grad_input = (inv_std / count) * (count * dxhat - s1 - xhat * s2)
+    scale = inv_std / count
+    grad_beta = np.empty(c, grad_out.dtype)
+    grad_gamma = np.empty(c, np.result_type(grad_out, xhat))
+    grad_input = np.empty(xhat.shape, np.result_type(scale, grad_out, gamma, xhat))
+
+    def channels(ch):
+        # (inv_std / count) * (count * dxhat - s1 - xhat * s2) with the same
+        # arithmetic, every full-size temporary but dxhat formed in grad_input
+        g, xh, gi = grad_out[:, ch], xhat[:, ch], grad_input[:, ch]
+        grad_beta[ch] = g.sum(axis=(0, 2, 3))
+        grad_gamma[ch] = np.multiply(g, xh, out=gi).sum(axis=(0, 2, 3))
+        dxhat = g * gamma[:, ch]
+        s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+        s2 = np.multiply(dxhat, xh, out=gi).sum(axis=(0, 2, 3), keepdims=True)
+        dxhat = np.multiply(count, dxhat, out=dxhat)
+        dxhat -= s1
+        np.subtract(dxhat, np.multiply(xh, s2, out=gi), out=gi)
+        np.multiply(scale[:, ch], gi, out=gi)
+
+    _split(channels, c, xhat.size, 2)  # a one-channel slice would reduce in another order
     return grad_input, grad_gamma, grad_beta
 
 
@@ -455,7 +609,9 @@ def relu(x: Tensor, out=None) -> Tensor:
 
 def relu_backward(grad_out: Tensor, out: Tensor) -> Tensor:
     """Gate cotangents where the pre-activation was positive (out > 0 iff x > 0)."""
-    return grad_out * (out > 0)
+    grad = np.empty(grad_out.shape, grad_out.dtype)
+    _split(lambda i: np.multiply(grad_out[i], out[i] > 0, out=grad[i]), len(grad), grad.size)
+    return grad
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -480,19 +636,24 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     # of one whole draw, without holding it
     for i in range(0, flat.size, BLOCK_ELEMS):
         flat[i:i + BLOCK_ELEMS] = rng.random(min(BLOCK_ELEMS, flat.size - i)) >= rate
-    return x * _dropout_factor(keep, rate, x.dtype)
+    return _dropped(x, keep, rate, np.empty(x.shape, x.dtype))
 
 
-def _dropout_factor(keep: np.ndarray, rate: float, dtype) -> np.ndarray:
-    """1/(1-rate) where keep is set and 0 elsewhere, in `dtype`."""
-    return keep.astype(dtype) / np.asarray(1.0 - rate, dtype=dtype)
+def _dropped(x: np.ndarray, keep: np.ndarray, rate: float, out: np.ndarray) -> np.ndarray:
+    """x times the dropout factor, 1/(1-rate) where keep is set and 0
+    elsewhere, formed in `out` and written over by the product."""
+    out[...] = keep
+    out /= np.asarray(1.0 - rate, dtype=out.dtype)
+    return np.multiply(x, out, out=out)
 
 
 def dropout_backward(grad_out: Tensor, keep: np.ndarray, rate: float) -> Tensor:
     """Adjoint of dropout at `rate`: grad_out times the factor the forward
     applied, rebuilt with the same bits. keep is the bool mask of where the
     forward kept its input; for a positive input, where its output is positive."""
-    return grad_out * _dropout_factor(keep, rate, grad_out.dtype)
+    grad = np.empty(grad_out.shape, grad_out.dtype)
+    _split(lambda i: _dropped(grad_out[i], keep[i], rate, grad[i]), len(grad), grad.size)
+    return grad
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

@@ -1,5 +1,6 @@
 import math
 import struct
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -119,6 +120,27 @@ def no_dropout(monkeypatch):
     alone would leave gradients scaled by 1/(1-rate)."""
     monkeypatch.setattr(ops, "dropout", lambda x, rate, rng: x)
     monkeypatch.setattr(ops, "dropout_backward", lambda g, keep, rate: g * keep)
+
+
+class InlineExecutor:
+    """A worker pool that runs each submitted call at once, in the caller's thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.fixture
+def inline_workers(monkeypatch):
+    """The kernels split their work as two workers would, at any size, and
+    run each part in the caller's thread, in order."""
+    monkeypatch.setattr(ops, "WORKERS", 2)
+    monkeypatch.setattr(ops, "TASK_ELEMS", 1)
+    monkeypatch.setattr(ops, "_pool", InlineExecutor)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 validation."""
 
 import importlib.util
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -506,7 +507,8 @@ def test_frozen_train_without_dropout_equals_eval(frozen_bn, no_dropout):
     graph = init_parameters(build_model(Variant.PROPOSED, cfg), 0)
     x = np.random.default_rng(5).random((2, 3, 16, 16)).astype(np.float32)
     train_pred, _ = graph.forward(x, "train", rng=np.random.default_rng(0))
-    eval_pred, _ = graph.forward(x, "eval")
+    with ops._one_blas_thread():  # the BLAS thread count a train forward runs at
+        eval_pred, _ = graph.forward(x, "eval")
     npt.assert_array_equal(train_pred, eval_pred)
 
 
@@ -695,10 +697,12 @@ def test_conv_calls_carry_the_plan_keys_a_call_site_tracer_needs(variant, monkey
     assert seen and set(seen) <= keys
 
 
-def test_the_benchmark_tracer_finds_every_name_and_restores_each():
+def test_the_benchmark_tracer_finds_every_name_and_restores_each(monkeypatch):
     # perfbench/tracing.py patches the package's call sites by name, so a
     # renamed or removed one fails instrument; restore must put back the
-    # very objects it replaced
+    # very objects it replaced. Its spans assume one thread: a train step on
+    # the kernels' workers records each span on the calling thread, and no
+    # two spans with one parent overlap
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -707,14 +711,27 @@ def test_the_benchmark_tracer_finds_every_name_and_restores_each():
               "ModelGraph": lmnet.model.ModelGraph, "train": lmnet.train,
               "checkpoint": lmnet.checkpoint, "data": lmnet.data, "imgio": lmnet.imgio}
 
+    class ThreadTracer(tracing.Tracer):
+        def span(self, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return super().span(*args, **kwargs)
+
     def snapshot():
         return {label: dict(o if isinstance(o, dict) else vars(o)) for label, o in owners.items()}
 
+    monkeypatch.setattr(ops, "WORKERS", 2)
+    monkeypatch.setattr(ops, "TASK_ELEMS", 1)  # every kernel on the workers
+    graph = built(Variant.PROPOSED)
+    batch = np.random.default_rng(5).random((3, 3, 16, 16)).astype(np.float32)
+    threads = []
+    tracer = ThreadTracer()
     before = snapshot()
-    restore = tracing.instrument(tracing.Tracer(), tracing.conv_specs(built(Variant.PROPOSED)))
+    restore = tracing.instrument(tracer, tracing.conv_specs(graph))
     try:
         patched = {f"{label}.{name}" for label, names in snapshot().items()
                    for name, obj in names.items() if obj is not before[label].get(name)}
+        pred, cache = graph.forward(batch, "train", rng=derive_rng(7, 1))
+        graph.backward(cache, np.ones_like(pred))
     finally:
         restore()
     assert {"ops.conv2d", "ops.conv2d_backward", "ops.upsample_nearest2", "LOSSES.bce",
@@ -723,6 +740,15 @@ def test_the_benchmark_tracer_finds_every_name_and_restores_each():
     for label, names in before.items():
         assert after[label].keys() == names.keys(), label
         assert all(after[label][name] is obj for name, obj in names.items()), label
+    names = {name for name, *_ in tracer.spans}
+    assert {"model.forward", "model.backward", "ops.conv2d.bwd", "ops.batchnorm.bwd"} <= names
+    assert set(threads) == {threading.get_ident()} and len(threads) == len(tracer.spans)
+    siblings = {}
+    for _, start, end, parent, _ in tracer.spans:
+        siblings.setdefault(parent, []).append((start, end))
+    for spans in siblings.values():
+        spans.sort()
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
 def test_single_unit_channel_sequence_still_runs():

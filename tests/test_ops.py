@@ -9,6 +9,7 @@ fused decoder stage with upsample -> concat -> conv and that oracle's
 adjoints through the split and the upsample adjoint.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -270,23 +271,55 @@ def test_fused_decoder_stage_matches_the_composition(c_up, c_skip, c_out, k, d):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (name, hl, wl)
 
 
-def test_fused_decoder_stage_forms_no_concatenated_input():
-    # l7's shape at float32: the skip part alone costs what the fused call
-    # costs; the upsampled input (13 planes) or the concatenated one (28)
-    # on top of it would break the bound
+def _fused_and_skip_only_peaks(n):
+    """Traced peaks, forward then adjoint, of the fused decoder stage at
+    l7's shape with n samples of float32 and of the plain conv of its skip
+    part; and the bytes of the upsampled input, which the fused stage must
+    not form."""
     rng = np.random.default_rng(7)
-    n, c_up, c_skip, c_out, k, side = 2, 13, 15, 5, 3, 64
+    c_up, c_skip, c_out, k, side = 13, 15, 5, 3, 64
     low = rng.standard_normal((n, c_up, side // 2, side // 2)).astype(np.float32)
     skip = rng.standard_normal((n, c_skip, side, side)).astype(np.float32)
     params = ops.ConvParams(rng.standard_normal((c_out, c_up + c_skip, k, k)).astype(np.float32),
                             np.zeros(c_out, np.float32), 1)
     skip_only = ops.ConvParams(np.ascontiguousarray(params.weights[:, c_up:]), params.bias, 1)
     grad_out = rng.standard_normal((n, c_out, side, side)).astype(np.float32)
-    up_bytes = n * c_up * side * side * 4
-    assert (_traced_peak(lambda: ops.upsample_conv2d(low, skip, params))
-            < _traced_peak(lambda: ops.conv2d(skip, skip_only)) + up_bytes)
-    assert (_traced_peak(lambda: ops.upsample_conv2d_backward(low, skip, params, grad_out))
-            < _traced_peak(lambda: ops.conv2d_backward(skip, skip_only, grad_out)) + up_bytes)
+    peaks = [(_traced_peak(lambda: ops.upsample_conv2d(low, skip, params)),
+              _traced_peak(lambda: ops.conv2d(skip, skip_only))),
+             (_traced_peak(lambda: ops.upsample_conv2d_backward(low, skip, params, grad_out)),
+              _traced_peak(lambda: ops.conv2d_backward(skip, skip_only, grad_out)))]
+    return peaks, n * c_up * side * side * 4
+
+
+def test_fused_decoder_stage_forms_no_concatenated_input_in_one_thread(inline_workers):
+    # one sample's blocks at a time in both calls: the skip part alone costs
+    # what the fused call costs; the upsampled input (13 planes) or the
+    # concatenated one (28) on top of it would break the bound
+    peaks, up_bytes = _fused_and_skip_only_peaks(2)
+    for fused, skip_only in peaks:
+        assert fused < skip_only + up_bytes
+
+
+def test_fused_decoder_stage_forms_no_concatenated_input(monkeypatch):
+    # on the workers, as a train step runs it: each of the two samples may
+    # hold its blocks while the other does, or not, as the threads meet. So
+    # the bound is the skip part's one-sample cost (its output and blocks)
+    # twice over, which a call holding both samples' blocks reaches. It
+    # holds at any timing; a formed upsampled input breaks it only when the
+    # blocks meet, and the test above is the exact one
+    threads = set()
+    padded_rows = ops._padded_rows
+
+    def spy(*args):
+        threads.add(threading.current_thread() is threading.main_thread())
+        return padded_rows(*args)
+
+    monkeypatch.setattr(ops, "_padded_rows", spy)
+    peaks, up_bytes = _fused_and_skip_only_peaks(2)
+    assert threads == ({False} if ops.WORKERS > 1 else {True})
+    one_sample, _ = _fused_and_skip_only_peaks(1)
+    for (fused, _), (_, skip_only) in zip(peaks, one_sample):
+        assert fused < 2 * skip_only + up_bytes
 
 
 def test_fused_decoder_stage_validation():
