@@ -8,13 +8,17 @@ Two file kinds share one layout and differ by magic:
 
 Layout (all integers little-endian):
   magic        4 bytes
-  version      u16 (currently 2)
+  version      u16 (currently 3)
   config text  u32 length + UTF-8 payload
   [meta text   u32 length + UTF-8 payload, training kind only]
   tensor table u32 count, then per tensor:
                u16 name length + UTF-8 name, u8 dtype code (0=f32, 1=f64),
                u8 rank (at most 4), u32 per dim (none 0), u64 payload bytes,
                raw little-endian data
+  crc          u32 zlib.crc32 of every preceding byte
+
+The magic, the version and then the CRC-32 are checked before any text or
+tensor is parsed, so a file of another version is refused by its number.
 
 Text blocks are canonical `kvtext` blocks: one key=value per line, keys
 sorted lexicographically, floats rendered by `repr` so that they read back
@@ -30,6 +34,7 @@ import io
 import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -40,7 +45,7 @@ from .optim import AdamState
 
 DEPLOY_MAGIC = b"LMKN"
 TRAIN_MAGIC = b"LMKT"
-VERSION = 2
+VERSION = 3
 MAX_NDIM = 4  # a conv weight (c_out, c_in, k, k) has the most dimensions
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
@@ -110,7 +115,7 @@ def _write_tensors(buf, tensors: dict) -> None:
 
 
 def _read_exact(buf, n: int, what: str, where: str = "tensor table") -> bytes:
-    """The next n bytes; a declared length past the end of the file is
+    """The next n bytes; a declared length past the end of `buf` is
     refused before anything is read, so it never sizes an allocation."""
     here = buf.tell()
     if n > buf.seek(0, os.SEEK_END) - here:
@@ -176,10 +181,14 @@ def _serialize(magic: bytes, graph: ModelGraph, meta_text: str | None,
     if extra_tensors:
         tensors.update(extra_tensors)
     _write_tensors(buf, tensors)
+    buf.write(struct.pack("<I", zlib.crc32(buf.getbuffer())))
     return buf.getvalue()
 
 
-def _read_header(buf) -> bytes:
+def _open_body(blob: bytes) -> tuple:
+    """A checkpoint file's magic and a stream over its bytes between the
+    version and the CRC-32, once the magic, version and CRC-32 are checked."""
+    buf = io.BytesIO(blob)
     magic = buf.read(4)
     if magic not in (DEPLOY_MAGIC, TRAIN_MAGIC):
         raise CheckpointError(
@@ -190,7 +199,9 @@ def _read_header(buf) -> bytes:
         raise CheckpointError(
             f"unsupported checkpoint version {version} (this build reads {VERSION})"
         )
-    return magic
+    if zlib.crc32(memoryview(blob)[:-4]) != int.from_bytes(blob[-4:], "little"):
+        raise CheckpointError("CRC-32 mismatch: the file is damaged or truncated")
+    return magic, io.BytesIO(blob[buf.tell():-4])
 
 
 def _take(tensors: dict, name: str, shape: tuple) -> np.ndarray:
@@ -229,9 +240,10 @@ def _graph_from(variant, config, tensors: dict) -> ModelGraph:
     return graph
 
 
-def _open(path):
+def _read_file(path) -> bytes:
     try:
-        return open(path, "rb")
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
 
@@ -278,15 +290,16 @@ def _load(path, training: bool):
     for the deployment kind, which `training` refuses. An error in reading
     the file or in matching it to the graph names the path once, as its
     prefix."""
-    with _open(path) as fh, _naming(path):
-        magic = _read_header(fh)
+    blob = _read_file(path)
+    with _naming(path):
+        magic, body = _open_body(blob)
         if training and magic != TRAIN_MAGIC:
             raise CheckpointError("this is a deployment checkpoint and carries no optimizer state")
-        variant, config = parse_config_text(_read_text_block(fh, "config"))
+        variant, config = parse_config_text(_read_text_block(body, "config"))
         if magic == TRAIN_MAGIC:
-            meta = parse_kv_text(_read_text_block(fh, "metadata"))
-        tensors = _read_tensors(fh)
-        if fh.read(1):
+            meta = parse_kv_text(_read_text_block(body, "metadata"))
+        tensors = _read_tensors(body)
+        if body.read(1):
             raise CheckpointError("trailing bytes after tensor table")
         graph = _graph_from(variant, config, tensors)
         if magic == DEPLOY_MAGIC:

@@ -25,13 +25,12 @@ import numpy as np
 
 from . import imgio, kvtext
 from .checkpoint import load_any
-from .data import load_index, prepare_dataset
+from .data import TARGET_SIZE, load_index, prepare_dataset
 from .errors import ConfigError, DataError, LmnetError
 from .gradcheck import check_graph_gradients
 from .metrics import DEFAULT_THRESHOLD, render_kv, render_table
 from .model import (
-    POOL_GRID, GraphConfig, build_model, closed_form_param_count, parse_variant,
-    pool_grid_problem, replace_input_size,
+    POOL_GRID, GraphConfig, build_model, closed_form_param_count, parse_variant, pool_grid_problem,
 )
 from .train import TrainConfig, evaluate, train
 
@@ -154,15 +153,9 @@ def _graph_config(o, **fixed):
 
 
 def _cmd_train(o):
-    variant = parse_variant(o["variant"])
-    index = load_index(o["index"])
-    records = index.split_records("train")
-    # the first image's header only: train() checks every file against it
-    input_size = imgio.image_size(index.image_path(records[0]))
-    print(f"input size {input_size[0]}x{input_size[1]} detected from {records[0].image}")
     cfg = TrainConfig(
-        variant=variant,
-        graph=_graph_config(o, input_size=input_size, loss=o["loss"], seed=o["seed"]),
+        variant=parse_variant(o["variant"]),
+        graph=_graph_config(o, loss=o["loss"], seed=o["seed"]),
         index_path=o["index"],
         out_dir=o["out"],
         epochs=o["epochs"],
@@ -206,8 +199,6 @@ def _cmd_predict(o):
         image = image[:, top:top + h8, left:left + w8]
         print(f"input {h}x{w} center-cropped to {h8}x{w8} "
               f"(spatial dims must be divisible by {POOL_GRID})")
-    if (h8, w8) != graph.config.input_size:
-        graph = replace_input_size(graph, (h8, w8))
     pred, _ = graph.forward(image[None], "eval")
     prob = pred[0, 0]
     mask = (prob >= o["threshold"]).astype(np.float32)
@@ -261,7 +252,7 @@ _COMMANDS = {
         Opt("input_dir", required=True, help="raw scene layout root"),
         Opt("output_dir", required=True, help="prepared dataset root"),
         Opt("tile_size", int, 500, help="square tile side"),
-        Opt("target_size", _size, GraphConfig.input_size, help="training size, int or h,w"),
+        Opt("target_size", _size, TARGET_SIZE, help="training size, int or h,w"),
         Opt("min_fg", float, 0.01, help="lowest kept mask foreground fraction"),
         Opt("max_fg", float, 0.90, help="highest kept mask foreground fraction"),
         Opt("overwrite", _flag, False, help="replace existing output"),

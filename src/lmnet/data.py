@@ -13,9 +13,11 @@ under `<split>/masks/`; `_record` is the one place that forms those paths and
 arrays: the image (3, h, w) in [0, 1], the mask (h, w). Masks are binary the
 moment they enter this module (`load_pair` binarizes what it reads,
 `synth_pair` draws them binary) and stay binary through every operation;
-`load_pair` is also where an image must agree in size with its mask and,
-when given, the graph. A synthetic rectangle generator writes deterministic
-layouts for tests and smoke runs.
+`load_pair` is also where an image must agree in size with its mask. The
+network takes any size on its pooling grid, so each split has one tile size
+on POOL_GRID, which `check_split` checks from file headers and `batch_iter`
+as it decodes. A synthetic rectangle generator writes deterministic layouts
+for tests and smoke runs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .seeding import derive_rng
 
 MASK_THRESHOLD = 128.0 / 255.0
 SPLITS = ("train", "val", "test")
+TARGET_SIZE = (192, 192)  # the paper's training tile, prepare's default
 
 
 def binarize_mask(raw) -> np.ndarray:
@@ -118,7 +121,7 @@ def _resize_nearest(mask: np.ndarray, target) -> np.ndarray:
     return mask[..., ys, :][..., :, xs]
 
 
-def resize_pair(image: np.ndarray, mask: np.ndarray, target=(192, 192)) -> tuple:
+def resize_pair(image: np.ndarray, mask: np.ndarray, target=TARGET_SIZE) -> tuple:
     """Downscale an (image, mask) pair: bilinear for the image, nearest for
     the mask.
 
@@ -247,23 +250,30 @@ def build_index(prepared_dir) -> DatasetIndex:
     return DatasetIndex(root=prepared, records=records)
 
 
-def _check_graph_size(path, got, size) -> None:
-    """Refuse a file of (h, w) `got` where the graph expects `size`."""
-    if tuple(got) != tuple(size):
-        (h, w), (eh, ew) = got, size
-        raise DataError(f"{path} is {h}x{w}, but the graph expects {eh}x{ew}; "
-                        "re-prepare the data or pick a matching checkpoint")
+def _one_tile_size(split: str):
+    """A check of a split's tiles, given one by one as (path, (h, w)): the
+    first must lie on POOL_GRID and every later one must have its size."""
+    first = None  # (path, size) of the first tile
+
+    def check(path, size) -> None:
+        nonlocal first
+        if first is None:
+            problem = pool_grid_problem(f"{path}: tile size", size)
+            if problem:
+                raise DataError(problem)
+            first = (path, size)
+        elif size != first[1]:
+            (h, w), (first_path, (eh, ew)) = size, first
+            raise DataError(f"{path} is {h}x{w}, but the first image of split {split!r}, "
+                            f"{first_path}, is {eh}x{ew}; re-prepare the data to one tile size")
+
+    return check
 
 
-def load_pair(index: DatasetIndex, rec: IndexRecord, size=None) -> tuple:
-    """The sample `rec` names: image (3, h, w) and binarized mask (h, w).
-
-    With `size` (the graph's), an image of another size is refused.
-    """
+def load_pair(index: DatasetIndex, rec: IndexRecord) -> tuple:
+    """The sample `rec` names: image (3, h, w) and binarized mask (h, w)."""
     image_path, mask_path = index.image_path(rec), index.mask_path(rec)
     image = imgio.read_rgb(image_path)
-    if size is not None:
-        _check_graph_size(image_path, image.shape[1:], size)
     mask = binarize_mask(imgio.read_gray(mask_path))
     if image.shape[1:] != mask.shape:
         raise DataError(f"{mask_path} is {mask.shape[0]}x{mask.shape[1]}, but its image "
@@ -271,35 +281,22 @@ def load_pair(index: DatasetIndex, rec: IndexRecord, size=None) -> tuple:
     return image, mask
 
 
-def split_size(index: DatasetIndex, split: str, size=None) -> tuple:
-    """The one (h, w) shared by every image and mask of a split.
-
-    This is the check that a split is named, non-empty and of one tile size:
-    `size` (the graph's), or the first image's size when it is None. Only
-    file headers are read.
-    """
-    records = index.split_records(split)
-    first = index.image_path(records[0]) if size is None else None
-    for path in (p for r in records for p in (index.image_path(r), index.mask_path(r))):
-        got = imgio.image_size(path)
-        if size is None:
-            size = got
-        if first is None:
-            _check_graph_size(path, got, size)
-        elif got != size:
-            (h, w), (eh, ew) = got, size
-            raise DataError(f"{path} is {h}x{w}, but the first image of split {split!r}, "
-                            f"{first}, is {eh}x{ew}; re-prepare the data to one tile size")
-    return tuple(size)
+def check_split(index: DatasetIndex, split: str) -> None:
+    """Refuse a split that is unknown or empty, or whose images and masks
+    do not share one tile size on POOL_GRID. Only file headers are read."""
+    check = _one_tile_size(split)
+    for rec in index.split_records(split):
+        for path in (index.image_path(rec), index.mask_path(rec)):
+            check(path, imgio.image_size(path))
 
 
 def batch_iter(index: DatasetIndex, split: str, batch_size: int,
-               seed: int = 0, epoch: int = 0, shuffle: bool = True, size=None):
+               seed: int = 0, epoch: int = 0, shuffle: bool = True):
     """Yield (images (b,3,h,w), masks (b,1,h,w)) batches over one split.
 
-    An unknown or empty split is refused. With `size` (the graph's), each
-    image is checked against it as it is decoded; without it, the caller
-    checks the split's tile sizes with `split_size` first.
+    An unknown or empty split is refused, and so is a tile off POOL_GRID or
+    of another size than the first tile decoded, as it is decoded, before
+    its batch is yielded.
     Order is a pure function of (seed, epoch); the final short batch is
     yielded as-is. With shuffle=False records come in index order and seed
     and epoch are ignored.
@@ -307,17 +304,21 @@ def batch_iter(index: DatasetIndex, split: str, batch_size: int,
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     records = index.split_records(split)
+    check = _one_tile_size(split)
     order = np.arange(len(records))
     if shuffle:
         order = derive_rng(seed, 0, epoch).permutation(len(records))
     for start in range(0, len(records), batch_size):
-        yield _load_batch(index, [records[i] for i in order[start:start + batch_size]], size)
+        yield _load_batch(index, [records[i] for i in order[start:start + batch_size]], check)
 
 
-def _load_batch(index: DatasetIndex, records, size) -> tuple:
-    """The stacked (images, masks) of `records`. The per-sample arrays go
-    with this frame, so a caller holding the batch holds it once."""
-    images, masks = zip(*(load_pair(index, record, size) for record in records))
+def _load_batch(index: DatasetIndex, records, check) -> tuple:
+    """The stacked (images, masks) of `records`, each image's size passed to
+    `check` first. The per-sample arrays go with this frame, so a caller
+    holding the batch holds it once."""
+    images, masks = zip(*(load_pair(index, record) for record in records))
+    for record, image in zip(records, images):
+        check(index.image_path(record), image.shape[1:])
     return np.stack(images), np.stack(masks)[:, None]
 
 
@@ -372,7 +373,7 @@ def write_synthetic_dataset(out_dir, counts: dict, size: int, seed: int) -> Data
 # ---------------------------------------------------------------------------
 # Preparation pipeline
 
-def prepare_dataset(input_dir, output_dir, tile: int = 500, target=(192, 192),
+def prepare_dataset(input_dir, output_dir, tile: int = 500, target=TARGET_SIZE,
                     min_fg: float = 0.01, max_fg: float = 0.90,
                     overwrite: bool = False) -> dict:
     """Run the full pipeline over a raw scene layout.

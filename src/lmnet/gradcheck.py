@@ -22,7 +22,8 @@ from .model import (
 )
 from .seeding import derive_rng
 
-TINY_CONFIG = GraphConfig(input_size=(8, 8), channel_sequence=(2, 2, 3, 3))
+TINY_CONFIG = GraphConfig(channel_sequence=(2, 2, 3, 3))
+TINY_SIDE = 8  # the fixture batch's height and width: one POOL_GRID
 
 INIT_SEED = 59
 POINT_SEED = 1030
@@ -68,8 +69,7 @@ def fixture_graph(variant) -> ModelGraph:
 
 def fixture_batch(graph: ModelGraph, data_seed: int):
     """Deterministic input and binary target for the fixture graph."""
-    h, w = graph.config.input_size
-    x = np.random.default_rng(data_seed).random((2, INPUT_CHANNELS, h, w)) + 0.1
+    x = np.random.default_rng(data_seed).random((2, INPUT_CHANNELS, TINY_SIDE, TINY_SIDE)) + 0.1
     rng = derive_rng(DROPOUT_SEED, 1)
     pred, _ = graph.forward(x, "train", rng=rng)
     targets = (np.random.default_rng(data_seed + 2).random(pred.shape) > 0.5)

@@ -26,7 +26,9 @@ forward applies dropout at rates 0.1 / 0.5 / 0.3 after activations
 Dilation and Proposed carry the parallel dilated first layer. Activations
 therefore run 192-96-48-24-48-96-192. The input channels, batch norm and
 dropout are fixed, not settings: GraphConfig holds only what a caller
-chooses.
+chooses. Every layer is convolutional, so the input size belongs to the
+data, not to the graph: forward takes any input whose sides lie on
+POOL_GRID.
 
 layer_plan states this once, as nine stages (one per activation, each
 with its dropout rate). forward walks the stages in order, and in both
@@ -70,7 +72,7 @@ the BLAS's own thread count.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,7 +128,6 @@ def pool_grid_problem(what: str, dims) -> str | None:
 class GraphConfig:
     """The structural choices a caller makes; layer_plan fixes the rest."""
 
-    input_size: tuple = (192, 192)
     channel_sequence: tuple = (5, 13, 89, 233)
     dilation_rates: tuple = (2, 3, 5)
     loss: str = "bce"
@@ -135,9 +136,6 @@ class GraphConfig:
     def violations(self, variant: Variant) -> list:
         """Every violated invariant as a human-readable string."""
         bad = []
-        grid = pool_grid_problem("input size", self.input_size)
-        if grid:
-            bad.append(grid)
         if len(self.channel_sequence) != 4:
             bad.append(
                 f"channel_sequence needs exactly 4 entries, got {len(self.channel_sequence)}"
@@ -409,12 +407,12 @@ class ModelGraph:
             raise ValueError(f"forward mode must be 'train' or 'eval', got {mode!r}")
         ops._require_4d("forward batch", batch)
         n, c, h, w = batch.shape
-        eh, ew = self.config.input_size
-        if c != INPUT_CHANNELS or (h, w) != (eh, ew):
+        if c != INPUT_CHANNELS:
             raise ShapeError(
-                f"batch shape {batch.shape} does not match configured input "
-                f"(n, {INPUT_CHANNELS}, {eh}, {ew})"
-            )
+                f"batch shape {batch.shape} does not match the input (n, {INPUT_CHANNELS}, h, w)")
+        grid = pool_grid_problem("input size", (h, w))
+        if grid:
+            raise ShapeError(grid)
         train = mode == "train"
         if train and n < 2:
             raise ShapeError("train-mode forward needs a batch of at least 2 samples")
@@ -612,16 +610,10 @@ def init_parameters(graph: ModelGraph, seed: int | None = None) -> ModelGraph:
 
 
 def replace_input_size(graph: ModelGraph, input_size) -> ModelGraph:
-    """The same parameters on a graph rebuilt for another spatial size.
-
-    Every layer is convolutional, so parameter shapes are independent of the
-    input size; only the shape validation metadata changes.
-    """
-    config = replace(graph.config, input_size=tuple(int(s) for s in input_size))
-    other = build_model(graph.variant, config, dtype=graph.dtype)
-    other.params = dict(graph.params)
-    other.stats = dict(graph.stats)
-    return other
+    """`graph` itself: a graph takes any input size on POOL_GRID. Kept only
+    for perfbench, which calls and traces this name; it goes with the
+    benchmark change of ROADMAP item 1."""
+    return graph
 
 
 def closed_form_param_count(variant, config: GraphConfig | None = None) -> int:

@@ -38,7 +38,7 @@ from .checkpoint import (
     save_checkpoint,
     save_training_checkpoint,
 )
-from .data import DatasetIndex, batch_iter, load_index, split_size
+from .data import DatasetIndex, batch_iter, check_split, load_index
 from .errors import ConfigError, NonFiniteGradientError, TrainAbortedError
 from .metrics import DEFAULT_THRESHOLD, ConfusionCounts, MetricsReport, confusion, report
 from .model import GraphConfig, ModelGraph, Variant, build_model, init_parameters, loss_fn
@@ -139,8 +139,10 @@ def evaluate(graph: ModelGraph, index: DatasetIndex, split: str,
              threshold: float = DEFAULT_THRESHOLD, micro_batch: int = 10) -> MetricsReport:
     """Eval-mode forward over a whole split: mean loss + pooled confusion.
 
-    No header is read: a tile of another size than the graph's is refused
-    as it is decoded, before its batch is forwarded.
+    The split may have any tile size on the pooling grid, the one the graph
+    was trained at or another. No header is read: a tile off that grid, or
+    of another size than the split's first, is refused as it is decoded,
+    before its batch is forwarded.
     """
     if micro_batch < 1:
         raise ConfigError(f"micro_batch must be >= 1, got {micro_batch}")
@@ -148,8 +150,7 @@ def evaluate(graph: ModelGraph, index: DatasetIndex, split: str,
     counts = ConfusionCounts()
     loss_sum = 0.0
     n = 0
-    for images, masks in batch_iter(index, split, micro_batch, shuffle=False,
-                                    size=graph.config.input_size):
+    for images, masks in batch_iter(index, split, micro_batch, shuffle=False):
         pred, _ = graph.forward(images, "eval")
         loss, _ = lossf(pred, masks.astype(pred.dtype, copy=False))
         k = images.shape[0]
@@ -212,11 +213,11 @@ def train(cfg: TrainConfig):
     if problems:
         raise ConfigError("; ".join(problems))
     index = load_index(cfg.index_path)
-    # an empty split, or a tile of another size, fails before anything is written;
-    # train tiles must match the first (the size `lmnet train` reads), then the graph
-    if split_size(index, "train") != tuple(cfg.graph.input_size):
-        split_size(index, "train", cfg.graph.input_size)
-    split_size(index, "val", cfg.graph.input_size)
+    # an empty split, or one whose tiles are off the pooling grid or of two sizes, fails
+    # before anything is written; validation is an eval forward, which takes any size,
+    # so the two splits may differ
+    check_split(index, "train")
+    check_split(index, "val")
     n_train = len(index.split_records("train"))
     if n_train % cfg.batch_size == 1:
         raise ConfigError(

@@ -1,5 +1,6 @@
 import math
 import struct
+import zlib
 from concurrent.futures import Future
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from lmnet import ops
 from lmnet.checkpoint import TRAIN_MAGIC
-from lmnet.data import write_synthetic_dataset
+from lmnet.data import DatasetIndex, IndexRecord, save_index, write_synthetic_dataset
 from lmnet.model import GraphConfig
 
 # Results of acceptance-marked tests, printed as one line each in the
@@ -42,7 +43,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"ACCEPTANCE {n} {label}: {status}")
 
 
-TINY_GRAPH = GraphConfig(input_size=(8, 8), channel_sequence=(2, 2, 3, 3))
+TINY_GRAPH = GraphConfig(channel_sequence=(2, 2, 3, 3))
+
+
+def seal(body: bytes) -> bytes:
+    """A checkpoint's bytes before its CRC-32, here edited or cut, followed
+    by their CRC-32: a file the reader parses rather than refuses as damaged."""
+    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 def checkpoint_offsets(blob: bytes) -> dict:
@@ -59,12 +66,25 @@ def checkpoint_offsets(blob: bytes) -> dict:
 
 def declare_first_tensor(blob: bytes, shape: tuple) -> bytes:
     """The checkpoint with its first tensor's header declaring a float32
-    `shape` and the payload size that shape needs; the payload is unchanged."""
+    `shape` and the payload size that shape needs, sealed again; the payload
+    is unchanged."""
     name = checkpoint_offsets(blob)["tensor name"]
     head = name + 2 + int.from_bytes(blob[name:name + 2], "little")
     end = head + 2 + 4 * blob[head + 1] + 8
     header = struct.pack(f"<BB{len(shape)}IQ", 0, len(shape), *shape, 4 * math.prod(shape))
-    return blob[:head] + header + blob[end:]
+    return seal(blob[:head] + header + blob[end:-4])
+
+
+def mixed_index(root, parts):
+    """The path of an index over synthetic layouts written under `root`, one
+    per (sub, counts, size) part."""
+    records = []
+    for sub, counts, size in parts:
+        part = write_synthetic_dataset(root / sub, counts, size, seed=0)
+        records += [IndexRecord(f"{sub}/{r.image}", f"{sub}/{r.mask}", r.split)
+                    for r in part.records]
+    save_index(DatasetIndex(root=root, records=records), root / "index.tsv")
+    return root / "index.tsv"
 
 
 @pytest.fixture(scope="session")

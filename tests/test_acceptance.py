@@ -22,6 +22,7 @@ import lmnet.ops as ops
 from lmnet import imgio
 from lmnet.checkpoint import load_any, save_checkpoint
 from lmnet.data import (
+    TARGET_SIZE,
     load_index,
     load_pair,
     prepare_dataset,
@@ -48,7 +49,7 @@ from oracles import (
     tile_naive,
 )
 
-SMALL_GRAPH = GraphConfig(input_size=(16, 16), channel_sequence=(2, 2, 3, 3))
+SMALL_GRAPH = GraphConfig(channel_sequence=(2, 2, 3, 3))
 
 # The overfit recipe: 16 images, batches of 4, 75 epochs = 300 optimizer
 # steps. adam_eps is raised to 1e-2 because at this scale the default
@@ -73,7 +74,7 @@ def overfit_run(overfit_dataset, tmp_path_factory):
     """Train the overfit model once; criteria 4 and 5 both read it."""
     out = tmp_path_factory.mktemp("accept-overfit")
     cfg = TrainConfig(
-        variant=Variant.PROPOSED, graph=GraphConfig(input_size=(64, 64)),
+        variant=Variant.PROPOSED, graph=GraphConfig(),
         index_path=overfit_dataset.root / "index.tsv", out_dir=out,
         quiet=True, **OVERFIT,
     )
@@ -236,7 +237,7 @@ def test_structural_facts_hold_for_every_variant():
         convs = graph.plan.all_convs
         assert len(stages) == 9
         assert config.channel_sequence == (5, 13, 89, 233)
-        assert config.input_size == (192, 192)
+        assert TARGET_SIZE == (192, 192)
         assert all(s.out_channels == 5 for s in stages[0].convs)
         pooled = tuple(s.convs[0].out_channels for s in stages if s.pre == "pool")
         assert pooled == (13, 89, 233)

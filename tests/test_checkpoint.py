@@ -22,7 +22,7 @@ from lmnet.errors import CheckpointError
 from lmnet.model import GraphConfig, Variant, build_model, init_parameters
 from lmnet.optim import adam_init, adam_step
 
-from conftest import TINY_GRAPH, checkpoint_offsets, declare_first_tensor
+from conftest import TINY_GRAPH, checkpoint_offsets, declare_first_tensor, seal
 
 
 def tiny_graph(variant=Variant.PROPOSED, seed=0, dtype=np.float32):
@@ -148,8 +148,9 @@ def test_bad_magic_and_version(tmp_path):
     graph = tiny_graph()
     save_checkpoint(graph, path)
     blob = bytearray(path.read_bytes())
-    # version 1 held the dropout and batch-norm settings; it is refused, not read
-    for version in (1, 99):
+    # version 1 held the dropout and batch-norm settings, version 2 an input
+    # size and no CRC-32; each is refused by its number, before the CRC-32
+    for version in (1, 2, 99):
         blob[4:6] = version.to_bytes(2, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
@@ -159,15 +160,36 @@ def test_bad_magic_and_version(tmp_path):
 def test_truncation_and_trailing_bytes(tmp_path):
     path = tmp_path / "x.ckpt"
     save_checkpoint(tiny_graph(), path)
-    blob = path.read_bytes()
+    body = path.read_bytes()[:-4]
 
-    path.write_bytes(blob[: len(blob) // 2])
+    path.write_bytes(seal(body[: len(body) // 2]))
     with pytest.raises(CheckpointError, match="truncated tensor table"):
         load_any(path)
 
-    path.write_bytes(blob + b"junk")
+    path.write_bytes(seal(body + b"junk"))
     with pytest.raises(CheckpointError, match="trailing bytes"):
         load_any(path)
+
+
+@pytest.mark.parametrize("damage", ["payload-bit", "crc-byte", "cut", "junk"])
+def test_a_damaged_file_fails_its_crc(tmp_path, damage):
+    # a flipped bit in a tensor payload parses as another model; the CRC-32
+    # refuses it, and a cut or extended file, before any text is parsed
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(tiny_graph(), path)
+    blob = bytearray(path.read_bytes())
+    if damage == "payload-bit":
+        blob[-8] ^= 0x01
+    elif damage == "crc-byte":
+        blob[-1] ^= 0xFF
+    elif damage == "cut":
+        blob = blob[:-1]
+    else:
+        blob += b"junk"
+    path.write_bytes(bytes(blob))
+    for load in (load_any, load_training_checkpoint):
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: CRC-32 mismatch"):
+            load(path)
 
 
 def training_file(tmp_path):
@@ -187,7 +209,9 @@ def test_truncation_before_the_tensor_table_names_where_it_is(tmp_path, cut, whe
     path, blob = training_file(tmp_path)
     at = {"version": 5, "config length": 8, "config payload": 20,
           "metadata payload": checkpoint_offsets(blob)["metadata"] + 6}[cut]
-    path.write_bytes(blob[:at])
+    # the version is read before the CRC-32; a cut after it is sealed, so that
+    # the parser reaches it
+    path.write_bytes(blob[:at] if cut == "version" else seal(blob[:at]))
     with pytest.raises(CheckpointError, match=f"truncated {where}") as info:
         load_any(path)
     assert "tensor table" not in str(info.value)
@@ -208,19 +232,21 @@ def test_every_cut_names_the_file_exactly_once(tmp_path, kind):
     head = name + 2 + int.from_bytes(blob[name:name + 2], "little")
     payload = head + 2 + 4 * blob[head + 1] + 8
     # every byte of the header, text blocks and first tensor header, then a
-    # stride through the tensor table
+    # stride through the tensor table; each cut as it is (a CRC-32 mismatch)
+    # and sealed (which the parser refuses)
     for at in [*range(payload + 1), *range(payload + 1, len(blob), 61)]:
-        path.write_bytes(blob[:at])
-        with pytest.raises(CheckpointError) as info:
-            load(path)
-        assert str(info.value).count(str(path)) == 1, (at, str(info.value))
+        for data in (blob[:at], seal(blob[:at])):
+            path.write_bytes(data)
+            with pytest.raises(CheckpointError) as info:
+                load(path)
+            assert str(info.value).count(str(path)) == 1, (at, str(info.value))
 
 
 @pytest.mark.parametrize("block", ["config", "metadata", "tensor name"])
 def test_text_that_is_not_utf8_is_a_checkpoint_error(tmp_path, block):
     path, blob = training_file(tmp_path)
     at = checkpoint_offsets(blob)[block] + (2 if block == "tensor name" else 4)
-    path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    path.write_bytes(seal(blob[:at] + b"\xff" + blob[at + 1:-4]))
     for load in (load_training_checkpoint, load_any):
         with pytest.raises(CheckpointError, match=f"{block}( text)? is not UTF-8"):
             load(path)
@@ -323,19 +349,15 @@ def test_missing_tensor_is_reported_by_name(tmp_path):
 
 
 def test_config_text_round_trip():
-    cfg = GraphConfig(
-        input_size=(64, 96), channel_sequence=(4, 8, 16, 32),
-        dilation_rates=(1, 2, 4), seed=9,
-    )
+    cfg = GraphConfig(channel_sequence=(4, 8, 16, 32), dilation_rates=(1, 2, 4), seed=9)
     text = config_text(Variant.DILATION, cfg)
     variant, back = parse_config_text(text)
     assert variant is Variant.DILATION
     assert back == cfg
     assert text == config_text(variant, back)
-    assert "input_size=64,96" in text
+    assert "channel_sequence=4,8,16,32" in text
     keys = [line.partition("=")[0] for line in text.splitlines()]
-    assert keys == ["channel_sequence", "dilation_rates", "input_size", "loss", "seed",
-                    "variant"]  # sorted
+    assert keys == ["channel_sequence", "dilation_rates", "loss", "seed", "variant"]  # sorted
 
 
 def test_config_text_rejects_missing_and_unknown_keys():

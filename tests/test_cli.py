@@ -10,13 +10,13 @@ import shlex
 import shutil
 import subprocess
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lmnet import imgio
+from lmnet import cli, imgio
 from lmnet.checkpoint import (
     TRAIN_MAGIC,
     _serialize,
@@ -26,7 +26,7 @@ from lmnet.checkpoint import (
     save_training_checkpoint,
 )
 from lmnet.cli import _resolve, main
-from lmnet.data import DatasetIndex, IndexRecord, save_index, write_synthetic_dataset
+from lmnet.data import build_index, save_index, synth_pair, write_synthetic_dataset
 from lmnet.metrics import DEFAULT_THRESHOLD
 from lmnet.model import (
     GraphConfig,
@@ -34,12 +34,12 @@ from lmnet.model import (
     Variant,
     build_model,
     init_parameters,
-    replace_input_size,
 )
 from lmnet.optim import adam_init
+from lmnet.seeding import derive_rng
 from lmnet.train import TrainConfig
 
-from conftest import TINY_GRAPH, checkpoint_offsets, declare_first_tensor
+from conftest import TINY_GRAPH, checkpoint_offsets, declare_first_tensor, mixed_index, seal
 
 TINY_CHANNELS = "2,2,3,3"
 REPO = Path(__file__).resolve().parents[1]
@@ -121,7 +121,6 @@ def test_train_defaults_are_the_config_classes_defaults():
 
 def test_train_smoke_writes_checkpoints(trained_run):
     run_dir, out = trained_run
-    assert "input size 16x16 detected" in out
     assert "training complete: 2 optimizer steps" in out
     for name in ("model.ckpt", "best.ckpt", "last.ckpt",
                  "history_train.csv", "history_val.csv"):
@@ -129,8 +128,8 @@ def test_train_smoke_writes_checkpoints(trained_run):
 
 
 def test_train_reads_headers_in_its_checks_only(tiny_dataset, tmp_path, capsys, monkeypatch):
-    """A header is read by the size detection and the up-front split checks,
-    never again by a pass over the train split or a validation."""
+    """A header is read by the up-front split checks only, never again by a
+    pass over the train split or a validation."""
     calls = []
     image_size = imgio.image_size
     monkeypatch.setattr(imgio, "image_size", lambda path: calls.append(path) or image_size(path))
@@ -140,9 +139,9 @@ def test_train_reads_headers_in_its_checks_only(tiny_dataset, tmp_path, capsys, 
         "--batch", "4", "--micro-batch", "2", "--channels", TINY_CHANNELS, "--quiet",
     )
     assert code == 0, err
-    # 8 train and 4 val pairs: the size detection reads the first train
-    # image, train() all 24 files, and the 3 validations none again
-    assert len(calls) == 1 + 24
+    # 8 train and 4 val pairs: train() reads all 24 files, and the 3
+    # validations none again
+    assert len(calls) == 24
 
 
 def test_train_invalid_lr_fails_before_touching_the_run_dir(
@@ -245,7 +244,7 @@ def test_a_malformed_checkpoint_exits_2_with_one_line(command, damage, tmp_path,
     blob = ckpt.read_bytes()
     if damage == "not-utf8":
         at = checkpoint_offsets(blob)["config"] + 4
-        ckpt.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+        ckpt.write_bytes(seal(blob[:at] + b"\xff" + blob[at + 1:-4]))
     else:
         ckpt.write_bytes(declare_first_tensor(blob, (2**21, 2**20)))
     imgio.write_rgb(tmp_path / "x.png", np.zeros((3, 8, 8), np.float32))
@@ -279,7 +278,7 @@ def test_a_corrupt_tensor_header_is_refused_by_name(shape, why, tmp_path, capsys
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_a_checkpoint_holding_nan_writes_no_output(command, tiny_dataset, tmp_path, capsys):
-    graph = init_parameters(build_model(Variant.PLAIN, replace(TINY_GRAPH, input_size=(16, 16))))
+    graph = init_parameters(build_model(Variant.PLAIN, TINY_GRAPH))
     graph.params["l9.b"] = np.full_like(graph.params["l9.b"], np.nan)
     ckpt = tmp_path / "nan.ckpt"
     save_checkpoint(graph, ckpt)
@@ -293,51 +292,92 @@ def test_a_checkpoint_holding_nan_writes_no_output(command, tiny_dataset, tmp_pa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.ckpt"]
 
 
-def test_eval_size_mismatch_is_explained(trained_run, tmp_path, capsys):
-    from lmnet.data import DatasetIndex, IndexRecord, save_index, write_synthetic_dataset
-
+def test_eval_scores_a_split_of_another_size(trained_run, tmp_path, capsys):
+    # the checkpoint was trained on 16x16 tiles; the graph holds no input size
     run_dir, _ = trained_run
-    other = write_synthetic_dataset(tmp_path / "big", {"val": 2}, 24, seed=1)
-    code, _, err = run_cli(
+    other = write_synthetic_dataset(tmp_path / "big", {"val": 2}, 32, seed=1)
+    code, out, err = run_cli(
         capsys, "eval", "--ckpt", str(run_dir / "model.ckpt"),
         "--index", str(other.root / "index.tsv"), "--split", "val",
     )
+    assert code == 0, err
+    assert "samples=2" in out
+
+
+def test_eval_size_mismatch_is_explained(trained_run, tmp_path, capsys):
+    # the split's tiles share the first one's size; the checkpoint's is not asked
+    run_dir, _ = trained_run
+    index = mixed_index(tmp_path / "mix", [("a", {"val": 2}, 16), ("b", {"val": 1}, 24)])
+    code, out, err = run_cli(capsys, "eval", "--ckpt", str(run_dir / "model.ckpt"),
+                             "--index", str(index), "--split", "val")
     assert code == 1
-    assert "expects 16x16" in err and "24x24" in err
-
-
-def test_train_refuses_val_tiles_of_another_size_before_any_step(tmp_path, capsys):
-    # 16x16 train tiles set the graph size; the val tiles are 24x24
     root = tmp_path / "mix"
-    records = []
-    for sub, counts, size in (("a", {"train": 4}, 16), ("b", {"val": 2}, 24)):
-        part = write_synthetic_dataset(root / sub, counts, size, seed=0)
-        records += [IndexRecord(f"{sub}/{r.image}", f"{sub}/{r.mask}", r.split)
-                    for r in part.records]
-    save_index(DatasetIndex(root=root, records=records), root / "index.tsv")
+    assert err == (f"error: {root / 'b/val/images/synth_00000.png'} is 24x24, but the "
+                   f"first image of split 'val', {root / 'a/val/images/synth_00000.png'}, "
+                   "is 16x16; re-prepare the data to one tile size\n")
+    assert "Method" not in out
+
+
+def off_grid_index(root) -> Path:
+    """A hand-written index of 20x20 tiles, off the pooling grid, which the
+    synthetic writer refuses to make."""
+    for split in ("train", "val", "test"):
+        for i in range(4):
+            image, mask = synth_pair(20, derive_rng(0, i))
+            for sub, write, pixels in (("images", imgio.write_rgb, image),
+                                       ("masks", imgio.write_gray, mask)):
+                path = root / split / sub / f"t{i}.png"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write(path, pixels)
+    save_index(build_index(root), root / "index.tsv")
+    return root / "index.tsv"
+
+
+def test_train_refuses_tiles_off_the_pooling_grid_with_exit_1(tmp_path, capsys):
+    index = off_grid_index(tmp_path / "odd")
     code, out, err = run_cli(
-        capsys, "train", "--index", str(root / "index.tsv"), "--out", str(tmp_path / "run"),
+        capsys, "train", "--index", str(index), "--out", str(tmp_path / "run"),
         "--variant", "plain", "--channels", TINY_CHANNELS, "--batch", "4",
         "--micro-batch", "2", "--epochs", "1",
     )
     assert code == 1
-    assert err == (f"error: {root / 'b/val/images/synth_00000.png'} is 24x24, but the "
-                   "graph expects 16x16; re-prepare the data or pick a matching checkpoint\n")
+    assert err == (f"error: {tmp_path / 'odd/train/images/t0.png'}: tile size 20x20 must be "
+                   "at least 8 and divisible by 8 (three 2x poolings)\n")
     assert "step " not in out
     assert not (tmp_path / "run").exists()
 
 
+def test_eval_refuses_tiles_off_the_pooling_grid_with_exit_1(trained_run, tmp_path, capsys):
+    run_dir, _ = trained_run
+    index = off_grid_index(tmp_path / "odd")
+    code, out, err = run_cli(capsys, "eval", "--ckpt", str(run_dir / "model.ckpt"),
+                             "--index", str(index))
+    assert code == 1
+    assert err == (f"error: {tmp_path / 'odd/test/images/t0.png'}: tile size 20x20 must be "
+                   "at least 8 and divisible by 8 (three 2x poolings)\n")
+    assert "Method" not in out
+
+
+def test_train_takes_val_tiles_of_another_size(tmp_path, capsys):
+    # 16x16 train tiles, 24x24 val tiles: validation is an eval forward, which
+    # takes any size on the pooling grid
+    index = mixed_index(tmp_path / "mix", [("a", {"train": 4}, 16), ("b", {"val": 2}, 24)])
+    code, out, err = run_cli(
+        capsys, "train", "--index", str(index), "--out", str(tmp_path / "run"),
+        "--variant", "plain", "--channels", TINY_CHANNELS, "--batch", "4",
+        "--micro-batch", "2", "--epochs", "2", "--quiet",
+    )
+    assert code == 0, err
+    rows = (tmp_path / "run" / "history_val.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2
+
+
 def test_train_names_the_first_image_when_train_tiles_differ_in_size(tmp_path, capsys):
-    # no graph or checkpoint exists yet: the first train tile sets the size
+    # the first train tile sets the split's size
     root = tmp_path / "mix"
-    records = []
-    for sub, size in (("a", 16), ("b", 24)):
-        part = write_synthetic_dataset(root / sub, {"train": 2}, size, seed=0)
-        records += [IndexRecord(f"{sub}/{r.image}", f"{sub}/{r.mask}", r.split)
-                    for r in part.records]
-    save_index(DatasetIndex(root=root, records=records), root / "index.tsv")
+    index = mixed_index(root, [("a", {"train": 2}, 16), ("b", {"train": 2}, 24)])
     code, _, err = run_cli(
-        capsys, "train", "--index", str(root / "index.tsv"), "--out", str(tmp_path / "run"),
+        capsys, "train", "--index", str(index), "--out", str(tmp_path / "run"),
         "--variant", "plain", "--channels", TINY_CHANNELS, "--epochs", "1",
     )
     assert code == 1
@@ -387,28 +427,32 @@ def test_predict_crops_to_the_pooling_grid(trained_run, tmp_path, capsys):
 def test_predict_forwards_the_decoded_scene_itself(trained_run, tmp_path, capsys, monkeypatch,
                                                    shape):
     # the forward reads the float32 scene read_rgb decoded, or its center
-    # crop (a strided view), without a copy; the maps are byte for byte
-    # those of a forward of a contiguous copy
+    # crop (a strided view), without a copy, on the graph load_any returned
+    # for 16x16 tiles, not a rebuilt one; the maps, of the cropped size, are
+    # byte for byte those of a forward of a contiguous copy
     run_dir, _ = trained_run
     ckpt, image = run_dir / "model.ckpt", tmp_path / "scene.png"
     imgio.write_rgb(image, np.random.default_rng(3).random(shape).astype(np.float32))
-    decoded, batches = [], []
+    decoded, loaded, batches = [], [], []
     read_rgb, forward = imgio.read_rgb, ModelGraph.forward
     monkeypatch.setattr(imgio, "read_rgb",
                         lambda path: decoded.append(read_rgb(path)) or decoded[-1])
+    monkeypatch.setattr(cli, "load_any", lambda path: loaded.append(load_any(path)) or loaded[-1])
     monkeypatch.setattr(ModelGraph, "forward", lambda graph, batch, mode:
-                        batches.append(batch) or forward(graph, batch, mode))
+                        batches.append((graph, batch)) or forward(graph, batch, mode))
     code, _, err = run_cli(capsys, "predict", "--ckpt", str(ckpt), "--image", str(image),
                            "--out", str(tmp_path / "cli"))
     assert code == 0, err
-    assert np.shares_memory(batches[0], decoded[0])
+    (graph, batch), = batches
+    assert graph is loaded[0]
+    assert np.shares_memory(batch, decoded[0])
     top, left = (shape[1] - 24) // 2, (shape[2] - 32) // 2
     copy = decoded[0][:, top:top + 24, left:left + 32][None].astype(np.float32)  # a copy
-    graph = replace_input_size(load_any(ckpt), (24, 32))
-    prob = forward(graph, copy, "eval")[0][0, 0]
+    prob = forward(load_any(ckpt), copy, "eval")[0][0, 0]
     imgio.write_gray(tmp_path / "ref_prob.png", prob)
     imgio.write_gray(tmp_path / "ref_mask.png", (prob >= DEFAULT_THRESHOLD).astype(np.float32))
     for kind in ("prob", "mask"):
+        assert imgio.read_gray(tmp_path / f"cli_{kind}.png").shape == (24, 32)
         assert (tmp_path / f"cli_{kind}.png").read_bytes() == \
             (tmp_path / f"ref_{kind}.png").read_bytes()
 
@@ -595,9 +639,9 @@ def test_usage_errors_exit_1_not_2(capsys):
       "--variant", "plain", "--batch", "1"], "batch_size must be >= 2", True),
     (["eval", "--ckpt", "{tmp}/m.ckpt", "--index", "{tmp}/binary.tsv"],
      "{tmp}/binary.tsv: index is not UTF-8", True),
-    (["eval", "--ckpt", "{tmp}/m16.ckpt", "--index", "{tmp}/three/index.tsv",
+    (["eval", "--ckpt", "{tmp}/m.ckpt", "--index", "{tmp}/three/index.tsv",
       "--split", "train", "--micro-batch", "0"], "micro_batch must be >= 1", True),
-    (["eval", "--ckpt", "{tmp}/m16.ckpt", "--index", "{tmp}/three/index.tsv",
+    (["eval", "--ckpt", "{tmp}/m.ckpt", "--index", "{tmp}/three/index.tsv",
       "--split", "foo"], "unknown split 'foo'; expected one of train, val, test", True),
     # Adam settings that would break the first update
     (["train", "--index", "{tmp}/three/index.tsv", "--out", "{tmp}/run",
@@ -621,8 +665,6 @@ def test_bad_input_is_one_error_line(argv, needle, echoed, tmp_path, capsys):
     (tmp_path / "binary.tsv").write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\ttest\n")
     save_checkpoint(init_parameters(build_model(Variant.PLAIN, TINY_GRAPH)),
                     tmp_path / "m.ckpt")
-    save_checkpoint(init_parameters(build_model(Variant.PLAIN, GraphConfig(
-        input_size=(16, 16), channel_sequence=(2, 2, 3, 3)))), tmp_path / "m16.ckpt")
     imgio.write_rgb(tmp_path / "x.png", np.zeros((3, 8, 8), np.float32))
     write_synthetic_dataset(tmp_path / "three", {"train": 3, "val": 1}, 16, seed=0)
     argv = [a.format(bad_cfg=bad_cfg, tmp=tmp_path) for a in argv]
@@ -641,8 +683,7 @@ def test_bad_input_is_one_error_line(argv, needle, echoed, tmp_path, capsys):
 @pytest.mark.parametrize("missing", ["adam_t", "train_seed"])
 def test_resume_from_incomplete_checkpoint_metadata_exits_2(
         missing, tiny_dataset, tmp_path, capsys):
-    graph = init_parameters(build_model(Variant.PROPOSED, GraphConfig(
-        input_size=(16, 16), channel_sequence=(2, 2, 3, 3))))
+    graph = init_parameters(build_model(Variant.PROPOSED, TINY_GRAPH))
     last = tmp_path / "run" / "last.ckpt"
     last.parent.mkdir()
     if missing == "adam_t":  # no optimizer state in the metadata at all

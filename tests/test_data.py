@@ -17,6 +17,7 @@ from lmnet.data import (
     batch_iter,
     binarize_mask,
     build_index,
+    check_split,
     foreground_fraction,
     load_index,
     load_pair,
@@ -28,9 +29,7 @@ from lmnet.data import (
     write_synthetic_dataset,
 )
 from lmnet.errors import ConfigError, DataError
-from lmnet.model import GraphConfig, build_model
 from lmnet.seeding import derive_rng
-from lmnet.train import evaluate
 
 from oracles import (
     fg_fraction_naive,
@@ -356,13 +355,28 @@ def test_batch_iter_validates_batch_size(tiny_dataset):
 
 
 def test_batch_iter_rejects_mixed_sizes(tmp_path):
-    """Given the graph's size, batch_iter refuses a tile of another size as
+    """batch_iter refuses a tile of another size than the split's first as
     it decodes it."""
     _layout(tmp_path, [("train", "a.png", 16), ("train", "b.png", 24)])
+    batches = batch_iter(build_index(tmp_path), "train", 1, shuffle=False)
+    next(batches)
+    with pytest.raises(DataError, match=r"b\.png is 24x24, but the first image of split "
+                                        r"'train', .*a\.png, is 16x16"):
+        next(batches)
+
+
+@pytest.mark.parametrize("read", ["headers", "decoded"])
+def test_a_split_off_the_pooling_grid_is_refused(tmp_path, read):
+    """check_split reads a split's file headers, batch_iter its decoded
+    tiles; either refuses a first tile off the pooling grid, naming it."""
+    _layout(tmp_path, [("train", "a.png", 20), ("train", "b.png", 20)])
     index = build_index(tmp_path)
-    graph = build_model("plain", GraphConfig(input_size=(16, 16)))
-    with pytest.raises(DataError, match="b.png is 24x24, but the graph expects 16x16"):
-        evaluate(graph, index, "train", micro_batch=2)
+    with pytest.raises(DataError, match=r"a\.png: tile size 20x20 must be at least 8 and "
+                                        "divisible by 8"):
+        if read == "headers":
+            check_split(index, "train")
+        else:
+            next(batch_iter(index, "train", 2, shuffle=False))
 
 
 # -- synthetic samples ------------------------------------------------------

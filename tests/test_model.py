@@ -25,7 +25,6 @@ from lmnet.model import (
     closed_form_param_count,
     init_parameters,
     parse_variant,
-    replace_input_size,
     tile_plan,
 )
 from lmnet.seeding import derive_rng
@@ -47,10 +46,7 @@ PARAM_TOTALS = {
     Variant.PROPOSED: 471_515,
 }
 
-SMALL = GraphConfig(input_size=(16, 16))  # default widths, cheap spatial size
-
-
-def built(variant, config=SMALL, seed=0):
+def built(variant, config=None, seed=0):
     graph = build_model(variant, config)
     init_parameters(graph, seed)
     return graph
@@ -111,7 +107,6 @@ def test_common_structure(variant):
     widths = [s.out_channels for s in convs if s.has_bn]
     assert widths[-3:] == [13, 89, 233]
     assert all(w == 5 for w in widths[:-3])
-    assert GraphConfig().input_size == (192, 192)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -138,7 +133,7 @@ def test_skip_variants_widen_decoder_inputs():
 def test_graph_walk_count_matches_closed_form_and_table(variant):
     graph = built(variant)
     walked = graph.param_count()
-    assert walked == closed_form_param_count(variant, SMALL)
+    assert walked == closed_form_param_count(variant)
     assert walked == PARAM_TOTALS[variant]
     assert sum(n for _, n in graph.layer_param_counts()) == walked
 
@@ -152,7 +147,7 @@ def test_count_ordering_and_small_layers():
 
 
 def test_counts_scale_with_custom_channels():
-    cfg = GraphConfig(input_size=(16, 16), channel_sequence=(2, 2, 3, 3))
+    cfg = GraphConfig(channel_sequence=(2, 2, 3, 3))
     graph = build_model(Variant.PLAIN, cfg)
     assert graph.param_count() == closed_form_param_count(Variant.PLAIN, cfg)
 
@@ -169,8 +164,8 @@ def test_init_is_seed_deterministic():
 
 
 def test_init_values_agree_across_dtypes():
-    f32 = init_parameters(build_model(Variant.RESIDUAL, SMALL), 7)
-    f64 = init_parameters(build_model(Variant.RESIDUAL, SMALL, dtype=np.float64), 7)
+    f32 = init_parameters(build_model(Variant.RESIDUAL), 7)
+    f64 = init_parameters(build_model(Variant.RESIDUAL, dtype=np.float64), 7)
     for k in f32.params:
         npt.assert_array_equal(f32.params[k], f64.params[k].astype(np.float32))
 
@@ -241,7 +236,7 @@ def test_eval_forward_is_its_kernels_composed_bit_for_bit(variant, dtype):
     reader change no bit, and write none of the caller's arrays: the batch,
     the parameters and the running statistics keep their bytes."""
     rng = np.random.default_rng(12)
-    graph = off_defaults(built(variant, GraphConfig(input_size=(32, 48)), seed=4).astype(dtype),
+    graph = off_defaults(built(variant, seed=4).astype(dtype),
                          rng)
     batch = rng.random((2, 3, 32, 48)).astype(dtype)
 
@@ -269,7 +264,7 @@ def test_an_eval_forward_holds_each_activation_until_its_last_reader(monkeypatch
     norm cache kept or a whole sample padded crosses one of the two bounds."""
     monkeypatch.setattr(ops, "BLOCK_ELEMS", 1 << 18)
     side = 512
-    graph = built(Variant.PROPOSED, GraphConfig(input_size=(side, side)))
+    graph = built(Variant.PROPOSED)
     batch = np.random.default_rng(6).random((1, 3, side, side)).astype(np.float32)
     formed = []  # (activation bytes, traced bytes) at each stage's activation
 
@@ -305,7 +300,7 @@ def test_a_batched_eval_forward_is_its_samples_forwarded_alone(variant, dtype):
     the whole batch, since eval batch norm reads running statistics and
     every kernel computes a sample on its own."""
     rng = np.random.default_rng(14)
-    graph = off_defaults(built(variant, GraphConfig(input_size=(32, 48)), seed=5).astype(dtype),
+    graph = off_defaults(built(variant, seed=5).astype(dtype),
                          rng)
     batch = rng.random((3, 3, 32, 48)).astype(dtype)
     pred, _ = graph.forward(batch, "eval")
@@ -321,7 +316,7 @@ def test_a_batched_tiled_eval_forward_is_its_samples_forwarded_alone(monkeypatch
     monkeypatch.setattr(lmnet.model, "TILE_PIXELS", 1 << 14)
     h, w = 176, 208
     rng = np.random.default_rng(15)
-    graph = off_defaults(built(Variant.PROPOSED, GraphConfig(input_size=(h, w)), seed=6), rng)
+    graph = off_defaults(built(Variant.PROPOSED, seed=6), rng)
     batch = rng.random((3, 3, h, w)).astype(np.float32)
     assert len(tile_plan(h, w, graph.plan.halo, 1 << 14)) > 1
     pred, _ = graph.forward(batch, "eval")
@@ -334,7 +329,7 @@ def test_an_eval_forward_peak_does_not_grow_with_the_batch():
     of a 10-sample eval forward stays within 5% of a 1-sample one's, where
     a whole-batch forward's grows tenfold."""
     side = 96
-    graph = built(Variant.PROPOSED, GraphConfig(input_size=(side, side)))
+    graph = built(Variant.PROPOSED)
     held = []
     for n in (1, 10):
         batch = np.random.default_rng(7).random((n, 3, side, side)).astype(np.float32)
@@ -364,7 +359,7 @@ def test_a_tiled_eval_forward_is_the_whole_image_stage_loop(variant, dtype, monk
     narrower matmuls may round differently."""
     h, w = 176, 208
     rng = np.random.default_rng(12)
-    graph = off_defaults(built(variant, GraphConfig(input_size=(h, w)), seed=4).astype(dtype),
+    graph = off_defaults(built(variant, seed=4).astype(dtype),
                          rng)
     batch = rng.random((2, 3, h, w)).astype(dtype)
     assert h * w <= lmnet.model.TILE_PIXELS
@@ -385,7 +380,7 @@ def test_no_output_moves_beyond_the_plan_radius(variant):
     the derived radius is the measured one. The halo rounds it up to
     POOL_GRID: 40 pixels for proposed, whose radius is 33."""
     side = 128
-    graph = built(variant, GraphConfig(input_size=(side, side)), seed=3).astype(np.float64)
+    graph = built(variant, seed=3).astype(np.float64)
     batch = np.random.default_rng(1).random((1, 3, side, side))
     base = graph.forward(batch, "eval")[0][0, 0]
     reach = 0
@@ -408,7 +403,7 @@ def test_a_tiled_eval_forward_peak_does_not_grow_with_the_scene(monkeypatch):
     monkeypatch.setattr(lmnet.model, "TILE_PIXELS", 1 << 15)
     held = []
     for h, w in [(256, 512), (512, 512)]:
-        graph = built(Variant.PROPOSED, GraphConfig(input_size=(h, w)))
+        graph = built(Variant.PROPOSED)
         batch = np.random.default_rng(6).random((1, 3, h, w)).astype(np.float32)
         tracemalloc.start()
         try:
@@ -474,7 +469,7 @@ def test_pyramid_stage_writes_the_bits_of_concatenating_its_kernels(variant, mod
     reads has the bits of concatenating the kernels' outputs. A train
     forward's first relu reads the whole batch, an eval forward's sample 0."""
     rng = np.random.default_rng(13)
-    graph = off_defaults(built(variant, GraphConfig(input_size=(16, 24)), seed=2), rng)
+    graph = off_defaults(built(variant, seed=2), rng)
     batch = rng.random((2, 3, 16, 24)).astype(np.float32)
     zs = []
     for spec in graph.plan.stages[0].convs:
@@ -503,7 +498,7 @@ def test_train_forward_updates_running_stats():
 
 
 def test_frozen_train_without_dropout_equals_eval(frozen_bn, no_dropout):
-    cfg = GraphConfig(input_size=(16, 16))
+    cfg = GraphConfig()
     graph = init_parameters(build_model(Variant.PROPOSED, cfg), 0)
     x = np.random.default_rng(5).random((2, 3, 16, 16)).astype(np.float32)
     train_pred, _ = graph.forward(x, "train", rng=np.random.default_rng(0))
@@ -528,13 +523,24 @@ def test_only_a_train_forward_drops(monkeypatch):
     assert all(s.act == "relu" for s in graph.plan.stages if s.drop)
 
 
+@pytest.mark.parametrize("shape,needle", [
+    ((1, 4, 16, 16), r"batch shape \(1, 4, 16, 16\) does not match the input \(n, 3, h, w\)"),
+    ((1, 3, 100, 192), "input size 100x192 must be at least 8 and divisible by 8"),
+    ((1, 3, 0, 0), "input size 0x0 must be at least 8"),
+    ((2, 3, 4, 192), "input size 4x192 must be at least 8"),
+], ids=["4-channels", "100x192", "0x0", "4x192"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_forward_refuses_a_batch_off_the_input_shape(shape, needle, mode):
+    graph = built(Variant.PLAIN)
+    with pytest.raises(ShapeError, match=needle):
+        graph.forward(np.zeros(shape, np.float32), mode, rng=np.random.default_rng(0))
+
+
 def test_forward_validation():
     graph = built(Variant.PLAIN)
     x = np.zeros((1, 3, 16, 16), dtype=np.float32)
     with pytest.raises(ShapeError, match="at least 2"):
         graph.forward(x, "train", rng=np.random.default_rng(0))
-    with pytest.raises(ShapeError, match="does not match configured input"):
-        graph.forward(np.zeros((1, 3, 8, 8), np.float32), "eval")
     with pytest.raises(ValueError, match="mode"):
         graph.forward(x, "predict")
     with pytest.raises(ValueError, match="rng"):
@@ -579,7 +585,7 @@ def test_a_train_backward_lets_each_record_go_after_its_last_reader(monkeypatch)
     cotangent, the stage's cotangents and column matrices). Keeping every
     record to the end of backward crosses the bound from stage 4 on."""
     side, n = 96, 8
-    graph = built(Variant.PROPOSED, GraphConfig(input_size=(side, side)))
+    graph = built(Variant.PROPOSED)
     batch = np.random.default_rng(6).random((n, 3, side, side)).astype(np.float32)
     peaks = []  # traced peak since the previous call, at each activation adjoint
 
@@ -625,7 +631,7 @@ def test_a_stage_backward_lets_each_batchnorm_cache_go_as_it_is_read(monkeypatch
     adjoints the traced memory is one xhat lower than on entry to the last,
     since the cache that adjoint read has gone with it."""
     side = 64
-    graph = built(Variant.PROPOSED, GraphConfig(input_size=(side, side)))
+    graph = built(Variant.PROPOSED)
     batch = np.random.default_rng(6).random((4, 3, side, side)).astype(np.float32)
     entries = []  # (xhat bytes, traced bytes) at each batchnorm adjoint
     adjoint = ops.batchnorm_backward
@@ -752,20 +758,19 @@ def test_the_benchmark_tracer_finds_every_name_and_restores_each(monkeypatch):
 
 
 def test_single_unit_channel_sequence_still_runs():
-    cfg = GraphConfig(input_size=(8, 8), channel_sequence=(1, 1, 1, 1))
+    cfg = GraphConfig(channel_sequence=(1, 1, 1, 1))
     graph = init_parameters(build_model(Variant.PROPOSED, cfg), 0)
     pred, _ = graph.forward(np.zeros((1, 3, 8, 8), np.float32), "eval")
     assert pred.shape == (1, 1, 8, 8)
 
 
-def test_replace_input_size_shares_parameters():
-    graph = built(Variant.PROPOSED, SMALL)
-    bigger = replace_input_size(graph, (32, 32))
-    assert bigger.config.input_size == (32, 32)
-    assert graph.config.input_size == (16, 16)
-    assert bigger.params["l2.w"] is graph.params["l2.w"]
-    pred, _ = bigger.forward(np.zeros((1, 3, 32, 32), np.float32), "eval")
-    assert pred.shape == (1, 1, 32, 32)
+def test_one_graph_forwards_any_size_on_the_pooling_grid():
+    graph = built(Variant.PROPOSED)
+    for h, w in ((8, 8), (16, 16), (32, 24), (24, 40)):
+        x = np.random.default_rng(h * w).random((2, 3, h, w)).astype(np.float32)
+        for mode in ("train", "eval"):
+            pred, _ = graph.forward(x, mode, rng=np.random.default_rng(0))
+            assert pred.shape == (2, 1, h, w)
 
 
 # -- config validation ------------------------------------------------------
@@ -787,12 +792,12 @@ def test_variant_feature_flags():
 
 
 @pytest.mark.parametrize("bad,fragment", [
-    (dict(input_size=(100, 192)), "divisible by 8"),
+    (dict(dilation_rates=(2, 0, 5)), "dilation rates must be >= 1"),
     (dict(channel_sequence=(5, 13, 89)), "4 entries"),
     (dict(channel_sequence=(5, 13, 0, 233)), ">= 1"),
     (dict(dilation_rates=(2, 3)), "3 entries"),
-    (dict(input_size=(0, 0)), "input size 0x0 must be at least 8"),
-    (dict(input_size=(4, 192)), "input size 4x192 must be at least 8"),
+    (dict(channel_sequence=(5, 13, 89, 233, 1)), "4 entries, got 5"),
+    (dict(dilation_rates=(2, 3, 5, 7)), "3 entries for proposed, got 4"),
     (dict(loss="dice"), "loss"),
     (dict(seed=-1), "seed must be >= 0, got -1"),
 ])

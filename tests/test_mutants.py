@@ -2,7 +2,8 @@
 either kind, a PNG or PPM image, an index.tsv and a `--config` file. Each
 mutant has 1-3 bytes of its head changed; its reader must either load it or
 raise an LmnetError, never another exception (which the CLI would show as a
-traceback)."""
+traceback). A checkpoint carries a CRC-32 of its bytes, so every checkpoint
+mutant is refused with a CheckpointError: none loads as another model."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from lmnet.checkpoint import (
 )
 from lmnet.cli import _resolve
 from lmnet.data import load_index, write_synthetic_dataset
-from lmnet.errors import LmnetError
+from lmnet.errors import CheckpointError, LmnetError
 from lmnet.model import Variant, build_model, init_parameters
 from lmnet.optim import adam_init
 
@@ -58,13 +59,16 @@ def resolve_train(path):
     return _resolve(["train", "--config", str(path)])
 
 
-CASES = {  # id -> (file name, writer, readers)
-    "deploy-ckpt": ("m.ckpt", _deploy_checkpoint, (load_any,)),
-    "train-ckpt": ("last.ckpt", _training_checkpoint, (load_training_checkpoint,)),
-    "png": ("x.png", _image, (imgio.read_rgb, imgio.image_size)),
-    "ppm": ("x.ppm", _image, (imgio.read_rgb, imgio.image_size)),
-    "index": ("index.tsv", _index, (load_index,)),
-    "config": ("train.cfg", _train_config, (resolve_train,)),
+# id -> (file name, writer, readers, the LmnetError every mutant must raise or None:
+# a mutant then loads or raises any LmnetError)
+CASES = {
+    "deploy-ckpt": ("m.ckpt", _deploy_checkpoint, (load_any,), CheckpointError),
+    "train-ckpt": ("last.ckpt", _training_checkpoint, (load_training_checkpoint,),
+                   CheckpointError),
+    "png": ("x.png", _image, (imgio.read_rgb, imgio.image_size), None),
+    "ppm": ("x.ppm", _image, (imgio.read_rgb, imgio.image_size), None),
+    "index": ("index.tsv", _index, (load_index,), None),
+    "config": ("train.cfg", _train_config, (resolve_train,), None),
 }
 
 
@@ -82,7 +86,7 @@ def _mutants(blob: bytes, seed: int):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_a_mutated_file_loads_or_raises_an_lmnet_error(case, tmp_path):
-    name, write, readers = CASES[case]
+    name, write, readers, refused_by = CASES[case]
     original = tmp_path / name
     write(original)
     mutant = original.with_name(f"mutant{original.suffix}")  # beside the files it names
@@ -90,10 +94,14 @@ def test_a_mutated_file_loads_or_raises_an_lmnet_error(case, tmp_path):
     for positions, data in _mutants(original.read_bytes(), seed=list(CASES).index(case)):
         mutant.write_bytes(data)
         for read in readers:
+            where = f"{read.__name__} at bytes {positions}"
             try:
                 read(mutant)
-            except LmnetError:
-                pass
+            except refused_by or LmnetError:
+                continue
             except Exception as exc:  # any other exception is what this test looks for
-                escaped.append(f"{read.__name__} at bytes {positions}: {exc!r}")
+                escaped.append(f"{where}: {exc!r}")
+                continue
+            if refused_by:
+                escaped.append(f"{where} loaded")
     assert not escaped, f"{len(escaped)} mutants escaped, e.g. " + "; ".join(escaped[:3])

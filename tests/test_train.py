@@ -16,7 +16,7 @@ from lmnet.checkpoint import (
     load_training_checkpoint,
     save_training_checkpoint,
 )
-from lmnet.data import DatasetIndex, IndexRecord, save_index, write_synthetic_dataset
+from lmnet.data import DatasetIndex, IndexRecord, write_synthetic_dataset
 from lmnet.errors import ConfigError, DataError, TrainAbortedError
 from lmnet.model import (
     GraphConfig,
@@ -39,7 +39,9 @@ from lmnet.train import (
     train,
 )
 
-TRAIN_GRAPH = GraphConfig(input_size=(16, 16), channel_sequence=(2, 2, 3, 3))
+from conftest import mixed_index
+
+TRAIN_GRAPH = GraphConfig(channel_sequence=(2, 2, 3, 3))
 
 
 def make_cfg(tiny_dataset, out_dir, **kw):
@@ -349,23 +351,18 @@ def test_train_requires_both_splits(tmp_path):
 
 
 def test_train_checks_every_val_tile_before_writing(tmp_path):
-    # the first val tile has the graph's 16x16, the second is 24x24
-    root = tmp_path / "mix"
-    records = []
-    for sub, counts, size in (("a", {"train": 4, "val": 1}, 16), ("b", {"val": 1}, 24)):
-        part = write_synthetic_dataset(root / sub, counts, size, seed=0)
-        records += [IndexRecord(f"{sub}/{r.image}", f"{sub}/{r.mask}", r.split)
-                    for r in part.records]
-    save_index(DatasetIndex(root=root, records=records), root / "index.tsv")
+    # 16x16 train tiles; the first val tile is 24x24 and the second 16x16
+    index = mixed_index(tmp_path / "mix", [("a", {"train": 4}, 16), ("b", {"val": 1}, 24),
+                                           ("c", {"val": 1}, 16)])
     cfg = TrainConfig(
         variant=Variant.PROPOSED, graph=TRAIN_GRAPH,
-        index_path=root / "index.tsv", out_dir=tmp_path / "run",
+        index_path=index, out_dir=tmp_path / "run",
         epochs=1, batch_size=4, micro_batch=2, quiet=True,
     )
-    with pytest.raises(DataError, match=r"b/val/images/synth_00000\.png is 24x24, "
-                                        "but the graph expects 16x16"):
+    with pytest.raises(DataError, match=r"c/val/images/synth_00000\.png is 16x16, but the "
+                                        r"first image of split 'val', .*b/val/images/"
+                                        r"synth_00000\.png, is 24x24"):
         train(cfg)
-    assert not list(tmp_path.glob("run/history_*.csv"))
     assert not (tmp_path / "run").exists()
 
 
@@ -386,6 +383,7 @@ def test_evaluate_is_deterministic_and_counts_samples(tiny_dataset):
 
 def test_evaluate_reads_no_header_and_names_a_tile_of_the_wrong_size(
         tmp_path, monkeypatch):
+    # the graph forwards any size; a split's tiles share the first one's
     small = write_synthetic_dataset(tmp_path / "a", {"val": 3}, 16, seed=0)
     big = write_synthetic_dataset(tmp_path / "b", {"val": 1}, 24, seed=1)
     bad = IndexRecord(f"b/{big.records[0].image}", f"b/{big.records[0].mask}", "val")
@@ -394,7 +392,8 @@ def test_evaluate_reads_no_header_and_names_a_tile_of_the_wrong_size(
     calls = []
     monkeypatch.setattr(imgio, "image_size", lambda path: calls.append(path))
     graph = init_parameters(build_model(Variant.PROPOSED, TRAIN_GRAPH), 0)
-    wrong = f"{tmp_path / bad.image} is 24x24, but the graph expects 16x16"
+    wrong = (f"{tmp_path / bad.image} is 24x24, but the first image of split 'val', "
+             f"{tmp_path / index.records[0].image}, is 16x16")
     with pytest.raises(DataError, match=re.escape(wrong)):
         evaluate(graph, index, "val", micro_batch=2)
     assert calls == []

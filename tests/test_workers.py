@@ -37,7 +37,7 @@ def step(graph, batch):
 
 
 def run_step(variant, n):
-    graph = init_parameters(build_model(variant, GraphConfig(input_size=(SIDE, SIDE), seed=2)))
+    graph = init_parameters(build_model(variant, GraphConfig(seed=2)))
     batch = np.random.default_rng(n).random((n, 3, SIDE, SIDE)).astype(np.float32)
     return {name: a.tobytes() for name, a in step(graph, batch).items()}
 
@@ -102,7 +102,7 @@ def test_more_workers_than_cores_switching_often_keep_the_bits(monkeypatch):
 def test_an_exception_in_a_worker_reaches_the_caller_unchanged(monkeypatch):
     monkeypatch.setattr(ops, "WORKERS", 2)
     monkeypatch.setattr(ops, "TASK_ELEMS", 1)
-    graph = init_parameters(build_model(Variant.PROPOSED, GraphConfig(input_size=(SIDE, SIDE))))
+    graph = init_parameters(build_model(Variant.PROPOSED))
     batch = np.random.default_rng(1).random((4, 3, SIDE, SIDE)).astype(np.float32)
     pred, cache = graph.forward(batch, "train", rng=derive_rng(7, 1))
     error = ShapeError("raised in a worker")
@@ -126,7 +126,7 @@ def test_a_forked_child_steps_on_a_pool_of_its_own(monkeypatch):
     # a child forked after a step has none of the parent's pool threads
     monkeypatch.setattr(ops, "WORKERS", 2)
     monkeypatch.setattr(ops, "TASK_ELEMS", 1)
-    graph = init_parameters(build_model(Variant.PROPOSED, GraphConfig(input_size=(SIDE, SIDE))))
+    graph = init_parameters(build_model(Variant.PROPOSED))
     batch = np.random.default_rng(4).random((2, 3, SIDE, SIDE)).astype(np.float32)
     step(graph, batch)
     with warnings.catch_warnings():
@@ -170,7 +170,7 @@ def blas_at_two():
 
 def test_a_step_holds_the_blas_at_one_thread_and_restores_it(blas_at_two, monkeypatch):
     get = blas_at_two
-    graph = init_parameters(build_model(Variant.PROPOSED, GraphConfig(input_size=(SIDE, SIDE))))
+    graph = init_parameters(build_model(Variant.PROPOSED))
     batch = np.random.default_rng(2).random((3, 3, SIDE, SIDE)).astype(np.float32)
     during = set()
     im2col = ops._im2col
@@ -207,7 +207,7 @@ import hashlib, sys
 import numpy as np
 from lmnet.model import GraphConfig, build_model, init_parameters, loss_fn
 from lmnet.seeding import derive_rng
-graph = init_parameters(build_model("proposed", GraphConfig(input_size=(32, 32), seed=2)))
+graph = init_parameters(build_model("proposed", GraphConfig(seed=2)))
 batch = np.random.default_rng(3).random((4, 3, 32, 32)).astype(np.float32)
 pred, cache = graph.forward(batch, "train", rng=derive_rng(7, 1))
 grads = graph.backward(cache, loss_fn("bce")(pred, (batch[:, :1] > 0.5).astype(np.float32))[1])
