@@ -8,17 +8,20 @@ Two file kinds share one layout and differ by magic:
 
 Layout (all integers little-endian):
   magic        4 bytes
-  version      u16 (currently 3)
+  version      u16 (currently 4)
   config text  u32 length + UTF-8 payload
   [meta text   u32 length + UTF-8 payload, training kind only]
   tensor table u32 count, then per tensor:
                u16 name length + UTF-8 name, u8 dtype code (0=f32, 1=f64),
-               u8 rank (at most 4), u32 per dim (none 0), u64 payload bytes,
-               raw little-endian data
+               u8 rank (at most 4), u32 per dim (none 0), then the raw
+               little-endian data, prod(shape) * itemsize bytes
   crc          u32 zlib.crc32 of every preceding byte
 
-The magic, the version and then the CRC-32 are checked before any text or
-tensor is parsed, so a file of another version is refused by its number.
+The config text holds the variant and GraphConfig's two fields,
+channel_sequence and seed; the rest of the graph is fixed by its plan. A
+tensor's payload size follows from its dtype and shape. The magic, the
+version and then the CRC-32 are checked before any text or tensor is
+parsed, so a file of another version is refused by its number.
 
 Text blocks are canonical `kvtext` blocks: one key=value per line, keys
 sorted lexicographically, floats rendered by `repr` so that they read back
@@ -45,7 +48,7 @@ from .optim import AdamState
 
 DEPLOY_MAGIC = b"LMKN"
 TRAIN_MAGIC = b"LMKT"
-VERSION = 3
+VERSION = 4
 MAX_NDIM = 4  # a conv weight (c_out, c_in, k, k) has the most dimensions
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
@@ -110,7 +113,6 @@ def _write_tensors(buf, tensors: dict) -> None:
         payload = arr.astype(_CODE_DTYPES[code], copy=False).tobytes()
         buf.write(struct.pack("<BB", code, arr.ndim))
         buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        buf.write(struct.pack("<Q", len(payload)))
         buf.write(payload)
 
 
@@ -155,15 +157,8 @@ def _read_tensors(buf) -> dict:
         )
         if 0 in shape:
             raise CheckpointError(f"tensor {name} declares a zero dimension in shape {shape}")
-        (nbytes,) = struct.unpack("<Q", _read_exact(buf, 8, f"tensor {name} size"))
         dtype = _CODE_DTYPES[code]
-        expected = math.prod(shape) * dtype.itemsize
-        if nbytes != expected:
-            raise CheckpointError(
-                f"truncated tensor table: tensor {name} declares {nbytes} bytes "
-                f"but shape {shape} needs {expected}"
-            )
-        payload = _read_exact(buf, nbytes, f"tensor {name} payload")
+        payload = _read_exact(buf, math.prod(shape) * dtype.itemsize, f"tensor {name} payload")
         tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
     return tensors
 

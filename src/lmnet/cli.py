@@ -21,8 +21,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import imgio, kvtext
 from .checkpoint import load_any
 from .data import TARGET_SIZE, load_index, prepare_dataset
@@ -148,14 +146,10 @@ def _cmd_prepare(o):
     print(f"index written to {os.path.join(o['output_dir'], 'index.tsv')}")
 
 
-def _graph_config(o, **fixed):
-    return GraphConfig(channel_sequence=o["channels"], dilation_rates=o["dilations"], **fixed)
-
-
 def _cmd_train(o):
     cfg = TrainConfig(
         variant=parse_variant(o["variant"]),
-        graph=_graph_config(o, loss=o["loss"], seed=o["seed"]),
+        graph=GraphConfig(channel_sequence=o["channels"], seed=o["seed"]),
         index_path=o["index"],
         out_dir=o["out"],
         epochs=o["epochs"],
@@ -201,18 +195,17 @@ def _cmd_predict(o):
               f"(spatial dims must be divisible by {POOL_GRID})")
     pred, _ = graph.forward(image[None], "eval")
     prob = pred[0, 0]
-    mask = (prob >= o["threshold"]).astype(np.float32)
     prob_path = f"{o['out']}_prob.png"
     mask_path = f"{o['out']}_mask.png"
     imgio.write_gray(prob_path, prob)
-    imgio.write_gray(mask_path, mask)
+    imgio.write_gray(mask_path, prob >= o["threshold"])
     print(f"probability map: {prob_path}")
     print(f"binary mask:     {mask_path}")
 
 
 def _cmd_params(o):
     variant = parse_variant(o["variant"])
-    config = _graph_config(o)
+    config = GraphConfig(channel_sequence=o["channels"])
     graph = build_model(variant, config)
     rows = graph.layer_param_counts()
     name_w = max(5, *(len(spec.name) for spec, _ in rows))
@@ -273,8 +266,6 @@ _COMMANDS = {
         Opt("seed", int, TrainConfig.seed),
         Opt("threshold", _fraction, TrainConfig.threshold, help="validation metrics threshold"),
         Opt("channels", _ints, GraphConfig.channel_sequence, help="encoder channel widths"),
-        Opt("dilations", _ints, GraphConfig.dilation_rates, help="pyramid dilation rates"),
-        Opt("loss", str, GraphConfig.loss, help="bce|mse"),
         Opt("log_every", int, TrainConfig.log_every),
         Opt("resume", _flag, TrainConfig.resume, help="continue from last.ckpt in --out"),
         Opt("quiet", _flag, TrainConfig.quiet),
@@ -295,7 +286,6 @@ _COMMANDS = {
     "params": ([
         Opt("variant", required=True),
         Opt("channels", _ints, GraphConfig.channel_sequence),
-        Opt("dilations", _ints, GraphConfig.dilation_rates),
     ], _cmd_params, "per-layer parameter census"),
     "gradcheck": ([
         Opt("variant", required=True),

@@ -357,7 +357,7 @@ def write_rgb(path, arr) -> None:
 
 
 def write_gray(path, arr) -> None:
-    """Write float (h, w) values in [0, 1] as an 8-bit grayscale image."""
+    """Write (h, w) values in [0, 1], float or bool, as an 8-bit grayscale image."""
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise DataError(f"expected an (h, w) array, got shape {arr.shape}")

@@ -698,14 +698,4 @@ def bce_loss(pred: Tensor, target: Tensor):
     return loss, grad.astype(pred.dtype, copy=False)
 
 
-def mse_loss(pred: Tensor, target: Tensor):
-    """Mean squared error; returns (loss, grad)."""
-    if pred.shape != target.shape:
-        raise ShapeError(f"pred shape {pred.shape} does not match target {target.shape}")
-    diff = pred - target
-    loss = float(np.mean(diff * diff))
-    grad = (2.0 / pred.size) * diff
-    return loss, grad.astype(pred.dtype, copy=False)
-
-
-LOSSES = {"bce": bce_loss, "mse": mse_loss}
+LOSSES = {"bce": bce_loss}

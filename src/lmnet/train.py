@@ -146,7 +146,7 @@ def evaluate(graph: ModelGraph, index: DatasetIndex, split: str,
     """
     if micro_batch < 1:
         raise ConfigError(f"micro_batch must be >= 1, got {micro_batch}")
-    lossf = loss_fn(graph.config.loss)
+    lossf = loss_fn("bce")
     counts = ConfusionCounts()
     loss_sum = 0.0
     n = 0
@@ -174,9 +174,8 @@ def _resume_settings(cfg: TrainConfig) -> dict:
     }
 
 
-def _train_meta(cfg: TrainConfig, epochs_done: int, step: int, best: float) -> dict:
-    return {**_resume_settings(cfg), "epochs_done": epochs_done, "step": step,
-            "best_val_loss": float(best)}
+def _train_meta(cfg: TrainConfig, epochs_done: int, best: float) -> dict:
+    return {**_resume_settings(cfg), "epochs_done": epochs_done, "best_val_loss": float(best)}
 
 
 def _check_resume_settings(cfg: TrainConfig, meta: dict, path: Path) -> None:
@@ -209,7 +208,7 @@ def _open_csv(path: Path, header: str, keep_rows):
 def train(cfg: TrainConfig):
     """Run the full regime; returns (graph, TrainHistory)."""
     # each distinct problem once: a negative --seed fails both configs
-    problems = dict.fromkeys(cfg.violations() + cfg.graph.violations(cfg.variant))
+    problems = dict.fromkeys(cfg.violations() + cfg.graph.violations())
     if problems:
         raise ConfigError("; ".join(problems))
     index = load_index(cfg.index_path)
@@ -240,7 +239,7 @@ def train(cfg: TrainConfig):
             )
         _check_resume_settings(cfg, meta, last_path)
         start_epoch = pop_meta(meta, "epochs_done", int, last_path)
-        step = pop_meta(meta, "step", int, last_path)
+        step = adam.t  # one Adam step per optimizer step, counted once
         best = pop_meta(meta, "best_val_loss", float, last_path)
     else:
         graph = build_model(cfg.variant, cfg.graph, dtype=np.float32)
@@ -255,7 +254,7 @@ def train(cfg: TrainConfig):
         save_checkpoint(graph, out / FINAL_CKPT)  # a crash may have come before it
         return graph, history
 
-    lossf = loss_fn(cfg.graph.loss)
+    lossf = loss_fn("bce")
     train_fh = _open_csv(out / TRAIN_CSV, "step,epoch,loss",
                          step if resuming else None)
     val_fh = _open_csv(out / VAL_CSV, "epoch,loss,accuracy,iou,precision,recall",
@@ -298,7 +297,7 @@ def train(cfg: TrainConfig):
                 best = val.loss
                 save_checkpoint(graph, out / BEST_CKPT)
             save_training_checkpoint(
-                graph, adam, _train_meta(cfg, epoch + 1, step, best), last_path
+                graph, adam, _train_meta(cfg, epoch + 1, best), last_path
             )
     finally:
         train_fh.close()

@@ -1,4 +1,3 @@
-import math
 import struct
 import zlib
 from concurrent.futures import Future
@@ -66,12 +65,12 @@ def checkpoint_offsets(blob: bytes) -> dict:
 
 def declare_first_tensor(blob: bytes, shape: tuple) -> bytes:
     """The checkpoint with its first tensor's header declaring a float32
-    `shape` and the payload size that shape needs, sealed again; the payload
-    is unchanged."""
+    `shape`, sealed again; the payload is unchanged, so the reader takes the
+    bytes that shape needs from what follows."""
     name = checkpoint_offsets(blob)["tensor name"]
     head = name + 2 + int.from_bytes(blob[name:name + 2], "little")
-    end = head + 2 + 4 * blob[head + 1] + 8
-    header = struct.pack(f"<BB{len(shape)}IQ", 0, len(shape), *shape, 4 * math.prod(shape))
+    end = head + 2 + 4 * blob[head + 1]
+    header = struct.pack(f"<BB{len(shape)}I", 0, len(shape), *shape)
     return seal(blob[:head] + header + blob[end:-4])
 
 

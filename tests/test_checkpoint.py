@@ -124,7 +124,7 @@ def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch, kind):
         if kind == "deploy":
             save_checkpoint(graph, path)
         else:
-            save_training_checkpoint(graph, adam_init(graph.params), {"step": 1}, path)
+            save_training_checkpoint(graph, adam_init(graph.params), {"epochs_done": 1}, path)
 
     save(tiny_graph(seed=0))
     before = path.read_bytes()
@@ -149,8 +149,9 @@ def test_bad_magic_and_version(tmp_path):
     save_checkpoint(graph, path)
     blob = bytearray(path.read_bytes())
     # version 1 held the dropout and batch-norm settings, version 2 an input
-    # size and no CRC-32; each is refused by its number, before the CRC-32
-    for version in (1, 2, 99):
+    # size and no CRC-32, version 3 the dilation rates, the loss and each
+    # tensor's payload size; each is refused by its number, before the CRC-32
+    for version in (1, 2, 3, 99):
         blob[4:6] = version.to_bytes(2, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
@@ -230,7 +231,7 @@ def test_every_cut_names_the_file_exactly_once(tmp_path, kind):
     blob = path.read_bytes()
     name = checkpoint_offsets(blob)["tensor name"]
     head = name + 2 + int.from_bytes(blob[name:name + 2], "little")
-    payload = head + 2 + 4 * blob[head + 1] + 8
+    payload = head + 2 + 4 * blob[head + 1]
     # every byte of the header, text blocks and first tensor header, then a
     # stride through the tensor table; each cut as it is (a CRC-32 mismatch)
     # and sealed (which the parser refuses)
@@ -349,7 +350,7 @@ def test_missing_tensor_is_reported_by_name(tmp_path):
 
 
 def test_config_text_round_trip():
-    cfg = GraphConfig(channel_sequence=(4, 8, 16, 32), dilation_rates=(1, 2, 4), seed=9)
+    cfg = GraphConfig(channel_sequence=(4, 8, 16, 32), seed=9)
     text = config_text(Variant.DILATION, cfg)
     variant, back = parse_config_text(text)
     assert variant is Variant.DILATION
@@ -357,16 +358,20 @@ def test_config_text_round_trip():
     assert text == config_text(variant, back)
     assert "channel_sequence=4,8,16,32" in text
     keys = [line.partition("=")[0] for line in text.splitlines()]
-    assert keys == ["channel_sequence", "dilation_rates", "loss", "seed", "variant"]  # sorted
+    assert keys == ["channel_sequence", "seed", "variant"]  # sorted
 
 
 def test_config_text_rejects_missing_and_unknown_keys():
     text = config_text(Variant.PLAIN, GraphConfig())
-    pruned = "\n".join(l for l in text.splitlines() if not l.startswith("loss="))
-    with pytest.raises(CheckpointError, match="missing keys.*loss"):
+    pruned = "\n".join(l for l in text.splitlines() if not l.startswith("seed="))
+    with pytest.raises(CheckpointError, match="missing keys.*seed"):
         parse_config_text(pruned)
     with pytest.raises(CheckpointError, match="unknown keys.*surprise"):
         parse_config_text(text + "surprise=1\n")
+    # format 3's graph settings that the plan now fixes
+    for key in ("dilation_rates=2,3,5", "loss=bce"):
+        with pytest.raises(CheckpointError, match=f"unknown keys.*{key.partition('=')[0]}"):
+            parse_config_text(text + key + "\n")
     with pytest.raises(CheckpointError, match="malformed"):
         parse_config_text("variant proposed\n")
 

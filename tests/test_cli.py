@@ -96,17 +96,21 @@ def test_params_accepts_custom_channels(capsys):
 
 
 def test_params_echoes_the_default_dilations(capsys):
+    """The pyramid rates are the plan's, not a setting: the census prints
+    them per first-layer kernel, and the echoed config has no key for them."""
     code, out, _ = run_cli(capsys, "params", "--variant", "proposed")
     assert code == 0
-    assert "  dilations=2,3,5\n" in echoed_config(out)
+    assert echoed_config(out) == (
+        "# resolved config (params):\n  channels=5,13,89,233\n  variant=proposed\n")
+    rates = [line.split()[3] for line in out.splitlines() if line.startswith("l1b")]
+    assert rates == ["2", "3", "5"]
 
 
 def test_train_defaults_are_the_config_classes_defaults():
     """Every train option but the three required ones sets a TrainConfig or
     GraphConfig field, and defaults to that field's default."""
     _, resolved = _resolve(["train", "--index", "i", "--out", "o", "--variant", "plain"])
-    option_of = {"batch_size": "batch", "channel_sequence": "channels",
-                 "dilation_rates": "dilations"}
+    option_of = {"batch_size": "batch", "channel_sequence": "channels"}
     checked = set()
     for cls in (TrainConfig, GraphConfig):
         for f in fields(cls):
@@ -173,7 +177,6 @@ def test_train_negative_seed_fails_before_touching_the_run_dir(
 
 @pytest.mark.parametrize("flag,value,needle", [
     ("--channels", "5,13,89", "channel_sequence needs exactly 4 entries, got 3"),
-    ("--dilations", "0,1,2", "dilation rates must be >= 1, got (0, 1, 2)"),
 ])
 def test_train_graph_error_fails_before_touching_the_run_dir(
         flag, value, needle, tiny_dataset, tmp_path, capsys):
@@ -261,8 +264,8 @@ def test_a_malformed_checkpoint_exits_2_with_one_line(command, damage, tmp_path,
 ], ids=["ndim-70", "zero-dim"])
 def test_a_corrupt_tensor_header_is_refused_by_name(shape, why, tmp_path, capsys):
     """A tensor header declaring more dimensions than any tensor has, or a
-    zero dimension, declares a 0-byte payload that the size check passes.
-    predict refuses it as a broken checkpoint, naming the tensor, and writes
+    zero dimension, needs a 0-byte payload, which any file holds. predict
+    refuses it as a broken checkpoint, naming the tensor, and writes
     nothing. Unbounded, 70 dimensions reach numpy's reshape, whose ValueError
     is no LmnetError and ends in a traceback."""
     ckpt = tmp_path / "m.ckpt"
@@ -652,16 +655,28 @@ def test_usage_errors_exit_1_not_2(capsys):
       "--variant", "plain", "--adam-eps", "0"], "adam_eps must be positive and finite", True),
     (["train", "--index", "{tmp}/three/index.tsv", "--out", "{tmp}/run",
       "--variant", "plain", "--adam-eps", "-1"], "adam_eps must be positive and finite", True),
+    # the loss and the pyramid rates are fixed by the plan, not settings
+    (["train", "--index", "{tmp}/three/index.tsv", "--out", "{tmp}/run",
+      "--variant", "proposed", "--loss", "mse"], "unrecognized arguments: --loss mse", False),
+    (["train", "--index", "{tmp}/three/index.tsv", "--out", "{tmp}/run",
+      "--variant", "proposed", "--dilations", "1,2,3"],
+     "unrecognized arguments: --dilations 1,2,3", False),
+    (["params", "--variant", "proposed", "--dilations", "1,2,3"],
+     "unrecognized arguments: --dilations 1,2,3", False),
+    (["train", "--config", "{tmp}/graph.cfg", "--index", "{tmp}/three/index.tsv",
+      "--out", "{tmp}/run"], "config file keys not valid here: dilations, loss", False),
 ], ids=["unknown-flag", "bad-int", "bad-ints", "bad-config-value",
         "missing-required", "missing-command", "zero-eps", "unwritable-out",
         "malformed-config-line", "eval-threshold", "predict-threshold",
         "last-batch-of-one", "micro-batch-of-one", "batch-of-one",
         "non-utf8-index", "eval-micro-batch-0", "eval-unknown-split",
-        "beta1-of-one", "negative-beta2", "zero-adam-eps", "negative-adam-eps"])
+        "beta1-of-one", "negative-beta2", "zero-adam-eps", "negative-adam-eps",
+        "loss-flag", "dilations-flag", "params-dilations-flag", "graph-config-keys"])
 def test_bad_input_is_one_error_line(argv, needle, echoed, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("variant=plain\nchannels=2,x\n")
     (tmp_path / "lines.cfg").write_text("# census\nvariant=plain\nchannels 2,2,3,3\n")
+    (tmp_path / "graph.cfg").write_text("variant=proposed\nloss=bce\ndilations=2,3,5\n")
     (tmp_path / "binary.tsv").write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\ttest\n")
     save_checkpoint(init_parameters(build_model(Variant.PLAIN, TINY_GRAPH)),
                     tmp_path / "m.ckpt")
@@ -701,7 +716,7 @@ def test_resume_from_incomplete_checkpoint_metadata_exits_2(
     assert [p.name for p in last.parent.iterdir()] == ["last.ckpt"]  # no CSVs
 
 
-@pytest.mark.parametrize("key", ["epochs_done", "step", "best_val_loss"])
+@pytest.mark.parametrize("key", ["epochs_done", "best_val_loss"])
 def test_resume_from_unparseable_checkpoint_metadata_exits_2(
         key, trained_run, tiny_dataset, capsys):
     run, _ = trained_run
@@ -743,8 +758,7 @@ def test_echoed_config_is_a_valid_config_file(tiny_dataset, tmp_path, capsys):
          "--target-size", "8,8", "--overwrite"],
         ["train", "--index", index, "--out", str(run), "--variant", "proposed",
          "--epochs", "1", "--batch", "4", "--micro-batch", "2",
-         "--channels", TINY_CHANNELS, "--dilations", "1,2,3",
-         "--adam-eps", "1e-2", "--quiet"],
+         "--channels", TINY_CHANNELS, "--adam-eps", "1e-2", "--quiet"],
         ["eval", "--ckpt", str(run / "model.ckpt"), "--index", index,
          "--split", "val"],
         ["predict", "--ckpt", str(run / "model.ckpt"), "--image", image,

@@ -202,15 +202,6 @@ def test_bce_gradient_inside_clamp_band():
     assert relative_error(grad, fd) < PER_OP_TOL
 
 
-def test_mse_gradient():
-    rng = np.random.default_rng(46)
-    pred = smooth(rng, (2, 1, 3, 3))
-    target = smooth(rng, pred.shape)
-    _, grad = ops.mse_loss(pred, target)
-    fd = fd_gradient(lambda: ops.mse_loss(pred, target)[0], pred)
-    assert relative_error(grad, fd) < PER_OP_TOL
-
-
 # -- whole graphs -----------------------------------------------------------
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -255,7 +246,7 @@ def test_fixture_point_gives_every_weight_a_gradient(variant):
     graph = fixture_graph(variant)
     x, targets = fixture_batch(graph, DATA_SEEDS[variant])
     pred, cache = graph.forward(x, "train", rng=derive_rng(DROPOUT_SEED, 1))
-    grads = graph.backward(cache, loss_fn(graph.config.loss)(pred, targets)[1])
+    grads = graph.backward(cache, loss_fn("bce")(pred, targets)[1])
     dead = [name for name, g in grads.items() if name.endswith(".w") and not np.any(g)]
     assert not dead, f"{variant.value}: zero gradients for {dead}"
 

@@ -37,7 +37,7 @@ def _deploy_checkpoint(path):
 
 def _training_checkpoint(path):
     graph = _graph()
-    meta = {"epochs_done": 1, "step": 2, "best_val_loss": 0.5}
+    meta = {"epochs_done": 1, "best_val_loss": 0.5}
     save_training_checkpoint(graph, adam_init(graph.params), meta, path)
 
 

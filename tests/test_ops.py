@@ -824,13 +824,5 @@ def test_bce_loss_is_finite_at_hard_saturation():
     npt.assert_array_equal(grad, np.zeros_like(grad))
 
 
-def test_mse_basics():
-    pred = np.array([0.0, 0.5]).reshape(1, 1, 1, 2)
-    target = np.array([1.0, 0.5]).reshape(1, 1, 1, 2)
-    loss, grad = ops.mse_loss(pred, target)
-    npt.assert_allclose(loss, 0.5)
-    npt.assert_allclose(grad, [[[[-1.0, 0.0]]]])
-
-
-def test_loss_registry_has_both():
-    assert set(ops.LOSSES) == {"bce", "mse"}
+def test_loss_registry_holds_bce_alone():
+    assert ops.LOSSES == {"bce": ops.bce_loss}

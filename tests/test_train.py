@@ -163,6 +163,9 @@ def test_outputs_include_all_three_checkpoints(tiny_dataset, tmp_path):
         npt.assert_array_equal(resumable.params[k], graph.params[k])
     assert adam.t == 2  # 8 images / batch 4, one epoch
     assert meta["epochs_done"] == "1"
+    # no step count beside adam_t: a resume takes the optimizer step from it
+    assert sorted(meta) == ["adam_eps", "batch_size", "best_val_loss", "beta1", "beta2",
+                            "epochs_done", "micro_batch", "train_seed"]
 
 
 def test_identical_runs_are_byte_identical(tiny_dataset, tmp_path):
