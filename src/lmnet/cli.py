@@ -156,12 +156,8 @@ def _cmd_train(o):
         batch_size=o["batch"],
         micro_batch=o["micro_batch"],
         lr=o["lr"],
-        beta1=o["beta1"],
-        beta2=o["beta2"],
         adam_eps=o["adam_eps"],
         seed=o["seed"],
-        threshold=o["threshold"],
-        log_every=o["log_every"],
         resume=o["resume"],
         quiet=o["quiet"],
     )
@@ -226,7 +222,7 @@ def _cmd_params(o):
 def _cmd_gradcheck(o):
     variant = parse_variant(o["variant"])
     tolerance = 1e-5
-    errors = check_graph_gradients(variant, step=o["eps"])
+    errors = check_graph_gradients(variant)
     name_w = max(len(n) for n in errors)
     worst = 0.0
     failed = False
@@ -259,14 +255,10 @@ _COMMANDS = {
         Opt("micro_batch", int, TrainConfig.micro_batch,
             help="samples per forward/backward pass"),
         Opt("lr", float, TrainConfig.lr),
-        Opt("beta1", float, TrainConfig.beta1),
-        Opt("beta2", float, TrainConfig.beta2),
         Opt("adam_eps", float, TrainConfig.adam_eps,
             help="Adam epsilon; ~1e-2 tames the scale-free first steps"),
         Opt("seed", int, TrainConfig.seed),
-        Opt("threshold", _fraction, TrainConfig.threshold, help="validation metrics threshold"),
         Opt("channels", _ints, GraphConfig.channel_sequence, help="encoder channel widths"),
-        Opt("log_every", int, TrainConfig.log_every),
         Opt("resume", _flag, TrainConfig.resume, help="continue from last.ckpt in --out"),
         Opt("quiet", _flag, TrainConfig.quiet),
     ], _cmd_train, "run the training regime"),
@@ -289,7 +281,6 @@ _COMMANDS = {
     ], _cmd_params, "per-layer parameter census"),
     "gradcheck": ([
         Opt("variant", required=True),
-        Opt("eps", float, 1e-5, help="finite-difference step"),
     ], _cmd_gradcheck, "verify analytic gradients by finite differences"),
 }
 

@@ -8,7 +8,7 @@ exactly on the relu kink where finite differences measure one-sided slopes
 and disagree with the (correct) analytic subgradient. The fixture seeds
 below were chosen so the smallest pre-relu magnitude and the smallest
 pool-window runner-up gap both clear 2e-3, two orders above the probe
-step, and so no layer's relu is dead on the whole batch: every weight
+step STEP, and so no layer's relu is dead on the whole batch: every weight
 tensor then has a non-zero gradient and is checked against a slope.
 """
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
 from .model import (
     INPUT_CHANNELS, GraphConfig, ModelGraph, Variant, build_model, init_parameters, loss_fn,
 )
@@ -28,6 +27,8 @@ TINY_SIDE = 8  # the fixture batch's height and width: one POOL_GRID
 INIT_SEED = 59
 POINT_SEED = 1030
 DROPOUT_SEED = 7
+
+STEP = 1e-5  # fixed with the seeds below: another step voids their clearance
 
 # Per-variant input/target seeds with validated kink clearance.
 DATA_SEEDS = {
@@ -76,10 +77,8 @@ def fixture_batch(graph: ModelGraph, data_seed: int):
     return x, targets.astype(np.float64)
 
 
-def check_graph_gradients(variant, step: float = 1e-5) -> dict:
-    """Max relative error per parameter tensor, analytic vs central FD."""
-    if not step > 0:
-        raise ConfigError(f"eps (the finite-difference step) must be > 0, got {step}")
+def check_graph_gradients(variant) -> dict:
+    """Max relative error per parameter tensor, analytic vs central FD at STEP."""
     graph = fixture_graph(variant)
     x, targets = fixture_batch(graph, DATA_SEEDS[graph.variant])
     lossf = loss_fn("bce")
@@ -102,11 +101,11 @@ def check_graph_gradients(variant, step: float = 1e-5) -> dict:
         fd_flat = fd.reshape(-1)
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + step
+            flat[i] = keep + STEP
             hi = value()
-            flat[i] = keep - step
+            flat[i] = keep - STEP
             lo = value()
             flat[i] = keep
-            fd_flat[i] = (hi - lo) / (2.0 * step)
+            fd_flat[i] = (hi - lo) / (2.0 * STEP)
         errors[name] = relative_error(analytic[name], fd)
     return errors

@@ -1,16 +1,16 @@
 """Adam optimizer over named parameter dicts.
 
 State mirrors the parameter tree exactly and holds only what carries from
-step to step: the step counter and the two moments. The settings (lr, beta1,
-beta2, eps) are inputs to each step. A step is atomic: if any gradient entry
-is non-finite the step is rejected and neither the parameters nor the moment
-estimates change.
+step to step: the step counter and the two moments. The decay rates are the
+textbook BETA1 and BETA2; only lr and eps are inputs to each step. A step is
+atomic: if any gradient entry is non-finite the step is rejected and neither
+the parameters nor the moment estimates change.
 
 Update rule per tensor (t is the shared step counter):
     t <- t + 1
-    m <- beta1 * m + (1 - beta1) * g
-    v <- beta2 * v + (1 - beta2) * g^2
-    theta <- theta - lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+    m <- BETA1 * m + (1 - BETA1) * g
+    v <- BETA2 * v + (1 - BETA2) * g^2
+    theta <- theta - lr * (m / (1 - BETA1^t)) / (sqrt(v / (1 - BETA2^t)) + eps)
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteGradientError, ShapeError
+
+BETA1, BETA2 = 0.9, 0.999
 
 
 @dataclass
@@ -38,8 +40,7 @@ def adam_init(params: dict) -> AdamState:
     return state
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float,
-              beta1: float, beta2: float, eps: float) -> None:
+def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float, eps: float) -> None:
     """Apply one Adam step in place on `params` and `state`.
 
     Raises NonFiniteGradientError before touching any state if a gradient
@@ -64,12 +65,12 @@ def adam_step(params: dict, grads: dict, state: AdamState, *, lr: float,
             )
 
     state.t += 1
-    corr1 = 1.0 - beta1 ** state.t
-    corr2 = 1.0 - beta2 ** state.t
+    corr1 = 1.0 - BETA1 ** state.t
+    corr2 = 1.0 - BETA2 ** state.t
     for name in params:
         g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
         m_hat = state.m[name] / corr1
         v_hat = state.v[name] / corr2
         params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)

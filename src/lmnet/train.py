@@ -42,7 +42,7 @@ from .data import DatasetIndex, batch_iter, check_split, load_index
 from .errors import ConfigError, NonFiniteGradientError, TrainAbortedError
 from .metrics import DEFAULT_THRESHOLD, ConfusionCounts, MetricsReport, confusion, report
 from .model import GraphConfig, ModelGraph, Variant, build_model, init_parameters, loss_fn
-from .optim import adam_init, adam_step
+from .optim import BETA1, BETA2, adam_init, adam_step
 from .seeding import derive_rng
 
 TRAIN_CSV = "history_train.csv"
@@ -62,12 +62,8 @@ class TrainConfig:
     batch_size: int = 200
     micro_batch: int = 10
     lr: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    threshold: float = DEFAULT_THRESHOLD
-    log_every: int = 1
     resume: bool = False
     quiet: bool = False
 
@@ -83,16 +79,8 @@ class TrainConfig:
             )
         if not (self.lr > 0 and math.isfinite(self.lr)):
             out.append(f"lr must be positive and finite, got {self.lr}")
-        if not 0.0 <= self.beta1 < 1.0:
-            out.append(f"beta1 must be in [0, 1), got {self.beta1}")
-        if not 0.0 <= self.beta2 < 1.0:
-            out.append(f"beta2 must be in [0, 1), got {self.beta2}")
         if not (self.adam_eps > 0 and math.isfinite(self.adam_eps)):
             out.append(f"adam_eps must be positive and finite, got {self.adam_eps}")
-        if not 0.0 <= self.threshold <= 1.0:
-            out.append(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.log_every < 1:
-            out.append(f"log_every must be >= 1, got {self.log_every}")
         if self.seed < 0:
             out.append(f"seed must be >= 0, got {self.seed}")
         return out
@@ -168,8 +156,10 @@ def _resume_settings(cfg: TrainConfig) -> dict:
         "train_seed": cfg.seed,
         "batch_size": cfg.batch_size,
         "micro_batch": cfg.micro_batch,
-        "beta1": float(cfg.beta1),
-        "beta2": float(cfg.beta2),
+        # optim's constants, still recorded: checkpoints keep their bytes, and a
+        # last.ckpt an earlier build wrote at other betas is refused, not replayed
+        "beta1": BETA1,
+        "beta2": BETA2,
         "adam_eps": float(cfg.adam_eps),
     }
 
@@ -183,9 +173,10 @@ def _check_resume_settings(cfg: TrainConfig, meta: dict, path: Path) -> None:
     for key, requested in _resume_settings(cfg).items():
         recorded = pop_meta(meta, key, type(requested), path)
         if requested != recorded:
+            remedy = "" if key in ("beta1", "beta2") else "change the flags or "  # no beta flag
             raise ConfigError(
                 f"{path} was trained with {key}={kvtext.render(recorded)}, not "
-                f"{kvtext.render(requested)}; change the flags or start a fresh run directory"
+                f"{kvtext.render(requested)}; {remedy}start a fresh run directory"
             )
 
 
@@ -268,8 +259,7 @@ def train(cfg: TrainConfig):
                     graph, images, masks, lossf, cfg, epoch, batch_idx
                 )
                 try:
-                    adam_step(graph.params, grads, adam, lr=cfg.lr, beta1=cfg.beta1,
-                              beta2=cfg.beta2, eps=cfg.adam_eps)
+                    adam_step(graph.params, grads, adam, lr=cfg.lr, eps=cfg.adam_eps)
                 except NonFiniteGradientError as exc:
                     raise TrainAbortedError(
                         f"optimizer step {step + 1} rejected: {exc}", step=step + 1
@@ -278,10 +268,10 @@ def train(cfg: TrainConfig):
                 history.steps.append((step, epoch, loss))
                 train_fh.write(f"{step},{epoch},{loss!r}\n")
                 train_fh.flush()
-                if not cfg.quiet and step % cfg.log_every == 0:
+                if not cfg.quiet:
                     print(f"step {step}  epoch {epoch}  loss {loss:.6f}", flush=True)
 
-            val = evaluate(graph, index, "val", cfg.threshold, cfg.micro_batch)
+            val = evaluate(graph, index, "val", micro_batch=cfg.micro_batch)
             history.val.append((epoch, val))
             val_fh.write(
                 f"{epoch},{val.loss!r},{val.accuracy!r},{val.iou!r},"

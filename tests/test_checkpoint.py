@@ -37,7 +37,7 @@ def trained_state(graph):
     for _ in range(3):
         grads = {k: rng.normal(size=v.shape).astype(v.dtype)
                  for k, v in graph.params.items()}
-        adam_step(graph.params, grads, adam, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        adam_step(graph.params, grads, adam, lr=0.01, eps=1e-8)
     return adam
 
 

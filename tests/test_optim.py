@@ -9,8 +9,9 @@ import pytest
 from lmnet.errors import NonFiniteGradientError, ShapeError
 from lmnet.optim import AdamState, adam_init, adam_step
 
-# the paper's Adam settings, which TrainConfig holds as its defaults
-PAPER = dict(lr=0.005, beta1=0.9, beta2=0.999, eps=1e-8)
+# the paper's Adam settings, which TrainConfig holds as its defaults; the decay
+# rates are optim's constants
+PAPER = dict(lr=0.005, eps=1e-8)
 
 
 def test_first_step_moves_by_learning_rate_against_gradient_sign():
@@ -57,17 +58,17 @@ def test_matches_textbook_recurrence_for_five_steps():
     state = adam_init(params)
 
     # written with the same expression shapes as the implementation so the
-    # comparison can be bitwise
+    # comparison can be bitwise, at the textbook decay rates 0.9 and 0.999
     m = {k: np.zeros_like(v) for k, v in ref.items()}
     v = {k: np.zeros_like(p) for k, p in ref.items()}
     for t in range(1, 6):
         grads = {k: rng.normal(size=p.shape) for k, p in ref.items()}
-        adam_step(params, grads, state, lr=0.01, beta1=0.8, beta2=0.95, eps=1e-6)
+        adam_step(params, grads, state, lr=0.01, eps=1e-6)
         for k in ref:
-            m[k] = 0.8 * m[k] + (1.0 - 0.8) * grads[k]
-            v[k] = 0.95 * v[k] + (1.0 - 0.95) * grads[k] * grads[k]
-            mh = m[k] / (1.0 - 0.8**t)
-            vh = v[k] / (1.0 - 0.95**t)
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * grads[k]
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * grads[k] * grads[k]
+            mh = m[k] / (1.0 - 0.9**t)
+            vh = v[k] / (1.0 - 0.999**t)
             ref[k] = ref[k] - 0.01 * mh / (np.sqrt(vh) + 1e-6)
     for k in ref:
         npt.assert_array_equal(params[k], ref[k])

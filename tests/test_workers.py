@@ -198,7 +198,7 @@ def test_a_step_holds_the_blas_at_one_thread_and_restores_it(blas_at_two, monkey
     grads = step(graph, np.full_like(batch, np.nan))
     with pytest.raises(NonFiniteGradientError):
         adam_step(graph.params, {k: grads[k] for k in graph.params}, adam_init(graph.params),
-                  lr=0.005, beta1=0.9, beta2=0.999, eps=1e-2)
+                  lr=0.005, eps=1e-2)
     assert get() == 2
 
 
