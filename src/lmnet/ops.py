@@ -21,16 +21,24 @@ holding the strip and its halo rows zero-padded; its matmul writes into its
 output slice. The adjoint builds whole columns of each sample padded whole,
 one sample at a time, and sums the samples in order.
 
-Workers: a conv's per-sample loop, and the whole-array passes of train-mode
-batch norm, its adjoint, max pooling and its adjoint and the relu and dropout
-adjoints, deal their samples (or, for a reduction per channel, their
-channels) to WORKERS threads. Each writes its own slices of one output; the
-weight gradient's per-sample products come back and are summed in sample
-order. So the bits do not depend on the split or on which thread runs a
-part, and no worker forms more than one sample's column matrix. A call of
-one sample (every eval forward), or of parts under TASK_ELEMS floats, runs
-in the caller's thread. A worker calls only private helpers and numpy,
-never a public name of this module, which a tracer may wrap.
+Workers: a conv forward's blocks, the adjoint's per-sample loop, and the
+whole-array passes of batch norm, its adjoint, relu, max pooling and its
+adjoint and the dropout adjoint, deal their samples (or, for a reduction per
+channel, their channels) to WORKERS threads: the caller's thread takes its
+share beside the pool's, but for the adjoint's products, which the pool
+forms while the caller sums them. A call of fewer samples than WORKERS
+(every eval forward's) deals a sample's row strips and its passes' channels
+instead. Each part writes its own slices of one output; the weight
+gradient's per-sample products come back and are summed in sample order. So
+the bits do not depend on the split or on which thread runs a part: a row
+strip's matmul, kept above _SMALL_MATMUL, rounds each column as the whole
+sample's does on the OpenBLAS build that threshold was measured on. No
+worker forms more than one block, and with fewer samples than WORKERS the
+blocks shrink so that those in flight hold no more than one. Calls whose
+parts would touch under TASK_ELEMS floats (_CHANNEL_TASKS times that for a
+channel part) run in the caller's thread. A worker calls only private
+helpers and numpy, never a public name of this module, which a tracer may
+wrap.
 """
 
 from __future__ import annotations
@@ -42,7 +50,9 @@ import glob
 import itertools
 import os
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -120,11 +130,22 @@ BLOCK_ELEMS = 1 << 20  # floats in one block's column or tap matrix, or of dropo
 WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
 TASK_ELEMS = 1 << 16  # floats a worker call touches at least; smaller calls stay in the caller
+# TASK_ELEMS a part of a pass split by channels touches at least: such a pass
+# (an eval forward's batch norm, relu or max-pool) is bound by memory, and on
+# two workers it took longer than on one at 2^18 floats a part
+_CHANNEL_TASKS = 8
+# multiply-adds at or below which numpy's OpenBLAS may run a matmul on its
+# small-matrix kernel, which rounds a product's last few columns otherwise
+# than its blocked kernel does; a matmul above it has each column's bits
+# whatever its column count, so a row strip's matmul stays above it. The
+# value is the SkylakeX small-kernel rule (M*N*K <= 100^3), measured on
+# scipy-openblas 0.3.31 on an AVX-512 host; under another BLAS kernel only
+# the worker tests, on the host that runs them, check that strips keep bits
+_SMALL_MATMUL = 100 ** 3
 
 
 @functools.cache
 def _pool():
-    from concurrent.futures import ThreadPoolExecutor  # on first use: eval never needs it
     return ThreadPoolExecutor(WORKERS, thread_name_prefix="lmnet-worker")
 
 
@@ -157,15 +178,36 @@ def _map(fn, items, cost: int):
 
 
 def _each(fn, items, cost: int) -> None:
-    """_map for calls that write their results into the caller's arrays."""
-    for _ in _map(fn, items, cost):
-        pass
+    """fn(item) for each item, for calls that write their results into the
+    caller's arrays; one call touches about `cost` floats. Calls of
+    TASK_ELEMS floats or more are dealt in turn to the caller's thread and
+    WORKERS - 1 pool threads, each running its share in item order, so the
+    caller works beside the pool instead of waiting to be woken by it.
+    Smaller ones run in the caller's thread. A call's exception reaches the
+    caller as it was raised, once no other call still runs. fn must not
+    call _each itself."""
+    items = list(items)
+    if WORKERS < 2 or len(items) < 2 or cost < TASK_ELEMS:
+        _run(fn, items)
+        return
+    shares = [_pool().submit(_run, fn, items[i::WORKERS]) for i in range(1, min(WORKERS, len(items)))]
+    try:
+        _run(fn, items[::WORKERS])
+    finally:
+        wait(shares)
+    for share in shares:
+        share.result()
 
 
-def _split(fn, size: int, total: int, least: int = 1) -> None:
+def _run(fn, items) -> None:
+    for item in items:
+        fn(item)
+
+
+def _split(fn, size: int, total: int, least: int = 1, tasks: int = 1) -> None:
     """fn(part) for up to WORKERS near-equal slices of range(size), each at
-    least `least` long and touching TASK_ELEMS or more of `total` floats."""
-    count = max(1, min(WORKERS, size // least, total // TASK_ELEMS))
+    least `least` long and touching tasks * TASK_ELEMS or more of `total` floats."""
+    count = max(1, min(WORKERS, size // least, total // (tasks * TASK_ELEMS)))
     bounds = [size * i // count for i in range(count + 1)]
     _each(fn, [slice(a, b) for a, b in zip(bounds, bounds[1:])], total // count)
 
@@ -203,12 +245,39 @@ def _one_blas_thread():
             blas[1](before)
 
 
-def _strips(h: int, row_elems: int, halo: int = 0) -> list:
-    """The fewest near-equal row ranges [r0, r1) of h rows whose block matrices
-    (row_elems floats a row, halo rows included) hold BLOCK_ELEMS floats or less."""
-    count = -(-h // max(1, BLOCK_ELEMS // max(row_elems, 1) - halo))
+def _deal(fn, x: np.ndarray) -> None:
+    """fn(index) for up to WORKERS parts of an (n, c, h, w) array x, each a
+    (samples, channels) slice pair: near-equal slices of the samples, or of
+    the channels (_CHANNEL_TASKS apiece) when x has fewer samples than WORKERS
+    (an eval forward's)."""
+    n, c = x.shape[:2]
+    if n >= WORKERS:
+        _split(lambda part: fn((part, slice(None))), n, x.size)
+    else:
+        _split(lambda part: fn((slice(None), part)), c, x.size, tasks=_CHANNEL_TASKS)
+
+
+def _blocks(n: int, h: int, row_elems: int, halo: int, work: int, macs: int) -> tuple:
+    """A conv's blocks as (sample, r0, r1), with the floats one touches, given
+    the floats one sample's blocks touch and the multiply-adds of its matmuls.
+    A sample's row strips [r0, r1) are the fewest near-equal ones whose block
+    matrices (row_elems floats a row, halo rows included) hold BLOCK_ELEMS
+    floats or less. A call of fewer samples than WORKERS cuts each sample into
+    at least WORKERS strips whose matrices hold BLOCK_ELEMS // WORKERS floats
+    or less, so that the blocks in flight hold no more than one block does,
+    when each strip then touches TASK_ELEMS floats or more and its matmul
+    stays above _SMALL_MATMUL multiply-adds."""
+    def strips(parts):
+        return max(-(-h // max(1, BLOCK_ELEMS // parts // max(row_elems, 1) - halo)),
+                   min(parts, h))
+
+    count = strips(1)
+    if n < WORKERS:
+        split = strips(WORKERS)
+        if work // split >= TASK_ELEMS and macs * (h // split) // h > _SMALL_MATMUL:
+            count = split
     bounds = [h * i // count for i in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
+    return [(j, a, b) for j in range(n) for a, b in zip(bounds, bounds[1:])], work // count
 
 
 def _pad(x: np.ndarray, p: int) -> np.ndarray:
@@ -253,40 +322,47 @@ def _tap_side(c_in: int, c_out: int, k: int, s: int) -> bool:
     return s == 2 or (c_out < c_in and k > 1)
 
 
-def _tap_conv(x: np.ndarray, weights: np.ndarray, d: int, s: int, out: np.ndarray) -> None:
-    """Add the conv of x upsampled s times into out (n, c_out, s*h, s*w): per
-    block, one stacked matmul forms the k*k*c_out tap planes of a padded strip
-    and its halo, shift-added per phase (a, b) into a zeroed buffer of output
-    pixels (s*i + a, s*j + b) that is then added into out."""
+def _taps(weights: np.ndarray) -> np.ndarray:
+    """The (k*k*c_out, c_in) tap matrix of weights (c_out, c_in, k, k), rows (u, v, o)."""
+    c_out, c, k, _ = weights.shape
+    return weights.transpose(2, 3, 0, 1).reshape(k * k * c_out, c)
+
+
+def _tap_conv(x: np.ndarray, taps: np.ndarray, k: int, d: int, s: int, out: np.ndarray) -> None:
+    """Add the conv of x upsampled s times, whose k x k kernel has the tap
+    matrix `taps`, into out (n, c_out, s*h, s*w): per block, one matmul forms
+    the k*k*c_out tap planes of a padded strip and its halo, shift-added per
+    phase (a, b) into a zeroed buffer of output pixels (s*i + a, s*j + b) that
+    is then added into out."""
     n, c, h, w = x.shape
-    c_out, _, k, _ = weights.shape
-    stacked = weights.transpose(2, 3, 0, 1).reshape(k * k * c_out, c)  # rows (u, v, o)
+    c_out = taps.shape[0] // (k * k)
     p = d * (k - 1) // 2
     q = -(-p // s)  # the margin every phase reads, ceil(p / s)
     # output row s*i + a of tap u reads padded row i + q + (a + d*u - p) // s
     shifts = [[(u, q + (a + d * u - p) // s) for u in range(k)] for a in range(s)]
-    blocks = out.reshape(n, c_out, h, s, w, s)  # a view: out is C-contiguous
-    strips = _strips(h, k * k * c_out * (w + 2 * q), 2 * q)
+    view = out.reshape(n, c_out, h, s, w, s)  # a view: out is C-contiguous
+    phase_ab = list(itertools.product(range(s), repeat=2))
 
-    def sample(j):
-        for r0, r1 in strips:
-            rows = r1 - r0
-            taps = stacked @ _padded_rows(x[j], r0, r1, q).reshape(c, -1)
-            taps = taps.reshape(k, k, c_out, rows + 2 * q, w + 2 * q)
-            phases = np.zeros((s, s, c_out, rows, w), dtype=taps.dtype)
-            for a, b in np.ndindex(s, s):
-                for u, sy in shifts[a]:
-                    for v, sx in shifts[b]:
-                        phases[a, b] += taps[u, v, :, sy:sy + rows, sx:sx + w]
-            for a, b in np.ndindex(s, s):  # one add per phase reads its buffer in order
-                blocks[j, :, r0:r1, a, :, b] += phases[a, b]
-            del taps, phases  # not held while the next strip's are formed
+    def block(unit):
+        j, r0, r1 = unit
+        rows = r1 - r0
+        planes = taps @ _padded_rows(x[j], r0, r1, q).reshape(c, -1)
+        planes = planes.reshape(k, k, c_out, rows + 2 * q, w + 2 * q)
+        phases = np.zeros((s, s, c_out, rows, w), dtype=planes.dtype)
+        for a, b in phase_ab:
+            for u, sy in shifts[a]:
+                for v, sx in shifts[b]:
+                    phases[a, b] += planes[u, v, :, sy:sy + rows, sx:sx + w]
+        for a, b in phase_ab:  # one add per phase reads its buffer in order
+            view[j, :, r0:r1, a, :, b] += phases[a, b]
 
-    _each(sample, range(n), (c + c_out) * k * k * h * w)
+    _each(block, *_blocks(n, h, k * k * c_out * (w + 2 * q), 2 * q,
+                          (c + c_out) * k * k * h * w, c * k * k * c_out * h * w))
 
 
-def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
-    """Same-padded dilated convolution of x with `weights`, without bias."""
+def _conv(x: np.ndarray, weights: np.ndarray, d: int, taps=None) -> np.ndarray:
+    """Same-padded dilated convolution of x with `weights`, without bias;
+    `taps` is their tap matrix where the caller holds it."""
     n, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
     wmat = weights.reshape(c_out, c * k * k)
@@ -294,19 +370,19 @@ def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
         return np.matmul(wmat, x.reshape(n, c, h * w)).reshape(n, c_out, h, w)
     out = np.zeros((n, c_out, h, w), dtype=np.result_type(x, weights))
     if _tap_side(c, c_out, k, 1):
-        _tap_conv(x, weights, d, 1, out)
+        _tap_conv(x, _taps(weights) if taps is None else taps, k, d, 1, out)
         return out
     p = d * (k - 1) // 2
-    strips = _strips(h, c * k * k * w)
 
-    def sample(j):
-        flat = out[j].reshape(c_out, h * w)
-        for r0, r1 in strips:
-            xp = _padded_rows(x[j], r0, r1, p)
-            # unnamed, the columns go with the matmul, before the next strip's are formed
-            np.matmul(wmat, _columns(xp, k, d, 1, r1 - r0, w), out=flat[:, r0 * w:r1 * w])
+    def block(unit):
+        j, r0, r1 = unit
+        xp = _padded_rows(x[j], r0, r1, p)
+        # unnamed, the columns go as soon as the matmul returns
+        np.matmul(wmat, _columns(xp, k, d, 1, r1 - r0, w),
+                  out=out[j].reshape(c_out, h * w)[:, r0 * w:r1 * w])
 
-    _each(sample, range(n), (c + c_out) * k * k * h * w)
+    _each(block, *_blocks(n, h, c * k * k * w, 0, (c + c_out) * k * k * h * w,
+                          c_out * c * k * k * h * w))
     return out
 
 
@@ -347,10 +423,20 @@ def _conv_backward(x: np.ndarray, weights: np.ndarray, d: int, grad_out: np.ndar
     return _conv(grad_out, flipped, d), grad_weights
 
 
-def conv2d(x: Tensor, params: ConvParams) -> Tensor:
-    """Dilated same-padding convolution; output spatial size equals input's."""
+def conv_taps(params: ConvParams, upsample: bool):
+    """The tap matrix that upsample_conv2d, or conv2d when not `upsample`,
+    reads for params, or None where conv2d reads none. A forward forms it
+    once and hands it to each of its calls, as it does eval_norm's terms."""
+    if upsample or _tap_side(params.in_channels, params.out_channels, params.kernel_size, 1):
+        return _taps(params.weights)
+    return None
+
+
+def conv2d(x: Tensor, params: ConvParams, taps=None) -> Tensor:
+    """Dilated same-padding convolution; output spatial size equals input's.
+    `taps` is conv_taps(params, False), where the caller holds it."""
     _conv_check(x, params)
-    out = _conv(x, params.weights, params.dilation)
+    out = _conv(x, params.weights, params.dilation, taps)
     out += params.bias.reshape(1, -1, 1, 1)
     return out
 
@@ -396,7 +482,7 @@ def _upsample_conv_check(low: np.ndarray, skip, params: ConvParams) -> int:
     return c_u
 
 
-def upsample_conv2d(low: Tensor, skip, params: ConvParams) -> Tensor:
+def upsample_conv2d(low: Tensor, skip, params: ConvParams, taps=None) -> Tensor:
     """conv2d(concat_channels(upsample_nearest2(low), skip), params), fused.
 
     skip may be None (no concatenation). Nearest upsampling repeats pixels
@@ -404,16 +490,18 @@ def upsample_conv2d(low: Tensor, skip, params: ConvParams) -> Tensor:
     tap side at low resolution (h/2, w/2): each block's (2, 2, c_out, rows,
     w/2) phase buffer is added into the output's 2x2 block view. The skip
     channels take `_conv` at full resolution. Neither the upsampled nor the
-    concatenated input is formed.
+    concatenated input is formed. `taps` is conv_taps(params, True), where
+    the caller holds it.
     """
     c_u = _upsample_conv_check(low, skip, params)
     n, _, hl, wl = low.shape
     weights, d = params.weights, params.dilation
+    taps = _taps(weights) if taps is None else taps
     if skip is None:
         out = np.zeros((n, weights.shape[0], 2 * hl, 2 * wl), dtype=low.dtype)
     else:
-        out = _conv(skip, weights[:, c_u:], d)
-    _tap_conv(low, weights[:, :c_u], d, 2, out)
+        out = _conv(skip, weights[:, c_u:], d, taps[:, c_u:])
+    _tap_conv(low, taps[:, :c_u], params.kernel_size, d, 2, out)
     out += params.bias.reshape(1, -1, 1, 1)
     return out
 
@@ -447,11 +535,12 @@ def maxpool2(x: Tensor) -> Tensor:
     out = np.empty((n, c, h // 2, w // 2), dtype=x.dtype)
 
     def part(i):
-        tl, tr = x[i, :, 0::2, 0::2], x[i, :, 0::2, 1::2]
-        bl, br = x[i, :, 1::2, 0::2], x[i, :, 1::2, 1::2]
+        xi = x[i]
+        tl, tr = xi[:, :, 0::2, 0::2], xi[:, :, 0::2, 1::2]
+        bl, br = xi[:, :, 1::2, 0::2], xi[:, :, 1::2, 1::2]
         np.maximum(np.maximum(tl, tr), np.maximum(bl, br), out=out[i])  # NaN wins
 
-    _split(part, n, x.size)
+    _deal(part, x)
     return out
 
 
@@ -510,31 +599,59 @@ BN_MOMENTUM = 0.1
 BN_EPSILON = 1e-5
 
 
-def batchnorm(x: Tensor, gamma, beta, running_mean, running_var, mode: str, out=None):
-    """Normalize per channel; returns (out, cache, running_mean, running_var).
+class EvalNorm(NamedTuple):
+    """Eval batch norm's per-channel terms, formed by eval_norm."""
 
-    Train mode normalizes with batch statistics over (n, h, w), returns new
-    running statistics moved toward them by BN_MOMENTUM and a cache for
-    batchnorm_backward. Eval mode normalizes with the given running
-    statistics and returns them as they are, with no cache. No argument is
-    written but `out`, in either mode: an array of x's shape and dtype (x
-    itself, for one) that receives the result and is returned.
-    """
-    _require_4d("batchnorm input", x)
-    if mode not in ("train", "eval"):
-        raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
-    n, c, h, w = x.shape
+    mean: np.ndarray
+    inv_std: np.ndarray
+    gamma: np.ndarray
+    beta: np.ndarray
+
+
+def _bn_check(c: int, gamma, beta, running_mean, running_var) -> None:
     for name, arr in (("gamma", gamma), ("beta", beta), ("running_mean", running_mean),
                       ("running_var", running_var)):
         if arr.shape != (c,):
             raise ShapeError(f"batchnorm {name} must have shape ({c},) for an input of "
                              f"{c} channels, got {arr.shape}")
+
+
+def eval_norm(gamma, beta, running_mean, running_var, dtype) -> EvalNorm:
+    """The terms eval batch norm applies to inputs of `dtype`, its four
+    arrays checked and 1/sqrt(running_var + BN_EPSILON) formed once: an eval
+    forward forms them once for all its samples and tiles."""
+    _bn_check(len(running_mean), gamma, beta, running_mean, running_var)
+    inv_std = 1.0 / np.sqrt(running_var + np.asarray(BN_EPSILON, dtype=dtype))
+    return EvalNorm(running_mean, inv_std, gamma, beta)
+
+
+def batchnorm(x: Tensor, gamma, beta, running_mean, running_var, mode: str, out=None,
+              norm: EvalNorm | None = None):
+    """Normalize per channel; returns (out, cache, running_mean, running_var).
+
+    Train mode normalizes with batch statistics over (n, h, w), returns new
+    running statistics moved toward them by BN_MOMENTUM and a cache for
+    batchnorm_backward. Eval mode normalizes with the given running
+    statistics and returns them as they are, with no cache; `norm`, when
+    given, is eval_norm of the four arrays, which are then not read again. No
+    argument is written but `out`, in either mode: an array of x's shape and
+    dtype (x itself, for one) that receives the result and is returned.
+    """
+    _require_4d("batchnorm input", x)
+    if mode not in ("train", "eval"):
+        raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
+    n, c, h, w = x.shape
     if mode == "eval":
-        inv_std = 1.0 / np.sqrt(running_var + np.asarray(BN_EPSILON, dtype=x.dtype))
+        if norm is None:
+            norm = eval_norm(gamma, beta, running_mean, running_var, x.dtype)
+        elif norm.mean.shape != (c,):
+            raise ShapeError(f"batchnorm terms of {len(norm.mean)} channels for an input "
+                             f"of {c} channels")
         if out is None:
-            out = np.empty(x.shape, np.result_type(x, running_mean))
-        _normalize(x, running_mean, inv_std, gamma, beta, out, out)
+            out = np.empty(x.shape, np.result_type(x, norm.mean))
+        _deal(lambda i: _normalize(x[i], *(t[i[1]] for t in norm), out[i], out[i]), x)
         return out, None, running_mean, running_var
+    _bn_check(c, gamma, beta, running_mean, running_var)
     if n * h * w == 1:
         raise ShapeError(
             "batchnorm train mode needs more than one value per channel "
@@ -554,7 +671,8 @@ def batchnorm(x: Tensor, gamma, beta, running_mean, running_var, mode: str, out=
     xhat = np.empty(x.shape, x.dtype)  # formed once the moments' temporaries are gone
     if out is None:
         out = np.empty(x.shape, np.result_type(x, gamma))
-    _split(lambda i: _normalize(x[i], mean, inv_std, gamma, beta, xhat[i], out[i]), n, x.size)
+    _deal(lambda i: _normalize(x[i], *(t[i[1]] for t in (mean, inv_std, gamma, beta)),
+                               xhat[i], out[i]), x)
     return out, {"xhat": xhat, "inv_std": inv_std, "gamma": gamma}, running_mean, running_var
 
 
@@ -602,9 +720,10 @@ def batchnorm_backward(cache: dict, grad_out: Tensor):
     return grad_input, grad_gamma, grad_beta
 
 
-def relu(x: Tensor, out=None) -> Tensor:
-    """max(x, 0), written into `out` when given (x itself, for one)."""
-    return np.maximum(x, 0, out=out)
+def relu(x: Tensor, out: Tensor) -> Tensor:
+    """max(x, 0), written into `out` (x itself, for one) and returned."""
+    _deal(lambda i: np.maximum(x[i], 0, out=out[i]), x)
+    return out
 
 
 def relu_backward(grad_out: Tensor, out: Tensor) -> Tensor:

@@ -140,7 +140,7 @@ def evaluate(graph: ModelGraph, index: DatasetIndex, split: str,
     n = 0
     for images, masks in batch_iter(index, split, micro_batch, shuffle=False):
         pred, _ = graph.forward(images, "eval")
-        loss, _ = lossf(pred, masks.astype(pred.dtype, copy=False))
+        loss = lossf(pred, masks.astype(pred.dtype, copy=False))[0]  # its gradient goes at once
         k = images.shape[0]
         loss_sum += loss * k
         n += k

@@ -97,8 +97,14 @@ def eval_forward_composed(graph, batch):
     """An eval forward of `graph` composed from the public kernels, keeping
     every activation: per stage, the pool, then per kernel conv2d or
     upsample_conv2d and ops.batchnorm(..., "eval") when the spec has it,
-    concat_channels of the kernels' outputs, and the stage's activation.
-    Returns the list of activations, the input batch first."""
+    concat_channels of the kernels' outputs, and the stage's activation,
+    at one BLAS thread, the count an eval forward holds. Returns the list of
+    activations, the input batch first."""
+    with ops._one_blas_thread():
+        return _composed(graph, batch)
+
+
+def _composed(graph, batch):
     acts = [batch]
     for stage in graph.plan.stages:
         x = ops.maxpool2(acts[-1]) if stage.pre == "pool" else acts[-1]
@@ -119,7 +125,8 @@ def eval_forward_composed(graph, batch):
         z = zs[0]
         for other in zs[1:]:
             z = ops.concat_channels(z, other)
-        acts.append(getattr(ops, stage.act)(z))
+        act = getattr(ops, stage.act)
+        acts.append(act(z, np.empty_like(z)) if stage.act == "relu" else act(z))
     return acts
 
 

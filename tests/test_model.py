@@ -257,7 +257,8 @@ def test_an_eval_forward_holds_each_activation_until_its_last_reader(monkeypatch
     """proposed at n = 1 on a 512x512 input, with blocks of 2^18 floats so
     they stay small beside the activations. When a stage's activation is
     formed, the traced memory holds it and the skip activations that this
-    stage or a later one reads, nothing more. The peak stays below the
+    stage or a later one reads, nothing more but the tap matrices the
+    forward keeps for its kernels' later calls. The peak stays below the
     widest stage's arrays (activations 1-3, its input 4 and its output 5)
     plus four blocks. Both also count the output array, which the forward
     allocates before the stage loop runs. A dead activation kept, a batch
@@ -266,27 +267,30 @@ def test_an_eval_forward_holds_each_activation_until_its_last_reader(monkeypatch
     side = 512
     graph = built(Variant.PROPOSED)
     batch = np.random.default_rng(6).random((1, 3, side, side)).astype(np.float32)
-    formed = []  # (activation bytes, traced bytes) at each stage's activation
+    formed = []  # (activation bytes, kept tap bytes, traced bytes) at each activation
+    kept = []  # the bytes of each tap matrix formed: one a kernel, kept to the end
 
     def spy(act):
         def call(x, *rest):
-            formed.append((x.nbytes, tracemalloc.get_traced_memory()[0]))
+            formed.append((x.nbytes, sum(kept), tracemalloc.get_traced_memory()[0]))
             return act(x, *rest)
         return call
 
     for name in ("relu", "sigmoid"):
         monkeypatch.setattr(ops, name, spy(getattr(ops, name)))
+    taps = ops._taps
+    monkeypatch.setattr(ops, "_taps", lambda w: kept.append(w.nbytes) or taps(w))
     tracemalloc.start()
     try:
         graph.forward(batch, "eval")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = {i: nbytes for i, (nbytes, _) in enumerate(formed, 1)}
+    size = {i: nbytes for i, (nbytes, _, _) in enumerate(formed, 1)}
     output = size[len(formed)]  # the prediction has the last activation's shape
     reader = {stage.skip: stage.index for stage in graph.plan.stages if stage.skip}
-    for i, (nbytes, traced) in enumerate(formed, 1):
-        live = output + nbytes + sum(size[j] for j, r in reader.items() if j < i <= r)
+    for i, (nbytes, taps, traced) in enumerate(formed, 1):
+        live = output + nbytes + taps + sum(size[j] for j, r in reader.items() if j < i <= r)
         assert live <= traced < live + (64 << 10), f"stage {i}"
     widest = sum(size[i] for i in (1, 2, 3, 4, 5))
     assert peak < output + widest + 4 * 4 * ops.BLOCK_ELEMS
@@ -305,7 +309,8 @@ def test_a_batched_eval_forward_is_its_samples_forwarded_alone(variant, dtype):
     batch = rng.random((3, 3, 32, 48)).astype(dtype)
     pred, _ = graph.forward(batch, "eval")
     alone = np.concatenate([graph.forward(batch[i:i + 1], "eval")[0] for i in range(3)])
-    whole, _ = graph._stages(batch, "eval", None)
+    with ops._one_blas_thread():  # the count an eval forward holds
+        whole, _ = graph._stages(batch, "eval", None, graph._kernels("eval"))
     assert pred.dtype == alone.dtype == whole.dtype == dtype
     assert pred.tobytes() == alone.tobytes() == whole.tobytes()
 
@@ -502,8 +507,7 @@ def test_frozen_train_without_dropout_equals_eval(frozen_bn, no_dropout):
     graph = init_parameters(build_model(Variant.PROPOSED, cfg), 0)
     x = np.random.default_rng(5).random((2, 3, 16, 16)).astype(np.float32)
     train_pred, _ = graph.forward(x, "train", rng=np.random.default_rng(0))
-    with ops._one_blas_thread():  # the BLAS thread count a train forward runs at
-        eval_pred, _ = graph.forward(x, "eval")
+    eval_pred, _ = graph.forward(x, "eval")
     npt.assert_array_equal(train_pred, eval_pred)
 
 

@@ -301,8 +301,9 @@ def test_fused_decoder_stage_forms_no_concatenated_input_in_one_thread(inline_wo
 
 
 def test_fused_decoder_stage_forms_no_concatenated_input(monkeypatch):
-    # on the workers, as a train step runs it: each of the two samples may
-    # hold its blocks while the other does, or not, as the threads meet. So
+    # on the workers, as a train step runs it, the caller's thread taking its
+    # share beside a pool thread: each of the two samples may hold its
+    # blocks while the other does, or not, as the threads meet. So
     # the bound is the skip part's one-sample cost (its output and blocks)
     # twice over, which a call holding both samples' blocks reaches. It
     # holds at any timing; a formed upsampled input breaks it only when the
@@ -316,7 +317,7 @@ def test_fused_decoder_stage_forms_no_concatenated_input(monkeypatch):
 
     monkeypatch.setattr(ops, "_padded_rows", spy)
     peaks, up_bytes = _fused_and_skip_only_peaks(2)
-    assert threads == ({False} if ops.WORKERS > 1 else {True})
+    assert threads == ({True, False} if ops.WORKERS > 1 else {True})
     one_sample, _ = _fused_and_skip_only_peaks(1)
     for (fused, _), (_, skip_only) in zip(peaks, one_sample):
         assert fused < 2 * skip_only + up_bytes
@@ -676,8 +677,8 @@ def test_batchnorm_state_validation():
 # -- activations ------------------------------------------------------------
 
 def test_relu_and_sigmoid_pointwise():
-    x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    npt.assert_array_equal(ops.relu(x), [0, 0, 0, 0.5, 2.0])
+    x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0]).reshape(1, 1, 1, 5)
+    npt.assert_array_equal(ops.relu(x, np.empty_like(x)).ravel(), [0, 0, 0, 0.5, 2.0])
     assert ops.sigmoid(np.zeros(1))[0] == 0.5
     npt.assert_allclose(ops.sigmoid(np.array([1.0]))[0], 1 / (1 + np.exp(-1)))
 
@@ -700,17 +701,17 @@ def test_sigmoid_extreme_inputs_saturate_without_warnings():
 
 
 def test_relu_into_its_input_gives_the_bits_of_a_fresh_result():
-    x = np.array([-1.5, -0.0, 0.0, 2.5, np.inf, np.nan], np.float32)
-    want = ops.relu(x)
+    x = np.array([-1.5, -0.0, 0.0, 2.5, np.inf, np.nan], np.float32).reshape(1, 2, 1, 3)
+    want = ops.relu(x, np.empty_like(x))
     got = ops.relu(x, x)
     assert got is x and got.tobytes() == want.tobytes()
 
 
 def test_relu_backward_masks_by_output():
-    x = np.array([-1.0, 2.0, -3.0, 4.0])
-    out = ops.relu(x)
-    g = ops.relu_backward(np.ones(4), out)
-    npt.assert_array_equal(g, [0, 1, 0, 1])
+    x = np.array([-1.0, 2.0, -3.0, 4.0]).reshape(1, 4, 1, 1)
+    out = ops.relu(x, np.empty_like(x))
+    g = ops.relu_backward(np.ones(x.shape), out)
+    npt.assert_array_equal(g.ravel(), [0, 1, 0, 1])
 
 
 # -- dropout ----------------------------------------------------------------
@@ -772,7 +773,7 @@ def test_dropout_backward_gated_on_its_output_is_both_adjoints_after_relu(rate, 
     x = r.standard_normal((2, 3, 9, 11)).astype(dtype)
     x[r.random(x.shape) < 0.2] = 0  # exact zeros, which relu does not pass
     g = r.standard_normal(x.shape).astype(dtype)
-    out = ops.dropout(ops.relu(x), rate, np.random.default_rng(23))
+    out = ops.dropout(ops.relu(x, np.empty_like(x)), rate, np.random.default_rng(23))
     keep = np.random.default_rng(23).random(x.shape) >= rate
     want = ops.relu_backward(ops.dropout_backward(g, keep, rate), out)
     got = ops.dropout_backward(g, out > 0, rate)

@@ -1,6 +1,6 @@
-"""A train step on the kernels' worker threads: the bits of a sequential
-run, exceptions that reach the caller, and the BLAS thread count held at
-one for the step and restored after it."""
+"""A train step and an eval forward on the kernels' worker threads: the
+bits of a sequential run, exceptions that reach the caller, and the BLAS
+thread count held at one for the step or forward and restored after it."""
 
 import os
 import signal
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import lmnet
+import lmnet.model
 from lmnet import ops
 from lmnet.errors import NonFiniteGradientError, ShapeError
 from lmnet.model import GraphConfig, Variant, build_model, init_parameters, loss_fn
@@ -42,17 +43,34 @@ def run_step(variant, n):
     return {name: a.tobytes() for name, a in step(graph, batch).items()}
 
 
-def spy_threads(monkeypatch) -> set:
-    """The names of the threads that build column matrices from now on."""
+def spy_threads(monkeypatch, name="_im2col") -> set:
+    """The names of the threads that call the ops helper `name` from now on:
+    _im2col builds a backward's column matrices, _padded_rows a forward
+    block's input strip and _normalize a batch norm part."""
     names = set()
-    im2col = ops._im2col
+    helper = getattr(ops, name)
 
     def spy(*args):
         names.add(threading.current_thread().name)
-        return im2col(*args)
+        return helper(*args)
 
-    monkeypatch.setattr(ops, "_im2col", spy)
+    monkeypatch.setattr(ops, name, spy)
     return names
+
+
+def eval_graph(variant):
+    """A graph whose running statistics are not batch norm's defaults."""
+    graph = init_parameters(build_model(variant, GraphConfig(seed=2)))
+    rng = np.random.default_rng(5)
+    for name, stat in graph.stats.items():
+        graph.stats[name] = (rng.random(stat.shape) + (0.5 if "var" in name else -0.5)
+                             ).astype(graph.dtype)
+    return graph
+
+
+def run_eval(variant, shape):
+    batch = np.random.default_rng(sum(shape)).random(shape).astype(np.float32)
+    return eval_graph(variant).forward(batch, "eval")[0].tobytes()
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -79,12 +97,46 @@ def test_a_train_step_on_workers_has_the_bits_of_a_sequential_one(variant, inlin
         assert pooled == inline == default == whole, (variant, n)
 
 
+EVAL_CASES = [(variant, (n, 3, 64, 64)) for variant in Variant for n in (1, 3)]
+EVAL_CASES.append((Variant.PROPOSED, (1, 3, 176, 208)))
+
+
+@pytest.mark.parametrize("variant,shape", EVAL_CASES,
+                         ids=[f"{v.value}-{n}x{h}x{w}" for v, (n, _, h, w) in EVAL_CASES])
+def test_an_eval_forward_on_workers_has_the_bits_of_a_sequential_one(variant, shape,
+                                                                     inline_workers, monkeypatch):
+    # one sample's conv strips, and its batch norm, relu and max-pool channel
+    # parts, split at any size in the caller's thread and on the pool; the
+    # split of the default TASK_ELEMS; and WORKERS = 1, which splits nothing.
+    # 176x208 runs as a grid of tiles
+    monkeypatch.setattr(lmnet.model, "TILE_PIXELS", 1 << 14)
+    helpers = ("_padded_rows", "_normalize")
+    with monkeypatch.context() as m:
+        threads = [spy_threads(m, name) for name in helpers]
+        inline = run_eval(variant, shape)
+    assert threads == [{threading.current_thread().name}] * 2
+    with monkeypatch.context() as m:
+        m.setattr(ops, "_pool", POOL)
+        threads = [spy_threads(m, name) for name in helpers]
+        pooled = run_eval(variant, shape)
+        for names in threads:
+            assert any(name.startswith("lmnet-worker") for name in names)
+        m.setattr(ops, "TASK_ELEMS", TASK_ELEMS)
+        default = run_eval(variant, shape)
+    with monkeypatch.context() as m:
+        m.setattr(ops, "WORKERS", 1)
+        whole = run_eval(variant, shape)
+    assert pooled == inline == default == whole, (variant, shape)
+
+
 def test_more_workers_than_cores_switching_often_keep_the_bits(monkeypatch):
     # the workers write disjoint slices of shared outputs and hand their
     # weight-gradient products back to be summed in order; a lost or
-    # reordered update would change some gradient's bits
+    # reordered update would change some gradient's bits, or some pixel of
+    # an eval forward's strips and channel parts
     monkeypatch.setattr(ops, "WORKERS", 1)
     whole = run_step(Variant.PROPOSED, 5)
+    whole_eval = run_eval(Variant.PROPOSED, (1, 3, 64, 64))
     pool = ThreadPoolExecutor(4, thread_name_prefix="lmnet-worker")
     interval = sys.getswitchinterval()
     monkeypatch.setattr(ops, "WORKERS", 4)
@@ -94,6 +146,7 @@ def test_more_workers_than_cores_switching_often_keep_the_bits(monkeypatch):
         sys.setswitchinterval(1e-6)
         for _ in range(3):
             assert run_step(Variant.PROPOSED, 5) == whole
+            assert run_eval(Variant.PROPOSED, (1, 3, 64, 64)) == whole_eval
     finally:
         sys.setswitchinterval(interval)
         pool.shutdown()
@@ -202,6 +255,34 @@ def test_a_step_holds_the_blas_at_one_thread_and_restores_it(blas_at_two, monkey
     assert get() == 2
 
 
+def test_an_eval_forward_holds_the_blas_at_one_thread_and_restores_it(blas_at_two,
+                                                                    monkeypatch):
+    get = blas_at_two
+    graph = eval_graph(Variant.PROPOSED)
+    batch = np.random.default_rng(2).random((2, 3, 64, 64)).astype(np.float32)
+    during = set()
+    padded_rows = ops._padded_rows
+
+    def spy(*args):
+        during.add(get())
+        return padded_rows(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(ops, "_padded_rows", spy)
+        graph.forward(batch, "eval")
+    assert during == {1}
+    assert get() == 2
+
+    def failing(*args):
+        raise ShapeError("raised in a worker")
+
+    with monkeypatch.context() as m:
+        m.setattr(ops, "_padded_rows", failing)
+        with pytest.raises(ShapeError, match="in a worker"):
+            graph.forward(batch, "eval")
+    assert get() == 2
+
+
 DIGEST = """
 import hashlib, sys
 import numpy as np
@@ -218,9 +299,18 @@ print(digest.hexdigest())
 """
 
 
-def test_a_train_step_has_the_same_bits_at_any_blas_thread_count():
-    # OpenBLAS splits a product's sums by thread, and rounds l4's at one
-    # thread differently than at two; the step holds it at one
+EVAL_DIGEST = """
+import hashlib
+import numpy as np
+from lmnet.model import GraphConfig, build_model, init_parameters
+graph = init_parameters(build_model("proposed", GraphConfig(seed=2)))
+batch = np.random.default_rng(3).random((2, 3, 64, 64)).astype(np.float32)
+print(hashlib.sha256(graph.forward(batch, "eval")[0].tobytes()).hexdigest())
+"""
+
+
+def digests_at_one_and_two_blas_threads(script: str) -> list:
+    """What `script` prints in a subprocess at OPENBLAS_NUM_THREADS=1 and =2."""
     if ops._blas() is None:
         pytest.skip("numpy's BLAS exposes no thread control")
     src = str(Path(lmnet.__file__).resolve().parents[1])
@@ -228,7 +318,21 @@ def test_a_train_step_has_the_same_bits_at_any_blas_thread_count():
     for threads in ("1", "2"):
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
-        run = subprocess.run([sys.executable, "-c", DIGEST], env=env, capture_output=True,
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
         digests.append(run.stdout.strip())
+    return digests
+
+
+def test_a_train_step_has_the_same_bits_at_any_blas_thread_count():
+    # OpenBLAS splits a product's sums by thread, and rounds l4's at one
+    # thread differently than at two; the step holds it at one
+    digests = digests_at_one_and_two_blas_threads(DIGEST)
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def test_an_eval_forward_has_the_same_bits_at_any_blas_thread_count():
+    # the forward holds the BLAS at one thread too; a build whose eval forward
+    # ran at the process's count printed two digests here
+    digests = digests_at_one_and_two_blas_threads(EVAL_DIGEST)
     assert len(digests[0]) == 64 and digests[0] == digests[1]
