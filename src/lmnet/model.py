@@ -66,9 +66,7 @@ reader of its activation, runs before it. A cache serves one backward.
 A forward and a backward hold numpy's OpenBLAS at one thread and run their
 kernels' work on the ops module's worker threads (see ops): a train step's
 samples, an eval tile's conv strips and channel parts. So neither a train
-step's bits nor an eval forward's depend on the BLAS thread count. A
-forward forms each kernel's ConvParams and tap matrix, and an eval forward
-its batch norm terms, once for all its samples and tiles.
+step's bits nor an eval forward's depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -411,10 +409,8 @@ class ModelGraph:
             raise ValueError("train-mode forward needs an rng for dropout")
 
         with ops._one_blas_thread():
-            kernels = self._kernels(mode)
             if train:
-                pred, records = self._stages(batch.astype(self.dtype, copy=False), mode, rng,
-                                             kernels)
+                pred, records = self._stages(batch.astype(self.dtype, copy=False), mode, rng)
                 return pred, ForwardCache(records)
             width = sum(spec.out_channels for spec in self.plan.stages[-1].convs)
             pred = np.empty((n, width, h, w), dtype=self.dtype)
@@ -423,32 +419,14 @@ class ModelGraph:
                 for (rows, ext_rows), (cols, ext_cols) in tiles:
                     tile, _ = self._stages(
                         batch[i:i + 1, :, ext_rows, ext_cols].astype(self.dtype, copy=False),
-                        mode, None, kernels)
+                        mode, None)
                     pred[i, :, rows, cols] = tile[0, :, _within(rows, ext_rows),
                                                   _within(cols, ext_cols)]
                     del tile  # not held while the next sample or tile runs
         return pred, None
 
-    def _kernels(self, mode: str) -> dict:
-        """Spec name -> (ConvParams, its tap matrix or None, eval batch norm
-        terms or None), formed once per forward: an eval forward's samples
-        and tiles share each kernel's tap matrix and batch norm terms."""
-        kernels = {}
-        for stage in self.plan.stages:
-            for spec in stage.convs:
-                params, norm = self._conv_params(spec), None
-                if spec.has_bn and mode == "eval":
-                    norm = ops.eval_norm(self.params[f"{spec.name}.gamma"],
-                                         self.params[f"{spec.name}.beta"],
-                                         self.stats[f"{spec.name}.running_mean"],
-                                         self.stats[f"{spec.name}.running_var"], self.dtype)
-                taps = ops.conv_taps(params, stage.pre == "upsample")
-                kernels[spec.name] = (params, taps, norm)
-        return kernels
-
-    def _stages(self, cur: np.ndarray, mode: str, rng, kernels: dict):
-        """The stage loop over one input, with the forward's `_kernels`:
-        (prediction, train records)."""
+    def _stages(self, cur: np.ndarray, mode: str, rng):
+        """The stage loop over one input: (prediction, train records)."""
         train = mode == "train"
         records = []  # train only: one StageRecord per stage
         kept = {}  # skip activations by index, until the stage that reads them
@@ -459,7 +437,7 @@ class ModelGraph:
                 cur = ops.maxpool2(cur)
             if train:
                 rec.conv_in = cur
-            cur = self._stage_forward(stage, cur, skip, mode, rec.bn, kernels)
+            cur = self._stage_forward(stage, cur, skip, mode, rec.bn)
             # nothing else reads the fresh pre-activation, and relu's adjoint reads its output
             cur = ops.relu(cur, cur) if stage.act == "relu" else getattr(ops, stage.act)(cur)
             if train and stage.drop:
@@ -471,8 +449,7 @@ class ModelGraph:
                 records.append(rec)
         return cur, records
 
-    def _stage_forward(self, stage: Stage, x: np.ndarray, skip, mode: str, bn: list,
-                       kernels: dict):
+    def _stage_forward(self, stage: Stage, x: np.ndarray, skip, mode: str, bn: list):
         """The stage's pre-activation: per kernel, conv (fused with the
         upsample and skip of a decoder stage), then batchnorm when the spec
         has it, appending its cache to `bn`. With several kernels each output
@@ -482,11 +459,10 @@ class ModelGraph:
         out = None
         start = 0
         for spec in stage.convs:
-            params, taps, norm = kernels[spec.name]
             if stage.pre == "upsample":
-                z = ops.upsample_conv2d(x, skip, params, taps)
+                z = ops.upsample_conv2d(x, skip, self._conv_params(spec))
             else:
-                z = ops.conv2d(x, params, taps)
+                z = ops.conv2d(x, self._conv_params(spec))
             dest = z
             if len(stage.convs) > 1:
                 if out is None:
@@ -498,7 +474,7 @@ class ModelGraph:
                 mean_key, var_key = f"{spec.name}.running_mean", f"{spec.name}.running_var"
                 z, bncache, self.stats[mean_key], self.stats[var_key] = ops.batchnorm(
                     z, self.params[f"{spec.name}.gamma"], self.params[f"{spec.name}.beta"],
-                    self.stats[mean_key], self.stats[var_key], mode, dest, norm)
+                    self.stats[mean_key], self.stats[var_key], mode, dest)
                 bn.append(bncache)
             if out is None:
                 return z

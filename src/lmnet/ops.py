@@ -52,7 +52,6 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -360,9 +359,8 @@ def _tap_conv(x: np.ndarray, taps: np.ndarray, k: int, d: int, s: int, out: np.n
                           (c + c_out) * k * k * h * w, c * k * k * c_out * h * w))
 
 
-def _conv(x: np.ndarray, weights: np.ndarray, d: int, taps=None) -> np.ndarray:
-    """Same-padded dilated convolution of x with `weights`, without bias;
-    `taps` is their tap matrix where the caller holds it."""
+def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
+    """Same-padded dilated convolution of x with `weights`, without bias."""
     n, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
     wmat = weights.reshape(c_out, c * k * k)
@@ -370,7 +368,7 @@ def _conv(x: np.ndarray, weights: np.ndarray, d: int, taps=None) -> np.ndarray:
         return np.matmul(wmat, x.reshape(n, c, h * w)).reshape(n, c_out, h, w)
     out = np.zeros((n, c_out, h, w), dtype=np.result_type(x, weights))
     if _tap_side(c, c_out, k, 1):
-        _tap_conv(x, _taps(weights) if taps is None else taps, k, d, 1, out)
+        _tap_conv(x, _taps(weights), k, d, 1, out)
         return out
     p = d * (k - 1) // 2
 
@@ -423,20 +421,10 @@ def _conv_backward(x: np.ndarray, weights: np.ndarray, d: int, grad_out: np.ndar
     return _conv(grad_out, flipped, d), grad_weights
 
 
-def conv_taps(params: ConvParams, upsample: bool):
-    """The tap matrix that upsample_conv2d, or conv2d when not `upsample`,
-    reads for params, or None where conv2d reads none. A forward forms it
-    once and hands it to each of its calls, as it does eval_norm's terms."""
-    if upsample or _tap_side(params.in_channels, params.out_channels, params.kernel_size, 1):
-        return _taps(params.weights)
-    return None
-
-
-def conv2d(x: Tensor, params: ConvParams, taps=None) -> Tensor:
-    """Dilated same-padding convolution; output spatial size equals input's.
-    `taps` is conv_taps(params, False), where the caller holds it."""
+def conv2d(x: Tensor, params: ConvParams) -> Tensor:
+    """Dilated same-padding convolution; output spatial size equals input's."""
     _conv_check(x, params)
-    out = _conv(x, params.weights, params.dilation, taps)
+    out = _conv(x, params.weights, params.dilation)
     out += params.bias.reshape(1, -1, 1, 1)
     return out
 
@@ -482,7 +470,7 @@ def _upsample_conv_check(low: np.ndarray, skip, params: ConvParams) -> int:
     return c_u
 
 
-def upsample_conv2d(low: Tensor, skip, params: ConvParams, taps=None) -> Tensor:
+def upsample_conv2d(low: Tensor, skip, params: ConvParams) -> Tensor:
     """conv2d(concat_channels(upsample_nearest2(low), skip), params), fused.
 
     skip may be None (no concatenation). Nearest upsampling repeats pixels
@@ -490,18 +478,16 @@ def upsample_conv2d(low: Tensor, skip, params: ConvParams, taps=None) -> Tensor:
     tap side at low resolution (h/2, w/2): each block's (2, 2, c_out, rows,
     w/2) phase buffer is added into the output's 2x2 block view. The skip
     channels take `_conv` at full resolution. Neither the upsampled nor the
-    concatenated input is formed. `taps` is conv_taps(params, True), where
-    the caller holds it.
+    concatenated input is formed.
     """
     c_u = _upsample_conv_check(low, skip, params)
     n, _, hl, wl = low.shape
     weights, d = params.weights, params.dilation
-    taps = _taps(weights) if taps is None else taps
     if skip is None:
         out = np.zeros((n, weights.shape[0], 2 * hl, 2 * wl), dtype=low.dtype)
     else:
-        out = _conv(skip, weights[:, c_u:], d, taps[:, c_u:])
-    _tap_conv(low, taps[:, :c_u], params.kernel_size, d, 2, out)
+        out = _conv(skip, weights[:, c_u:], d)
+    _tap_conv(low, _taps(weights[:, :c_u]), params.kernel_size, d, 2, out)
     out += params.bias.reshape(1, -1, 1, 1)
     return out
 
@@ -599,15 +585,6 @@ BN_MOMENTUM = 0.1
 BN_EPSILON = 1e-5
 
 
-class EvalNorm(NamedTuple):
-    """Eval batch norm's per-channel terms, formed by eval_norm."""
-
-    mean: np.ndarray
-    inv_std: np.ndarray
-    gamma: np.ndarray
-    beta: np.ndarray
-
-
 def _bn_check(c: int, gamma, beta, running_mean, running_var) -> None:
     for name, arr in (("gamma", gamma), ("beta", beta), ("running_mean", running_mean),
                       ("running_var", running_var)):
@@ -616,64 +593,46 @@ def _bn_check(c: int, gamma, beta, running_mean, running_var) -> None:
                              f"{c} channels, got {arr.shape}")
 
 
-def eval_norm(gamma, beta, running_mean, running_var, dtype) -> EvalNorm:
-    """The terms eval batch norm applies to inputs of `dtype`, its four
-    arrays checked and 1/sqrt(running_var + BN_EPSILON) formed once: an eval
-    forward forms them once for all its samples and tiles."""
-    _bn_check(len(running_mean), gamma, beta, running_mean, running_var)
-    inv_std = 1.0 / np.sqrt(running_var + np.asarray(BN_EPSILON, dtype=dtype))
-    return EvalNorm(running_mean, inv_std, gamma, beta)
-
-
-def batchnorm(x: Tensor, gamma, beta, running_mean, running_var, mode: str, out=None,
-              norm: EvalNorm | None = None):
+def batchnorm(x: Tensor, gamma, beta, running_mean, running_var, mode: str, out=None):
     """Normalize per channel; returns (out, cache, running_mean, running_var).
 
     Train mode normalizes with batch statistics over (n, h, w), returns new
     running statistics moved toward them by BN_MOMENTUM and a cache for
     batchnorm_backward. Eval mode normalizes with the given running
-    statistics and returns them as they are, with no cache; `norm`, when
-    given, is eval_norm of the four arrays, which are then not read again. No
-    argument is written but `out`, in either mode: an array of x's shape and
-    dtype (x itself, for one) that receives the result and is returned.
+    statistics and returns them as they are, with no cache. No argument is
+    written but `out`, in either mode: an array of x's shape and dtype (x
+    itself, for one) that receives the result and is returned.
     """
     _require_4d("batchnorm input", x)
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
     n, c, h, w = x.shape
-    if mode == "eval":
-        if norm is None:
-            norm = eval_norm(gamma, beta, running_mean, running_var, x.dtype)
-        elif norm.mean.shape != (c,):
-            raise ShapeError(f"batchnorm terms of {len(norm.mean)} channels for an input "
-                             f"of {c} channels")
-        if out is None:
-            out = np.empty(x.shape, np.result_type(x, norm.mean))
-        _deal(lambda i: _normalize(x[i], *(t[i[1]] for t in norm), out[i], out[i]), x)
-        return out, None, running_mean, running_var
     _bn_check(c, gamma, beta, running_mean, running_var)
-    if n * h * w == 1:
-        raise ShapeError(
-            "batchnorm train mode needs more than one value per channel "
-            f"(n*h*w = 1 for input shape {x.shape})"
-        )
-    mean, var = np.empty(c, x.dtype), np.empty(c, x.dtype)
+    mean, var, xhat = running_mean, running_var, None
+    if mode == "train":
+        if n * h * w == 1:
+            raise ShapeError(
+                "batchnorm train mode needs more than one value per channel "
+                f"(n*h*w = 1 for input shape {x.shape})"
+            )
+        mean, var = np.empty(c, x.dtype), np.empty(c, x.dtype)
 
-    def moments(ch):
-        mean[ch] = x[:, ch].mean(axis=(0, 2, 3))
-        var[ch] = x[:, ch].var(axis=(0, 2, 3))
+        def moments(ch):
+            mean[ch] = x[:, ch].mean(axis=(0, 2, 3))
+            var[ch] = x[:, ch].var(axis=(0, 2, 3))
 
-    _split(moments, c, x.size, 2)  # a one-channel slice would reduce in another order
-    m = np.asarray(BN_MOMENTUM, dtype=x.dtype)
-    running_mean = ((1 - m) * running_mean + m * mean).astype(x.dtype)
-    running_var = ((1 - m) * running_var + m * var).astype(x.dtype)
+        _split(moments, c, x.size, 2)  # a one-channel slice would reduce in another order
+        m = np.asarray(BN_MOMENTUM, dtype=x.dtype)
+        running_mean = ((1 - m) * running_mean + m * mean).astype(x.dtype)
+        running_var = ((1 - m) * running_var + m * var).astype(x.dtype)
+        xhat = np.empty(x.shape, x.dtype)  # formed once the moments' temporaries are gone
     inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=x.dtype))
-    xhat = np.empty(x.shape, x.dtype)  # formed once the moments' temporaries are gone
     if out is None:
         out = np.empty(x.shape, np.result_type(x, gamma))
     _deal(lambda i: _normalize(x[i], *(t[i[1]] for t in (mean, inv_std, gamma, beta)),
-                               xhat[i], out[i]), x)
-    return out, {"xhat": xhat, "inv_std": inv_std, "gamma": gamma}, running_mean, running_var
+                               out[i] if xhat is None else xhat[i], out[i]), x)
+    cache = None if xhat is None else {"xhat": xhat, "inv_std": inv_std, "gamma": gamma}
+    return out, cache, running_mean, running_var
 
 
 def _normalize(x, mean, inv_std, gamma, beta, xhat, out) -> None:

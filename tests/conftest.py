@@ -119,7 +119,7 @@ def frozen_bn(monkeypatch):
     its cache feeds frozen_batchnorm_backward, which replaces the adjoint."""
     batchnorm = ops.batchnorm
 
-    def frozen(x, gamma, beta, mean, var, mode, out=None, norm=None):
+    def frozen(x, gamma, beta, mean, var, mode, out=None):
         inv_std = 1.0 / np.sqrt(var + np.asarray(ops.BN_EPSILON, dtype=x.dtype))
         # formed before batchnorm writes `out`, which may be x itself
         xhat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)

@@ -256,41 +256,40 @@ def test_eval_forward_is_its_kernels_composed_bit_for_bit(variant, dtype):
 def test_an_eval_forward_holds_each_activation_until_its_last_reader(monkeypatch):
     """proposed at n = 1 on a 512x512 input, with blocks of 2^18 floats so
     they stay small beside the activations. When a stage's activation is
-    formed, the traced memory holds it and the skip activations that this
-    stage or a later one reads, nothing more but the tap matrices the
-    forward keeps for its kernels' later calls. The peak stays below the
+    formed, numpy's traced arrays are it and the skip activations that this
+    stage or a later one reads, nothing more. The peak stays below the
     widest stage's arrays (activations 1-3, its input 4 and its output 5)
     plus four blocks. Both also count the output array, which the forward
     allocates before the stage loop runs. A dead activation kept, a batch
-    norm cache kept or a whole sample padded crosses one of the two bounds."""
+    norm cache kept, a tap matrix kept or a whole sample padded crosses one
+    of the two bounds."""
     monkeypatch.setattr(ops, "BLOCK_ELEMS", 1 << 18)
     side = 512
     graph = built(Variant.PROPOSED)
     batch = np.random.default_rng(6).random((1, 3, side, side)).astype(np.float32)
-    formed = []  # (activation bytes, kept tap bytes, traced bytes) at each activation
-    kept = []  # the bytes of each tap matrix formed: one a kernel, kept to the end
+    formed = []  # (activation bytes, numpy's traced bytes) at each activation
+    arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
 
     def spy(act):
         def call(x, *rest):
-            formed.append((x.nbytes, sum(kept), tracemalloc.get_traced_memory()[0]))
+            traces = tracemalloc.take_snapshot().filter_traces(arrays).traces
+            formed.append((x.nbytes, sum(trace.size for trace in traces)))
             return act(x, *rest)
         return call
 
     for name in ("relu", "sigmoid"):
         monkeypatch.setattr(ops, name, spy(getattr(ops, name)))
-    taps = ops._taps
-    monkeypatch.setattr(ops, "_taps", lambda w: kept.append(w.nbytes) or taps(w))
     tracemalloc.start()
     try:
         graph.forward(batch, "eval")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = {i: nbytes for i, (nbytes, _, _) in enumerate(formed, 1)}
+    size = {i: nbytes for i, (nbytes, _) in enumerate(formed, 1)}
     output = size[len(formed)]  # the prediction has the last activation's shape
     reader = {stage.skip: stage.index for stage in graph.plan.stages if stage.skip}
-    for i, (nbytes, taps, traced) in enumerate(formed, 1):
-        live = output + nbytes + taps + sum(size[j] for j, r in reader.items() if j < i <= r)
+    for i, (nbytes, traced) in enumerate(formed, 1):
+        live = output + nbytes + sum(size[j] for j, r in reader.items() if j < i <= r)
         assert live <= traced < live + (64 << 10), f"stage {i}"
     widest = sum(size[i] for i in (1, 2, 3, 4, 5))
     assert peak < output + widest + 4 * 4 * ops.BLOCK_ELEMS
@@ -310,7 +309,7 @@ def test_a_batched_eval_forward_is_its_samples_forwarded_alone(variant, dtype):
     pred, _ = graph.forward(batch, "eval")
     alone = np.concatenate([graph.forward(batch[i:i + 1], "eval")[0] for i in range(3)])
     with ops._one_blas_thread():  # the count an eval forward holds
-        whole, _ = graph._stages(batch, "eval", None, graph._kernels("eval"))
+        whole, _ = graph._stages(batch, "eval", None)
     assert pred.dtype == alone.dtype == whole.dtype == dtype
     assert pred.tobytes() == alone.tobytes() == whole.tobytes()
 

@@ -668,10 +668,11 @@ def test_batchnorm_rejects_single_element_statistics():
         ops.batchnorm(np.zeros((1, 2, 1, 1)), *_bn_args(2), "train")
 
 
-def test_batchnorm_state_validation():
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batchnorm_state_validation(mode):
     with pytest.raises(ValueError, match="beta must have shape"):
         ops.batchnorm(np.zeros((2, 2, 3, 3)), np.ones(2), np.zeros(3), np.zeros(2),
-                      np.ones(2), "train")
+                      np.ones(2), mode)
 
 
 # -- activations ------------------------------------------------------------
