@@ -178,7 +178,8 @@ def _cmd_eval(o):
 
 def _cmd_predict(o):
     graph = load_any(o["ckpt"])
-    image = imgio.read_rgb(o["image"])
+    # the 8-bit levels, which the forward scales one tile at a time
+    image = imgio.read_rgb(o["image"], "uint8")
     h, w = image.shape[1:]
     h8, w8 = h - h % POOL_GRID, w - w % POOL_GRID
     problem = pool_grid_problem(f"{o['image']}: {h}x{w} is too small; its crop", (h8, w8))

@@ -10,14 +10,16 @@ parent scene, so no scene leaks across splits.
 A prepared layout holds `<split>/images/<name>` with a mask of the same name
 under `<split>/masks/`; `_record` is the one place that forms those paths and
 `_write_pair` the one writer. A sample is a plain (image, mask) pair of
-arrays: the image (3, h, w) in [0, 1], the mask (h, w). Masks are binary the
-moment they enter this module (`load_pair` binarizes what it reads,
-`synth_pair` draws them binary) and stay binary through every operation;
-`load_pair` is also where an image must agree in size with its mask. The
-network takes any size on its pooling grid, so each split has one tile size
-on POOL_GRID, which `check_split` checks from file headers and `batch_iter`
-as it decodes. A synthetic rectangle generator writes deterministic layouts
-for tests and smoke runs.
+arrays: the image (3, h, w) in [0, 1], the mask (h, w); a batch holds both
+as uint8, the image's 8-bit levels and a {0, 1} mask, a quarter of
+float32's bytes. Masks are binary the moment they enter this module
+(`load_pair` binarizes what it reads, `synth_pair` draws them binary) and
+stay binary through every operation; `load_pair` is also where an image
+must agree in size with its mask. The network takes any size on its
+pooling grid, so each split has one tile size on POOL_GRID, which
+`check_split` checks from file headers and `batch_iter` as it decodes. A
+synthetic rectangle generator writes deterministic layouts for tests and
+smoke runs.
 """
 
 from __future__ import annotations
@@ -270,11 +272,13 @@ def _one_tile_size(split: str):
     return check
 
 
-def load_pair(index: DatasetIndex, rec: IndexRecord) -> tuple:
-    """The sample `rec` names: image (3, h, w) and binarized mask (h, w)."""
+def load_pair(index: DatasetIndex, rec: IndexRecord, dtype=np.float32) -> tuple:
+    """The sample `rec` names: image (3, h, w) and binarized mask (h, w),
+    float32, or at dtype uint8 the image's 8-bit levels and a {0, 1} mask."""
     image_path, mask_path = index.image_path(rec), index.mask_path(rec)
-    image = imgio.read_rgb(image_path)
-    mask = binarize_mask(imgio.read_gray(mask_path))
+    # dtype goes positionally: perfbench's tracer wraps read_rgb as call(*args)
+    image = imgio.read_rgb(image_path, dtype)
+    mask = binarize_mask(imgio.read_gray(mask_path)).astype(dtype, copy=False)
     if image.shape[1:] != mask.shape:
         raise DataError(f"{mask_path} is {mask.shape[0]}x{mask.shape[1]}, but its image "
                         f"{image_path} is {image.shape[1]}x{image.shape[2]}")
@@ -292,7 +296,9 @@ def check_split(index: DatasetIndex, split: str) -> None:
 
 def batch_iter(index: DatasetIndex, split: str, batch_size: int,
                seed: int = 0, epoch: int = 0, shuffle: bool = True):
-    """Yield (images (b,3,h,w), masks (b,1,h,w)) batches over one split.
+    """Yield (images (b,3,h,w), masks (b,1,h,w)) batches over one split,
+    both uint8: the images' 8-bit levels, which the model's forward scales
+    as imgio.read_rgb does, and {0, 1} masks.
 
     An unknown or empty split is refused, and so is a tile off POOL_GRID or
     of another size than the first tile decoded, as it is decoded, before
@@ -316,7 +322,7 @@ def _load_batch(index: DatasetIndex, records, check) -> tuple:
     """The stacked (images, masks) of `records`, each image's size passed to
     `check` first. The per-sample arrays go with this frame, so a caller
     holding the batch holds it once."""
-    images, masks = zip(*(load_pair(index, record) for record in records))
+    images, masks = zip(*(load_pair(index, record, np.uint8) for record in records))
     for record, image in zip(records, images):
         check(index.image_path(record), image.shape[1:])
     return np.stack(images), np.stack(masks)[:, None]

@@ -4,8 +4,9 @@ PNG, PPM (color) and PGM (grayscale) are handled natively by small built-in
 codecs on zlib, struct and numpy, so the data pipeline needs no imaging
 dependency. Any other format ends in a DataError that names the readable
 ones. Arrays cross this boundary as floats scaled by 1/255: RGB as
-(3, h, w), grayscale as (h, w), both float32 in [0, 1]. Writers clip to
-[0, 1] and round to the nearest 8-bit level.
+(3, h, w), grayscale as (h, w), both float32 in [0, 1]; `read_rgb` also
+hands RGB out as the 8-bit levels themselves, which `to_float` scales as
+the readers do. Writers clip to [0, 1] and round to the nearest 8-bit level.
 """
 
 from __future__ import annotations
@@ -328,24 +329,33 @@ def _to_u8(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def read_rgb(path) -> np.ndarray:
-    """Read any supported image as float32 (3, h, w) in [0, 1].
-
-    The uint8 planes are converted into the result and divided in place, so
-    the scene has one float32 copy."""
-    raw = _read_raw(path)
-    planes = raw.transpose(2, 0, 1) if raw.ndim == 3 else np.broadcast_to(raw, (3, *raw.shape))
-    out = planes.astype(np.float32, order="C")
+def to_float(levels: np.ndarray) -> np.ndarray:
+    """8-bit levels as float32 in [0, 1]: a C-ordered float32 copy, divided
+    by 255 in place. The readers scale with it, and so does an eval forward
+    that is handed 8-bit planes, one tile or batch at a time."""
+    out = levels.astype(np.float32, order="C")
     out /= np.float32(255.0)
     return out
+
+
+def read_rgb(path, dtype=np.float32) -> np.ndarray:
+    """Read any supported image as (3, h, w) planes: float32 in [0, 1], or
+    at dtype uint8 the 8-bit levels the file holds, a quarter of the bytes.
+
+    The float32 planes are converted into the result and divided in place,
+    so the scene has one float32 copy."""
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.uint8):
+        raise ValueError(f"read_rgb reads float32 or uint8 planes, not {dtype}")
+    raw = _read_raw(path)
+    planes = raw.transpose(2, 0, 1) if raw.ndim == 3 else np.broadcast_to(raw, (3, *raw.shape))
+    return np.ascontiguousarray(planes) if dtype == np.uint8 else to_float(planes)
 
 
 def read_gray(path) -> np.ndarray:
     """Read any supported image as float32 (h, w) in [0, 1]; RGB is averaged."""
     raw = _read_raw(path)
-    if raw.ndim == 3:
-        return (raw.astype(np.float32) / np.float32(255.0)).mean(axis=2)
-    return raw.astype(np.float32) / np.float32(255.0)
+    return to_float(raw).mean(axis=2) if raw.ndim == 3 else to_float(raw)
 
 
 def write_rgb(path, arr) -> None:

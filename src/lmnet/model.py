@@ -39,12 +39,21 @@ StageRecord per stage, holding only what backward reads: the input the
 stage's kernels read, their batchnorm caches and the activation after
 dropout. A pool's adjoint reads the pool's input (the previous activation)
 and output (the kernels' input). In eval mode forward keeps no records and
-returns no cache. It runs the stage loop on one sample at a time, each
-result going into one output array: batch norm reads running statistics and
-every kernel computes a sample on its own, so a sample gets the bits it
-would get in any batch, and the working set is one sample's, whatever the
-batch size. The loop holds each activation only until its last reader (the
-next stage, or the stage whose skip names it) has run.
+returns no cache. It runs the stage loop on each sample alone, each result
+going into one output array: batch norm reads running statistics and every
+kernel computes a sample on its own, so a sample gets the bits it would get
+in any batch, and the working set is that of the samples in flight,
+whatever the batch size. When ops.WORKERS samples together hold no more
+than TILE_PIXELS pixels, the samples are units that ops._units deals to the
+workers, each one's kernels inline in its thread; otherwise one sample (or
+tile) at a time runs with its kernels split across the workers. The loop
+holds each activation only until its last reader, the next stage, has run;
+the activation a later stage reads as its skip is kept as its product with
+that stage's skip weights (ops.skip_conv2d), formed as the activation is
+and added to by the reader: proposed's stage 7 then keeps 5 planes, not
+activation 1's 15. The input may be the 8-bit levels of images, which a
+train forward scales to [0, 1] whole and an eval forward one sample or tile
+at a time, as imgio.read_rgb would.
 A sample of more than TILE_PIXELS pixels runs in overlapping tiles, the
 overlap-tile scheme of U-Net (Ronneberger et al., 2015); one within the
 budget is a single tile. tile_plan cuts the input on POOL_GRID into
@@ -57,16 +66,18 @@ narrower matmuls may round them differently. The working set is then one
 tile's, whatever the scene's size. A train forward runs the whole batch
 at once and never tiles: batch statistics span the whole batch.
 A decoder stage runs ops.upsample_conv2d, which reads the
-low-resolution previous activation and the skip activation itself, so no
-upsampled or concatenated input is formed or kept. backward walks
+low-resolution previous activation and the skip activation itself (or, in
+eval mode, adds into its product), so no upsampled or concatenated input is
+formed or kept. backward walks
 the train records in reverse and consumes them: a record goes once its
 stage's adjoint has run, since the next stage's pool adjoint, the other
 reader of its activation, runs before it. A cache serves one backward.
 
 A forward and a backward hold numpy's OpenBLAS at one thread and run their
 kernels' work on the ops module's worker threads (see ops): a train step's
-samples, an eval tile's conv strips and channel parts. So neither a train
-step's bits nor an eval forward's depend on the BLAS thread count.
+samples, an eval forward's small samples whole, or a tile's conv strips and
+channel parts. So neither a train step's bits nor an eval forward's depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -76,7 +87,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
+from . import imgio, ops
 from .errors import ConfigError, ShapeError
 from .seeding import derive_rng
 
@@ -190,9 +201,9 @@ class LayerPlan:
         return tuple(spec for stage in self.stages for spec in stage.convs)
 
     @property
-    def skip_sources(self) -> frozenset:
-        """The indices of the activations a later stage reads as its skip."""
-        return frozenset(stage.skip for stage in self.stages if stage.skip)
+    def skip_readers(self) -> dict:
+        """The activations a later stage reads as its skip: index -> that stage."""
+        return {stage.skip: stage for stage in self.stages if stage.skip}
 
     @property
     def radius(self) -> int:
@@ -390,7 +401,8 @@ class ModelGraph:
         for backward) or "eval" (running statistics, dropout off,
         deterministic, and the cache is None). An eval forward runs each
         sample alone, in overlapping tiles when it has more than TILE_PIXELS
-        pixels.
+        pixels, and several small samples side by side. batch may hold
+        floats or the uint8 levels of 8-bit images.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"forward mode must be 'train' or 'eval', got {mode!r}")
@@ -410,59 +422,83 @@ class ModelGraph:
 
         with ops._one_blas_thread():
             if train:
-                pred, records = self._stages(batch.astype(self.dtype, copy=False), mode, rng)
+                pred, records = self._stages(self._input(batch), mode, rng)
                 return pred, ForwardCache(records)
             width = sum(spec.out_channels for spec in self.plan.stages[-1].convs)
             pred = np.empty((n, width, h, w), dtype=self.dtype)
+            if n > 1 and ops.WORKERS * h * w <= TILE_PIXELS:
+                def unit(i):
+                    pred[i] = self._stages(self._input(batch[i:i + 1]), mode, None,
+                                           ops._unit_kernels)[0][0]
+
+                ops._units(unit, n)
+                return pred, None
             tiles = tile_plan(h, w, self.plan.halo, TILE_PIXELS)
             for i in range(n):
                 for (rows, ext_rows), (cols, ext_cols) in tiles:
-                    tile, _ = self._stages(
-                        batch[i:i + 1, :, ext_rows, ext_cols].astype(self.dtype, copy=False),
-                        mode, None)
+                    tile, _ = self._stages(self._input(batch[i:i + 1, :, ext_rows, ext_cols]),
+                                           mode, None)
                     pred[i, :, rows, cols] = tile[0, :, _within(rows, ext_rows),
                                                   _within(cols, ext_cols)]
                     del tile  # not held while the next sample or tile runs
         return pred, None
 
-    def _stages(self, cur: np.ndarray, mode: str, rng):
-        """The stage loop over one input: (prediction, train records)."""
+    def _input(self, x: np.ndarray) -> np.ndarray:
+        """x at the graph's dtype; 8-bit levels scaled to [0, 1] first, as
+        imgio.read_rgb scales them."""
+        if x.dtype == np.uint8:
+            x = imgio.to_float(x)
+        return x.astype(self.dtype, copy=False)
+
+    def _stages(self, cur: np.ndarray, mode: str, rng, kernels=ops):
+        """The stage loop over one input: (prediction, train records). The
+        kernels are looked up on `kernels`: ops, or in a unit ops._unit_kernels."""
         train = mode == "train"
         records = []  # train only: one StageRecord per stage
-        kept = {}  # skip activations by index, until the stage that reads them
+        # by skip index until the stage that reads it: a train forward keeps the
+        # activation, an eval forward its product with the reader's skip weights
+        kept = {}
         for stage in self.plan.stages:
             rec = StageRecord()
             skip = kept.pop(stage.skip) if stage.skip else None
             if stage.pre == "pool":
-                cur = ops.maxpool2(cur)
+                cur = kernels.maxpool2(cur)
             if train:
                 rec.conv_in = cur
-            cur = self._stage_forward(stage, cur, skip, mode, rec.bn)
+            cur = self._stage_forward(stage, cur, skip, mode, rec.bn, kernels)
             # nothing else reads the fresh pre-activation, and relu's adjoint reads its output
-            cur = ops.relu(cur, cur) if stage.act == "relu" else getattr(ops, stage.act)(cur)
+            act = getattr(kernels, stage.act)
+            cur = act(cur, cur) if stage.act == "relu" else act(cur)
             if train and stage.drop:
                 cur = ops.dropout(cur, stage.drop, rng)
-            if stage.index in self.plan.skip_sources:
-                kept[stage.index] = cur
+            reader = self.plan.skip_readers.get(stage.index)
+            if reader:
+                kept[stage.index] = cur if train else kernels.skip_conv2d(
+                    cur, self._conv_params(reader.convs[0]))
             if train:
                 rec.act = cur
                 records.append(rec)
         return cur, records
 
-    def _stage_forward(self, stage: Stage, x: np.ndarray, skip, mode: str, bn: list):
+    def _stage_forward(self, stage: Stage, x: np.ndarray, skip, mode: str, bn: list,
+                       kernels):
         """The stage's pre-activation: per kernel, conv (fused with the
-        upsample and skip of a decoder stage), then batchnorm when the spec
-        has it, appending its cache to `bn`. With several kernels each output
-        goes into its channel slice of one array, the bits of concatenating
-        them. Batchnorm writes straight into that slice, or normalizes a lone
-        kernel's fresh conv output in place."""
+        upsample and skip of a decoder stage, whose skip is its product in
+        eval mode), then batchnorm when the spec has it, appending its cache
+        to `bn`. With several kernels each output goes into its channel slice
+        of one array, the bits of concatenating them. Batchnorm writes
+        straight into that slice, or normalizes a lone kernel's fresh conv
+        output in place."""
         out = None
         start = 0
         for spec in stage.convs:
-            if stage.pre == "upsample":
-                z = ops.upsample_conv2d(x, skip, self._conv_params(spec))
+            params = self._conv_params(spec)
+            if stage.pre == "upsample" and mode == "train":
+                z = kernels.upsample_conv2d(x, skip, params)
+            elif stage.pre == "upsample":  # the skip's product becomes the output
+                z = kernels.upsample_conv2d(x, None, params, skip)
             else:
-                z = ops.conv2d(x, self._conv_params(spec))
+                z = kernels.conv2d(x, params)
             dest = z
             if len(stage.convs) > 1:
                 if out is None:
@@ -472,7 +508,7 @@ class ModelGraph:
                 start += spec.out_channels
             if spec.has_bn:
                 mean_key, var_key = f"{spec.name}.running_mean", f"{spec.name}.running_var"
-                z, bncache, self.stats[mean_key], self.stats[var_key] = ops.batchnorm(
+                z, bncache, self.stats[mean_key], self.stats[var_key] = kernels.batchnorm(
                     z, self.params[f"{spec.name}.gamma"], self.params[f"{spec.name}.beta"],
                     self.stats[mean_key], self.stats[var_key], mode, dest)
                 bn.append(bncache)

@@ -6,8 +6,8 @@ so the whole stack can be verified against central finite differences.
 Kernels are pure functions of their inputs: none writes to an argument
 (batchnorm returns its new running statistics) but the `out` array that
 batchnorm and relu may be handed in either mode, which may be the input
-itself. Each is bit-deterministic for fixed inputs, so repeated calls agree
-exactly.
+itself, and the skip product that upsample_conv2d may be handed as `out`.
+Each is bit-deterministic for fixed inputs, so repeated calls agree exactly.
 
 A conv forms its products on the im2col side (the input's k*k*c_in
 columns) or on the tap side, where one stacked matmul forms k*k*c_out tap
@@ -26,19 +26,22 @@ whole-array passes of batch norm, its adjoint, relu, max pooling and its
 adjoint and the dropout adjoint, deal their samples (or, for a reduction per
 channel, their channels) to WORKERS threads: the caller's thread takes its
 share beside the pool's, but for the adjoint's products, which the pool
-forms while the caller sums them. A call of fewer samples than WORKERS
-(every eval forward's) deals a sample's row strips and its passes' channels
-instead. Each part writes its own slices of one output; the weight
-gradient's per-sample products come back and are summed in sample order. So
-the bits do not depend on the split or on which thread runs a part: a row
-strip's matmul, kept above _SMALL_MATMUL, rounds each column as the whole
-sample's does on the OpenBLAS build that threshold was measured on. No
-worker forms more than one block, and with fewer samples than WORKERS the
-blocks shrink so that those in flight hold no more than one. Calls whose
-parts would touch under TASK_ELEMS floats (_CHANNEL_TASKS times that for a
-channel part) run in the caller's thread. A worker calls only private
-helpers and numpy, never a public name of this module, which a tracer may
-wrap.
+forms while the caller sums them. A call of fewer samples than WORKERS (a
+one-sample eval forward's, or one tile's) deals a sample's row strips and
+its passes' channels instead. An eval forward of several small samples
+deals the samples themselves with `_units`: each runs its kernels inline in
+its thread, cut into the blocks a one-sample call cuts. Each part writes its
+own slices of one output; the weight gradient's per-sample products come
+back and are summed in sample order. So the bits do not depend on the split
+or on which thread runs a part: a row strip's matmul, kept above
+_SMALL_MATMUL, rounds each column as the whole sample's does on the
+OpenBLAS build that threshold was measured on. No worker forms more than
+one block, and with fewer samples than WORKERS the blocks shrink so that
+those in flight hold no more than one. Calls whose parts would touch under
+TASK_ELEMS floats (_CHANNEL_TASKS times that for a channel part) run in the
+caller's thread. A worker or a unit calls only private helpers, the kernels
+bound in `_unit_kernels` and numpy, never a public name of this module,
+which a tracer may wrap.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ import functools
 import glob
 import itertools
 import os
+import threading
+import types
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -143,6 +148,15 @@ _CHANNEL_TASKS = 8
 _SMALL_MATMUL = 100 ** 3
 
 
+# .on is set while the thread runs a unit of `_units`, whose kernels stay in it
+_inline = threading.local()
+
+
+def _in_caller(count: int, cost: int) -> bool:
+    """Whether `count` calls of about `cost` floats each run in the caller's thread."""
+    return WORKERS < 2 or count < 2 or cost < TASK_ELEMS or getattr(_inline, "on", False)
+
+
 @functools.cache
 def _pool():
     return ThreadPoolExecutor(WORKERS, thread_name_prefix="lmnet-worker")
@@ -157,10 +171,11 @@ def _map(fn, items, cost: int):
     `cost` floats. Calls of TASK_ELEMS floats or more run on the pool, at
     most WORKERS + 1 ahead of the result the caller takes; smaller ones,
     which would wait on each other for the interpreter, run in the caller's
-    thread. A call's exception reaches the caller as it was raised, once no
-    other call still runs. fn must not call _map itself."""
+    thread, as do all calls inside a unit of `_units`. A call's exception
+    reaches the caller as it was raised, once no other call still runs. fn
+    must not call _map itself."""
     items = list(items)
-    if WORKERS < 2 or len(items) < 2 or cost < TASK_ELEMS:
+    if _in_caller(len(items), cost):
         yield from map(fn, items)
         return
     todo = iter(items)
@@ -182,11 +197,11 @@ def _each(fn, items, cost: int) -> None:
     TASK_ELEMS floats or more are dealt in turn to the caller's thread and
     WORKERS - 1 pool threads, each running its share in item order, so the
     caller works beside the pool instead of waiting to be woken by it.
-    Smaller ones run in the caller's thread. A call's exception reaches the
-    caller as it was raised, once no other call still runs. fn must not
-    call _each itself."""
+    Smaller ones run in the caller's thread, as do all calls inside a unit
+    of `_units`. A call's exception reaches the caller as it was raised,
+    once no other call still runs. fn must not call _each itself."""
     items = list(items)
-    if WORKERS < 2 or len(items) < 2 or cost < TASK_ELEMS:
+    if _in_caller(len(items), cost):
         _run(fn, items)
         return
     shares = [_pool().submit(_run, fn, items[i::WORKERS]) for i in range(1, min(WORKERS, len(items)))]
@@ -201,6 +216,20 @@ def _each(fn, items, cost: int) -> None:
 def _run(fn, items) -> None:
     for item in items:
         fn(item)
+
+
+def _units(fn, count: int) -> None:
+    """fn(i) for i in range(count), dealt as _each deals its calls, whatever
+    their size: each i is a unit (an eval forward's sample) whose kernels run
+    inline in its thread, cut into the blocks they cut for a one-sample call."""
+    def unit(i):
+        _inline.on = True
+        try:
+            fn(i)
+        finally:
+            _inline.on = False
+
+    _each(unit, range(count), TASK_ELEMS)
 
 
 def _split(fn, size: int, total: int, least: int = 1, tasks: int = 1) -> None:
@@ -446,7 +475,7 @@ def conv2d_backward(x: Tensor, params: ConvParams, grad_out: Tensor, need_input:
     return grad_input, grad_weights, grad_out.sum(axis=(0, 2, 3))
 
 
-def _upsample_conv_check(low: np.ndarray, skip, params: ConvParams) -> int:
+def _upsample_conv_check(low: np.ndarray, skip, params: ConvParams, out=None) -> int:
     """Validate a fused decoder call; returns the upsampled channel count."""
     _require_4d("upsample_conv2d low input", low)
     n, c_u, hl, wl = low.shape
@@ -462,6 +491,13 @@ def _upsample_conv_check(low: np.ndarray, skip, params: ConvParams) -> int:
                 f"skip input {skip.shape} must be (n, c, 2h, 2w) of low input {low.shape}"
             )
         c_skip = skip.shape[1]
+    if out is not None:
+        want = (n, params.out_channels, 2 * hl, 2 * wl)
+        if (skip is not None or c_u >= params.in_channels
+                or not isinstance(out, np.ndarray) or out.shape != want):
+            raise ShapeError(f"a skip product stands in for the skip input, of shape {want}, "
+                             f"got {getattr(out, 'shape', None)}")
+        c_skip = params.in_channels - c_u
     if c_u + c_skip != params.in_channels:
         raise ShapeError(
             f"upsample_conv2d inputs have {c_u} + {c_skip} channels but the kernel "
@@ -470,7 +506,20 @@ def _upsample_conv_check(low: np.ndarray, skip, params: ConvParams) -> int:
     return c_u
 
 
-def upsample_conv2d(low: Tensor, skip, params: ConvParams) -> Tensor:
+def skip_conv2d(skip: Tensor, params: ConvParams) -> Tensor:
+    """The skip side of upsample_conv2d(low, skip, params), without bias:
+    the conv of skip with the kernel's last skip.shape[1] input channels.
+    upsample_conv2d(low, None, params, out=product) adds the rest into it,
+    with the bits of the call that is handed skip itself."""
+    _require_4d("skip_conv2d input", skip)
+    c_u = params.in_channels - skip.shape[1]
+    if c_u < 1:
+        raise ShapeError(f"skip input has {skip.shape[1]} channels, but the kernel leaves "
+                         f"{c_u} of its {params.in_channels} for the upsampled input")
+    return _conv(skip, params.weights[:, c_u:], params.dilation)
+
+
+def upsample_conv2d(low: Tensor, skip, params: ConvParams, out=None) -> Tensor:
     """conv2d(concat_channels(upsample_nearest2(low), skip), params), fused.
 
     skip may be None (no concatenation). Nearest upsampling repeats pixels
@@ -478,14 +527,16 @@ def upsample_conv2d(low: Tensor, skip, params: ConvParams) -> Tensor:
     tap side at low resolution (h/2, w/2): each block's (2, 2, c_out, rows,
     w/2) phase buffer is added into the output's 2x2 block view. The skip
     channels take `_conv` at full resolution. Neither the upsampled nor the
-    concatenated input is formed.
+    concatenated input is formed. In place of skip, `out` may hand the skip
+    side formed earlier, skip_conv2d(skip, params): the rest is added into
+    it, and it is returned.
     """
-    c_u = _upsample_conv_check(low, skip, params)
+    c_u = _upsample_conv_check(low, skip, params, out)
     n, _, hl, wl = low.shape
     weights, d = params.weights, params.dilation
-    if skip is None:
+    if out is None and skip is None:
         out = np.zeros((n, weights.shape[0], 2 * hl, 2 * wl), dtype=low.dtype)
-    else:
+    elif out is None:
         out = _conv(skip, weights[:, c_u:], d)
     _tap_conv(low, _taps(weights[:, :c_u]), params.kernel_size, d, 2, out)
     out += params.bias.reshape(1, -1, 1, 1)
@@ -521,10 +572,10 @@ def maxpool2(x: Tensor) -> Tensor:
     out = np.empty((n, c, h // 2, w // 2), dtype=x.dtype)
 
     def part(i):
-        xi = x[i]
-        tl, tr = xi[:, :, 0::2, 0::2], xi[:, :, 0::2, 1::2]
-        bl, br = xi[:, :, 1::2, 0::2], xi[:, :, 1::2, 1::2]
-        np.maximum(np.maximum(tl, tr), np.maximum(bl, br), out=out[i])  # NaN wins
+        xi, pooled = x[i], out[i]
+        # max(max(top pair), max(bottom pair)), the top pair's formed in out: NaN wins
+        np.maximum(xi[:, :, 0::2, 0::2], xi[:, :, 0::2, 1::2], out=pooled)
+        np.maximum(pooled, np.maximum(xi[:, :, 1::2, 0::2], xi[:, :, 1::2, 1::2]), out=pooled)
 
     _deal(part, x)
     return out
@@ -777,3 +828,10 @@ def bce_loss(pred: Tensor, target: Tensor):
 
 
 LOSSES = {"bce": bce_loss}
+
+
+# The kernels an eval forward's units call, bound here once: a wrapper put on
+# a public name later (perfbench's tracer, whose spans assume one thread)
+# sees none of a unit's calls, on the pool or in the caller's thread
+_unit_kernels = types.SimpleNamespace(**{fn.__name__: fn for fn in (
+    conv2d, batchnorm, relu, maxpool2, sigmoid, upsample_conv2d, skip_conv2d)})

@@ -109,7 +109,8 @@ def _accumulate_batch(graph: ModelGraph, images, masks, lossf, cfg: TrainConfig,
     for micro_idx, (lo, hi) in enumerate(_micro_slices(n, cfg.micro_batch)):
         rng = derive_rng(cfg.seed, 1, epoch, batch_idx, micro_idx)
         pred, cache = graph.forward(images[lo:hi], "train", rng=rng)
-        loss, grad_pred = lossf(pred, masks[lo:hi])
+        # a uint8 target would take the loss's 1.0 - target to float64
+        loss, grad_pred = lossf(pred, masks[lo:hi].astype(pred.dtype, copy=False))
         del pred  # backward lets each record go after its last reader
         grads = graph.backward(cache, grad_pred)
         k = hi - lo
@@ -254,7 +255,6 @@ def train(cfg: TrainConfig):
         for epoch in range(start_epoch, cfg.epochs):
             batches = batch_iter(index, "train", cfg.batch_size, seed=cfg.seed, epoch=epoch)
             for batch_idx, (images, masks) in enumerate(batches):
-                masks = masks.astype(graph.dtype, copy=False)
                 grads, loss = _accumulate_batch(
                     graph, images, masks, lossf, cfg, epoch, batch_idx
                 )

@@ -429,17 +429,18 @@ def test_predict_crops_to_the_pooling_grid(trained_run, tmp_path, capsys):
 @pytest.mark.parametrize("shape", [(3, 24, 32), (3, 27, 35)])
 def test_predict_forwards_the_decoded_scene_itself(trained_run, tmp_path, capsys, monkeypatch,
                                                    shape):
-    # the forward reads the float32 scene read_rgb decoded, or its center
+    # the forward reads the 8-bit scene read_rgb decoded, or its center
     # crop (a strided view), without a copy, on the graph load_any returned
     # for 16x16 tiles, not a rebuilt one; the maps, of the cropped size, are
-    # byte for byte those of a forward of a contiguous copy
+    # byte for byte those of a forward of a contiguous copy of the float32
+    # scene read_rgb decodes by default
     run_dir, _ = trained_run
     ckpt, image = run_dir / "model.ckpt", tmp_path / "scene.png"
     imgio.write_rgb(image, np.random.default_rng(3).random(shape).astype(np.float32))
     decoded, loaded, batches = [], [], []
     read_rgb, forward = imgio.read_rgb, ModelGraph.forward
     monkeypatch.setattr(imgio, "read_rgb",
-                        lambda path: decoded.append(read_rgb(path)) or decoded[-1])
+                        lambda *args: decoded.append(read_rgb(*args)) or decoded[-1])
     monkeypatch.setattr(cli, "load_any", lambda path: loaded.append(load_any(path)) or loaded[-1])
     monkeypatch.setattr(ModelGraph, "forward", lambda graph, batch, mode:
                         batches.append((graph, batch)) or forward(graph, batch, mode))
@@ -448,9 +449,10 @@ def test_predict_forwards_the_decoded_scene_itself(trained_run, tmp_path, capsys
     assert code == 0, err
     (graph, batch), = batches
     assert graph is loaded[0]
-    assert np.shares_memory(batch, decoded[0])
+    assert decoded[0].dtype == np.uint8 and np.shares_memory(batch, decoded[0])
     top, left = (shape[1] - 24) // 2, (shape[2] - 32) // 2
-    copy = decoded[0][:, top:top + 24, left:left + 32][None].astype(np.float32)  # a copy
+    scene = read_rgb(image)
+    copy = scene[:, top:top + 24, left:left + 32][None].astype(np.float32)  # a copy
     prob = forward(load_any(ckpt), copy, "eval")[0][0, 0]
     imgio.write_gray(tmp_path / "ref_prob.png", prob)
     imgio.write_gray(tmp_path / "ref_mask.png", (prob >= DEFAULT_THRESHOLD).astype(np.float32))

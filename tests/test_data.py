@@ -327,10 +327,17 @@ def test_batch_iter_covers_every_record_exactly_once(tiny_dataset):
 
 
 def test_batch_iter_unshuffled_follows_index_order(tiny_dataset):
+    """Unshuffled batches come in index order and hold 8-bit images and
+    {0, 1} masks: each record's image levels, which scale to the float32
+    image load_pair reads, and its binarized mask."""
     recs = tiny_dataset.split_records("val")
-    first = next(batch_iter(tiny_dataset, "val", 1, shuffle=False))
-    direct_image, _ = load_pair(tiny_dataset, recs[0])
-    npt.assert_array_equal(first[0], direct_image[None])
+    batches = list(batch_iter(tiny_dataset, "val", 1, shuffle=False))
+    assert len(batches) == len(recs)
+    for (images, masks), rec in zip(batches, recs):
+        image, mask = load_pair(tiny_dataset, rec)
+        assert images.dtype == masks.dtype == np.uint8
+        npt.assert_array_equal(imgio.to_float(images), image[None])
+        npt.assert_array_equal(masks, mask[None, None])
 
 
 def test_a_batch_the_caller_holds_is_held_once(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from lmnet import imgio
 from lmnet.errors import DataError
-from lmnet.imgio import read_gray, read_rgb, write_gray, write_rgb
+from lmnet.imgio import read_gray, read_rgb, to_float, write_gray, write_rgb
 
 
 def eight_bit_grid(shape, seed=0):
@@ -85,6 +85,23 @@ def test_read_rgb_holds_one_float32_copy_of_the_scene(tmp_path, ext):
     assert out.dtype == np.float32 and out.flags.c_contiguous
     assert out.tobytes() == want.tobytes()
     assert peak <= out.nbytes + path.stat().st_size + (64 << 10)
+
+@pytest.mark.parametrize("ext", ["png", "ppm", "pgm"])
+def test_read_rgb_hands_out_the_8bit_levels_that_to_float_scales(tmp_path, ext):
+    """At dtype uint8 read_rgb returns the file's levels as C-ordered (3, h,
+    w) planes, gray stacked thrice, and to_float scales them to the bits of
+    the float32 planes it returns by default. Another dtype is refused."""
+    h, w = 24, 40
+    levels = np.random.default_rng(4).integers(0, 256, size=(3, h, w) if ext != "pgm" else (h, w))
+    path = tmp_path / f"scene.{ext}"
+    (write_gray if ext == "pgm" else write_rgb)(path, levels / 255.0)
+    planes = read_rgb(path, np.uint8)
+    assert planes.dtype == np.uint8 and planes.flags.c_contiguous
+    npt.assert_array_equal(planes, np.broadcast_to(levels, (3, h, w)))
+    assert to_float(planes).tobytes() == read_rgb(path).tobytes()
+    with pytest.raises(ValueError, match="float32 or uint8"):
+        read_rgb(path, np.float64)
+
 
 @pytest.mark.parametrize("ext", ["png", "pgm", "ppm"])
 def test_writing_a_map_holds_no_float64_copy_of_it(tmp_path, ext):

@@ -29,7 +29,7 @@ from lmnet.model import (
 )
 from lmnet.seeding import derive_rng
 
-from conftest import TINY_GRAPH
+from conftest import TINY_GRAPH, InlineExecutor
 from oracles import (
     conv2d_backward_scatter,
     eval_forward_composed,
@@ -256,13 +256,16 @@ def test_eval_forward_is_its_kernels_composed_bit_for_bit(variant, dtype):
 def test_an_eval_forward_holds_each_activation_until_its_last_reader(monkeypatch):
     """proposed at n = 1 on a 512x512 input, with blocks of 2^18 floats so
     they stay small beside the activations. When a stage's activation is
-    formed, numpy's traced arrays are it and the skip activations that this
-    stage or a later one reads, nothing more. The peak stays below the
-    widest stage's arrays (activations 1-3, its input 4 and its output 5)
+    formed, numpy's traced arrays are it and the skip products of the skip
+    activations that a later stage reads, nothing more. A skip's product,
+    the conv of the skip with its reader's skip weights, has the reader's
+    activation shape and becomes that activation. The peak stays below the
+    widest moment's arrays (activation 1 and its product as stage 2 pools
+    it, the pooled output and the max-pool's one temporary of that size)
     plus four blocks. Both also count the output array, which the forward
-    allocates before the stage loop runs. A dead activation kept, a batch
-    norm cache kept, a tap matrix kept or a whole sample padded crosses one
-    of the two bounds."""
+    allocates before the stage loop runs. A dead activation kept, a skip
+    activation kept beside its product, a batch norm cache kept, a tap
+    matrix kept or a whole sample padded crosses one of the two bounds."""
     monkeypatch.setattr(ops, "BLOCK_ELEMS", 1 << 18)
     side = 512
     graph = built(Variant.PROPOSED)
@@ -289,19 +292,20 @@ def test_an_eval_forward_holds_each_activation_until_its_last_reader(monkeypatch
     output = size[len(formed)]  # the prediction has the last activation's shape
     reader = {stage.skip: stage.index for stage in graph.plan.stages if stage.skip}
     for i, (nbytes, traced) in enumerate(formed, 1):
-        live = output + nbytes + sum(size[j] for j, r in reader.items() if j < i <= r)
+        live = output + nbytes + sum(size[r] for j, r in reader.items() if j < i < r)
         assert live <= traced < live + (64 << 10), f"stage {i}"
-    widest = sum(size[i] for i in (1, 2, 3, 4, 5))
+    widest = size[1] + 2 * (size[1] // 4) + size[reader[1]]
     assert peak < output + widest + 4 * 4 * ops.BLOCK_ELEMS
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("variant", list(Variant))
 def test_a_batched_eval_forward_is_its_samples_forwarded_alone(variant, dtype):
-    """An eval forward runs one sample at a time: a 3-sample batch gives the
-    bits of forwarding each sample alone, and those of one stage loop over
-    the whole batch, since eval batch norm reads running statistics and
-    every kernel computes a sample on its own."""
+    """An eval forward runs each sample alone (3 small ones as units, side
+    by side): a 3-sample batch gives the bits of forwarding each sample
+    alone, and those of one stage loop over the whole batch, since eval
+    batch norm reads running statistics and every kernel computes a sample
+    on its own."""
     rng = np.random.default_rng(14)
     graph = off_defaults(built(variant, seed=5).astype(dtype),
                          rng)
@@ -328,14 +332,37 @@ def test_a_batched_tiled_eval_forward_is_its_samples_forwarded_alone(monkeypatch
     assert pred.tobytes() == alone.tobytes()
 
 
-def test_an_eval_forward_peak_does_not_grow_with_the_batch():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_forward_of_8bit_levels_has_the_bits_of_their_scaled_floats(dtype, monkeypatch):
+    """A uint8 batch is scaled as imgio.read_rgb scales 8-bit levels, to
+    float32 and then the graph's dtype: an eval forward's small samples as
+    units, one sample alone, the tiles of larger samples (a budget of 2^14
+    pixels) and a train forward each give the bits of forwarding the
+    scaled batch."""
+    monkeypatch.setattr(lmnet.model, "TILE_PIXELS", 1 << 14)
+    rng = np.random.default_rng(16)
+    graph = off_defaults(built(Variant.PROPOSED, seed=7).astype(dtype), rng)
+    for shape in ((3, 3, 32, 48), (1, 3, 32, 48), (2, 3, 176, 208)):
+        levels = rng.integers(0, 256, shape, dtype=np.uint8)
+        scaled = lmnet.imgio.to_float(levels).astype(dtype)
+        got, want = (graph.forward(x, "eval")[0] for x in (levels, scaled))
+        assert got.dtype == dtype and got.tobytes() == want.tobytes(), shape
+    got, want = (graph.forward(x, "train", rng=derive_rng(7, 1))[0] for x in (levels, scaled))
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+def test_an_eval_forward_peak_does_not_grow_with_the_batch(monkeypatch):
     """proposed, float32, 96x96: besides the output array, the traced peak
-    of a 10-sample eval forward stays within 5% of a 1-sample one's, where
-    a whole-batch forward's grows tenfold."""
+    of a 10-sample eval forward stays within 5% of WORKERS times that of a
+    WORKERS-sample batch whose units run one after another in the caller's
+    thread. So at most WORKERS samples are in flight, whatever the batch
+    size; one stage loop over the whole batch peaks about three times as
+    high. (Two units side by side peak at up to twice one's, as their peaks
+    meet or miss.)"""
     side = 96
     graph = built(Variant.PROPOSED)
-    held = []
-    for n in (1, 10):
+
+    def held(n):
         batch = np.random.default_rng(7).random((n, 3, side, side)).astype(np.float32)
         tracemalloc.start()
         try:
@@ -343,8 +370,11 @@ def test_an_eval_forward_peak_does_not_grow_with_the_batch():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held.append(peak - pred.nbytes)
-    assert held[1] <= 1.05 * held[0]
+        return peak - pred.nbytes
+
+    batched = held(10)
+    monkeypatch.setattr(ops, "_pool", InlineExecutor)
+    assert batched <= 1.05 * ops.WORKERS * held(ops.WORKERS)
 
 
 # -- overlap-tile eval forward -------------------------------------------------
@@ -471,7 +501,9 @@ def test_pyramid_stage_writes_the_bits_of_concatenating_its_kernels(variant, mod
     """Stage 1 of a pyramid variant writes each kernel's batch norm output
     into its channel slice of one array: the pre-activation the stage's relu
     reads has the bits of concatenating the kernels' outputs. A train
-    forward's first relu reads the whole batch, an eval forward's sample 0."""
+    forward's first relu reads the whole batch. An eval forward gets sample
+    0 alone: a batch of small samples runs as units, on kernels bound in
+    ops._unit_kernels, whose relu calls the spy does not see."""
     rng = np.random.default_rng(13)
     graph = off_defaults(built(variant, seed=2), rng)
     batch = rng.random((2, 3, 16, 24)).astype(np.float32)
@@ -488,7 +520,7 @@ def test_pyramid_stage_writes_the_bits_of_concatenating_its_kernels(variant, mod
     seen = []
     relu = ops.relu
     monkeypatch.setattr(ops, "relu", lambda x, *out: seen.append(x.copy()) or relu(x, *out))
-    graph.forward(batch, mode, rng=np.random.default_rng(0))
+    graph.forward(batch if mode == "train" else batch[:1], mode, rng=np.random.default_rng(0))
     assert seen[0].dtype == want.dtype
     assert seen[0].tobytes() == want.tobytes()
 
@@ -710,8 +742,9 @@ def test_the_benchmark_tracer_finds_every_name_and_restores_each(monkeypatch):
     # perfbench/tracing.py patches the package's call sites by name, so a
     # renamed or removed one fails instrument; restore must put back the
     # very objects it replaced. Its spans assume one thread: a train step on
-    # the kernels' workers records each span on the calling thread, and no
-    # two spans with one parent overlap
+    # the kernels' workers, and an eval forward of 3 small samples that runs
+    # them as units on the pool and in the calling thread, record each span
+    # on the calling thread, and no two spans with one parent overlap
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -741,6 +774,8 @@ def test_the_benchmark_tracer_finds_every_name_and_restores_each(monkeypatch):
                    for name, obj in names.items() if obj is not before[label].get(name)}
         pred, cache = graph.forward(batch, "train", rng=derive_rng(7, 1))
         graph.backward(cache, np.ones_like(pred))
+        assert ops.WORKERS * 16 * 16 <= lmnet.model.TILE_PIXELS  # the samples run as units
+        graph.forward(batch, "eval")
     finally:
         restore()
     assert {"ops.conv2d", "ops.conv2d_backward", "ops.upsample_nearest2", "LOSSES.bce",

@@ -9,6 +9,7 @@ fused decoder stage with upsample -> concat -> conv and that oracle's
 adjoints through the split and the upsample adjoint.
 """
 
+import itertools
 import threading
 import tracemalloc
 
@@ -269,6 +270,30 @@ def test_fused_decoder_stage_matches_the_composition(c_up, c_skip, c_out, k, d):
                 continue
             assert a.shape == b.shape, name
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (name, hl, wl)
+
+
+@pytest.mark.parametrize("c_up,c_skip,c_out,k,d", [s for s in _decoder_shapes() if s[1]])
+def test_a_fused_decoder_stage_handed_its_skip_product_keeps_the_bits(c_up, c_skip, c_out, k, d):
+    # an eval forward forms a decoder's skip side as soon as the skip
+    # activation exists and hands it in place of the skip: the call adds the
+    # upsampled side and the bias into that array, in float32 and float64,
+    # with the bits of the call handed the skip itself
+    rng = np.random.default_rng(c_up * 1000 + c_skip * 10 + k + d)
+    for dtype, (hl, wl) in itertools.product((np.float32, np.float64), ((1, 1), (2, 3), (3, 2))):
+        low = rng.standard_normal((2, c_up, hl, wl)).astype(dtype)
+        skip = rng.standard_normal((2, c_skip, 2 * hl, 2 * wl)).astype(dtype)
+        params = ops.ConvParams(rng.standard_normal((c_out, c_up + c_skip, k, k)).astype(dtype),
+                                rng.standard_normal(c_out).astype(dtype), d)
+        product = ops.skip_conv2d(skip, params)
+        out = ops.upsample_conv2d(low, None, params, product)
+        assert out is product
+        assert out.tobytes() == ops.upsample_conv2d(low, skip, params).tobytes()
+    with pytest.raises(ShapeError, match="skip product"):
+        ops.upsample_conv2d(low, skip, params, product)
+    with pytest.raises(ShapeError, match="skip product"):
+        ops.upsample_conv2d(low, None, params, product[:, :1])
+    with pytest.raises(ShapeError, match="upsampled input"):
+        ops.skip_conv2d(np.concatenate([skip, low.repeat(2, 2).repeat(2, 3)], axis=1), params)
 
 
 def _fused_and_skip_only_peaks(n):

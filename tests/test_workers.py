@@ -23,6 +23,8 @@ from lmnet.model import GraphConfig, Variant, build_model, init_parameters, loss
 from lmnet.optim import adam_init, adam_step
 from lmnet.seeding import derive_rng
 
+from conftest import InlineExecutor
+
 SIDE = 32
 # the kernels' own worker pool and task size, which the inline_workers fixture replaces
 POOL, TASK_ELEMS = ops._pool, ops.TASK_ELEMS
@@ -129,14 +131,100 @@ def test_an_eval_forward_on_workers_has_the_bits_of_a_sequential_one(variant, sh
     assert pooled == inline == default == whole, (variant, shape)
 
 
+class CountingPool:
+    """The kernels' worker pool, counting the calls submitted to it."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        return POOL().submit(fn, *args)
+
+
+UNIT_CASES = [(variant, shape, dtype) for variant in Variant
+              for shape in ((3, 3, 32, 48), (3, 3, 192, 192)) for dtype in (np.float32, np.float64)]
+
+
+@pytest.mark.parametrize(
+    "variant,shape,dtype", UNIT_CASES,
+    ids=[f"{v.value}-{n}x{h}x{w}-{np.dtype(d).name}" for v, (n, _, h, w), d in UNIT_CASES])
+def test_small_samples_run_as_units_with_the_bits_of_each_alone(variant, shape, dtype,
+                                                               monkeypatch):
+    # whole samples dealt to the caller's thread and the pool, each unit's
+    # kernels inline in its thread (the pool takes one share and nothing
+    # more); the same split inline, with every kernel's parts cut at any
+    # size, in the caller's thread; and WORKERS = 1. In each, a batch of
+    # small samples gives the bits of forwarding each sample alone there,
+    # as its kernels cut the blocks a one-sample forward cuts
+    n, _, h, w = shape
+    assert 2 * h * w <= lmnet.model.TILE_PIXELS
+    graph = eval_graph(variant).astype(dtype)
+    batch = np.random.default_rng(sum(shape)).random(shape).astype(dtype)
+
+    def alone():
+        return np.concatenate([graph.forward(batch[i:i + 1], "eval")[0]
+                               for i in range(n)]).tobytes()
+
+    with monkeypatch.context() as m:
+        m.setattr(ops, "WORKERS", 2)
+        pool = CountingPool()
+        m.setattr(ops, "_pool", lambda: pool)
+        threads = spy_threads(m, "_padded_rows")
+        pooled = graph.forward(batch, "eval")[0]
+        assert pool.submitted == 1
+        assert threading.current_thread().name in threads
+        assert any(name.startswith("lmnet-worker") for name in threads)
+        m.setattr(ops, "_pool", POOL)
+        assert pooled.dtype == dtype and pooled.tobytes() == alone()
+    with monkeypatch.context() as m:
+        m.setattr(ops, "WORKERS", 2)
+        m.setattr(ops, "TASK_ELEMS", 1)
+        m.setattr(ops, "_pool", InlineExecutor)
+        assert graph.forward(batch, "eval")[0].tobytes() == alone()
+    with monkeypatch.context() as m:
+        m.setattr(ops, "WORKERS", 1)
+        assert graph.forward(batch, "eval")[0].tobytes() == alone()
+
+
+@pytest.mark.parametrize("where", ["caller", "pool"])
+def test_an_exception_in_a_unit_reaches_the_caller_unchanged(where, monkeypatch):
+    # the unit that raises runs in the caller's thread or on the pool; either
+    # way the caller gets the exception itself, and its thread is no longer
+    # inline: the next one-sample forward deals its strips to the pool again
+    monkeypatch.setattr(ops, "WORKERS", 2)
+    monkeypatch.setattr(ops, "TASK_ELEMS", 1)
+    graph = eval_graph(Variant.PROPOSED)
+    batch = np.random.default_rng(8).random((4, 3, SIDE, SIDE)).astype(np.float32)
+    error = ShapeError("raised in a unit")
+    padded_rows = ops._padded_rows
+
+    def failing(*args):
+        if threading.current_thread().name.startswith("lmnet-worker") == (where == "pool"):
+            raise error
+        return padded_rows(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(ops, "_padded_rows", failing)
+        with pytest.raises(ShapeError) as info:
+            graph.forward(batch, "eval")
+    assert info.value is error
+    assert not getattr(ops._inline, "on", False)
+    with monkeypatch.context() as m:
+        threads = spy_threads(m, "_padded_rows")
+        graph.forward(batch[:1], "eval")
+    assert any(name.startswith("lmnet-worker") for name in threads)
+
+
 def test_more_workers_than_cores_switching_often_keep_the_bits(monkeypatch):
     # the workers write disjoint slices of shared outputs and hand their
     # weight-gradient products back to be summed in order; a lost or
     # reordered update would change some gradient's bits, or some pixel of
-    # an eval forward's strips and channel parts
+    # an eval forward's strips and channel parts, or of its units' samples
     monkeypatch.setattr(ops, "WORKERS", 1)
     whole = run_step(Variant.PROPOSED, 5)
     whole_eval = run_eval(Variant.PROPOSED, (1, 3, 64, 64))
+    whole_units = run_eval(Variant.PROPOSED, (7, 3, 32, 32))
     pool = ThreadPoolExecutor(4, thread_name_prefix="lmnet-worker")
     interval = sys.getswitchinterval()
     monkeypatch.setattr(ops, "WORKERS", 4)
@@ -147,6 +235,7 @@ def test_more_workers_than_cores_switching_often_keep_the_bits(monkeypatch):
         for _ in range(3):
             assert run_step(Variant.PROPOSED, 5) == whole
             assert run_eval(Variant.PROPOSED, (1, 3, 64, 64)) == whole_eval
+            assert run_eval(Variant.PROPOSED, (7, 3, 32, 32)) == whole_units
     finally:
         sys.setswitchinterval(interval)
         pool.shutdown()
