@@ -44,9 +44,9 @@ going into one output array: batch norm reads running statistics and every
 kernel computes a sample on its own, so a sample gets the bits it would get
 in any batch, and the working set is that of the samples in flight,
 whatever the batch size. When ops.WORKERS samples together hold no more
-than TILE_PIXELS pixels, the samples are units that ops._units deals to the
-workers, each one's kernels inline in its thread; otherwise one sample (or
-tile) at a time runs with its kernels split across the workers. The loop
+than TILE_PIXELS pixels, ops._each deals whole samples to the workers, a
+sample's kernels inline in its thread; otherwise one sample (or tile) at
+a time runs with its kernels split across the workers. The loop
 holds each activation only until its last reader, the next stage, has run;
 the activation a later stage reads as its skip is kept as its product with
 that stage's skip weights (ops.skip_conv2d), formed as the activation is
@@ -426,21 +426,23 @@ class ModelGraph:
                 return pred, ForwardCache(records)
             width = sum(spec.out_channels for spec in self.plan.stages[-1].convs)
             pred = np.empty((n, width, h, w), dtype=self.dtype)
-            if n > 1 and ops.WORKERS * h * w <= TILE_PIXELS:
-                def unit(i):
-                    pred[i] = self._stages(self._input(batch[i:i + 1]), mode, None,
-                                           ops._unit_kernels)[0][0]
-
-                ops._units(unit, n)
-                return pred, None
+            units = n > 1 and ops.WORKERS * h * w <= TILE_PIXELS
+            kernels = ops._unit_kernels if units else ops
             tiles = tile_plan(h, w, self.plan.halo, TILE_PIXELS)
-            for i in range(n):
+
+            def sample(i):
                 for (rows, ext_rows), (cols, ext_cols) in tiles:
                     tile, _ = self._stages(self._input(batch[i:i + 1, :, ext_rows, ext_cols]),
-                                           mode, None)
+                                           mode, None, kernels)
                     pred[i, :, rows, cols] = tile[0, :, _within(rows, ext_rows),
                                                   _within(cols, ext_cols)]
                     del tile  # not held while the next sample or tile runs
+
+            if units:  # whole samples side by side, each one's kernels inline in its thread
+                ops._each(sample, range(n), ops.TASK_ELEMS)
+            else:
+                for i in range(n):
+                    sample(i)
         return pred, None
 
     def _input(self, x: np.ndarray) -> np.ndarray:

@@ -21,25 +21,26 @@ holding the strip and its halo rows zero-padded; its matmul writes into its
 output slice. The adjoint builds whole columns of each sample padded whole,
 one sample at a time, and sums the samples in order.
 
-Workers: a conv forward's blocks, the adjoint's per-sample loop, and the
+Workers: a conv forward's blocks, the adjoint's per-sample products, and the
 whole-array passes of batch norm, its adjoint, relu, max pooling and its
 adjoint and the dropout adjoint, deal their samples (or, for a reduction per
-channel, their channels) to WORKERS threads: the caller's thread takes its
-share beside the pool's, but for the adjoint's products, which the pool
-forms while the caller sums them. A call of fewer samples than WORKERS (a
-one-sample eval forward's, or one tile's) deals a sample's row strips and
-its passes' channels instead. An eval forward of several small samples
-deals the samples themselves with `_units`: each runs its kernels inline in
-its thread, cut into the blocks a one-sample call cuts. Each part writes its
-own slices of one output; the weight gradient's per-sample products come
-back and are summed in sample order. So the bits do not depend on the split
-or on which thread runs a part: a row strip's matmul, kept above
+channel, their channels) to WORKERS threads with `_each`: the caller's
+thread takes its share beside the pool's. The adjoint forms its products a
+group of WORKERS samples at a time, the caller and the pool one each, and
+adds each group's to the weight gradient in sample order before the next
+group starts. A call of fewer samples than WORKERS (a one-sample eval
+forward's, or one tile's) deals a sample's row strips and its passes'
+channels instead. A dealt call's own calls stay in its thread: an eval
+forward of several small samples deals the samples themselves, and each
+runs its kernels inline, cut into the blocks a one-sample call cuts. Each
+part writes its own slices of one output, so the bits do not depend on the
+split or on which thread runs a part: a row strip's matmul, kept above
 _SMALL_MATMUL, rounds each column as the whole sample's does on the
 OpenBLAS build that threshold was measured on. No worker forms more than
 one block, and with fewer samples than WORKERS the blocks shrink so that
 those in flight hold no more than one. Calls whose parts would touch under
 TASK_ELEMS floats (_CHANNEL_TASKS times that for a channel part) run in the
-caller's thread. A worker or a unit calls only private helpers, the kernels
+caller's thread. A dealt call calls only private helpers, the kernels
 bound in `_unit_kernels` and numpy, never a public name of this module,
 which a tracer may wrap.
 """
@@ -54,7 +55,6 @@ import itertools
 import os
 import threading
 import types
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -148,13 +148,8 @@ _CHANNEL_TASKS = 8
 _SMALL_MATMUL = 100 ** 3
 
 
-# .on is set while the thread runs a unit of `_units`, whose kernels stay in it
+# .on is set while the thread runs a share `_each` dealt, whose own calls stay in it
 _inline = threading.local()
-
-
-def _in_caller(count: int, cost: int) -> bool:
-    """Whether `count` calls of about `cost` floats each run in the caller's thread."""
-    return WORKERS < 2 or count < 2 or cost < TASK_ELEMS or getattr(_inline, "on", False)
 
 
 @functools.cache
@@ -166,70 +161,37 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's p
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _map(fn, items, cost: int):
-    """fn(item) for each item, yielded in item order; one call touches about
-    `cost` floats. Calls of TASK_ELEMS floats or more run on the pool, at
-    most WORKERS + 1 ahead of the result the caller takes; smaller ones,
-    which would wait on each other for the interpreter, run in the caller's
-    thread, as do all calls inside a unit of `_units`. A call's exception
-    reaches the caller as it was raised, once no other call still runs. fn
-    must not call _map itself."""
-    items = list(items)
-    if _in_caller(len(items), cost):
-        yield from map(fn, items)
-        return
-    todo = iter(items)
-    pending = deque(_pool().submit(fn, item) for item in itertools.islice(todo, WORKERS + 1))
-    try:
-        while pending:
-            done = pending.popleft()
-            pending.extend(_pool().submit(fn, item) for item in itertools.islice(todo, 1))
-            yield done.result()
-    finally:
-        for future in pending:
-            if not future.cancel():
-                future.exception()  # waits for a call already running
-
-
 def _each(fn, items, cost: int) -> None:
     """fn(item) for each item, for calls that write their results into the
     caller's arrays; one call touches about `cost` floats. Calls of
     TASK_ELEMS floats or more are dealt in turn to the caller's thread and
     WORKERS - 1 pool threads, each running its share in item order, so the
     caller works beside the pool instead of waiting to be woken by it.
-    Smaller ones run in the caller's thread, as do all calls inside a unit
-    of `_units`. A call's exception reaches the caller as it was raised,
-    once no other call still runs. fn must not call _each itself."""
+    Smaller ones run in the caller's thread, as do the calls of any _each
+    made inside a dealt share, which marks its thread inline. A call's
+    exception reaches the caller as it was raised, once no other call
+    still runs."""
     items = list(items)
-    if _in_caller(len(items), cost):
-        _run(fn, items)
+    if WORKERS < 2 or len(items) < 2 or cost < TASK_ELEMS or getattr(_inline, "on", False):
+        for item in items:
+            fn(item)
         return
-    shares = [_pool().submit(_run, fn, items[i::WORKERS]) for i in range(1, min(WORKERS, len(items)))]
+    shares = [_pool().submit(_share, fn, items[i::WORKERS]) for i in range(1, min(WORKERS, len(items)))]
     try:
-        _run(fn, items[::WORKERS])
+        _share(fn, items[::WORKERS])
     finally:
         wait(shares)
     for share in shares:
         share.result()
 
 
-def _run(fn, items) -> None:
-    for item in items:
-        fn(item)
-
-
-def _units(fn, count: int) -> None:
-    """fn(i) for i in range(count), dealt as _each deals its calls, whatever
-    their size: each i is a unit (an eval forward's sample) whose kernels run
-    inline in its thread, cut into the blocks they cut for a one-sample call."""
-    def unit(i):
-        _inline.on = True
-        try:
-            fn(i)
-        finally:
-            _inline.on = False
-
-    _each(unit, range(count), TASK_ELEMS)
+def _share(fn, items) -> None:
+    _inline.on = True
+    try:
+        for item in items:
+            fn(item)
+    finally:
+        _inline.on = False
 
 
 def _split(fn, size: int, total: int, least: int = 1, tasks: int = 1) -> None:
@@ -430,6 +392,7 @@ def _conv_backward(x: np.ndarray, weights: np.ndarray, d: int, grad_out: np.ndar
     gw = np.zeros((c_out * k * k, c) if tap_side else (c_out, c * k * k), dtype=x.dtype)
     tap_input = tap_side and need_input
     grad_input = np.empty(x.shape, np.result_type(weights, grad_out)) if tap_input else None
+    products = {}  # by sample, until its group's are added to gw
 
     def sample(j):
         if tap_side:
@@ -438,10 +401,13 @@ def _conv_backward(x: np.ndarray, weights: np.ndarray, d: int, grad_out: np.ndar
                 np.matmul(fmat, left, out=grad_input[j].reshape(c, h * w))
         else:
             left, right = grad_out[j].reshape(c_out, h * w), _im2col(x[j:j + 1], k, d)
-        return left @ right.T
+        products[j] = left @ right.T
 
-    for product in _map(sample, range(n), (c + c_out) * k * k * s * s * h * w + gw.size):
-        gw += product
+    for start in range(0, n, WORKERS):
+        group = range(start, min(start + WORKERS, n))
+        _each(sample, group, (c + c_out) * k * k * s * s * h * w + gw.size)
+        for j in group:
+            gw += products.pop(j)
     if tap_side:  # the taps flip back
         gw = gw.reshape(c_out, k, k, c).transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
     grad_weights = np.ascontiguousarray(gw).reshape(weights.shape)

@@ -1,5 +1,10 @@
 """Confusion counting, derived scores, and report rendering."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -105,6 +110,19 @@ def test_validation_errors():
         confusion(np.zeros((2, 2)), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="binary"):
         confusion(np.zeros(4), np.array([0.0, 0.5, 1.0, 1.0]))
+
+
+def test_confusion_of_a_binary_target_loads_no_numpy_ma():
+    # numpy's first np.unique of a process imports numpy.ma, about 1.1 MB that
+    # an evaluate's first batch would carry in its memory peak
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import sys; import numpy as np; from lmnet.metrics import confusion; "
+              "confusion(np.full((1, 1, 4, 4), 0.7, np.float32), np.eye(4)[None, None]); "
+              "print('numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert run.stdout.strip() == "False"
 
 
 def _rep(split, loss, acc, iou, prec, rec):

@@ -241,7 +241,11 @@ def test_more_workers_than_cores_switching_often_keep_the_bits(monkeypatch):
         pool.shutdown()
 
 
-def test_an_exception_in_a_worker_reaches_the_caller_unchanged(monkeypatch):
+@pytest.mark.parametrize("where", ["caller", "pool"])
+def test_an_exception_in_a_worker_reaches_the_caller_unchanged(where, monkeypatch):
+    # a conv backward's weight-gradient products are formed a pair of samples
+    # at a time, one in the caller's thread and one on the pool; the one that
+    # raises runs on either side, and the caller's thread is not left inline
     monkeypatch.setattr(ops, "WORKERS", 2)
     monkeypatch.setattr(ops, "TASK_ELEMS", 1)
     graph = init_parameters(build_model(Variant.PROPOSED))
@@ -249,18 +253,45 @@ def test_an_exception_in_a_worker_reaches_the_caller_unchanged(monkeypatch):
     pred, cache = graph.forward(batch, "train", rng=derive_rng(7, 1))
     error = ShapeError("raised in a worker")
     raised_in = []
+    im2col = ops._im2col
 
     def failing(*args):
-        raised_in.append(threading.current_thread().name)
-        raise error
+        name = threading.current_thread().name
+        if name.startswith("lmnet-worker") == (where == "pool"):
+            raised_in.append(name)
+            raise error
+        return im2col(*args)
 
     with monkeypatch.context() as m:
         m.setattr(ops, "_im2col", failing)
         with pytest.raises(ShapeError) as info:
             graph.backward(cache, np.ones_like(pred))
-    assert info.value is error
-    assert raised_in and all(name.startswith("lmnet-worker") for name in raised_in)
+    assert info.value is error and raised_in
+    assert not getattr(ops._inline, "on", False)
     assert np.isfinite(step(graph, batch)["l4.w"]).all()  # the pool still serves a step
+
+
+def test_calls_inside_a_dealt_call_run_in_its_thread(monkeypatch):
+    # each share _each deals runs inline: an _each call inside it runs all of
+    # its calls in that share's thread, so the pool takes the one outer share
+    monkeypatch.setattr(ops, "WORKERS", 2)
+    monkeypatch.setattr(ops, "TASK_ELEMS", 1)
+    pool = CountingPool()
+    monkeypatch.setattr(ops, "_pool", lambda: pool)
+    threads = {}
+
+    def outer(i):
+        here = threading.current_thread().name
+        ops._each(lambda j: threads.setdefault((i, j), (here, threading.current_thread().name)),
+                  range(3), ops.TASK_ELEMS)
+
+    ops._each(outer, range(2), ops.TASK_ELEMS)
+    assert sorted(threads) == [(i, j) for i in range(2) for j in range(3)]
+    assert all(outer_thread == inner for outer_thread, inner in threads.values())
+    assert threading.current_thread().name == threads[0, 0][0]
+    assert threads[1, 0][0].startswith("lmnet-worker")
+    assert pool.submitted == 1
+    assert not getattr(ops._inline, "on", False)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
