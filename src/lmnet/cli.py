@@ -91,8 +91,8 @@ def _read_config_file(path) -> dict:
     if not os.path.isfile(path):
         raise ConfigError(f"config file {path} does not exist")
     try:
-        with open(path, encoding="utf-8") as fh:
-            return kvtext.read(fh.read())
+        with open(path, encoding="utf-8") as fh:  # Windows editors may write a byte-order mark
+            return kvtext.read(fh.read().removeprefix("\ufeff"))
     except ValueError as exc:  # also a file that is not UTF-8
         raise ConfigError(f"{path}: {exc}") from None
 

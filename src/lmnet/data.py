@@ -9,17 +9,17 @@ parent scene, so no scene leaks across splits.
 
 A prepared layout holds `<split>/images/<name>` with a mask of the same name
 under `<split>/masks/`; `_record` is the one place that forms those paths and
-`_write_pair` the one writer. A sample is a plain (image, mask) pair of
-arrays: the image (3, h, w) in [0, 1], the mask (h, w); a batch holds both
-as uint8, the image's 8-bit levels and a {0, 1} mask, a quarter of
-float32's bytes. Masks are binary the moment they enter this module
-(`load_pair` binarizes what it reads, `synth_pair` draws them binary) and
-stay binary through every operation; `load_pair` is also where an image
-must agree in size with its mask. The network takes any size on its
-pooling grid, so each split has one tile size on POOL_GRID, which
-`check_split` checks from file headers and `batch_iter` as it decodes. A
-synthetic rectangle generator writes deterministic layouts for tests and
-smoke runs.
+`_write_pair` the one writer. A sample is an (image, mask) pair of uint8
+arrays, a quarter of float32's bytes: the image's 8-bit levels (3, h, w)
+and a {0, 1} mask (h, w). A batch stacks them, and `prepare_dataset` holds
+scenes so, scaling a tile to [0, 1] only to resize it. Masks are binary
+the moment they enter this module (`load_pair` binarizes what it reads,
+`synth_pair` draws them binary) and stay binary through every operation;
+`load_pair` is also where an image must agree in size with its mask. The
+network takes any size on its pooling grid, so each split has one tile size
+on POOL_GRID, which `check_split` checks from file headers and `batch_iter`
+as it decodes. A synthetic rectangle generator writes deterministic layouts
+for tests and smoke runs.
 """
 
 from __future__ import annotations
@@ -200,7 +200,8 @@ def load_index(path) -> DatasetIndex:
     records = []
     seen = set()
     try:
-        text = path.read_text(encoding="utf-8")
+        # a Windows editor's byte-order mark, dropped without importing the utf-8-sig codec
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: index is not UTF-8 ({exc.reason} at byte {exc.start})") from None
     for ln, line in enumerate(text.split("\n"), 1):
@@ -272,13 +273,13 @@ def _one_tile_size(split: str):
     return check
 
 
-def load_pair(index: DatasetIndex, rec: IndexRecord, dtype=np.float32) -> tuple:
-    """The sample `rec` names: image (3, h, w) and binarized mask (h, w),
-    float32, or at dtype uint8 the image's 8-bit levels and a {0, 1} mask."""
+def load_pair(index: DatasetIndex, rec: IndexRecord) -> tuple:
+    """The sample `rec` names: the image's 8-bit levels (3, h, w) and its
+    binarized mask (h, w), both uint8."""
     image_path, mask_path = index.image_path(rec), index.mask_path(rec)
-    # dtype goes positionally: perfbench's tracer wraps read_rgb as call(*args)
-    image = imgio.read_rgb(image_path, dtype)
-    mask = binarize_mask(imgio.read_gray(mask_path)).astype(dtype, copy=False)
+    # the dtype goes positionally: perfbench's tracer wraps read_rgb as call(*args)
+    image = imgio.read_rgb(image_path, np.uint8)
+    mask = binarize_mask(imgio.read_gray(mask_path)).astype(np.uint8)
     if image.shape[1:] != mask.shape:
         raise DataError(f"{mask_path} is {mask.shape[0]}x{mask.shape[1]}, but its image "
                         f"{image_path} is {image.shape[1]}x{image.shape[2]}")
@@ -322,7 +323,7 @@ def _load_batch(index: DatasetIndex, records, check) -> tuple:
     """The stacked (images, masks) of `records`, each image's size passed to
     `check` first. The per-sample arrays go with this frame, so a caller
     holding the batch holds it once."""
-    images, masks = zip(*(load_pair(index, record, np.uint8) for record in records))
+    images, masks = zip(*(load_pair(index, record) for record in records))
     for record, image in zip(records, images):
         check(index.image_path(record), image.shape[1:])
     return np.stack(images), np.stack(masks)[:, None]
@@ -468,6 +469,7 @@ def prepare_dataset(input_dir, output_dir, tile: int = 500, target=TARGET_SIZE,
             tile_rec = _record(split, f"{stem}_r{i // cols}c{i % cols}.png")
             frac = foreground_fraction(t_mask)
             if min_fg <= frac <= max_fg:
+                t_image = imgio.to_float(t_image)
                 _write_pair(out, tile_rec, *resize_pair(t_image, t_mask, target))
                 records.append(tile_rec)
                 summary[split]["kept"] += 1

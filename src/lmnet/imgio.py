@@ -342,8 +342,9 @@ def read_rgb(path, dtype=np.float32) -> np.ndarray:
     """Read any supported image as (3, h, w) planes: float32 in [0, 1], or
     at dtype uint8 the 8-bit levels the file holds, a quarter of the bytes.
 
-    The float32 planes are converted into the result and divided in place,
-    so the scene has one float32 copy."""
+    The package reads uint8; the float32 default is kept for perfbench,
+    which reads its scene so. Its planes are converted into the result and
+    divided in place, so the scene has one float32 copy."""
     dtype = np.dtype(dtype)
     if dtype not in (np.float32, np.uint8):
         raise ValueError(f"read_rgb reads float32 or uint8 planes, not {dtype}")

@@ -47,13 +47,11 @@ whatever the batch size. When ops.WORKERS samples together hold no more
 than TILE_PIXELS pixels, ops._each deals whole samples to the workers, a
 sample's kernels inline in its thread; otherwise one sample (or tile) at
 a time runs with its kernels split across the workers. The loop
-holds each activation only until its last reader, the next stage, has run;
-the activation a later stage reads as its skip is kept as its product with
-that stage's skip weights (ops.skip_conv2d), formed as the activation is
-and added to by the reader: proposed's stage 7 then keeps 5 planes, not
-activation 1's 15. The input may be the 8-bit levels of images, which a
-train forward scales to [0, 1] whole and an eval forward one sample or tile
-at a time, as imgio.read_rgb would.
+holds each activation only until its last reader, the next stage, has run:
+proposed's stage 7 keeps activation 1's skip product, 5 planes, not its 15.
+The input may be the 8-bit levels of images, which a train forward scales
+to [0, 1] whole and an eval forward one sample or tile at a time, as
+imgio.read_rgb would.
 A sample of more than TILE_PIXELS pixels runs in overlapping tiles, the
 overlap-tile scheme of U-Net (Ronneberger et al., 2015); one within the
 budget is a single tile. tile_plan cuts the input on POOL_GRID into
@@ -65,10 +63,12 @@ on the whole input's grid, so a tile computes the whole-image values; its
 narrower matmuls may round them differently. The working set is then one
 tile's, whatever the scene's size. A train forward runs the whole batch
 at once and never tiles: batch statistics span the whole batch.
-A decoder stage runs ops.upsample_conv2d, which reads the
-low-resolution previous activation and the skip activation itself (or, in
-eval mode, adds into its product), so no upsampled or concatenated input is
-formed or kept. backward walks
+In both modes the activation a later stage reads as its skip is kept as
+its product with that stage's skip weights (ops.skip_conv2d), formed as
+the activation is. The decoder stage runs ops.upsample_conv2d, which adds
+the side of the low-resolution previous activation and the bias into that
+product, so no upsampled or concatenated input is formed or kept; its
+adjoint reads the skip activation from the train record. backward walks
 the train records in reverse and consumes them: a record goes once its
 stage's adjoint has run, since the next stage's pool adjoint, the other
 reader of its activation, runs before it. A cache serves one backward.
@@ -457,17 +457,15 @@ class ModelGraph:
         kernels are looked up on `kernels`: ops, or in a unit ops._unit_kernels."""
         train = mode == "train"
         records = []  # train only: one StageRecord per stage
-        # by skip index until the stage that reads it: a train forward keeps the
-        # activation, an eval forward its product with the reader's skip weights
-        kept = {}
+        kept = {}  # by skip index until its reader: the product with that stage's skip weights
         for stage in self.plan.stages:
             rec = StageRecord()
-            skip = kept.pop(stage.skip) if stage.skip else None
+            product = kept.pop(stage.skip) if stage.skip else None
             if stage.pre == "pool":
                 cur = kernels.maxpool2(cur)
             if train:
                 rec.conv_in = cur
-            cur = self._stage_forward(stage, cur, skip, mode, rec.bn, kernels)
+            cur = self._stage_forward(stage, cur, product, mode, rec.bn, kernels)
             # nothing else reads the fresh pre-activation, and relu's adjoint reads its output
             act = getattr(kernels, stage.act)
             cur = act(cur, cur) if stage.act == "relu" else act(cur)
@@ -475,18 +473,17 @@ class ModelGraph:
                 cur = ops.dropout(cur, stage.drop, rng)
             reader = self.plan.skip_readers.get(stage.index)
             if reader:
-                kept[stage.index] = cur if train else kernels.skip_conv2d(
-                    cur, self._conv_params(reader.convs[0]))
+                kept[stage.index] = kernels.skip_conv2d(cur, self._conv_params(reader.convs[0]))
             if train:
                 rec.act = cur
                 records.append(rec)
         return cur, records
 
-    def _stage_forward(self, stage: Stage, x: np.ndarray, skip, mode: str, bn: list,
+    def _stage_forward(self, stage: Stage, x: np.ndarray, product, mode: str, bn: list,
                        kernels):
         """The stage's pre-activation: per kernel, conv (fused with the
-        upsample and skip of a decoder stage, whose skip is its product in
-        eval mode), then batchnorm when the spec has it, appending its cache
+        upsample of a decoder stage, and added into its skip's product when
+        it has one), then batchnorm when the spec has it, appending its cache
         to `bn`. With several kernels each output goes into its channel slice
         of one array, the bits of concatenating them. Batchnorm writes
         straight into that slice, or normalizes a lone kernel's fresh conv
@@ -495,10 +492,8 @@ class ModelGraph:
         start = 0
         for spec in stage.convs:
             params = self._conv_params(spec)
-            if stage.pre == "upsample" and mode == "train":
-                z = kernels.upsample_conv2d(x, skip, params)
-            elif stage.pre == "upsample":  # the skip's product becomes the output
-                z = kernels.upsample_conv2d(x, None, params, skip)
+            if stage.pre == "upsample":  # the skip's product becomes the output
+                z = kernels.upsample_conv2d(x, params, product)
             else:
                 z = kernels.conv2d(x, params)
             dest = z

@@ -4,9 +4,9 @@ Every tensor is a numpy ndarray laid out (batch, channel, height, width),
 row-major. float32 is the production dtype; all kernels also run in float64
 so the whole stack can be verified against central finite differences.
 Kernels are pure functions of their inputs: none writes to an argument
-(batchnorm returns its new running statistics) but the `out` array that
+(batchnorm returns its new running statistics) but `out`: the array that
 batchnorm and relu may be handed in either mode, which may be the input
-itself, and the skip product that upsample_conv2d may be handed as `out`.
+itself, and the skip product a decoder stage's upsample_conv2d adds into.
 Each is bit-deterministic for fixed inputs, so repeated calls agree exactly.
 
 A conv forms its products on the im2col side (the input's k*k*c_in
@@ -459,8 +459,7 @@ def _upsample_conv_check(low: np.ndarray, skip, params: ConvParams, out=None) ->
         c_skip = skip.shape[1]
     if out is not None:
         want = (n, params.out_channels, 2 * hl, 2 * wl)
-        if (skip is not None or c_u >= params.in_channels
-                or not isinstance(out, np.ndarray) or out.shape != want):
+        if c_u >= params.in_channels or not isinstance(out, np.ndarray) or out.shape != want:
             raise ShapeError(f"a skip product stands in for the skip input, of shape {want}, "
                              f"got {getattr(out, 'shape', None)}")
         c_skip = params.in_channels - c_u
@@ -473,10 +472,9 @@ def _upsample_conv_check(low: np.ndarray, skip, params: ConvParams, out=None) ->
 
 
 def skip_conv2d(skip: Tensor, params: ConvParams) -> Tensor:
-    """The skip side of upsample_conv2d(low, skip, params), without bias:
-    the conv of skip with the kernel's last skip.shape[1] input channels.
-    upsample_conv2d(low, None, params, out=product) adds the rest into it,
-    with the bits of the call that is handed skip itself."""
+    """The skip side of a decoder stage, without bias: the conv of skip with
+    the kernel's last skip.shape[1] input channels. A decoder stage forms it
+    as soon as its skip activation exists and hands it to upsample_conv2d."""
     _require_4d("skip_conv2d input", skip)
     c_u = params.in_channels - skip.shape[1]
     if c_u < 1:
@@ -485,26 +483,20 @@ def skip_conv2d(skip: Tensor, params: ConvParams) -> Tensor:
     return _conv(skip, params.weights[:, c_u:], params.dilation)
 
 
-def upsample_conv2d(low: Tensor, skip, params: ConvParams, out=None) -> Tensor:
-    """conv2d(concat_channels(upsample_nearest2(low), skip), params), fused.
-
-    skip may be None (no concatenation). Nearest upsampling repeats pixels
-    and a tap matmul mixes channels only, so the upsampled channels take the
-    tap side at low resolution (h/2, w/2): each block's (2, 2, c_out, rows,
-    w/2) phase buffer is added into the output's 2x2 block view. The skip
-    channels take `_conv` at full resolution. Neither the upsampled nor the
-    concatenated input is formed. In place of skip, `out` may hand the skip
-    side formed earlier, skip_conv2d(skip, params): the rest is added into
-    it, and it is returned.
+def upsample_conv2d(low: Tensor, params: ConvParams, out=None) -> Tensor:
+    """conv2d(concat_channels(upsample_nearest2(low), skip), params), fused:
+    added into out = skip_conv2d(skip, params) and returned, or without a
+    skip (out None) into zeros. Nearest upsampling repeats pixels and a tap
+    matmul mixes channels only, so the upsampled channels take the tap side
+    at low resolution (h/2, w/2): each block's (2, 2, c_out, rows, w/2)
+    phase buffer is added into the output's 2x2 block view. Neither the
+    upsampled nor the concatenated input is formed.
     """
-    c_u = _upsample_conv_check(low, skip, params, out)
+    c_u = _upsample_conv_check(low, None, params, out)
     n, _, hl, wl = low.shape
-    weights, d = params.weights, params.dilation
-    if out is None and skip is None:
-        out = np.zeros((n, weights.shape[0], 2 * hl, 2 * wl), dtype=low.dtype)
-    elif out is None:
-        out = _conv(skip, weights[:, c_u:], d)
-    _tap_conv(low, _taps(weights[:, :c_u]), params.kernel_size, d, 2, out)
+    if out is None:
+        out = np.zeros((n, params.out_channels, 2 * hl, 2 * wl), dtype=low.dtype)
+    _tap_conv(low, _taps(params.weights[:, :c_u]), params.kernel_size, params.dilation, 2, out)
     out += params.bias.reshape(1, -1, 1, 1)
     return out
 
@@ -512,9 +504,10 @@ def upsample_conv2d(low: Tensor, skip, params: ConvParams, out=None) -> Tensor:
 def upsample_conv2d_backward(low: Tensor, skip, params: ConvParams, grad_out: Tensor):
     """Adjoints of upsample_conv2d: (grad_low, grad_skip, grad_weights, grad_bias).
 
-    grad_skip is None when skip is. The skip channels go through
-    `_conv_backward` at s = 1 and the upsampled channels at s = 2, where
-    grad_out's columns are 2x2 block sums read at low resolution.
+    They read the skip input itself, not its product; skip and grad_skip are
+    None without a skip. The skip channels go through `_conv_backward` at
+    s = 1 and the upsampled channels at s = 2, where grad_out's columns are
+    2x2 block sums read at low resolution.
     """
     c_u = _upsample_conv_check(low, skip, params)
     n, _, hl, wl = low.shape
@@ -780,10 +773,11 @@ def bce_loss(pred: Tensor, target: Tensor):
 
     Predictions are clamped to [1e-7, 1 - 1e-7] before the logs. The gradient
     is the exact derivative of the clamped expression, so it vanishes where
-    the clamp is active.
+    the clamp is active. The target is cast to pred's dtype, a uint8 mask too.
     """
     if pred.shape != target.shape:
         raise ShapeError(f"pred shape {pred.shape} does not match target {target.shape}")
+    target = target.astype(pred.dtype, copy=False)
     eps = np.asarray(BCE_CLAMP, dtype=pred.dtype)
     hi = np.asarray(1.0, dtype=pred.dtype) - eps
     p = np.clip(pred, eps, hi)

@@ -109,8 +109,7 @@ def _accumulate_batch(graph: ModelGraph, images, masks, lossf, cfg: TrainConfig,
     for micro_idx, (lo, hi) in enumerate(_micro_slices(n, cfg.micro_batch)):
         rng = derive_rng(cfg.seed, 1, epoch, batch_idx, micro_idx)
         pred, cache = graph.forward(images[lo:hi], "train", rng=rng)
-        # a uint8 target would take the loss's 1.0 - target to float64
-        loss, grad_pred = lossf(pred, masks[lo:hi].astype(pred.dtype, copy=False))
+        loss, grad_pred = lossf(pred, masks[lo:hi])
         del pred  # backward lets each record go after its last reader
         grads = graph.backward(cache, grad_pred)
         k = hi - lo
@@ -141,7 +140,7 @@ def evaluate(graph: ModelGraph, index: DatasetIndex, split: str,
     n = 0
     for images, masks in batch_iter(index, split, micro_batch, shuffle=False):
         pred, _ = graph.forward(images, "eval")
-        loss = lossf(pred, masks.astype(pred.dtype, copy=False))[0]  # its gradient goes at once
+        loss = lossf(pred, masks)[0]  # its gradient goes at once
         k = images.shape[0]
         loss_sum += loss * k
         n += k

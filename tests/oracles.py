@@ -96,7 +96,8 @@ def upsample_conv2d_backward_composed(low, skip, params, grad_out):
 def eval_forward_composed(graph, batch):
     """An eval forward of `graph` composed from the public kernels, keeping
     every activation: per stage, the pool, then per kernel conv2d or
-    upsample_conv2d and ops.batchnorm(..., "eval") when the spec has it,
+    upsample_conv2d (into skip_conv2d's product of the skip, when the stage
+    has one) and ops.batchnorm(..., "eval") when the spec has it,
     concat_channels of the kernels' outputs, and the stage's activation,
     at one BLAS thread, the count an eval forward holds. Returns the list of
     activations, the input batch first."""
@@ -115,7 +116,8 @@ def _composed(graph, batch):
                  if k.split(".", 1)[0] == spec.name}
             params = ops.ConvParams(p["w"], p["b"], spec.dilation)
             if stage.pre == "upsample":
-                z = ops.upsample_conv2d(x, skip, params)
+                product = None if skip is None else ops.skip_conv2d(skip, params)
+                z = ops.upsample_conv2d(x, params, product)
             else:
                 z = ops.conv2d(x, params)
             if spec.has_bn:

@@ -604,6 +604,15 @@ def test_config_file_stray_keys_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_config_file_with_a_byte_order_mark_reads_its_first_key(tmp_path, capsys):
+    # editors on Windows often save UTF-8 with a leading byte-order mark
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfvariant=plain\n")
+    code, out, err = run_cli(capsys, "params", "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert "variant=plain" in out
+
+
 def test_usage_errors_exit_1_not_2(capsys):
     code, _, err = run_cli(capsys, "params", "--variant", "plain", "--bogus")
     assert code == 1

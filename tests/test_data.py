@@ -72,7 +72,9 @@ def test_full_scene_tiles_and_reassembles_bit_exact(tmp_path, rng):
     grid = [[by_name[f"train/images/scene_r{r}c{c}.png"] for c in range(3)]
             for r in range(3)]
     assert all(t_image.shape[1:] == (512, 512) for row in grid for t_image, _ in row)
-    npt.assert_array_equal(np.block([[t_image for t_image, _ in row] for row in grid]), image)
+    back_image = np.block([[t_image for t_image, _ in row] for row in grid])
+    assert back_image.dtype == np.uint8
+    npt.assert_array_equal(imgio.to_float(back_image), image)
     npt.assert_array_equal(np.block([[t_mask for _, t_mask in row] for row in grid]), mask)
 
 
@@ -272,6 +274,15 @@ def test_load_index_validates_with_line_numbers(tmp_path):
         load_index(tmp_path / "absent.tsv")
 
 
+def test_load_index_reads_past_a_byte_order_mark(tmp_path):
+    # editors on Windows often save UTF-8 with a leading byte-order mark
+    _layout(tmp_path, [("train", "a.png", 8)])
+    path = tmp_path / "index.tsv"
+    path.write_bytes(b"\xef\xbb\xbftrain/images/a.png\ttrain/masks/a.png\ttrain\n")
+    assert load_index(path).records == [IndexRecord("train/images/a.png", "train/masks/a.png",
+                                                    "train")]
+
+
 def test_load_pair_binarizes_mid_gray_mask(tmp_path):
     (tmp_path / "train" / "images").mkdir(parents=True)
     (tmp_path / "train" / "masks").mkdir(parents=True)
@@ -328,15 +339,15 @@ def test_batch_iter_covers_every_record_exactly_once(tiny_dataset):
 
 def test_batch_iter_unshuffled_follows_index_order(tiny_dataset):
     """Unshuffled batches come in index order and hold 8-bit images and
-    {0, 1} masks: each record's image levels, which scale to the float32
-    image load_pair reads, and its binarized mask."""
+    {0, 1} masks: each record's sample as load_pair reads it."""
     recs = tiny_dataset.split_records("val")
     batches = list(batch_iter(tiny_dataset, "val", 1, shuffle=False))
     assert len(batches) == len(recs)
     for (images, masks), rec in zip(batches, recs):
         image, mask = load_pair(tiny_dataset, rec)
         assert images.dtype == masks.dtype == np.uint8
-        npt.assert_array_equal(imgio.to_float(images), image[None])
+        assert image.dtype == mask.dtype == np.uint8
+        npt.assert_array_equal(images, image[None])
         npt.assert_array_equal(masks, mask[None, None])
 
 
@@ -432,7 +443,7 @@ def test_write_synthetic_dataset_round_trips(tmp_path):
     image, mask = load_pair(index, index.records[0])
     direct_image, direct_mask = synth_pair(16, derive_rng(9, 2, 0))
     # PNG quantization moves values by at most half a level
-    npt.assert_allclose(image, direct_image, atol=0.5 / 255 + 1e-6)
+    npt.assert_allclose(imgio.to_float(image), direct_image, atol=0.5 / 255 + 1e-6)
     npt.assert_array_equal(mask, direct_mask)
 
 
@@ -477,6 +488,25 @@ def test_prepare_filters_tiles_and_writes_index(tmp_path):
     # tile target == tile size, so kept pixels survive the resize untouched
     image, _ = load_pair(index, index.records[0])
     assert image.shape[1:] == (8, 8)
+
+
+def test_prepare_holds_a_scene_as_8bit_planes(tmp_path, rng):
+    # a scene is held as its 8-bit planes and a {0, 1} mask, 4 bytes a
+    # pixel, and a kept tile is scaled to float32 only to be resized; read as
+    # float32 planes and a float32 mask, 16 bytes a pixel, prepare peaked
+    # near 44 bytes a scene pixel
+    side = 512
+    write_layout_pair(tmp_path / "raw", "train", "scene.png",
+                      rng.random((3, side, side)), rng.random((side, side)) > 0.5)
+    tracemalloc.start()
+    try:
+        summary = prepare_dataset(tmp_path / "raw", tmp_path / "out", tile=256,
+                                  target=(64, 64), min_fg=0.0, max_fg=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["train"] == {"kept": 4, "rejected": 0}
+    assert peak < 32 * side * side
 
 
 def test_prepare_refuses_nonempty_output_without_overwrite(tmp_path):

@@ -78,7 +78,8 @@ def test_fused_decoder_gradients(dilation, with_skip):
     p = ops.ConvParams(weights, bias, dilation)
 
     def value():
-        return float((ops.upsample_conv2d(low, skip, p) * cotangent).sum())
+        product = ops.skip_conv2d(skip, p) if with_skip else None
+        return float((ops.upsample_conv2d(low, p, product) * cotangent).sum())
 
     g_low, g_skip, gw, gb = ops.upsample_conv2d_backward(low, skip, p, cotangent)
     assert relative_error(g_low, fd_gradient(value, low)) < PER_OP_TOL

@@ -260,7 +260,8 @@ def test_fused_decoder_stage_matches_the_composition(c_up, c_skip, c_out, k, d):
         grad_out = rng.standard_normal((2, c_out, 2 * hl, 2 * wl))
         up = ops.upsample_nearest2(low)
         x = up if skip is None else ops.concat_channels(up, skip)
-        got = (ops.upsample_conv2d(low, skip, params),
+        product = None if skip is None else ops.skip_conv2d(skip, params)
+        got = (ops.upsample_conv2d(low, params, product),
                *ops.upsample_conv2d_backward(low, skip, params, grad_out))
         want = (ops.conv2d(x, params),
                 *upsample_conv2d_backward_composed(low, skip, params, grad_out))
@@ -274,10 +275,9 @@ def test_fused_decoder_stage_matches_the_composition(c_up, c_skip, c_out, k, d):
 
 @pytest.mark.parametrize("c_up,c_skip,c_out,k,d", [s for s in _decoder_shapes() if s[1]])
 def test_a_fused_decoder_stage_handed_its_skip_product_keeps_the_bits(c_up, c_skip, c_out, k, d):
-    # an eval forward forms a decoder's skip side as soon as the skip
-    # activation exists and hands it in place of the skip: the call adds the
-    # upsampled side and the bias into that array, in float32 and float64,
-    # with the bits of the call handed the skip itself
+    # a forward forms a decoder's skip side as soon as the skip activation
+    # exists and hands it to the stage: the call adds the upsampled side and
+    # the bias into that array, in float32 and float64
     rng = np.random.default_rng(c_up * 1000 + c_skip * 10 + k + d)
     for dtype, (hl, wl) in itertools.product((np.float32, np.float64), ((1, 1), (2, 3), (3, 2))):
         low = rng.standard_normal((2, c_up, hl, wl)).astype(dtype)
@@ -285,13 +285,13 @@ def test_a_fused_decoder_stage_handed_its_skip_product_keeps_the_bits(c_up, c_sk
         params = ops.ConvParams(rng.standard_normal((c_out, c_up + c_skip, k, k)).astype(dtype),
                                 rng.standard_normal(c_out).astype(dtype), d)
         product = ops.skip_conv2d(skip, params)
-        out = ops.upsample_conv2d(low, None, params, product)
+        out = ops.upsample_conv2d(low, params, product)
         assert out is product
-        assert out.tobytes() == ops.upsample_conv2d(low, skip, params).tobytes()
     with pytest.raises(ShapeError, match="skip product"):
-        ops.upsample_conv2d(low, skip, params, product)
-    with pytest.raises(ShapeError, match="skip product"):
-        ops.upsample_conv2d(low, None, params, product[:, :1])
+        ops.upsample_conv2d(low, params, product[:, :1])
+    with pytest.raises(ShapeError, match="skip product"):  # a kernel with no skip channels
+        upsampled_only = ops.ConvParams(params.weights[:, :c_up], params.bias, d)
+        ops.upsample_conv2d(low, upsampled_only, product)
     with pytest.raises(ShapeError, match="upsampled input"):
         ops.skip_conv2d(np.concatenate([skip, low.repeat(2, 2).repeat(2, 3)], axis=1), params)
 
@@ -309,7 +309,11 @@ def _fused_and_skip_only_peaks(n):
                             np.zeros(c_out, np.float32), 1)
     skip_only = ops.ConvParams(np.ascontiguousarray(params.weights[:, c_up:]), params.bias, 1)
     grad_out = rng.standard_normal((n, c_out, side, side)).astype(np.float32)
-    peaks = [(_traced_peak(lambda: ops.upsample_conv2d(low, skip, params)),
+
+    def fused():
+        return ops.upsample_conv2d(low, params, ops.skip_conv2d(skip, params))
+
+    peaks = [(_traced_peak(fused),
               _traced_peak(lambda: ops.conv2d(skip, skip_only))),
              (_traced_peak(lambda: ops.upsample_conv2d_backward(low, skip, params, grad_out)),
               _traced_peak(lambda: ops.conv2d_backward(skip, skip_only, grad_out)))]
@@ -352,11 +356,13 @@ def test_fused_decoder_stage_validation():
     params = ops.ConvParams(np.zeros((2, 5, 3, 3)), np.zeros(2), 1)
     low = np.zeros((1, 3, 4, 4))
     with pytest.raises(ShapeError, match="skip input"):
-        ops.upsample_conv2d(low, np.zeros((1, 2, 4, 4)), params)
+        ops.upsample_conv2d_backward(low, np.zeros((1, 2, 4, 4)), params, np.zeros((1, 2, 8, 8)))
     with pytest.raises(ShapeError, match="3 \\+ 0 channels"):
-        ops.upsample_conv2d(low, None, params)
+        ops.upsample_conv2d(low, params)
     with pytest.raises(ShapeError, match="4-D"):
-        ops.upsample_conv2d(low[0], np.zeros((1, 2, 8, 8)), params)
+        ops.upsample_conv2d(low[0], params, np.zeros((1, 2, 8, 8)))
+    with pytest.raises(ShapeError, match="positive spatial dims"):
+        ops.upsample_conv2d(np.zeros((1, 3, 0, 4)), params, np.zeros((1, 2, 0, 8)))
     with pytest.raises(ShapeError, match="grad_out"):
         ops.upsample_conv2d_backward(low, np.zeros((1, 2, 8, 8)), params, np.zeros((1, 2, 4, 4)))
 
@@ -368,7 +374,8 @@ def _conv_and_adjoints(low, skip, params, grad_out):
     decoder stage."""
     if low is None:
         return ops.conv2d(skip, params), *ops.conv2d_backward(skip, params, grad_out)
-    return (ops.upsample_conv2d(low, skip, params),
+    product = None if skip is None else ops.skip_conv2d(skip, params)
+    return (ops.upsample_conv2d(low, params, product),
             *ops.upsample_conv2d_backward(low, skip, params, grad_out))
 
 
@@ -460,7 +467,8 @@ def test_a_scene_decoder_stage_holds_two_blocks_beside_its_arrays(c_up, c_skip, 
                             np.zeros(c_out, np.float32), 1)
     output = 4 * c_out * side ** 2
     two_blocks = 2 * 4 * ops.BLOCK_ELEMS
-    assert _traced_peak(lambda: ops.upsample_conv2d(low, skip, params)) < output + two_blocks
+    fused = _traced_peak(lambda: ops.upsample_conv2d(low, params, ops.skip_conv2d(skip, params)))
+    assert fused < output + two_blocks
 
 
 # -- pooling / upsampling ---------------------------------------------------
@@ -849,6 +857,21 @@ def test_bce_loss_is_finite_at_hard_saturation():
     assert np.isfinite(loss)
     # the exact derivative of the clamped composition is zero out there
     npt.assert_array_equal(grad, np.zeros_like(grad))
+
+
+def test_bce_loss_of_a_uint8_mask_has_the_bits_of_its_float_cast():
+    # a train step and evaluate hand the loss their 8-bit {0, 1} masks as
+    # they are; 1.0 - target must not take a float32 loss to float64
+    rng = np.random.default_rng(46)
+    for dtype in (np.float32, np.float64):
+        pred = rng.random((2, 1, 6, 6)).astype(dtype)
+        pred[0, 0, 0, :2] = 0.0, 1.0  # outside the clamp band
+        mask = (rng.random(pred.shape) > 0.5).astype(np.uint8)
+        loss, grad = ops.bce_loss(pred, mask)
+        want_loss, want_grad = ops.bce_loss(pred, mask.astype(dtype))
+        assert loss == want_loss
+        assert grad.dtype == want_grad.dtype == dtype
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_loss_registry_holds_bce_alone():
