@@ -68,6 +68,7 @@ def tile_image(image: np.ndarray, mask: np.ndarray, tile: int = 500) -> list:
     """Cut an (image, mask) pair into non-overlapping tile×tile pairs, row-major.
 
     Both source dims must divide evenly; no pixel is resampled or dropped.
+    Each pair is a view of the scene's arrays, not a copy.
     """
     h, w = image.shape[1:]
     _check_tiling((h, w), tile)
@@ -76,7 +77,7 @@ def tile_image(image: np.ndarray, mask: np.ndarray, tile: int = 500) -> list:
         for c in range(w // tile):
             ys = slice(r * tile, (r + 1) * tile)
             xs = slice(c * tile, (c + 1) * tile)
-            out.append((image[:, ys, xs].copy(), mask[ys, xs].copy()))
+            out.append((image[:, ys, xs], mask[ys, xs]))
     return out
 
 
@@ -99,15 +100,15 @@ def _resize_bilinear(img: np.ndarray, target) -> np.ndarray:
     """Pixel-center bilinear resize of (..., h, w), edges clamped.
 
     Interpolation is written in lerp form v0 + f*(v1 - v0) so constants and
-    the no-op resize come out bit-exact.
+    the no-op resize come out bit-exact. Only the gathered rows are cast to
+    float64, an exact cast, not the whole input.
     """
     th, tw = target
     h, w = img.shape[-2:]
     y0, y1, fy = _bilinear_axis(h, th)
     x0, x1, fx = _bilinear_axis(w, tw)
-    work = img.astype(np.float64, copy=False)
-    rows0 = work[..., y0, :]
-    rows1 = work[..., y1, :]
+    rows0 = img[..., y0, :].astype(np.float64, copy=False)
+    rows1 = img[..., y1, :].astype(np.float64, copy=False)
     band = rows0 + fy[:, None] * (rows1 - rows0)
     cols0 = band[..., :, x0]
     cols1 = band[..., :, x1]

@@ -74,10 +74,12 @@ stage's adjoint has run, since the next stage's pool adjoint, the other
 reader of its activation, runs before it. A cache serves one backward.
 
 A forward and a backward hold numpy's OpenBLAS at one thread and run their
-kernels' work on the ops module's worker threads (see ops): a train step's
-samples, an eval forward's small samples whole, or a tile's conv strips and
-channel parts. So neither a train step's bits nor an eval forward's depend
-on the BLAS thread count.
+kernels' work on the ops module's worker threads (see ops): an eval
+forward's small samples whole, or else each kernel's parts, such as every
+sample's conv strips and the channels of batch norm, ReLU and max pooling.
+A kernel cuts a sample by its shape alone, in train and eval alike, so
+neither a train step's bits nor an eval forward's depend on the BLAS thread
+count or on ops.WORKERS.
 """
 
 from __future__ import annotations

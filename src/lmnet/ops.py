@@ -16,33 +16,30 @@ from one column matrix of grad_out. `_tap_side` is the rule: the tap side
 when the kernel narrows (c_out < c_in, k > 1) or reads a nearest-upsampled
 input (s = 2), as a fused decoder stage's upsampled channels do. A forward
 builds either matrix one block at a time: one sample's strip of output rows,
-whose matrix holds at most BLOCK_ELEMS floats, read from a small buffer
+whose matrix holds at most BLOCK_ELEMS // 2 floats, read from a small buffer
 holding the strip and its halo rows zero-padded; its matmul writes into its
 output slice. The adjoint builds whole columns of each sample padded whole,
 one sample at a time, and sums the samples in order.
 
-Workers: a conv forward's blocks, the adjoint's per-sample products, and the
-whole-array passes of batch norm, its adjoint, relu, max pooling and its
-adjoint and the dropout adjoint, deal their samples (or, for a reduction per
-channel, their channels) to WORKERS threads with `_each`: the caller's
-thread takes its share beside the pool's. The adjoint forms its products a
-group of WORKERS samples at a time, the caller and the pool one each, and
-adds each group's to the weight gradient in sample order before the next
-group starts. A call of fewer samples than WORKERS (a one-sample eval
-forward's, or one tile's) deals a sample's row strips and its passes'
-channels instead. A dealt call's own calls stay in its thread: an eval
-forward of several small samples deals the samples themselves, and each
-runs its kernels inline, cut into the blocks a one-sample call cuts. Each
-part writes its own slices of one output, so the bits do not depend on the
-split or on which thread runs a part: a row strip's matmul, kept above
-_SMALL_MATMUL, rounds each column as the whole sample's does on the
-OpenBLAS build that threshold was measured on. No worker forms more than
-one block, and with fewer samples than WORKERS the blocks shrink so that
-those in flight hold no more than one. Calls whose parts would touch under
-TASK_ELEMS floats (_CHANNEL_TASKS times that for a channel part) run in the
-caller's thread. A dealt call calls only private helpers, the kernels
-bound in `_unit_kernels` and numpy, never a public name of this module,
-which a tracer may wrap.
+Workers: a conv forward's blocks, the adjoint's per-sample products, the
+channels of batch norm, its adjoint, relu and max pooling, and the samples
+of the relu, max-pool and dropout adjoints are dealt to WORKERS threads with
+`_each`: the caller's thread takes its share beside the pool's. The adjoint
+forms its products a group of WORKERS samples at a time, the caller and the
+pool one each, and adds each group's to the weight gradient in sample order
+before the next group starts. A conv forward cuts every sample into the
+same row strips in train and eval, by the sample's shape alone (`_blocks`):
+WORKERS and TASK_ELEMS decide only which thread runs each part, never how
+a sample is cut. Each part writes its own slices of one output, so the bits
+do not depend on the worker count or on which thread runs a part. Two
+workers' blocks in flight hold no more than BLOCK_ELEMS floats. Calls whose
+parts would touch under TASK_ELEMS floats (_CHANNEL_TASKS times that for a
+channel part) run in the caller's thread. A dealt call's own calls stay in
+its thread: an eval forward of several small samples deals the samples
+themselves, and each runs its kernels inline, cut into the blocks it is cut
+into alone. A dealt call calls only private helpers, the kernels bound in
+`_unit_kernels` and numpy, never a public name of this module, which a
+tracer may wrap.
 """
 
 from __future__ import annotations
@@ -129,23 +126,15 @@ def _grad_out_check(grad_out: np.ndarray, shape: tuple) -> None:
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match conv output {shape}")
 
 
-BLOCK_ELEMS = 1 << 20  # floats in one block's column or tap matrix, or of dropout draws
+BLOCK_ELEMS = 1 << 20  # floats in two conv blocks' column or tap matrices, or in dropout draws
 # threads that run a kernel's samples or array parts: two, or the one CPU the process may use
 WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
 TASK_ELEMS = 1 << 16  # floats a worker call touches at least; smaller calls stay in the caller
-# TASK_ELEMS a part of a pass split by channels touches at least: such a pass
-# (an eval forward's batch norm, relu or max-pool) is bound by memory, and on
-# two workers it took longer than on one at 2^18 floats a part
+# TASK_ELEMS a channel part of batch norm's, relu's or max-pool's pass
+# touches at least: such a pass is bound by memory, and on two workers it
+# took longer than on one at 2^18 floats a part
 _CHANNEL_TASKS = 8
-# multiply-adds at or below which numpy's OpenBLAS may run a matmul on its
-# small-matrix kernel, which rounds a product's last few columns otherwise
-# than its blocked kernel does; a matmul above it has each column's bits
-# whatever its column count, so a row strip's matmul stays above it. The
-# value is the SkylakeX small-kernel rule (M*N*K <= 100^3), measured on
-# scipy-openblas 0.3.31 on an AVX-512 host; under another BLAS kernel only
-# the worker tests, on the host that runs them, check that strips keep bits
-_SMALL_MATMUL = 100 ** 3
 
 
 # .on is set while the thread runs a share `_each` dealt, whose own calls stay in it
@@ -235,37 +224,15 @@ def _one_blas_thread():
             blas[1](before)
 
 
-def _deal(fn, x: np.ndarray) -> None:
-    """fn(index) for up to WORKERS parts of an (n, c, h, w) array x, each a
-    (samples, channels) slice pair: near-equal slices of the samples, or of
-    the channels (_CHANNEL_TASKS apiece) when x has fewer samples than WORKERS
-    (an eval forward's)."""
-    n, c = x.shape[:2]
-    if n >= WORKERS:
-        _split(lambda part: fn((part, slice(None))), n, x.size)
-    else:
-        _split(lambda part: fn((slice(None), part)), c, x.size, tasks=_CHANNEL_TASKS)
-
-
-def _blocks(n: int, h: int, row_elems: int, halo: int, work: int, macs: int) -> tuple:
+def _blocks(n: int, h: int, row_elems: int, halo: int, work: int) -> tuple:
     """A conv's blocks as (sample, r0, r1), with the floats one touches, given
-    the floats one sample's blocks touch and the multiply-adds of its matmuls.
-    A sample's row strips [r0, r1) are the fewest near-equal ones whose block
-    matrices (row_elems floats a row, halo rows included) hold BLOCK_ELEMS
-    floats or less. A call of fewer samples than WORKERS cuts each sample into
-    at least WORKERS strips whose matrices hold BLOCK_ELEMS // WORKERS floats
-    or less, so that the blocks in flight hold no more than one block does,
-    when each strip then touches TASK_ELEMS floats or more and its matmul
-    stays above _SMALL_MATMUL multiply-adds."""
-    def strips(parts):
-        return max(-(-h // max(1, BLOCK_ELEMS // parts // max(row_elems, 1) - halo)),
-                   min(parts, h))
-
-    count = strips(1)
-    if n < WORKERS:
-        split = strips(WORKERS)
-        if work // split >= TASK_ELEMS and macs * (h // split) // h > _SMALL_MATMUL:
-            count = split
+    the floats one sample's blocks touch. Every sample is cut into the same
+    row strips [r0, r1): the fewest near-equal ones, and at least two, whose
+    block matrices (row_elems floats a row, halo rows included) hold
+    BLOCK_ELEMS // 2 floats or less. The cut reads the shape alone, so a
+    sample has the same strips at any WORKERS or TASK_ELEMS, in train and eval."""
+    rows = max(1, BLOCK_ELEMS // 2 // max(row_elems, 1) - halo)
+    count = max(-(-h // rows), min(2, h))
     bounds = [h * i // count for i in range(count + 1)]
     return [(j, a, b) for j in range(n) for a, b in zip(bounds, bounds[1:])], work // count
 
@@ -346,8 +313,7 @@ def _tap_conv(x: np.ndarray, taps: np.ndarray, k: int, d: int, s: int, out: np.n
         for a, b in phase_ab:  # one add per phase reads its buffer in order
             view[j, :, r0:r1, a, :, b] += phases[a, b]
 
-    _each(block, *_blocks(n, h, k * k * c_out * (w + 2 * q), 2 * q,
-                          (c + c_out) * k * k * h * w, c * k * k * c_out * h * w))
+    _each(block, *_blocks(n, h, k * k * c_out * (w + 2 * q), 2 * q, (c + c_out) * k * k * h * w))
 
 
 def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
@@ -370,8 +336,7 @@ def _conv(x: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
         np.matmul(wmat, _columns(xp, k, d, 1, r1 - r0, w),
                   out=out[j].reshape(c_out, h * w)[:, r0 * w:r1 * w])
 
-    _each(block, *_blocks(n, h, c * k * k * w, 0, (c + c_out) * k * k * h * w,
-                          c_out * c * k * k * h * w))
+    _each(block, *_blocks(n, h, c * k * k * w, 0, (c + c_out) * k * k * h * w))
     return out
 
 
@@ -530,13 +495,13 @@ def maxpool2(x: Tensor) -> Tensor:
         raise ShapeError(f"maxpool2 needs even spatial dims, got h={h}, w={w}")
     out = np.empty((n, c, h // 2, w // 2), dtype=x.dtype)
 
-    def part(i):
-        xi, pooled = x[i], out[i]
+    def part(ch):
+        xc, pooled = x[:, ch], out[:, ch]
         # max(max(top pair), max(bottom pair)), the top pair's formed in out: NaN wins
-        np.maximum(xi[:, :, 0::2, 0::2], xi[:, :, 0::2, 1::2], out=pooled)
-        np.maximum(pooled, np.maximum(xi[:, :, 1::2, 0::2], xi[:, :, 1::2, 1::2]), out=pooled)
+        np.maximum(xc[:, :, 0::2, 0::2], xc[:, :, 0::2, 1::2], out=pooled)
+        np.maximum(pooled, np.maximum(xc[:, :, 1::2, 0::2], xc[:, :, 1::2, 1::2]), out=pooled)
 
-    _deal(part, x)
+    _split(part, c, x.size, tasks=_CHANNEL_TASKS)
     return out
 
 
@@ -639,8 +604,9 @@ def batchnorm(x: Tensor, gamma, beta, running_mean, running_var, mode: str, out=
     inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=x.dtype))
     if out is None:
         out = np.empty(x.shape, np.result_type(x, gamma))
-    _deal(lambda i: _normalize(x[i], *(t[i[1]] for t in (mean, inv_std, gamma, beta)),
-                               out[i] if xhat is None else xhat[i], out[i]), x)
+    _split(lambda ch: _normalize(x[:, ch], *(t[ch] for t in (mean, inv_std, gamma, beta)),
+                                 (out if xhat is None else xhat)[:, ch], out[:, ch]),
+           c, x.size, tasks=_CHANNEL_TASKS)
     cache = None if xhat is None else {"xhat": xhat, "inv_std": inv_std, "gamma": gamma}
     return out, cache, running_mean, running_var
 
@@ -691,7 +657,8 @@ def batchnorm_backward(cache: dict, grad_out: Tensor):
 
 def relu(x: Tensor, out: Tensor) -> Tensor:
     """max(x, 0), written into `out` (x itself, for one) and returned."""
-    _deal(lambda i: np.maximum(x[i], 0, out=out[i]), x)
+    _split(lambda ch: np.maximum(x[:, ch], 0, out=out[:, ch]), x.shape[1], x.size,
+           tasks=_CHANNEL_TASKS)
     return out
 
 

@@ -492,9 +492,11 @@ def test_prepare_filters_tiles_and_writes_index(tmp_path):
 
 def test_prepare_holds_a_scene_as_8bit_planes(tmp_path, rng):
     # a scene is held as its 8-bit planes and a {0, 1} mask, 4 bytes a
-    # pixel, and a kept tile is scaled to float32 only to be resized; read as
-    # float32 planes and a float32 mask, 16 bytes a pixel, prepare peaked
-    # near 44 bytes a scene pixel
+    # pixel, its tiles are views of it, and a kept tile is scaled to float32
+    # only to be resized, whose float64 work holds only the rows it reads.
+    # Read as float32 planes and a float32 mask, 16 bytes a pixel, prepare
+    # peaked near 44 bytes a scene pixel; with tiles copied and each resized
+    # tile cast to float64 whole, near 23 bytes
     side = 512
     write_layout_pair(tmp_path / "raw", "train", "scene.png",
                       rng.random((3, side, side)), rng.random((side, side)) > 0.5)
@@ -506,7 +508,7 @@ def test_prepare_holds_a_scene_as_8bit_planes(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert summary["train"] == {"kept": 4, "rejected": 0}
-    assert peak < 32 * side * side
+    assert peak < 16 * side * side
 
 
 def test_prepare_refuses_nonempty_output_without_overwrite(tmp_path):

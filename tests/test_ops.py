@@ -434,9 +434,10 @@ def _plan_convs_at(size):
 def test_the_block_budget_changes_no_bit(monkeypatch):
     # every plan conv and decoder stage at the training tile's sides, in
     # float32: each output element stays one BLAS dot product over the same
-    # terms, so one-row strips give the whole plane's bits. That rests on the
-    # BLAS keeping a product's order whatever the block's width, as OpenBLAS
-    # does at these shapes but not for much smaller products
+    # terms, so one-row strips give the bits of a sample's two halves, the
+    # fewest strips it is cut into. That rests on the BLAS keeping a
+    # product's order whatever the block's width, as OpenBLAS's SkylakeX
+    # kernel does at these shapes but not for much smaller products
     shapes = _plan_convs_at(192)
     assert (233, 89, 89, 3, 1, 48) in shapes and (13, 15, 5, 3, 1, 192) in shapes
     rng = np.random.default_rng(18)
@@ -699,6 +700,9 @@ def test_eval_batchnorm_into_its_input_gives_the_bits_of_a_fresh_result(dtype):
 def test_batchnorm_rejects_single_element_statistics():
     with pytest.raises(ShapeError):
         ops.batchnorm(np.zeros((1, 2, 1, 1)), *_bn_args(2), "train")
+    # n * h == w: two values a channel, which a refusal of n * h / w == 1 would refuse
+    out, _, _, _ = ops.batchnorm(np.arange(8.0).reshape(2, 2, 1, 2), *_bn_args(2), "train")
+    assert np.isfinite(out).all()
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])

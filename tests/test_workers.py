@@ -108,9 +108,9 @@ EVAL_CASES.append((Variant.PROPOSED, (1, 3, 176, 208)))
 def test_an_eval_forward_on_workers_has_the_bits_of_a_sequential_one(variant, shape,
                                                                      inline_workers, monkeypatch):
     # one sample's conv strips, and its batch norm, relu and max-pool channel
-    # parts, split at any size in the caller's thread and on the pool; the
-    # split of the default TASK_ELEMS; and WORKERS = 1, which splits nothing.
-    # 176x208 runs as a grid of tiles
+    # parts, dealt at any size in the caller's thread and on the pool; those
+    # of the default TASK_ELEMS; and WORKERS = 1, which runs the same strips,
+    # and each pass whole, in the caller's thread. 176x208 runs as a grid of tiles
     monkeypatch.setattr(lmnet.model, "TILE_PIXELS", 1 << 14)
     helpers = ("_padded_rows", "_normalize")
     with monkeypatch.context() as m:
@@ -185,6 +185,38 @@ def test_small_samples_run_as_units_with_the_bits_of_each_alone(variant, shape, 
     with monkeypatch.context() as m:
         m.setattr(ops, "WORKERS", 1)
         assert graph.forward(batch, "eval")[0].tobytes() == alone()
+
+
+DTYPE_CASES = [(variant, dtype) for variant in Variant for dtype in (np.float32, np.float64)]
+
+
+@pytest.mark.parametrize("variant,dtype", DTYPE_CASES,
+                         ids=[f"{v.value}-{np.dtype(d).name}" for v, d in DTYPE_CASES])
+def test_every_output_has_the_same_bytes_at_any_worker_count(variant, dtype, monkeypatch):
+    # a sample is cut by its shape alone, so the worker count decides only
+    # which thread runs each part: an eval forward of one sample, of three
+    # small samples run as units and of an input run as a grid of tiles, and
+    # a train step's gradients and running statistics, at 1, 2 and 4 workers
+    monkeypatch.setattr(lmnet.model, "TILE_PIXELS", 1 << 14)
+    shapes = [(1, 3, 96, 128), (3, 3, 64, 64), (1, 3, 176, 208)]
+    batches = [np.random.default_rng(sum(s)).random(s).astype(dtype) for s in shapes]
+    train_batch = np.random.default_rng(3).random((3, 3, 64, 64)).astype(dtype)
+    graph = eval_graph(variant).astype(dtype)
+    runs = []
+    for workers in (1, 2, 4):
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="lmnet-worker")
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(ops, "WORKERS", workers)
+                m.setattr(ops, "_pool", lambda: pool)
+                outputs = [graph.forward(batch, "eval")[0] for batch in batches]
+                fresh = init_parameters(build_model(variant, GraphConfig(seed=2))).astype(dtype)
+                outputs += step(fresh, train_batch).values()
+        finally:
+            pool.shutdown()
+        assert all(out.dtype == dtype for out in outputs)
+        runs.append([out.tobytes() for out in outputs])
+    assert runs[0] == runs[1] == runs[2], variant
 
 
 @pytest.mark.parametrize("where", ["caller", "pool"])
